@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, ParseError
 
 MAGIC = b"PFCK"
 FORMAT_VERSION = 1
@@ -73,31 +73,45 @@ def load_checkpoint(path: str):
     """Read a checkpoint; returns (header dict, blocks dict).
 
     2-D blocks come back (rows, cols); rows==1 blocks come back 1-D.
+    Every length field is checked against the file size, and bytes
+    after the last block are rejected.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
+        raw = memoryview(fh.read())
+    if bytes(raw[:4]) != MAGIC:
         raise ContractViolation(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    off = 4
+
+    def take(n: int) -> memoryview:
+        nonlocal off
+        if n > len(raw) - off:
+            raise ParseError(f"{path}: truncated checkpoint: {n} bytes "
+                             f"needed at offset {off}, {len(raw) - off} left")
+        off += n
+        return raw[off - n:off]
+
+    (version,) = struct.unpack("<I", take(4))
     if version != FORMAT_VERSION:
         raise ContractViolation(f"{path}: unsupported format version {version}")
-    off = 8
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    off += hlen
-    (nblocks,) = struct.unpack_from("<Q", raw, off)
-    off += 8
+    (hlen,) = struct.unpack("<Q", take(8))
+    try:
+        header = json.loads(bytes(take(hlen)).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: malformed checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: checkpoint header is not a JSON object")
+    (nblocks,) = struct.unpack("<Q", take(8))
     blocks = {}
     for _ in range(nblocks):
-        (nlen,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        rows, cols = struct.unpack_from("<QQ", raw, off)
-        off += 16
-        n = rows * cols
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
-        off += n * 8
+        (nlen,) = struct.unpack("<Q", take(8))
+        try:
+            name = bytes(take(nlen)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: malformed block name: {exc}") from None
+        rows, cols = struct.unpack("<QQ", take(16))
+        arr = np.frombuffer(take(rows * cols * 8), dtype="<f8").copy()
         blocks[name] = arr if rows == 1 else arr.reshape(rows, cols)
+    if off != len(raw):
+        raise ParseError(f"{path}: {len(raw) - off} trailing bytes after "
+                         f"the last block")
     return header, blocks

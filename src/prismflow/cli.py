@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import atomic_write_text
 from .datasets import (DiagnosticSpec, gen_bimodal_frequency, gen_sines,
@@ -26,8 +24,8 @@ from .metrics import (MetricReport, correlational_score, discriminative_score,
                       predictive_score)
 from .model import ModelConfig, PrismFlowModel
 from .numcore import RngStream
-from .sampler import ConditionMask, SamplerConfig, generate, \
-    generate_conditional
+from .sampler import (ConditionMask, SamplerConfig, export_samples, generate,
+                      generate_conditional)
 from .spectra import exact_dmd, spectral_overlap
 from .trainer import TrainConfig, fit, load_config_file
 
@@ -130,9 +128,7 @@ def cmd_sample(args):
     model = PrismFlowModel.load(args.checkpoint)
     cfg = SamplerConfig(steps=args.steps, gamma=args.gamma)
     batch = generate(model, args.n, cfg, RngStream(args.seed))
-    if model.norm_shift is not None:
-        batch = batch * model.norm_scale + model.norm_shift
-    save_csv_windows(batch, args.out)
+    export_samples(batch, args.out, model.norm_shift, model.norm_scale)
     _write_meta(args.out, args)
     print(f"wrote {args.n} samples to {args.out}")
 
@@ -152,10 +148,7 @@ def _conditional(args, mode):
         sample = generate_conditional(model, cond, cfg,
                                       RngStream(args.seed, i))
         outs.append(sample[0])
-    batch = np.asarray(outs)
-    if model.norm_shift is not None:
-        batch = batch * model.norm_scale + model.norm_shift
-    save_csv_windows(batch, args.out)
+    export_samples(outs, args.out, model.norm_shift, model.norm_scale)
     _write_meta(args.out, args)
     print(f"wrote {len(outs)} conditional samples to {args.out}")
 
@@ -204,7 +197,8 @@ def cmd_dmd(args):
         model = PrismFlowModel.load(args.experts)
         for k in range(model.n_experts):
             for ev in operator_eigenvalues(model.operator(k)):
-                lines.append(f"expert{k},{ev.real!r},{ev.imag!r},")
+                lines.append(f"expert{k},{float(ev.real)!r},"
+                             f"{float(ev.imag)!r},")
         atomic_write_text(args.out, "\n".join(lines) + "\n")
         _write_meta(args.out, args)
         print(f"wrote expert spectra to {args.out}")
@@ -217,7 +211,8 @@ def cmd_dmd(args):
     sg = exact_dmd(gen.windows, rank=args.rank, delay=args.delay)
     for tag, spec in (("real", sr), ("gen", sg)):
         for ev, amp in zip(spec.eigenvalues, spec.amplitudes):
-            lines.append(f"{tag},{ev.real!r},{ev.imag!r},{amp!r}")
+            lines.append(f"{tag},{float(ev.real)!r},{float(ev.imag)!r},"
+                         f"{float(amp)!r}")
     overlap = spectral_overlap(sr, sg)
     lines.append(f"overlap,{overlap!r},,")
     atomic_write_text(args.out, "\n".join(lines) + "\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,11 +213,4 @@ def normalize(ds: Dataset) -> Dataset:
     shift = np.where(const, 0.0, shift)
     scale = np.where(const, 1.0, scale)
     return Dataset((w - shift) / scale, norm_shift=shift, norm_scale=scale,
-                   provenance=ds.provenance, labels=ds.labels)
-
-
-def denormalize(ds: Dataset) -> Dataset:
-    if ds.norm_shift is None:
-        raise ContractViolation("dataset has no normalization stats")
-    return Dataset(ds.windows * ds.norm_scale + ds.norm_shift,
                    provenance=ds.provenance, labels=ds.labels)

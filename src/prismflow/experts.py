@@ -58,17 +58,16 @@ def operator_eigenvalues(a: np.ndarray) -> np.ndarray:
     return eig[order]
 
 
-def decode_expert_velocity(model, k: int, h: np.ndarray):
-    """Residual data-space velocity of expert k from trunk features h.
+def decode_expert_velocity(model, k: int, z: np.ndarray):
+    """Residual data-space velocity of expert k from latent codes z (B, d_z).
 
-    Projects h into the latent space, applies the expert generator, and
-    decodes concat(z, A^k z) back to a (B, S*D) residual field.
-    Returns (residual, z, az, proj_tape, dec_tape) so callers can run the
-    backward pass.
+    Applies the expert generator and decodes concat(z, A^k z) to a
+    (B, S*D) residual field. This is the one residual path: training
+    scores every expert with it and sampling applies the routed one.
+    Returns (residual, az, dec_tape) so callers can run the backward pass.
     """
-    z, proj_tape = mlp_apply(model.projector, h)
     az = latent_velocity(model, k, z)
-    resid, dec_tape = mlp_apply(model.decoder, np.concatenate([z, az], axis=-1))
+    resid, dec_tape = mlp_apply(model.decoder, np.concatenate([z, az], axis=1))
     if not np.all(np.isfinite(resid)):
         raise NumericError(f"expert {k} produced non-finite residual velocity")
-    return resid, z, az, proj_tape, dec_tape
+    return resid, az, dec_tape

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .numcore import AdamState, Mlp, RngStream, adam_update, mlp_apply, \
-    mlp_gradients
+from .numcore import (AdamState, Mlp, RngStream, adam_update, mlp_apply,
+                      mlp_blocks, mlp_gradients)
 
 HIDDEN = 32
 TRAIN_STEPS = 500
@@ -40,7 +40,8 @@ def _as_windows(ds):
 def _train_net(dims, x, y, rng: RngStream, kind: str):
     """Fit a small MLP with Adam; kind is "logistic" or "l2"."""
     net = Mlp.init(dims, rng.child(1))
-    opt = AdamState.create(_net_params(net), lr=1e-3)
+    params = mlp_blocks("", net.weights, net.biases)
+    opt = AdamState.create(params, lr=1e-3)
     gen = rng.child(2).generator()
     n = x.shape[0]
     for _ in range(TRAIN_STEPS):
@@ -52,21 +53,9 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
         else:
             upstream = 2.0 * (out - y[idx]) / out.size
         wg, bg, _ = mlp_gradients(net, tape, upstream)
-        grads = {}
-        for i, (gw, gb) in enumerate(zip(wg, bg)):
-            grads[f"W{i}"] = gw
-            grads[f"b{i}"] = gb
-        adam_update(opt, _net_params(net), grads)
+        adam_update(opt, params, mlp_blocks("", wg, bg))
         net.bump_version()
     return net
-
-
-def _net_params(net):
-    out = {}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        out[f"W{i}"] = w
-        out[f"b{i}"] = b
-    return out
 
 
 def discriminative_score(real, gen, rng: RngStream) -> float:

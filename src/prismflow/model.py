@@ -4,7 +4,7 @@ the optimizer and checkpointing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from . import checkpoint as ckpt
 from .errors import ConfigError
 from .flowpath import DEFAULT_TIME_FREQS
 from .experts import assemble_operator
-from .numcore import Mlp, RngStream
+from .numcore import Mlp, RngStream, mlp_blocks
 
 # fixed child-stream ids for reproducible initialization
 _STREAM_ENCODER = 1
@@ -135,9 +135,7 @@ class PrismFlowModel:
         out = {}
         for name in self._MLPS:
             net = getattr(self, name)
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                out[f"{name}.W{i}"] = w
-                out[f"{name}.b{i}"] = b
+            out.update(mlp_blocks(f"{name}.", net.weights, net.biases))
         for k in range(self.n_experts):
             out[f"expert{k}.S"] = self.expert_s[k]
             out[f"expert{k}.R"] = self.expert_r[k]
@@ -149,9 +147,8 @@ class PrismFlowModel:
     @staticmethod
     def pack_mlp_grads(grads: dict, name: str, wgrads, bgrads,
                        scale: float = 1.0) -> None:
-        for i, (gw, gb) in enumerate(zip(wgrads, bgrads)):
-            grads[f"{name}.W{i}"] += scale * gw
-            grads[f"{name}.b{i}"] += scale * gb
+        for key, g in mlp_blocks(f"{name}.", wgrads, bgrads).items():
+            grads[key] += scale * g
 
     def bump_versions(self) -> None:
         for name in self._MLPS:

@@ -58,7 +58,6 @@ class Tape:
 
     inputs: list  # per-layer input activations, inputs[0] is the net input
     preacts: list  # pre-activation values per layer
-    batched: bool
     net_id: int
     net_version: int
 
@@ -91,28 +90,33 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def bump_version(self) -> None:
         self.version += 1
 
 
+def mlp_blocks(prefix: str, weights, biases) -> dict:
+    """Name an Mlp's per-layer arrays (or their gradients) in checkpoint
+    order: {prefix}W0, {prefix}b0, {prefix}W1, ..."""
+    out = {}
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        out[f"{prefix}W{i}"] = w
+        out[f"{prefix}b{i}"] = b
+    return out
+
+
 def mlp_apply(net: Mlp, x: np.ndarray):
-    """Forward pass. Accepts a vector (d,) or a batch (B, d).
+    """Forward pass on a batch (B, d).
 
     Returns (output, tape); the tape suffices for exact reverse-mode
     gradients via mlp_gradients.
     """
-    x = np.asarray(x, dtype=np.float64)
-    batched = x.ndim == 2
-    if not batched and x.ndim != 1:
-        raise ShapeError(f"input must be 1-D or 2-D, got ndim={x.ndim}")
-    if x.shape[-1] != net.layer_dims[0]:
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2:
+        raise ShapeError(f"input must be a (B, d) batch, got ndim={a.ndim}")
+    if a.shape[1] != net.layer_dims[0]:
         raise ShapeError(
-            f"input dim {x.shape[-1]} != first layer dim {net.layer_dims[0]}"
+            f"input dim {a.shape[1]} != first layer dim {net.layer_dims[0]}"
         )
-    a = x if batched else x[None, :]
     inputs, preacts = [], []
     last = net.n_layers - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -120,21 +124,19 @@ def mlp_apply(net: Mlp, x: np.ndarray):
         pre = a @ w + b
         preacts.append(pre)
         a = pre if i == last else _act(net.activation, pre)
-    out = a if batched else a[0]
-    return out, Tape(inputs, preacts, batched, id(net), net.version)
+    return a, Tape(inputs, preacts, id(net), net.version)
 
 
 def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray):
     """Exact reverse-mode gradients of <upstream, output> w.r.t. all
     parameters and the input.
 
-    Returns (weight_grads, bias_grads, input_grad). For batched tapes the
-    parameter gradients sum over the batch.
+    Returns (weight_grads, bias_grads, input_grad); the parameter
+    gradients sum over the batch.
     """
     if tape.net_id != id(net) or tape.net_version != net.version:
         raise ContractViolation("tape is stale: network mutated since forward pass")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    delta = upstream if tape.batched else upstream[None, :]
+    delta = np.asarray(upstream, dtype=np.float64)
     if delta.shape != tape.preacts[-1].shape:
         raise ShapeError(
             f"upstream shape {delta.shape} != output shape {tape.preacts[-1].shape}"
@@ -147,8 +149,7 @@ def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray):
         wgrads[i] = tape.inputs[i].T @ delta
         bgrads[i] = delta.sum(axis=0)
         delta = delta @ net.weights[i].T
-    dx = delta if tape.batched else delta[0]
-    return wgrads, bgrads, dx
+    return wgrads, bgrads, delta
 
 
 @dataclass
@@ -223,14 +224,3 @@ def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,
             rel = abs(gflat[i] - central) / (abs(central) + 1e-12)
             worst = max(worst, rel)
     return worst
-
-
-def zero_grads_like(params: dict) -> dict:
-    return {name: np.zeros_like(p) for name, p in params.items()}
-
-
-def accumulate(acc: dict, grads: dict, scale: float = 1.0) -> dict:
-    """acc += scale * grads for every block present in grads."""
-    for name, g in grads.items():
-        acc[name] += scale * g
-    return acc

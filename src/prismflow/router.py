@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ShapeError
-from .experts import operator_grads
+from .experts import decode_expert_velocity, operator_grads
 from .flowpath import encode, interpolate_state, time_features
 from .numcore import mlp_apply, mlp_gradients
 
@@ -59,33 +59,27 @@ def estimate_endpoint(x_t, t, v_global, v_expert):
     return x_t + (1.0 - t) * (v_global + v_expert)
 
 
-def wta_scores(endpoints, x1, probs, cfg: WtaConfig):
-    """Confidence-aware scores, one per expert.
-
-    endpoints: (K, ...) candidate endpoints for one sample, or a list.
-    Score = element-mean squared endpoint error - beta*log(prob + eps).
-    """
+def wta_scores(mses, probs, cfg: WtaConfig) -> np.ndarray:
+    """Confidence-aware scores (B, K): the element-mean squared endpoint
+    error of each expert minus beta*log(prob + eps)."""
     cfg.validate()
+    mses = np.asarray(mses, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
+    if mses.shape != probs.shape:
+        raise ShapeError(f"mse shape {mses.shape} != prob shape {probs.shape}")
     if np.any(probs < 0):
         raise ContractViolation("routing probabilities must be nonnegative")
-    x1 = np.asarray(x1, dtype=np.float64)
-    scores = []
-    for k, xhat in enumerate(endpoints):
-        err = np.asarray(xhat) - x1
-        mse = float(np.mean(err * err))
-        scores.append(mse - cfg.beta * np.log(probs[k] + cfg.eps))
-    return np.asarray(scores)
+    return mses - cfg.beta * np.log(probs + cfg.eps)
 
 
-def select_winner(scores) -> int:
-    """Argmin with smallest-index tie-breaking."""
+def select_winner(scores) -> np.ndarray:
+    """Row-wise argmin of (B, K) scores with smallest-index tie-breaking."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size < 1:
-        raise ContractViolation("need at least one score")
+    if scores.ndim != 2 or scores.shape[1] < 1:
+        raise ContractViolation("need a (B, K) score array with K >= 1")
     if np.any(np.isnan(scores)):
         raise NumericError("NaN score in winner selection")
-    return int(np.argmin(scores))
+    return np.argmin(scores, axis=1)
 
 
 @dataclass
@@ -135,23 +129,13 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None, winners=None,
         v_g = np.asarray(frozen_v_global, dtype=np.float64).reshape(b, sd)
 
     probs, _, router_tape, _ = route(model, t, h)
-
     z, proj_tape = mlp_apply(model.projector, h)
-    ops = [model.operator(k) for k in range(kk)]
-    az = [z @ ops[k].T for k in range(kk)]
-    resid, dec_tapes = [], []
-    for k in range(kk):
-        r, tape = mlp_apply(model.decoder, np.concatenate([z, az[k]], axis=1))
-        resid.append(r)
-        dec_tapes.append(tape)
-
-    one_minus_t = (1.0 - t)[:, None]
-    errs = [xt + one_minus_t * (v_g + resid[k]) - x1f for k in range(kk)]
+    decoded = [decode_expert_velocity(model, k, z) for k in range(kk)]
+    errs = [estimate_endpoint(xt, t, v_g, resid) - x1f
+            for resid, _, _ in decoded]
     mses = np.stack([np.mean(e * e, axis=1) for e in errs], axis=1)  # (B, K)
-    scores = mses - cfg.beta * np.log(probs + cfg.eps)
-
-    if winners is None:
-        winners = np.argmin(scores, axis=1)
+    scores = wta_scores(mses, probs, cfg)
+    winners = select_winner(scores) if winners is None else winners
     winners = np.asarray(winners, dtype=np.int64)
     rows = np.arange(b)
     loss = float(np.mean(lam * scores[rows, winners]))
@@ -166,12 +150,12 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None, winners=None,
             continue  # masked expert: exactly zero gradient
         derr = np.zeros((b, sd))
         derr[mask] = (2.0 / sd) * w[mask, None] * errs[k][mask]
-        dresid = one_minus_t * derr
-        dw, db, din = mlp_gradients(model.decoder, dec_tapes[k], dresid)
+        dresid = (1.0 - t)[:, None] * derr
+        dw, db, din = mlp_gradients(model.decoder, decoded[k][2], dresid)
         model.pack_mlp_grads(grads, "decoder", dw, db)
         dz_dec = din[:, : model.cfg.latent_dim]
         da = din[:, model.cfg.latent_dim:]
-        dz_total += dz_dec + da @ ops[k]
+        dz_total += dz_dec + da @ model.operator(k)
         d_op = da.T @ z  # dL/dA^k, winner rows only (others are zero)
         ds, dr = operator_grads(model.expert_s[k], model.expert_r[k], d_op)
         grads[f"expert{k}.S"] += ds

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import save_csv_windows
 from .errors import ConfigError, ContractViolation, NumericError
+from .experts import decode_expert_velocity
 from .flowpath import encode
 from .numcore import RngStream, mlp_apply, mlp_gradients
 from .router import route
@@ -65,11 +67,8 @@ def _velocity(model, x, t, cfg: SamplerConfig):
     resid = np.empty_like(v)
     for k in range(model.n_experts):
         mask = winners == k
-        if not np.any(mask):
-            continue
-        az = z[mask] @ model.operator(k).T
-        r, _ = mlp_apply(model.decoder, np.concatenate([z[mask], az], axis=1))
-        resid[mask] = r
+        if np.any(mask):
+            resid[mask], _, _ = decode_expert_velocity(model, k, z[mask])
     lam = float(lambda_schedule(cfg.lambda_kind, t))
     total = v + cfg.gamma * lam * resid
     return total.reshape(x.shape), (h, enc_tape, head_tape)
@@ -98,21 +97,6 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
         return x
     for i in range(cfg.steps):
         x = residual_velocity_step(model, x, i / cfg.steps, cfg)
-    return x
-
-
-def vanilla_euler_generate(model, n: int, steps: int,
-                           rng: RngStream) -> np.ndarray:
-    """Reference flow-matching sampler: Euler on the global field only."""
-    s, d = model.cfg.seq_len, model.cfg.channels
-    x = rng.generator().standard_normal((n, s, d))
-    dt = 1.0 / steps
-    for i in range(steps):
-        b = x.shape[0]
-        tvec = np.full(b, i / steps)
-        h, _ = encode(model, x, tvec)
-        v, _ = mlp_apply(model.head, h)
-        x = x + v.reshape(x.shape) * dt
     return x
 
 
@@ -156,8 +140,6 @@ def export_samples(batch: np.ndarray, path: str, norm_shift=None,
                    norm_scale=None) -> None:
     """Write a generated batch as block CSV (windows separated by blank
     lines), denormalizing iff normalization stats are supplied."""
-    from .datasets import save_csv_windows  # local import to avoid a cycle
-
     batch = np.asarray(batch, dtype=np.float64)
     if norm_shift is not None:
         batch = batch * np.asarray(norm_scale) + np.asarray(norm_shift)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +37,12 @@ class TrainConfig:
     divergence_guard: float = 1e6
 
     def validate(self) -> None:
+        for key in ("lr", "alpha_w", "alpha_b", "beta", "wta_eps",
+                    "prob_floor", "divergence_guard"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
+        if self.lr < 0:
+            raise ConfigError("lr must be >= 0")
         if self.alpha_w < 0 or self.alpha_b < 0:
             raise ConfigError("loss weights must be >= 0")
         if self.batch_size < 1:
@@ -157,10 +164,8 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[0] == 0:
         raise ContractViolation("fit expects a nonempty (n, S, D) window array")
-    model_cfg.seq_len = windows.shape[1]
-    model_cfg.channels = windows.shape[2]
-    model_cfg.n_experts = cfg.n_experts
-
+    model_cfg = replace(model_cfg, seq_len=windows.shape[1],
+                        channels=windows.shape[2], n_experts=cfg.n_experts)
     root = RngStream(cfg.seed)
     model = PrismFlowModel.init(model_cfg, root)
     if norm_shift is not None:
@@ -208,7 +213,3 @@ def load_config_file(path: str) -> dict:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     return {section: dict(parser[section]) for section in parser.sections()}
-
-
-def train_config_header(model_cfg: ModelConfig, cfg: TrainConfig) -> dict:
-    return {"train_config": asdict(cfg)}

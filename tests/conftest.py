@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 
+from prismflow.flowpath import encode
 from prismflow.model import ModelConfig, PrismFlowModel
-from prismflow.numcore import RngStream
+from prismflow.numcore import RngStream, mlp_apply
+
+
+def vanilla_euler_generate(model, n: int, steps: int,
+                           rng: RngStream) -> np.ndarray:
+    """Reference flow-matching sampler: Euler on the global field only."""
+    s, d = model.cfg.seq_len, model.cfg.channels
+    x = rng.generator().standard_normal((n, s, d))
+    dt = 1.0 / steps
+    for i in range(steps):
+        b = x.shape[0]
+        tvec = np.full(b, i / steps)
+        h, _ = encode(model, x, tvec)
+        v, _ = mlp_apply(model.head, h)
+        x = x + v.reshape(x.shape) * dt
+    return x
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import vanilla_euler_generate
 from prismflow.datasets import (gen_bimodal_frequency, gen_sines,
                                 gen_velocity_mixture_diagnostic, normalize,
                                 DiagnosticSpec, velocity_energy_gap)
@@ -20,7 +21,7 @@ from prismflow.numcore import RngStream, finite_difference_check
 from prismflow.router import (WtaConfig, balance_loss, balance_loss_and_grads,
                               wta_loss)
 from prismflow.sampler import (ConditionMask, SamplerConfig, generate,
-                               generate_conditional, vanilla_euler_generate)
+                               generate_conditional)
 from prismflow.spectra import exact_dmd, power_spectrum, spectral_overlap
 from prismflow.trainer import TrainConfig, fit, frozen_total_loss_fn
 

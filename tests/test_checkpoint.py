@@ -5,7 +5,7 @@ import pytest
 
 from prismflow.checkpoint import (FORMAT_VERSION, MAGIC, atomic_write_bytes,
                                   load_checkpoint, save_checkpoint)
-from prismflow.errors import ContractViolation
+from prismflow.errors import ContractViolation, ParseError
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream
 
@@ -42,6 +42,28 @@ class TestBinaryFormat:
         (tmp_path / "v.ckpt").write_bytes(bytes(raw))
         with pytest.raises(ContractViolation, match="version"):
             load_checkpoint(str(tmp_path / "v.ckpt"))
+
+    def test_truncation_and_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "c.ckpt")
+        save_checkpoint(path, {"k": 1}, {"w": np.arange(6.0).reshape(2, 3)})
+        raw = open(path, "rb").read()
+        bad = tmp_path / "bad.ckpt"
+        for cut in range(4, len(raw)):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(ParseError):
+                load_checkpoint(str(bad))
+        bad.write_bytes(raw + b"\x00")
+        with pytest.raises(ParseError, match="trailing"):
+            load_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("header", [b"\xff\xfe", b"{not json", b"[1]"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        raw = (MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header))
+               + header + struct.pack("<Q", 0))
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError):
+            load_checkpoint(str(path))
 
     def test_three_dimensional_block_rejected(self, tmp_path):
         with pytest.raises(ContractViolation):

@@ -76,6 +76,33 @@ class TestTrainSampleEval:
         names = {r.get("name") for r in rows}
         assert {"disc", "corr"} <= names
 
+    def test_non_finite_lr_is_runtime_error(self, tmp_path, data_csv):
+        out = tmp_path / "nan.ckpt"
+        # one optimizer step over all 80 windows, so no later step can
+        # trip over the non-finite parameters
+        assert run("train", "--data", data_csv, "--seed", "0", "--epochs",
+                   "1", "--batch-size", "80", "--lr", "nan", "--quiet",
+                   "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cut", [3, 10, 20, 300, -100, -1])
+    def test_truncated_checkpoint_is_runtime_error(self, tmp_path,
+                                                   checkpoint, cut):
+        raw = open(checkpoint, "rb").read()
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(raw[:cut])
+        assert run("sample", "--checkpoint", str(bad), "--n", "2",
+                   "--steps", "2", "--seed", "0",
+                   "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_checkpoint_with_trailing_bytes_is_runtime_error(self, tmp_path,
+                                                             checkpoint):
+        bad = tmp_path / "long.ckpt"
+        bad.write_bytes(open(checkpoint, "rb").read() + b"\x00" * 8)
+        assert run("sample", "--checkpoint", str(bad), "--n", "2",
+                   "--steps", "2", "--seed", "0",
+                   "--out", str(tmp_path / "x.csv")) == 2
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         assert run("sample", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--n", "2", "--steps", "2", "--seed", "0",
@@ -126,6 +153,19 @@ class TestDmdVerb:
                    "4", "--delay", "2", "--out", out) == 0
         text = open(out).read()
         assert "overlap,1.0" in text
+
+    def test_every_cell_is_a_plain_float(self, tmp_path, data_csv,
+                                         checkpoint):
+        experts = str(tmp_path / "experts.csv")
+        real_gen = str(tmp_path / "real_gen.csv")
+        assert run("dmd", "--experts", checkpoint, "--out", experts) == 0
+        assert run("dmd", "--real", data_csv, "--gen", data_csv, "--rank",
+                   "4", "--delay", "2", "--out", real_gen) == 0
+        for path in (experts, real_gen):
+            for line in open(path).read().splitlines()[1:]:
+                for cell in line.split(",")[1:]:
+                    if cell:
+                        float(cell)
 
     def test_requires_inputs(self, tmp_path):
         assert run("dmd", "--out", str(tmp_path / "x.csv")) == 2

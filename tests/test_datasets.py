@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from prismflow.datasets import (Dataset, DiagnosticSpec, denormalize,
+from prismflow.datasets import (Dataset, DiagnosticSpec,
                                 gen_bimodal_frequency, gen_sines,
                                 gen_velocity_mixture_diagnostic,
                                 load_csv_windows, normalize, save_csv_windows,
                                 velocity_energy_gap)
 from prismflow.errors import (ConfigError, ContractViolation, ParseError)
 from prismflow.numcore import RngStream
+from prismflow.sampler import export_samples
 
 
 class TestGenSines:
@@ -135,11 +136,10 @@ class TestNormalization:
         np.testing.assert_array_equal(nd.windows, w)
         assert nd.norm_scale[0] == 1.0
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         w = RngStream(8).generator().standard_normal((5, 8, 2))
-        back = denormalize(normalize(Dataset(w)))
+        nd = normalize(Dataset(w))
+        path = str(tmp_path / "back.csv")
+        export_samples(nd.windows, path, nd.norm_shift, nd.norm_scale)
+        back = load_csv_windows(path, mode="blocks")
         np.testing.assert_allclose(back.windows, w, atol=1e-12)
-
-    def test_denormalize_needs_stats(self):
-        with pytest.raises(ContractViolation):
-            denormalize(Dataset(np.zeros((1, 2, 1))))

@@ -6,7 +6,13 @@ from prismflow.errors import ContractViolation, ShapeError
 from prismflow.experts import (assemble_operator, decode_expert_velocity,
                                latent_velocity, operator_eigenvalues)
 from prismflow.flowpath import encode
-from prismflow.numcore import RngStream
+from prismflow.numcore import mlp_apply
+
+
+def latent_codes(model, x, t):
+    h, _ = encode(model, x, t)
+    z, _ = mlp_apply(model.projector, h)
+    return z
 
 
 class TestAssembleOperator:
@@ -99,23 +105,23 @@ class TestDecodeExpertVelocity:
             w[:] = 0.0
         for b in tiny_model.decoder.biases:
             b[:] = 0.0
-        h, _ = encode(tiny_model, x0, t)
+        z = latent_codes(tiny_model, x0, t)
         for k in range(tiny_model.n_experts):
-            resid, *_ = decode_expert_velocity(tiny_model, k, h)
+            resid, *_ = decode_expert_velocity(tiny_model, k, z)
             assert np.all(resid == 0.0)
 
     def test_output_shape(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
-        h, _ = encode(tiny_model, x0, t)
+        z = latent_codes(tiny_model, x0, t)
         for k in range(tiny_model.n_experts):
-            resid, *_ = decode_expert_velocity(tiny_model, k, h)
+            resid, *_ = decode_expert_velocity(tiny_model, k, z)
             assert resid.shape == (x0.shape[0], 16)
 
     def test_experts_generically_distinct(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
-        h, _ = encode(tiny_model, x0, t)
-        r0, *_ = decode_expert_velocity(tiny_model, 0, h)
-        r1, *_ = decode_expert_velocity(tiny_model, 1, h)
+        z = latent_codes(tiny_model, x0, t)
+        r0, *_ = decode_expert_velocity(tiny_model, 0, z)
+        r1, *_ = decode_expert_velocity(tiny_model, 1, z)
         assert np.abs(r0 - r1).max() > 0.0
 
 

@@ -4,7 +4,7 @@ import pytest
 from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.numcore import (AdamState, Mlp, RngStream, adam_update,
                                finite_difference_check, mlp_apply,
-                               mlp_gradients)
+                               mlp_blocks, mlp_gradients)
 
 
 def make_net(dims, seed=0, activation="tanh"):
@@ -16,13 +16,13 @@ class TestMlpApply:
         net = make_net([3, 4, 2])
         for w in net.weights:
             w[:] = 0.0
-        out, _ = mlp_apply(net, np.array([1.0, -2.0, 3.0]))
+        out, _ = mlp_apply(net, np.array([[1.0, -2.0, 3.0]]))
         assert np.all(out == 0.0)
 
     def test_identity_linear_layer(self):
         net = Mlp([2, 2], [np.eye(2)], [np.zeros(2)])
-        out, _ = mlp_apply(net, np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(out, [1.0, 2.0])
+        out, _ = mlp_apply(net, np.array([[1.0, 2.0]]))
+        np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_hand_evaluated_two_layer(self):
         # 1-2-1 tanh net with hand-set weights
@@ -32,17 +32,19 @@ class TestMlpApply:
         x = 0.7
         hidden = np.tanh([0.5 * x + 0.1, -1.0 * x + 0.2])
         expected = 2.0 * hidden[0] + 0.3 * hidden[1] - 0.4
-        out, _ = mlp_apply(net, np.array([x]))
-        assert out[0] == pytest.approx(expected, abs=1e-15)
+        out, _ = mlp_apply(net, np.array([[x]]))
+        assert out[0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_dimension_mismatch(self):
         net = make_net([3, 2])
         with pytest.raises(ShapeError):
-            mlp_apply(net, np.zeros(4))
+            mlp_apply(net, np.zeros((1, 4)))
+        with pytest.raises(ShapeError):
+            mlp_apply(net, np.zeros(3))  # a vector is not a batch
 
     def test_pure_function(self):
         net = make_net([3, 5, 2])
-        x = np.array([0.3, -0.1, 0.9])
+        x = np.array([[0.3, -0.1, 0.9]])
         a, _ = mlp_apply(net, x)
         b, _ = mlp_apply(net, x)
         np.testing.assert_array_equal(a, b)
@@ -52,53 +54,48 @@ class TestMlpApply:
         xs = RngStream(1).generator().standard_normal((4, 3))
         batch, _ = mlp_apply(net, xs)
         for i, x in enumerate(xs):
-            single, _ = mlp_apply(net, x)
-            np.testing.assert_allclose(batch[i], single, atol=1e-15)
+            single, _ = mlp_apply(net, x[None, :])
+            np.testing.assert_allclose(batch[i], single[0], atol=1e-15)
 
 
 class TestMlpGradients:
     def test_linear_layer_adjoint(self):
         w = RngStream(2).generator().standard_normal((3, 2))
         net = Mlp([3, 2], [w], [np.zeros(2)])
-        x = np.array([1.0, -0.5, 2.0])
-        g = np.array([0.3, -1.1])
+        x = np.array([[1.0, -0.5, 2.0]])
+        g = np.array([[0.3, -1.1]])
         _, tape = mlp_apply(net, x)
         (dw,), (db,), dx = mlp_gradients(net, tape, g)
         np.testing.assert_allclose(dw, np.outer(x, g))
-        np.testing.assert_allclose(db, g)
-        np.testing.assert_allclose(dx, w @ g)
+        np.testing.assert_allclose(db, g[0])
+        np.testing.assert_allclose(dx[0], w @ g[0])
 
     def test_zero_upstream(self):
         net = make_net([3, 4, 2])
-        _, tape = mlp_apply(net, np.zeros(3))
-        dws, dbs, dx = mlp_gradients(net, tape, np.zeros(2))
+        _, tape = mlp_apply(net, np.zeros((1, 3)))
+        dws, dbs, dx = mlp_gradients(net, tape, np.zeros((1, 2)))
         assert all(np.all(d == 0) for d in dws + dbs)
         assert np.all(dx == 0)
 
     def test_matches_finite_differences(self):
         net = make_net([3, 5, 2], seed=7)
-        x = RngStream(8).generator().standard_normal(3)
-        upstream = np.array([1.0, -0.7])
+        x = RngStream(8).generator().standard_normal((1, 3))
+        upstream = np.array([[1.0, -0.7]])
 
         def loss(params):
             out, tape = mlp_apply(net, x)
             dws, dbs, _ = mlp_gradients(net, tape, upstream)
-            grads = {}
-            for i, (dw, db) in enumerate(zip(dws, dbs)):
-                grads[f"W{i}"], grads[f"b{i}"] = dw, db
-            return float(upstream @ out), grads
+            return float(np.sum(upstream * out)), mlp_blocks("", dws, dbs)
 
-        params = {}
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            params[f"W{i}"], params[f"b{i}"] = w, b
+        params = mlp_blocks("", net.weights, net.biases)
         assert finite_difference_check(loss, params, 1e-6) < 1e-6
 
     def test_stale_tape_rejected(self):
         net = make_net([2, 2])
-        _, tape = mlp_apply(net, np.zeros(2))
+        _, tape = mlp_apply(net, np.zeros((1, 2)))
         net.bump_version()
         with pytest.raises(ContractViolation):
-            mlp_gradients(net, tape, np.zeros(2))
+            mlp_gradients(net, tape, np.zeros((1, 2)))
 
 
 class TestAdam:

@@ -60,39 +60,38 @@ class TestEstimateEndpoint:
 class TestWtaScores:
     def test_hand_computed(self):
         cfg = WtaConfig(beta=0.5, eps=1e-12)
-        x1 = np.zeros((2, 2))
-        endpoints = [np.ones((2, 2)), np.zeros((2, 2))]
-        probs = np.array([0.25, 0.75])
-        s = wta_scores(endpoints, x1, probs, cfg)
+        # endpoint MSEs of ones and zeros against a zero target
+        mses = np.array([[1.0, 0.0]])
+        probs = np.array([[0.25, 0.75]])
+        s = wta_scores(mses, probs, cfg)
         np.testing.assert_allclose(
-            s, [1.0 - 0.5 * np.log(0.25), -0.5 * np.log(0.75)], atol=1e-10)
+            s, [[1.0 - 0.5 * np.log(0.25), -0.5 * np.log(0.75)]], atol=1e-10)
 
     def test_beta_zero_is_pure_mse(self):
         cfg = WtaConfig(beta=0.0)
-        s = wta_scores([np.full(4, 2.0), np.zeros(4)], np.zeros(4),
-                       np.array([0.9, 0.1]), cfg)
-        np.testing.assert_allclose(s, [4.0, 0.0], atol=1e-12)
+        s = wta_scores(np.array([[4.0, 0.0]]), np.array([[0.9, 0.1]]), cfg)
+        np.testing.assert_allclose(s, [[4.0, 0.0]], atol=1e-12)
 
     def test_negative_prob_rejected(self):
         with pytest.raises(ContractViolation):
-            wta_scores([np.zeros(2)], np.zeros(2), np.array([-0.1]),
-                       WtaConfig())
+            wta_scores(np.zeros((1, 1)), np.array([[-0.1]]), WtaConfig())
 
 
 class TestSelectWinner:
     def test_argmin(self):
-        assert select_winner([3.0, 1.0, 2.0]) == 1
+        scores = np.array([[3.0, 1.0, 2.0], [0.5, 1.0, 2.0]])
+        np.testing.assert_array_equal(select_winner(scores), [1, 0])
 
     def test_tie_smallest_index(self):
-        assert select_winner([2.0, 1.0, 1.0]) == 1
+        np.testing.assert_array_equal(select_winner([[2.0, 1.0, 1.0]]), [1])
 
     def test_nan_raises(self):
         with pytest.raises(NumericError):
-            select_winner([1.0, np.nan])
+            select_winner([[0.0, 1.0], [1.0, np.nan]])
 
     def test_empty_raises(self):
         with pytest.raises(ContractViolation):
-            select_winner([])
+            select_winner(np.zeros((2, 0)))
 
 
 class TestWtaLoss:
@@ -122,16 +121,11 @@ class TestWtaLoss:
                                                          tiny_batch):
         x0, x1, t = tiny_batch
         cfg = WtaConfig()
-        loss, _, info = wta_loss(tiny_model, x0, x1, t, cfg)
-        losers = [k for k in range(tiny_model.n_experts)
-                  if k not in info.winners]
-        if not losers:
-            pytest.skip("every expert won at least one sample")
-        k = losers[0]
-        tiny_model.expert_s[k] += 1e-3
-        tiny_model.expert_r[k] += 1e-3
-        loss2, _, _ = wta_loss(tiny_model, x0, x1, t, cfg,
-                               winners=info.winners)
+        winners = np.zeros(x0.shape[0], dtype=np.int64)  # expert 1 loses
+        loss, _, _ = wta_loss(tiny_model, x0, x1, t, cfg, winners=winners)
+        tiny_model.expert_s[1] += 1e-3
+        tiny_model.expert_r[1] += 1e-3
+        loss2, _, _ = wta_loss(tiny_model, x0, x1, t, cfg, winners=winners)
         assert abs(loss2 - loss) <= 1e-12
 
     def test_lambda_weighting_scales_loss(self, tiny_model, tiny_batch):

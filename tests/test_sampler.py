@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import vanilla_euler_generate
 from prismflow.datasets import load_csv_windows
 from prismflow.errors import ConfigError, ContractViolation
 from prismflow.numcore import RngStream
 from prismflow.sampler import (ConditionMask, SamplerConfig, export_samples,
                                generate, generate_conditional,
-                               residual_velocity_step, vanilla_euler_generate)
+                               residual_velocity_step)
 
 
 def constant_field(model, c):

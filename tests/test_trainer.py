@@ -68,6 +68,20 @@ class TestTotalLoss:
         assert err < 1e-4
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key", ["lr", "alpha_w", "alpha_b", "beta",
+                                     "wta_eps", "prob_floor",
+                                     "divergence_guard"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value}).validate()
+
+    def test_negative_lr_rejected(self):
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=-1e-3).validate()
+
+
 class TestTrainStep:
     def test_updates_parameters(self, tiny_model, tiny_batch):
         _, x1, _ = tiny_batch
@@ -132,6 +146,15 @@ class TestFit:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 2
         assert {"epoch", "cfm", "wta", "bal", "usage"} <= rows[0].keys()
+
+    def test_leaves_caller_config_unchanged(self):
+        mc = ModelConfig(latent_dim=4, hidden_dim=8, dec_hidden=8,
+                         router_hidden=8)
+        before = ModelConfig(**vars(mc))
+        model, _ = fit(self.windows(), mc, TrainConfig(epochs=1, n_experts=2))
+        assert mc == before
+        assert (model.cfg.seq_len, model.cfg.channels,
+                model.n_experts) == (8, 2, 2)
 
     def test_rejects_bad_windows(self):
         mc = ModelConfig(seq_len=8, channels=2)
