@@ -18,7 +18,7 @@ from .checkpoint import atomic_write_text
 from .datasets import (DiagnosticSpec, gen_bimodal_frequency, gen_sines,
                        gen_velocity_mixture_diagnostic, load_csv_windows,
                        normalize, save_csv_windows, velocity_energy_gap)
-from .errors import PrismFlowError
+from .errors import ConfigError, PrismFlowError
 from .experts import operator_eigenvalues
 from .metrics import (MetricReport, correlational_score, discriminative_score,
                       predictive_score)
@@ -44,47 +44,53 @@ def _write_meta(out_path: str, args) -> None:
                                  indent=2, default=str) + "\n")
 
 
-def _load_file_config(args, section: str) -> dict:
+# Config-file keys and their types, by section. K is a model setting
+# that the file sets under [train], as `--k` is a train flag.
+FILE_KEYS = {
+    "train": {"alpha_w": float, "alpha_b": float, "lambda_kind": str,
+              "epochs": int, "batch_size": int, "lr": float, "beta": float,
+              "wta_eps": float, "prob_floor": float,
+              "divergence_guard": float, "n_experts": int},
+    "model": {"latent_dim": int, "hidden_dim": int, "head_hidden": int,
+              "dec_hidden": int, "router_hidden": int, "enc_layers": int,
+              "delta": float},
+}
+
+
+def _file_settings(args) -> dict:
+    """Read the config file once and return its [train] and [model]
+    settings as one dict of typed values; unknown keys and values that
+    do not parse are ConfigErrors."""
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    file_cfg = load_config_file(path)
-    return file_cfg.get(section, {})
+    sections = load_config_file(path)
+    settings = {}
+    for section, casts in FILE_KEYS.items():
+        for key, text in sections.get(section, {}).items():
+            if key not in casts:
+                raise ConfigError(f"{path}: unknown key {key!r} in "
+                                  f"[{section}]")
+            try:
+                settings[key] = casts[key](text)
+            except ValueError:
+                raise ConfigError(f"{path}: [{section}] {key} = {text!r} is "
+                                  f"not a valid {casts[key].__name__}") from None
+    return settings
 
 
-def _train_config(args) -> TrainConfig:
-    cfg = TrainConfig(seed=args.seed)
-    base = _load_file_config(args, "train")
-    casts = {"alpha_w": float, "alpha_b": float, "lambda_kind": str,
-             "epochs": int, "batch_size": int, "lr": float,
-             "n_experts": int, "beta": float, "wta_eps": float,
-             "prob_floor": float, "divergence_guard": float,
-             "wta_updates_encoder": lambda s: s.lower() in ("1", "true", "yes")}
-    for key, cast in casts.items():
-        if key in base:
-            setattr(cfg, key, cast(base[key]))
-    for key in casts:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    return cfg
-
-
-def _model_config(args) -> ModelConfig:
-    cfg = ModelConfig()
-    base = _load_file_config(args, "model")
-    for key in ("latent_dim", "hidden_dim", "head_hidden", "dec_hidden",
-                "router_hidden", "enc_layers"):
-        if key in base:
-            setattr(cfg, key, int(base[key]))
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    if "delta" in base:
-        cfg.delta = float(base["delta"])
-    if getattr(args, "delta", None) is not None:
-        cfg.delta = args.delta
-    return cfg
+def _configs(args) -> tuple[TrainConfig, ModelConfig]:
+    """Training and model configs: defaults, then the config file, then
+    command-line flags."""
+    settings = _file_settings(args)
+    tcfg, mcfg = TrainConfig(seed=args.seed), ModelConfig()
+    for casts in FILE_KEYS.values():
+        for key in casts:
+            flag = getattr(args, key, None)
+            value = settings.get(key) if flag is None else flag
+            if value is not None:
+                setattr(mcfg if hasattr(mcfg, key) else tcfg, key, value)
+    return tcfg, mcfg
 
 
 def cmd_gen_data(args):
@@ -111,8 +117,7 @@ def cmd_train(args):
     if args.normalize:
         ds = normalize(ds)
         shift, scale = ds.norm_shift, ds.norm_scale
-    tcfg = _train_config(args)
-    mcfg = _model_config(args)
+    tcfg, mcfg = _configs(args)
     model, report = fit(ds.windows, mcfg, tcfg, norm_shift=shift,
                         norm_scale=scale,
                         log=(None if args.quiet else print))
@@ -139,18 +144,16 @@ def _conditional(args, mode):
     mask = load_csv_windows(args.mask, mode="blocks")
     cfg = SamplerConfig(steps=args.steps, gamma=args.gamma,
                         eta_g=args.eta_g, mode=mode)
-    outs = []
-    for i in range(observed.n):
-        y = observed.windows[i]
-        if model.norm_shift is not None:
-            y = (y - model.norm_shift) / model.norm_scale
-        cond = ConditionMask(mask=mask.windows[i] > 0.5, values=y)
-        sample = generate_conditional(model, cond, cfg,
-                                      RngStream(args.seed, i))
-        outs.append(sample[0])
-    export_samples(outs, args.out, model.norm_shift, model.norm_scale)
+    y = observed.windows
+    if model.norm_shift is not None:
+        y = (y - model.norm_shift) / model.norm_scale
+    # window i draws its noise from stream (seed, i)
+    batch = generate_conditional(
+        model, ConditionMask(mask=mask.windows > 0.5, values=y), cfg,
+        RngStream(args.seed))
+    export_samples(batch, args.out, model.norm_shift, model.norm_scale)
     _write_meta(args.out, args)
-    print(f"wrote {len(outs)} conditional samples to {args.out}")
+    print(f"wrote {len(batch)} conditional samples to {args.out}")
 
 
 def cmd_impute(args):

@@ -37,12 +37,15 @@ def operator_grads(s: np.ndarray, r: np.ndarray, da: np.ndarray):
     return ds, dr
 
 
-def latent_velocity(bank, k: int, z: np.ndarray) -> np.ndarray:
-    """Linear latent velocity A^k z for expert k."""
+def _expert_operator(bank, k: int) -> np.ndarray:
     if not 0 <= k < bank.n_experts:
         raise ContractViolation(f"expert index {k} out of range [0, {bank.n_experts})")
-    z = np.asarray(z, dtype=np.float64)
-    return z @ bank.operator(k).T
+    return bank.operator(k)
+
+
+def latent_velocity(bank, k: int, z: np.ndarray) -> np.ndarray:
+    """Linear latent velocity A^k z for expert k."""
+    return np.asarray(z, dtype=np.float64) @ _expert_operator(bank, k).T
 
 
 def operator_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -61,13 +64,15 @@ def operator_eigenvalues(a: np.ndarray) -> np.ndarray:
 def decode_expert_velocity(model, k: int, z: np.ndarray):
     """Residual data-space velocity of expert k from latent codes z (B, d_z).
 
-    Applies the expert generator and decodes concat(z, A^k z) to a
+    Applies the expert generator A^k and decodes concat(z, A^k z) to a
     (B, S*D) residual field. This is the one residual path: training
     scores every expert with it and sampling applies the routed one.
-    Returns (residual, az, dec_tape) so callers can run the backward pass.
+    Returns (residual, operator, dec_tape): the operator is assembled
+    once per call and, with the tape, is what the backward pass needs.
     """
-    az = latent_velocity(model, k, z)
-    resid, dec_tape = mlp_apply(model.decoder, np.concatenate([z, az], axis=1))
+    a = _expert_operator(model, k)
+    resid, dec_tape = mlp_apply(model.decoder,
+                                np.concatenate([z, z @ a.T], axis=1))
     if not np.all(np.isfinite(resid)):
         raise NumericError(f"expert {k} produced non-finite residual velocity")
-    return resid, az, dec_tape
+    return resid, a, dec_tape

@@ -9,7 +9,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .flowpath import DEFAULT_TIME_FREQS
 from .experts import assemble_operator
 from .numcore import Mlp, RngStream, mlp_blocks
@@ -172,27 +172,35 @@ class PrismFlowModel:
     @classmethod
     def load(cls, path: str) -> "PrismFlowModel":
         header, blocks = ckpt.load_checkpoint(path)
-        mc = dict(header["model_config"])
-        mc["time_freqs"] = tuple(mc["time_freqs"])
-        cfg = ModelConfig(**mc)
-        nets = {}
-        for name, dims in header["mlp_dims"].items():
-            net = Mlp(list(dims), activation=cfg.activation)
-            for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-                net.weights.append(blocks[f"{name}.W{i}"].reshape(din, dout))
-                net.biases.append(blocks[f"{name}.b{i}"].reshape(dout))
-            nets[name] = net
-        d = cfg.latent_dim
-        expert_s = [blocks[f"expert{k}.S"].reshape(d, d)
-                    for k in range(cfg.n_experts)]
-        expert_r = [blocks[f"expert{k}.R"].reshape(d, d)
-                    for k in range(cfg.n_experts)]
-        norm = header.get("normalization")
-        shift = np.asarray(norm["shift"]) if norm else None
-        scale = np.asarray(norm["scale"]) if norm else None
-        model = cls(cfg, nets["encoder"], nets["head"], nets["projector"],
-                    nets["decoder"], nets["router"], expert_s, expert_r,
-                    norm_shift=shift, norm_scale=scale)
+        try:
+            mc = dict(header["model_config"])
+            mc["time_freqs"] = tuple(mc["time_freqs"])
+            # a fresh model has exactly the blocks and shapes the config
+            # implies; the checkpoint's blocks then replace its values
+            model = cls.init(ModelConfig(**mc), RngStream(0))
+            norm = header["normalization"]
+            if norm:
+                model.norm_shift = np.asarray(norm["shift"], dtype=np.float64)
+                model.norm_scale = np.asarray(norm["scale"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: malformed checkpoint header: "
+                             f"{exc!r}") from None
+        dims = {n: list(getattr(model, n).layer_dims) for n in cls._MLPS}
+        if header.get("mlp_dims") != dims:
+            raise ParseError(f"{path}: mlp_dims {header.get('mlp_dims')} do "
+                             f"not match the model config ({dims})")
+        params = model.params()
+        if blocks.keys() != params.keys():
+            missing = sorted(params.keys() - blocks.keys())
+            extra = sorted(blocks.keys() - params.keys())
+            raise ParseError(f"{path}: block set does not match the model "
+                             f"config: missing {missing}, unexpected {extra}")
+        for name, p in params.items():
+            # rows == 1 blocks come back 1-D
+            if np.atleast_2d(blocks[name]).shape != np.atleast_2d(p).shape:
+                raise ParseError(f"{path}: block {name!r} has shape "
+                                 f"{blocks[name].shape}, expected {p.shape}")
+            p[...] = blocks[name].reshape(p.shape)
         model.extra_header = {k: v for k, v in header.items()
                               if k not in ("model_config", "mlp_dims",
                                            "normalization")}

@@ -93,7 +93,7 @@ class WtaBatchInfo:
 
 
 def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None, winners=None,
-             frozen_v_global=None, update_encoder=True):
+             frozen_v_global=None):
     """Masked winner-take-all loss over a batch, with exact gradients.
 
     Gradient routing: the winning expert's (S, R), the shared projector
@@ -155,7 +155,7 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None, winners=None,
         model.pack_mlp_grads(grads, "decoder", dw, db)
         dz_dec = din[:, : model.cfg.latent_dim]
         da = din[:, model.cfg.latent_dim:]
-        dz_total += dz_dec + da @ model.operator(k)
+        dz_total += dz_dec + da @ decoded[k][1]
         d_op = da.T @ z  # dL/dA^k, winner rows only (others are zero)
         ds, dr = operator_grads(model.expert_s[k], model.expert_r[k], d_op)
         grads[f"expert{k}.S"] += ds
@@ -174,11 +174,10 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None, winners=None,
     rw, rb, drin = mlp_gradients(model.router, router_tape, dlogits)
     model.pack_mlp_grads(grads, "router", rw, rb)
 
-    if update_encoder:
-        tf_dim = 2 * len(model.cfg.time_freqs)
-        dh = dh_expert + drin[:, tf_dim:]
-        ew, eb, _ = mlp_gradients(model.encoder, enc_tape, dh)
-        model.pack_mlp_grads(grads, "encoder", ew, eb)
+    tf_dim = 2 * len(model.cfg.time_freqs)
+    dh = dh_expert + drin[:, tf_dim:]
+    ew, eb, _ = mlp_gradients(model.encoder, enc_tape, dh)
+    model.pack_mlp_grads(grads, "encoder", ew, eb)
 
     info = WtaBatchInfo(winners=winners, scores=scores, probs=probs,
                         endpoint_mses=mses)

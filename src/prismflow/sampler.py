@@ -8,12 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import save_csv_windows
-from .errors import ConfigError, ContractViolation, NumericError
+from .errors import ConfigError, ContractViolation, NumericError, ShapeError
 from .experts import decode_expert_velocity
 from .flowpath import encode
 from .numcore import RngStream, mlp_apply, mlp_gradients
 from .router import route
-from .trainer import lambda_schedule
 
 MODES = ("unconditional", "imputation", "forecasting")
 
@@ -22,7 +21,6 @@ MODES = ("unconditional", "imputation", "forecasting")
 class SamplerConfig:
     steps: int = 100
     gamma: float = 1.0  # residual correction strength
-    lambda_kind: str = "constant"
     eta_g: float = 1.0  # guidance strength for conditional modes
     mode: str = "unconditional"
     exact_guidance: bool = False  # backprop the endpoint map through the
@@ -39,17 +37,30 @@ class SamplerConfig:
 
 @dataclass
 class ConditionMask:
-    """Observed-value constraint: boolean mask plus values where observed."""
+    """Observed-value constraint: boolean mask plus values where observed.
 
-    mask: np.ndarray  # (S, D) bool
-    values: np.ndarray  # (S, D), meaningful where mask is True
+    Either per-window arrays of shape (n, S, D), one constraint for each
+    of n generated windows, or one (S, D) constraint that every
+    generated window shares.
+    """
+
+    mask: np.ndarray  # (n, S, D) or (S, D) bool
+    values: np.ndarray  # same shape, meaningful where mask is True
 
     def validate(self) -> None:
-        if self.mask.shape != self.values.shape:
-            raise ContractViolation("mask and values shapes differ")
-        if not self.mask.any():
-            raise ContractViolation("condition mask is empty")
-        if not np.all(np.isfinite(self.values[self.mask])):
+        mask, values = self.mask, self.values
+        if mask.shape != values.shape or mask.ndim not in (2, 3):
+            raise ContractViolation(
+                f"mask shape {mask.shape} and values shape {values.shape} "
+                f"must be equal, either (S, D) or (n, S, D)")
+        windows = mask.reshape((-1,) + mask.shape[-2:])
+        if windows.shape[0] == 0:
+            raise ContractViolation("condition holds no windows")
+        empty = np.flatnonzero(~windows.any(axis=(1, 2)))
+        if empty.size:
+            raise ContractViolation(f"condition mask of window {empty[0]} "
+                                    f"is empty")
+        if not np.all(np.isfinite(values[mask])):
             raise ContractViolation("observed values must be finite")
 
 
@@ -69,13 +80,12 @@ def _velocity(model, x, t, cfg: SamplerConfig):
         mask = winners == k
         if np.any(mask):
             resid[mask], _, _ = decode_expert_velocity(model, k, z[mask])
-    lam = float(lambda_schedule(cfg.lambda_kind, t))
-    total = v + cfg.gamma * lam * resid
+    total = v + cfg.gamma * resid
     return total.reshape(x.shape), (h, enc_tape, head_tape)
 
 
 def residual_velocity_step(model, x, t: float, cfg: SamplerConfig):
-    """One Euler update x + (v_global + gamma*lambda_t*v_expert) * dt,
+    """One Euler update x + (v_global + gamma*v_expert) * dt,
     with the dominant expert chosen per sample by argmax routing
     probability. gamma=0 reduces exactly to the plain Euler update."""
     cfg.validate()
@@ -101,7 +111,7 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
 
 
 def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
-                         rng: RngStream, n: int = 1) -> np.ndarray:
+                         rng: RngStream, n: int | None = None) -> np.ndarray:
     """Conditional generation with endpoint-consistency guidance.
 
     Each Euler step steers the velocity by the (negative) gradient of the
@@ -109,15 +119,33 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     linear endpoint estimate; observed entries are clamped to y at the
     end. The endpoint sensitivity is approximated by the identity unless
     exact_guidance backpropagates through the global field.
+
+    A per-window (n, S, D) condition generates its n windows as one
+    batch; an (S, D) condition is shared by n windows (default 1).
+    Window i starts from the noise of stream (rng.seed, rng.stream + i),
+    so it matches a one-window call with that stream up to rounding.
     """
     cfg.validate()
     if cfg.mode == "unconditional":
         raise ContractViolation("conditional generation needs a conditional mode")
     cond.validate()
     s, d = model.cfg.seq_len, model.cfg.channels
-    m = cond.mask.astype(np.float64)[None]
-    y = np.where(cond.mask, cond.values, 0.0)[None]
-    x = rng.generator().standard_normal((n, s, d))
+    if cond.mask.shape[-2:] != (s, d):
+        raise ShapeError(f"condition windows are {cond.mask.shape[-2:]}, "
+                         f"the model generates {(s, d)}")
+    if cond.mask.ndim == 3:
+        if n is not None and n != cond.mask.shape[0]:
+            raise ContractViolation(f"n={n} but the condition holds "
+                                    f"{cond.mask.shape[0]} windows")
+        n = cond.mask.shape[0]
+    elif n is None:
+        n = 1
+    mask = np.broadcast_to(cond.mask, (n, s, d))
+    m = mask.astype(np.float64)
+    y = np.where(mask, cond.values, 0.0)
+    x = np.empty((n, s, d))
+    for i in range(n):
+        x[i] = rng.child(rng.stream + i).generator().standard_normal((s, d))
     dt = 1.0 / cfg.steps
     for i in range(cfg.steps):
         t = i / cfg.steps
@@ -133,7 +161,7 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
         x = x + (v - cfg.eta_g * g) * dt
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite state at guidance step {i}")
-    return np.where(cond.mask[None], y, x)
+    return np.where(mask, y, x)
 
 
 def export_samples(batch: np.ndarray, path: str, norm_shift=None,

@@ -28,12 +28,10 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     lr: float = 1e-3
-    n_experts: int = 4
     seed: int = 0
     beta: float = 0.01
     wta_eps: float = 1e-8
     prob_floor: float = 1e-8
-    wta_updates_encoder: bool = True
     divergence_guard: float = 1e6
 
     def validate(self) -> None:
@@ -84,8 +82,7 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, winners=None,
     c_val, grads = cfm_loss(model, x0, x1, t)
     w_val, w_grads, info = wta_loss(
         model, x0, x1, t, wcfg, lam=lam, winners=winners,
-        frozen_v_global=frozen_v_global,
-        update_encoder=cfg.wta_updates_encoder)
+        frozen_v_global=frozen_v_global)
     b_val, b_grads, _ = balance_loss_and_grads(
         model, x0, x1, t, wcfg, h_override=frozen_h_balance)
 
@@ -165,7 +162,7 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
     if windows.ndim != 3 or windows.shape[0] == 0:
         raise ContractViolation("fit expects a nonempty (n, S, D) window array")
     model_cfg = replace(model_cfg, seq_len=windows.shape[1],
-                        channels=windows.shape[2], n_experts=cfg.n_experts)
+                        channels=windows.shape[2])
     root = RngStream(cfg.seed)
     model = PrismFlowModel.init(model_cfg, root)
     if norm_shift is not None:
@@ -209,7 +206,10 @@ def load_config_file(path: str) -> dict:
     """Parse a key = value config file with [train]/[model]/[sampler]
     sections into a dict of string dicts."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     return {section: dict(parser[section]) for section in parser.sections()}

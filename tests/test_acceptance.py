@@ -58,8 +58,8 @@ def bimodal_runs():
                                              RngStream(seed, 50)))
         cfg = TrainConfig(seed=seed, **BIMODAL_TRAIN)
         model, _ = fit(ds.windows, ModelConfig(**BIMODAL_MODEL), cfg)
-        cfg1 = TrainConfig(seed=seed, n_experts=1, **BIMODAL_TRAIN)
-        control, _ = fit(ds.windows, ModelConfig(**BIMODAL_MODEL), cfg1)
+        control, _ = fit(ds.windows,
+                         ModelConfig(n_experts=1, **BIMODAL_MODEL), cfg)
         runs[seed] = (ds, model, control)
     return runs
 
@@ -149,7 +149,7 @@ def test_analytic_gradients_match_central_differences():
     # combined objective with routed gradients
     for seed in (0, 1, 2):
         model = small_model(seed)
-        cfg = TrainConfig(alpha_w=1.0, alpha_b=1.0, beta=0.5, n_experts=2)
+        cfg = TrainConfig(alpha_w=1.0, alpha_b=1.0, beta=0.5)
         fn = frozen_total_loss_fn(model, x0, x1, t, cfg)
         err = finite_difference_check(fn, model.params(), 1e-5)
         assert err < 1e-4

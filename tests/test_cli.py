@@ -4,8 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from prismflow.checkpoint import load_checkpoint, save_checkpoint
 from prismflow.cli import run_command
 from prismflow.datasets import load_csv_windows, save_csv_windows
+from prismflow.model import PrismFlowModel
+from prismflow.numcore import RngStream
+from prismflow.sampler import (ConditionMask, SamplerConfig,
+                               generate_conditional)
 
 
 def run(*argv):
@@ -115,27 +120,109 @@ class TestTrainSampleEval:
         assert run("train", "--data", data_csv, "--config", str(cfg),
                    "--seed", "0", "--hidden-dim", "16", "--latent-dim", "4",
                    "--quiet", "--out", out) == 0
-        from prismflow.model import PrismFlowModel
-
         assert PrismFlowModel.load(out).n_experts == 2
+
+    @pytest.mark.parametrize("text", [
+        "[train]\nepochs = abc\n",
+        "[model]\ndelta = fast\n",
+        "[train]\nepoch = 1\n",
+        "[model]\nn_experts = 3\n",
+        "[train]\nepochs = 1\nwta_updates_encoder = true\n",
+        "epochs = 1\n",
+    ])
+    def test_bad_config_file_is_runtime_error(self, tmp_path, data_csv,
+                                              capsys, text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", data_csv, "--config", str(cfg),
+                   "--seed", "0", "--quiet", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["drop", "reshape", "extra", "dims"])
+    def test_checkpoint_with_bad_blocks_is_runtime_error(
+            self, tmp_path, checkpoint, capsys, damage):
+        header, blocks = load_checkpoint(checkpoint)
+        if damage == "drop":
+            del blocks["decoder.W0"]
+        elif damage == "reshape":
+            blocks["expert1.S"] = blocks["expert1.S"][:, :-1]
+        elif damage == "extra":
+            blocks["expert4.S"] = blocks["expert0.S"]
+        else:
+            header["mlp_dims"]["router"][-1] = 5
+        bad = str(tmp_path / "bad.ckpt")
+        save_checkpoint(bad, header, blocks)
+        assert run("sample", "--checkpoint", bad, "--n", "2", "--steps",
+                   "2", "--seed", "0", "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestConditionalVerbs:
+    def write(self, tmp_path, obs, mask):
+        obs_path = str(tmp_path / "obs.csv")
+        mask_path = str(tmp_path / "mask.csv")
+        save_csv_windows(obs, obs_path)
+        save_csv_windows(mask, mask_path)
+        return obs_path, mask_path
+
+    def impute(self, checkpoint, obs_path, mask_path, out, *extra):
+        return run("impute", "--checkpoint", checkpoint, "--observed",
+                   obs_path, "--mask", mask_path, "--steps", "5", "--seed",
+                   "1", "--out", out, *extra)
+
     def test_impute_clamps_observed(self, tmp_path, checkpoint):
         obs = np.zeros((2, 8, 2))
         obs[:, :, 0] = 0.7
         mask = np.zeros((2, 8, 2))
         mask[:, ::2, 0] = 1.0
-        obs_path = str(tmp_path / "obs.csv")
-        mask_path = str(tmp_path / "mask.csv")
-        save_csv_windows(obs, obs_path)
-        save_csv_windows(mask, mask_path)
+        obs_path, mask_path = self.write(tmp_path, obs, mask)
         out = str(tmp_path / "imputed.csv")
-        assert run("impute", "--checkpoint", checkpoint, "--observed",
-                   obs_path, "--mask", mask_path, "--steps", "5", "--seed",
-                   "1", "--out", out) == 0
+        assert self.impute(checkpoint, obs_path, mask_path, out) == 0
         ds = load_csv_windows(out, mode="blocks")
         np.testing.assert_allclose(ds.windows[:, ::2, 0], 0.7, atol=1e-9)
+
+    def test_window_i_is_a_one_window_call_on_stream_i(self, tmp_path,
+                                                       checkpoint):
+        gen = RngStream(5).generator()
+        obs = gen.uniform(-1.0, 1.0, (3, 8, 2))
+        mask = gen.uniform(size=(3, 8, 2)) < 0.4
+        mask[:, 0, 0] = True
+        obs_path, mask_path = self.write(tmp_path, obs, mask.astype(float))
+        out = str(tmp_path / "forecast.csv")
+        assert run("forecast", "--checkpoint", checkpoint, "--observed",
+                   obs_path, "--mask", mask_path, "--steps", "5",
+                   "--eta-g", "0.5", "--seed", "4", "--out", out) == 0
+        got = load_csv_windows(out, mode="blocks").windows
+        model = PrismFlowModel.load(checkpoint)
+        cfg = SamplerConfig(steps=5, eta_g=0.5, mode="forecasting")
+        y = (obs - model.norm_shift) / model.norm_scale
+        for i in range(3):
+            want = generate_conditional(model, ConditionMask(mask[i], y[i]),
+                                        cfg, RngStream(4, i))[0]
+            want = want * model.norm_scale + model.norm_shift
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["counts", "shape", "no_windows",
+                                      "empty_mask"])
+    def test_bad_conditional_inputs_are_runtime_errors(
+            self, tmp_path, checkpoint, capsys, case):
+        obs, mask = np.zeros((3, 8, 2)), np.ones((3, 8, 2))
+        if case == "counts":
+            mask = mask[:2]
+        elif case == "shape":
+            obs, mask = obs[:, :4], mask[:, :4]
+        elif case == "empty_mask":
+            mask[1] = 0.0
+        obs_path, mask_path = self.write(tmp_path, obs, mask)
+        if case == "no_windows":
+            with open(obs_path, "w") as fh:
+                fh.write("c0,c1\n")
+        out = tmp_path / "x.csv"
+        assert self.impute(checkpoint, obs_path, mask_path, str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestDmdVerb:

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prismflow.model as model_module
 from prismflow.errors import ContractViolation, NumericError
+from prismflow.experts import assemble_operator
 from prismflow.flowpath import encode, global_velocity, interpolate_state
-from prismflow.numcore import finite_difference_check
+from prismflow.model import ModelConfig, PrismFlowModel
+from prismflow.numcore import RngStream, finite_difference_check
 from prismflow.router import (WtaConfig, balance_loss, balance_loss_and_grads,
                               estimate_endpoint, route, select_winner, softmax,
                               wta_loss, wta_scores)
@@ -135,6 +138,21 @@ class TestWtaLoss:
         doubled, _, _ = wta_loss(tiny_model, x0, x1, t, cfg,
                                  lam=2.0 * np.ones(4), winners=info.winners)
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
+
+    def test_assembles_each_operator_once(self, tiny_batch, monkeypatch):
+        cfg = ModelConfig(seq_len=8, channels=2, n_experts=4, latent_dim=4,
+                          hidden_dim=8, dec_hidden=8, router_hidden=8)
+        model = PrismFlowModel.init(cfg, RngStream(0))
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return assemble_operator(*args)
+
+        monkeypatch.setattr(model_module, "assemble_operator", counted)
+        x0, x1, t = tiny_batch
+        wta_loss(model, x0, x1, t, WtaConfig())
+        assert len(calls) == 4
 
     def test_gradients_match_finite_differences(self, tiny_model, tiny_batch):
         x0, x1, t = tiny_batch

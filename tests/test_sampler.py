@@ -3,7 +3,7 @@ import pytest
 
 from conftest import vanilla_euler_generate
 from prismflow.datasets import load_csv_windows
-from prismflow.errors import ConfigError, ContractViolation
+from prismflow.errors import ConfigError, ContractViolation, ShapeError
 from prismflow.numcore import RngStream
 from prismflow.sampler import (ConditionMask, SamplerConfig, export_samples,
                                generate, generate_conditional,
@@ -93,6 +93,26 @@ class TestConditionMask:
         with pytest.raises(ContractViolation):
             ConditionMask(np.ones((2, 2), bool), vals).validate()
 
+    def test_window_count_mismatch(self):
+        with pytest.raises(ContractViolation, match=r"\(3, 2, 2\)"):
+            ConditionMask(np.ones((3, 2, 2), bool),
+                          np.zeros((2, 2, 2))).validate()
+
+    def test_empty_window_mask(self):
+        mask = np.ones((3, 2, 2), bool)
+        mask[2] = False
+        with pytest.raises(ContractViolation, match="window 2"):
+            ConditionMask(mask, np.zeros((3, 2, 2))).validate()
+
+    def test_no_windows(self):
+        with pytest.raises(ContractViolation):
+            ConditionMask(np.ones((0, 2, 2), bool),
+                          np.zeros((0, 2, 2))).validate()
+
+    def test_mask_rank(self):
+        with pytest.raises(ContractViolation):
+            ConditionMask(np.ones(4, bool), np.zeros(4)).validate()
+
 
 class TestGenerateConditional:
     def cond(self, model, fill=0.3):
@@ -130,6 +150,36 @@ class TestGenerateConditional:
         x0 = RngStream(4).generator().standard_normal((1, 8, 2))
         out = generate_conditional(tiny_model, cond, cfg, RngStream(4))
         np.testing.assert_array_equal(out[0][~cond.mask], x0[0][~cond.mask])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_batch_matches_one_window_calls(self, tiny_model, exact):
+        gen = RngStream(8).generator()
+        mask = gen.uniform(size=(3, 8, 2)) < 0.5
+        values = np.where(mask, gen.standard_normal((3, 8, 2)), 0.0)
+        cfg = SamplerConfig(steps=6, mode="imputation",
+                            exact_guidance=exact)
+        out = generate_conditional(tiny_model, ConditionMask(mask, values),
+                                   cfg, RngStream(2, 10))
+        assert out.shape == (3, 8, 2)
+        for i in range(3):
+            one = generate_conditional(tiny_model,
+                                       ConditionMask(mask[i], values[i]),
+                                       cfg, RngStream(2, 10 + i))
+            np.testing.assert_allclose(out[i], one[0], rtol=0, atol=1e-12)
+
+    def test_window_shape_must_match_model(self, tiny_model):
+        cond = ConditionMask(np.ones((2, 4, 2), bool), np.zeros((2, 4, 2)))
+        with pytest.raises(ShapeError):
+            generate_conditional(tiny_model, cond,
+                                 SamplerConfig(mode="imputation"),
+                                 RngStream(0))
+
+    def test_n_must_match_per_window_condition(self, tiny_model):
+        cond = ConditionMask(np.ones((2, 8, 2), bool), np.zeros((2, 8, 2)))
+        with pytest.raises(ContractViolation):
+            generate_conditional(tiny_model, cond,
+                                 SamplerConfig(mode="imputation"),
+                                 RngStream(0), n=3)
 
     def test_exact_guidance_runs(self, tiny_model):
         cond = self.cond(tiny_model)

@@ -28,7 +28,7 @@ class TestLambdaSchedule:
 class TestTotalLoss:
     def test_is_weighted_sum_of_parts(self, tiny_model, tiny_batch):
         x0, x1, t = tiny_batch
-        cfg = TrainConfig(alpha_w=0.7, alpha_b=0.3, n_experts=2)
+        cfg = TrainConfig(alpha_w=0.7, alpha_b=0.3)
         value, _, parts, _ = total_loss(tiny_model, x0, x1, t, cfg)
         assert value == pytest.approx(
             parts["cfm"] + 0.7 * parts["wta"] + 0.3 * parts["bal"],
@@ -37,7 +37,7 @@ class TestTotalLoss:
     def test_zero_weights_reduce_to_flow_matching(self, tiny_model,
                                                   tiny_batch):
         x0, x1, t = tiny_batch
-        cfg = TrainConfig(alpha_w=0.0, alpha_b=0.0, n_experts=2)
+        cfg = TrainConfig(alpha_w=0.0, alpha_b=0.0)
         value, grads, parts, _ = total_loss(tiny_model, x0, x1, t, cfg)
         assert value == pytest.approx(parts["cfm"], rel=1e-12)
         for k in range(tiny_model.n_experts):
@@ -46,8 +46,8 @@ class TestTotalLoss:
     def test_global_head_gets_flow_gradient_only(self, tiny_model,
                                                  tiny_batch):
         x0, x1, t = tiny_batch
-        big = TrainConfig(alpha_w=5.0, alpha_b=5.0, n_experts=2)
-        none = TrainConfig(alpha_w=0.0, alpha_b=0.0, n_experts=2)
+        big = TrainConfig(alpha_w=5.0, alpha_b=5.0)
+        none = TrainConfig(alpha_w=0.0, alpha_b=0.0)
         _, g1, _, _ = total_loss(tiny_model, x0, x1, t, big)
         _, g0, _, _ = total_loss(tiny_model, x0, x1, t, none)
         for name in g1:
@@ -58,11 +58,11 @@ class TestTotalLoss:
         x0, x1, t = tiny_batch
         with pytest.raises(ConfigError):
             total_loss(tiny_model, x0, x1, t,
-                       TrainConfig(alpha_w=-1.0, n_experts=2))
+                       TrainConfig(alpha_w=-1.0))
 
     def test_gradients_match_finite_differences(self, tiny_model, tiny_batch):
         x0, x1, t = tiny_batch
-        cfg = TrainConfig(alpha_w=1.0, alpha_b=1.0, beta=0.5, n_experts=2)
+        cfg = TrainConfig(alpha_w=1.0, alpha_b=1.0, beta=0.5)
         fn = frozen_total_loss_fn(tiny_model, x0, x1, t, cfg)
         err = finite_difference_check(fn, tiny_model.params(), 1e-5)
         assert err < 1e-4
@@ -85,7 +85,7 @@ class TestTrainConfig:
 class TestTrainStep:
     def test_updates_parameters(self, tiny_model, tiny_batch):
         _, x1, _ = tiny_batch
-        cfg = TrainConfig(n_experts=2)
+        cfg = TrainConfig()
         opt = AdamState.create(tiny_model.params(), lr=cfg.lr)
         before = {n: p.copy() for n, p in tiny_model.params().items()}
         m = train_step(tiny_model, opt, x1, RngStream(3), cfg)
@@ -96,7 +96,7 @@ class TestTrainStep:
 
     def test_lr_zero_leaves_model_unchanged(self, tiny_model, tiny_batch):
         _, x1, _ = tiny_batch
-        cfg = TrainConfig(lr=0.0, n_experts=2)
+        cfg = TrainConfig(lr=0.0)
         opt = AdamState.create(tiny_model.params(), lr=0.0)
         before = {n: p.copy() for n, p in tiny_model.params().items()}
         train_step(tiny_model, opt, x1, RngStream(3), cfg)
@@ -105,7 +105,7 @@ class TestTrainStep:
 
     def test_divergence_guard(self, tiny_model, tiny_batch):
         _, x1, _ = tiny_batch
-        cfg = TrainConfig(n_experts=2, divergence_guard=1e-12)
+        cfg = TrainConfig(divergence_guard=1e-12)
         opt = AdamState.create(tiny_model.params(), lr=cfg.lr)
         with pytest.raises(NumericError):
             train_step(tiny_model, opt, x1 * 10.0, RngStream(3), cfg)
@@ -117,9 +117,9 @@ class TestFit:
         return gen.standard_normal((n, 8, 2)) * 0.5
 
     def test_deterministic_given_seed(self):
-        mc = ModelConfig(seq_len=8, channels=2, latent_dim=4, hidden_dim=8,
-                         dec_hidden=8, router_hidden=8)
-        tc = TrainConfig(epochs=2, batch_size=16, n_experts=2, seed=5)
+        mc = ModelConfig(seq_len=8, channels=2, n_experts=2, latent_dim=4,
+                         hidden_dim=8, dec_hidden=8, router_hidden=8)
+        tc = TrainConfig(epochs=2, batch_size=16, seed=5)
         w = self.windows()
         m1, r1 = fit(w, mc, tc)
         m2, r2 = fit(w, mc, tc)
@@ -128,18 +128,18 @@ class TestFit:
         assert r1.epochs[0]["cfm"] == r2.epochs[0]["cfm"]
 
     def test_loss_decreases(self):
-        mc = ModelConfig(seq_len=8, channels=2, latent_dim=4, hidden_dim=16,
-                         dec_hidden=8, router_hidden=8)
-        tc = TrainConfig(epochs=15, batch_size=16, n_experts=2, seed=0)
+        mc = ModelConfig(seq_len=8, channels=2, n_experts=2, latent_dim=4,
+                         hidden_dim=16, dec_hidden=8, router_hidden=8)
+        tc = TrainConfig(epochs=15, batch_size=16, seed=0)
         _, report = fit(self.windows(64), mc, tc)
         first = report.epochs[0]["cfm"]
         last = report.epochs[-1]["cfm"]
         assert last < first
 
     def test_report_serializes_to_jsonl(self, tmp_path):
-        mc = ModelConfig(seq_len=8, channels=2, latent_dim=4, hidden_dim=8,
-                         dec_hidden=8, router_hidden=8)
-        tc = TrainConfig(epochs=2, batch_size=16, n_experts=2)
+        mc = ModelConfig(seq_len=8, channels=2, n_experts=2, latent_dim=4,
+                         hidden_dim=8, dec_hidden=8, router_hidden=8)
+        tc = TrainConfig(epochs=2, batch_size=16)
         _, report = fit(self.windows(), mc, tc)
         path = tmp_path / "report.jsonl"
         report.save(str(path))
@@ -148,10 +148,10 @@ class TestFit:
         assert {"epoch", "cfm", "wta", "bal", "usage"} <= rows[0].keys()
 
     def test_leaves_caller_config_unchanged(self):
-        mc = ModelConfig(latent_dim=4, hidden_dim=8, dec_hidden=8,
-                         router_hidden=8)
+        mc = ModelConfig(n_experts=2, latent_dim=4, hidden_dim=8,
+                         dec_hidden=8, router_hidden=8)
         before = ModelConfig(**vars(mc))
-        model, _ = fit(self.windows(), mc, TrainConfig(epochs=1, n_experts=2))
+        model, _ = fit(self.windows(), mc, TrainConfig(epochs=1))
         assert mc == before
         assert (model.cfg.seq_len, model.cfg.channels,
                 model.n_experts) == (8, 2, 2)
