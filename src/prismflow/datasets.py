@@ -90,8 +90,11 @@ class DiagnosticSpec:
     channels: int = 1
 
     def validate(self):
-        if abs(sum(self.weights) - 1.0) > 1e-12 or len(self.weights) != 2:
+        if (len(self.weights) != 2 or abs(sum(self.weights) - 1.0) > 1e-12
+                or not all(0.0 <= w <= 1.0 for w in self.weights)):
             raise ConfigError("weights must be a 2-way simplex")
+        if self.n < 1:
+            raise ConfigError(f"n must be >= 1, got {self.n}")
 
 
 def gen_velocity_mixture_diagnostic(spec: DiagnosticSpec,

@@ -65,14 +65,29 @@ def decode_expert_velocity(model, k: int, z: np.ndarray):
     """Residual data-space velocity of expert k from latent codes z (B, d_z).
 
     Applies the expert generator A^k and decodes concat(z, A^k z) to a
-    (B, S*D) residual field. This is the one residual path: training
-    scores every expert with it and sampling applies the routed one.
-    Returns (residual, operator, dec_tape): the operator is assembled
-    once per call and, with the tape, is what the backward pass needs.
+    (B, S*D) residual field. Sampling applies it to each expert's routed
+    rows. Returns (residual, operator, dec_tape).
     """
-    a = _expert_operator(model, k)
-    resid, dec_tape = mlp_apply(model.decoder,
-                                np.concatenate([z, z @ a.T], axis=1))
-    if not np.all(np.isfinite(resid)):
+    resids, ops, dec_tape = decode_experts(model, [k], z)
+    return resids[0], ops[0], dec_tape
+
+
+def decode_experts(model, experts, z: np.ndarray):
+    """Residual velocities of several experts on the same latent codes z
+    (B, d_z), decoded as one stacked batch whose i-th block of B rows
+    belongs to experts[i]. Training scores all K experts with one call.
+
+    Returns (residuals (len(experts), B, S*D), operators, dec_tape): each
+    operator is assembled once per call and, with the tape, is what the
+    backward pass needs.
+    """
+    ops = [_expert_operator(model, k) for k in experts]
+    pairs = np.concatenate([np.concatenate([z, z @ a.T], axis=1)
+                            for a in ops])
+    resid, dec_tape = mlp_apply(model.decoder, pairs)
+    resids = resid.reshape(len(ops), z.shape[0], resid.shape[1])
+    finite = np.isfinite(resids).all(axis=(1, 2))
+    if not finite.all():
+        k = list(experts)[int(np.argmin(finite))]
         raise NumericError(f"expert {k} produced non-finite residual velocity")
-    return resid, a, dec_tape
+    return resids, ops, dec_tape

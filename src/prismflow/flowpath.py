@@ -3,10 +3,12 @@ the global velocity estimator, and the CFM regression loss."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ShapeError
-from .numcore import mlp_apply, mlp_gradients
+from .numcore import Tape, mlp_apply, mlp_gradients
 
 DEFAULT_TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
 
@@ -67,6 +69,57 @@ def global_velocity(model, x, t) -> np.ndarray:
     return v.reshape(x.shape)
 
 
+@dataclass
+class Trunk:
+    """One batch's shared trunk forward, with states flattened to (B, S*D).
+
+    Every training objective reads it; the summed trunk-feature gradient
+    goes back through `encoder_backward` once.
+    """
+
+    x0: np.ndarray  # source samples
+    x1: np.ndarray  # data samples
+    t: np.ndarray  # (B,) flow times
+    xt: np.ndarray  # path points (1 - t) * x0 + t * x1
+    h: np.ndarray  # (B, hidden) trunk features
+    tape: Tape  # encoder tape
+
+
+def trunk_forward(model, x0, x1, t) -> Trunk:
+    x0 = np.asarray(x0, dtype=np.float64)
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x0.shape != x1.shape:
+        raise ShapeError(f"shape mismatch {x0.shape} vs {x1.shape}")
+    b = x0.shape[0]
+    if b == 0:
+        raise ContractViolation("empty batch")
+    x0, x1 = x0.reshape(b, -1), x1.reshape(b, -1)
+    t = np.asarray(t, dtype=np.float64).reshape(b)
+    xt = interpolate_state(x0, x1, t)
+    h, tape = encode(model, xt, t)
+    return Trunk(x0, x1, t, xt, h, tape)
+
+
+def encoder_backward(model, trunk: Trunk, dh, grads: dict) -> None:
+    """Add the encoder gradient of upstream `dh` on the trunk features."""
+    ew, eb, _ = mlp_gradients(model.encoder, trunk.tape, dh)
+    model.pack_mlp_grads(grads, "encoder", ew, eb)
+
+
+def cfm_core(model, trunk: Trunk, grads: dict):
+    """Flow-matching term on a trunk pass: adds the head gradient to
+    `grads` and returns (loss, dh, v) with dh the trunk-feature gradient
+    and v the (B, S*D) global velocity."""
+    u = target_velocity(trunk.x0, trunk.x1)
+    v, head_tape = mlp_apply(model.head, trunk.h)
+    resid = v - u
+    loss = float(np.mean(resid * resid))
+    dv = 2.0 * resid / resid.size
+    hw, hb, dh = mlp_gradients(model.head, head_tape, dv)
+    model.pack_mlp_grads(grads, "head", hw, hb)
+    return loss, dh, v
+
+
 def cfm_loss(model, x0, x1, t):
     """Flow-matching regression loss and its gradients w.r.t. the global
     estimator (encoder trunk + velocity head).
@@ -75,24 +128,8 @@ def cfm_loss(model, x0, x1, t):
     error, so its scale is independent of sequence length and channels.
     Returns (loss, grads) with grads keyed like model.params().
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape[0] == 0:
-        raise ContractViolation("cfm_loss: empty batch")
-    b = x0.shape[0]
-    xt = interpolate_state(x0, x1, t)
-    u = target_velocity(x0, x1).reshape(b, -1)
-
-    h, enc_tape = encode(model, xt, t)
-    v, head_tape = mlp_apply(model.head, h)
-    resid = v - u
-    loss = float(np.mean(resid * resid))
-
-    dv = 2.0 * resid / resid.size
-    hw, hb, dh = mlp_gradients(model.head, head_tape, dv)
-    ew, eb, _ = mlp_gradients(model.encoder, enc_tape, dh)
-
+    trunk = trunk_forward(model, x0, x1, t)
     grads = model.zero_grads()
-    model.pack_mlp_grads(grads, "head", hw, hb)
-    model.pack_mlp_grads(grads, "encoder", ew, eb)
+    loss, dh, _ = cfm_core(model, trunk, grads)
+    encoder_backward(model, trunk, dh, grads)
     return loss, grads

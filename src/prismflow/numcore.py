@@ -43,10 +43,10 @@ def _act(name, x):
     raise ConfigError(f"unknown activation {name!r}")
 
 
-def _act_grad(name, pre):
+def _act_grad(name, pre, out):
+    """Activation derivative at `pre`, where `out` is the activation."""
     if name == "tanh":
-        t = np.tanh(pre)
-        return 1.0 - t * t
+        return 1.0 - out * out
     if name == "softplus":
         return 1.0 / (1.0 + np.exp(-pre))
     raise ConfigError(f"unknown activation {name!r}")
@@ -145,53 +145,79 @@ def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray):
     bgrads = [None] * net.n_layers
     for i in range(net.n_layers - 1, -1, -1):
         if i != net.n_layers - 1:
-            delta = delta * _act_grad(net.activation, tape.preacts[i])
+            delta = delta * _act_grad(net.activation, tape.preacts[i],
+                                      tape.inputs[i + 1])
         wgrads[i] = tape.inputs[i].T @ delta
         bgrads[i] = delta.sum(axis=0)
         delta = delta @ net.weights[i].T
     return wgrads, bgrads, delta
 
 
+def tape_rows(tape: Tape, rows) -> Tape:
+    """The tape of the same forward pass restricted to some batch rows;
+    mlp_gradients on it back-propagates those rows only."""
+    return Tape([a[rows] for a in tape.inputs], [p[rows] for p in tape.preacts],
+                tape.net_id, tape.net_version)
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer over a named parameter dict."""
+    """Bias-corrected adaptive-moment optimizer over a named parameter dict.
+
+    Each moment lives in one flat float64 buffer; `m` and `v` name views
+    of it, one per parameter block, in the order `create` saw them.
+    """
 
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
+    m_flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v_flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    slices: dict = field(default_factory=dict)  # block name -> flat slice
 
     @classmethod
     def create(cls, params: dict, lr: float = 1e-3, beta1: float = 0.9,
                beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        size = sum(np.size(p) for p in params.values())
+        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+                    m_flat=np.zeros(size), v_flat=np.zeros(size))
+        start = 0
         for name, p in params.items():
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
+            sl = slice(start, start + np.size(p))
+            state.slices[name] = sl
+            state.m[name] = state.m_flat[sl].reshape(np.shape(p))
+            state.v[name] = state.v_flat[sl].reshape(np.shape(p))
+            start = sl.stop
         return state
 
 
 def adam_update(state: AdamState, params: dict, grads: dict) -> None:
-    """One Adam step, in place on the arrays in `params`."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in block {name!r}")
+    """One Adam step, in place on the arrays in `params`.
+
+    The moment and step arithmetic runs once on the flat buffers; only
+    the final parameter write is per block.
+    """
+    g = np.concatenate([np.ravel(grads[name]) for name in state.slices])
+    if not np.all(np.isfinite(g)):
+        bad = next(name for name, sl in state.slices.items()
+                   if not np.all(np.isfinite(g[sl])))
+        raise NumericError(f"non-finite gradient in block {bad!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
+    m, v = state.m_flat, state.v_flat
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p -= update[state.slices[name]].reshape(p.shape)
 
 
 def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,

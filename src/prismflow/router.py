@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ShapeError
-from .experts import decode_expert_velocity, operator_grads
-from .flowpath import encode, interpolate_state, time_features
-from .numcore import mlp_apply, mlp_gradients
+from .experts import decode_experts, operator_grads
+from .flowpath import encoder_backward, time_features, trunk_forward
+from .numcore import mlp_apply, mlp_gradients, tape_rows
 
 
 @dataclass
@@ -106,34 +106,40 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None, winners=None,
 
     Returns (loss, grads, WtaBatchInfo).
     """
+    trunk = trunk_forward(model, x0, x1, t)
+    v_global = frozen_v_global
+    if v_global is None:
+        v_global, _ = mlp_apply(model.head, trunk.h)  # value only
+    probs, _, router_tape, _ = route(model, trunk.t, trunk.h)
+    grads = model.zero_grads()
+    loss, dh, info = wta_core(model, trunk, probs, router_tape, v_global,
+                              cfg, grads, lam=lam, winners=winners)
+    encoder_backward(model, trunk, dh, grads)
+    return loss, grads, info
+
+
+def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
+             grads: dict, lam=None, winners=None, scale: float = 1.0):
+    """Winner-take-all term on a trunk pass and its routing.
+
+    The decoder runs forward once on all K experts' rows stacked, and
+    backward once on the B winner rows gathered from that tape. `scale`
+    weights every gradient this term adds to `grads` and the returned
+    trunk-feature gradient dh. Returns (loss, dh, WtaBatchInfo).
+    """
     cfg.validate()
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    b = x0.shape[0]
-    if b == 0:
-        raise ContractViolation("wta_loss: empty batch")
-    t = np.asarray(t, dtype=np.float64).reshape(b)
-    sd = x1[0].size
-    kk = model.n_experts
+    b, sd = trunk.xt.shape
+    t = trunk.t
     lam = np.ones(b) if lam is None else np.asarray(lam, dtype=np.float64)
     if np.any(lam < 0):
         raise ContractViolation("lambda weights must be >= 0")
+    v_g = np.asarray(v_global, dtype=np.float64).reshape(b, sd)
 
-    xt = interpolate_state(x0, x1, t).reshape(b, sd)
-    x1f = x1.reshape(b, sd)
-    h, enc_tape = encode(model, xt.reshape(x0.shape), t)
-
-    if frozen_v_global is None:
-        v_g, _ = mlp_apply(model.head, h)  # value only; no grad to head
-    else:
-        v_g = np.asarray(frozen_v_global, dtype=np.float64).reshape(b, sd)
-
-    probs, _, router_tape, _ = route(model, t, h)
-    z, proj_tape = mlp_apply(model.projector, h)
-    decoded = [decode_expert_velocity(model, k, z) for k in range(kk)]
-    errs = [estimate_endpoint(xt, t, v_g, resid) - x1f
-            for resid, _, _ in decoded]
-    mses = np.stack([np.mean(e * e, axis=1) for e in errs], axis=1)  # (B, K)
+    z, proj_tape = mlp_apply(model.projector, trunk.h)
+    resids, ops, dec_tape = decode_experts(model, range(model.n_experts), z)
+    errs = np.stack([estimate_endpoint(trunk.xt, t, v_g, r) - trunk.x1
+                     for r in resids])  # (K, B, S*D)
+    mses = np.mean(errs * errs, axis=2).T  # (B, K)
     scores = wta_scores(mses, probs, cfg)
     winners = select_winner(scores) if winners is None else winners
     winners = np.asarray(winners, dtype=np.int64)
@@ -141,47 +147,41 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None, winners=None,
     loss = float(np.mean(lam * scores[rows, winners]))
 
     # backward; per-sample weight of its winning score in the batch mean
-    w = lam / b
-    grads = model.zero_grads()
-    dz_total = np.zeros_like(z)
-    for k in range(kk):
-        mask = winners == k
-        if not np.any(mask):
+    w = scale * lam / b
+    derr = (2.0 / sd) * w[:, None] * errs[winners, rows]
+    dresid = (1.0 - t)[:, None] * derr
+    win_tape = tape_rows(dec_tape, winners * b + rows)
+    dw, db, din = mlp_gradients(model.decoder, win_tape, dresid)
+    model.pack_mlp_grads(grads, "decoder", dw, db)
+    dz = din[:, : model.cfg.latent_dim].copy()
+    da = din[:, model.cfg.latent_dim:]
+    for k, a in enumerate(ops):
+        mine = np.flatnonzero(winners == k)
+        if mine.size == 0:
             continue  # masked expert: exactly zero gradient
-        derr = np.zeros((b, sd))
-        derr[mask] = (2.0 / sd) * w[mask, None] * errs[k][mask]
-        dresid = (1.0 - t)[:, None] * derr
-        dw, db, din = mlp_gradients(model.decoder, decoded[k][2], dresid)
-        model.pack_mlp_grads(grads, "decoder", dw, db)
-        dz_dec = din[:, : model.cfg.latent_dim]
-        da = din[:, model.cfg.latent_dim:]
-        dz_total += dz_dec + da @ decoded[k][1]
-        d_op = da.T @ z  # dL/dA^k, winner rows only (others are zero)
+        dz[mine] += da[mine] @ a
+        d_op = da[mine].T @ z[mine]  # dL/dA^k from expert k's rows only
         ds, dr = operator_grads(model.expert_s[k], model.expert_r[k], d_op)
         grads[f"expert{k}.S"] += ds
         grads[f"expert{k}.R"] += dr
 
-    pw, pb, dh_expert = mlp_gradients(model.projector, proj_tape, dz_total)
+    pw, pb, dh = mlp_gradients(model.projector, proj_tape, dz)
     model.pack_mlp_grads(grads, "projector", pw, pb)
 
     # confidence term: only the winner's -beta*log(prob + eps) is live
     p_win = probs[rows, winners]
     dprob_win = -cfg.beta * w / (p_win + cfg.eps)
     coef = dprob_win * p_win
-    onehot = np.zeros((b, kk))
+    onehot = np.zeros_like(probs)
     onehot[rows, winners] = 1.0
     dlogits = coef[:, None] * (onehot - probs)
     rw, rb, drin = mlp_gradients(model.router, router_tape, dlogits)
     model.pack_mlp_grads(grads, "router", rw, rb)
-
-    tf_dim = 2 * len(model.cfg.time_freqs)
-    dh = dh_expert + drin[:, tf_dim:]
-    ew, eb, _ = mlp_gradients(model.encoder, enc_tape, dh)
-    model.pack_mlp_grads(grads, "encoder", ew, eb)
+    dh += drin[:, 2 * len(model.cfg.time_freqs):]
 
     info = WtaBatchInfo(winners=winners, scores=scores, probs=probs,
                         endpoint_mses=mses)
-    return loss, grads, info
+    return loss, dh, info
 
 
 def balance_loss(probs, prob_floor: float = 1e-8) -> float:
@@ -205,26 +205,31 @@ def balance_loss_and_grads(model, x0, x1, t, cfg: WtaConfig, h_override=None):
     the balance term regularizes routing, not the representation.
     `h_override` pins those features explicitly (finite-difference use).
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    b = x0.shape[0]
-    t = np.asarray(t, dtype=np.float64).reshape(b)
     if h_override is None:
-        xt = interpolate_state(x0, x1, t)
-        h, _ = encode(model, xt, t)
+        trunk = trunk_forward(model, x0, x1, t)
+        t, h = trunk.t, trunk.h
     else:
         h = np.asarray(h_override, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64).reshape(h.shape[0])
     probs, _, tape, _ = route(model, t, h)
-    loss = balance_loss(probs, cfg.prob_floor)
+    grads = model.zero_grads()
+    loss = balance_core(model, probs, tape, cfg, grads)
+    return loss, grads, probs
 
-    kk = probs.shape[1]
+
+def balance_core(model, probs, router_tape, cfg: WtaConfig, grads: dict,
+                 scale: float = 1.0) -> float:
+    """Balance term of one routing pass: adds `scale` times its router
+    gradient to `grads` and returns the loss. Nothing flows back to the
+    router input."""
+    loss = balance_loss(probs, cfg.prob_floor)
+    b, kk = probs.shape
     pibar = probs.mean(axis=0)
     live = pibar > cfg.prob_floor
     dpibar = np.where(live, -(1.0 / kk) / np.maximum(pibar, cfg.prob_floor), 0.0)
-    dprobs = np.tile(dpibar / b, (b, 1))
+    dprobs = np.tile(scale * dpibar / b, (b, 1))
     inner = (dprobs * probs).sum(axis=1, keepdims=True)
     dlogits = probs * (dprobs - inner)
-    rw, rb, _ = mlp_gradients(model.router, tape, dlogits)
-    grads = model.zero_grads()
+    rw, rb, _ = mlp_gradients(model.router, router_tape, dlogits)
     model.pack_mlp_grads(grads, "router", rw, rb)
-    return loss, grads, probs
+    return loss

@@ -101,6 +101,8 @@ def residual_velocity_step(model, x, t: float, cfg: SamplerConfig):
 def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     """Draw n source samples and integrate the flow from t=0 to 1."""
     cfg.validate()
+    if n < 0:
+        raise ConfigError(f"sample count must be >= 0, got {n}")
     s, d = model.cfg.seq_len, model.cfg.channels
     x = rng.generator().standard_normal((n, s, d))
     if n == 0:

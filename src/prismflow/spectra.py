@@ -58,6 +58,9 @@ def exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
     `delay` > 1 uses a delay-embedded state so oscillatory modes are
     recoverable from scalar channels.
     """
+    if rank < 1 or delay < 1:
+        raise ContractViolation(f"DMD needs rank >= 1 and delay >= 1, got "
+                                f"rank={rank}, delay={delay}")
     x, y = _snapshots(batch, delay)
     try:
         u, sig, vt = np.linalg.svd(x, full_matrices=False)

@@ -12,10 +12,11 @@ import numpy as np
 
 from .checkpoint import atomic_write_text
 from .errors import ConfigError, ContractViolation, NumericError
-from .flowpath import cfm_loss, encode, interpolate_state
+from .flowpath import (cfm_core, encode, encoder_backward, interpolate_state,
+                       trunk_forward)
 from .model import ModelConfig, PrismFlowModel
 from .numcore import AdamState, RngStream, adam_update, mlp_apply
-from .router import WtaConfig, balance_loss_and_grads, wta_loss
+from .router import WtaConfig, balance_core, route, wta_core
 
 LAMBDA_KINDS = ("constant", "linear-ramp", "late-gate")
 
@@ -45,6 +46,8 @@ class TrainConfig:
             raise ConfigError("loss weights must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
         if self.lambda_kind not in LAMBDA_KINDS:
             raise ConfigError(f"unknown lambda schedule {self.lambda_kind!r}")
 
@@ -73,21 +76,32 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, winners=None,
 
     Routing: global head <- CFM only; trunk encoder <- CFM + WTA;
     projector/decoder/winning experts <- WTA; router <- WTA confidence
-    term + balance. Returns (value, grads, parts, wta_info).
+    term + balance. The trunk, head, router and projector run forward
+    once, and the summed trunk-feature gradient goes through one encoder
+    backward. The frozen_* knobs pin detached quantities for the
+    finite-difference oracle (see frozen_total_loss_fn); only
+    `frozen_h_balance` costs a second router forward.
+    Returns (value, grads, parts, wta_info).
     """
     cfg.validate()
     wcfg = cfg.wta()
-    lam = lambda_schedule(cfg.lambda_kind, t)
+    trunk = trunk_forward(model, x0, x1, t)
+    lam = lambda_schedule(cfg.lambda_kind, trunk.t)
+    grads = model.zero_grads()
 
-    c_val, grads = cfm_loss(model, x0, x1, t)
-    w_val, w_grads, info = wta_loss(
-        model, x0, x1, t, wcfg, lam=lam, winners=winners,
-        frozen_v_global=frozen_v_global)
-    b_val, b_grads, _ = balance_loss_and_grads(
-        model, x0, x1, t, wcfg, h_override=frozen_h_balance)
+    c_val, dh, v_global = cfm_core(model, trunk, grads)
+    if frozen_v_global is not None:
+        v_global = frozen_v_global
+    probs, _, router_tape, _ = route(model, trunk.t, trunk.h)
+    w_val, w_dh, info = wta_core(model, trunk, probs, router_tape, v_global,
+                                 wcfg, grads, lam=lam, winners=winners,
+                                 scale=cfg.alpha_w)
+    if frozen_h_balance is not None:
+        probs, _, router_tape, _ = route(model, trunk.t, frozen_h_balance)
+    b_val = balance_core(model, probs, router_tape, wcfg, grads,
+                         scale=cfg.alpha_b)
+    encoder_backward(model, trunk, dh + w_dh, grads)
 
-    for name in grads:
-        grads[name] += cfg.alpha_w * w_grads[name] + cfg.alpha_b * b_grads[name]
     value = c_val + cfg.alpha_w * w_val + cfg.alpha_b * b_val
     parts = {"cfm": c_val, "wta": w_val, "bal": b_val}
     return value, grads, parts, info

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from prismflow.flowpath import encode
+from prismflow.flowpath import cfm_loss, encode
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream, mlp_apply
+from prismflow.router import balance_loss_and_grads, wta_loss
+from prismflow.trainer import lambda_schedule
 
 
 def vanilla_euler_generate(model, n: int, steps: int,
@@ -19,6 +21,50 @@ def vanilla_euler_generate(model, n: int, steps: int,
         v, _ = mlp_apply(model.head, h)
         x = x + v.reshape(x.shape) * dt
     return x
+
+
+def reference_total_loss(model, x0, x1, t, cfg, winners=None,
+                         frozen_v_global=None, frozen_h_balance=None):
+    """Reference objective: the three public per-objective losses, each
+    with its own trunk pass, summed with their weights."""
+    cfg.validate()
+    wcfg = cfg.wta()
+    lam = lambda_schedule(cfg.lambda_kind, t)
+    c_val, grads = cfm_loss(model, x0, x1, t)
+    w_val, w_grads, info = wta_loss(model, x0, x1, t, wcfg, lam=lam,
+                                    winners=winners,
+                                    frozen_v_global=frozen_v_global)
+    b_val, b_grads, _ = balance_loss_and_grads(model, x0, x1, t, wcfg,
+                                               h_override=frozen_h_balance)
+    for name in grads:
+        grads[name] += cfg.alpha_w * w_grads[name] + cfg.alpha_b * b_grads[name]
+    value = c_val + cfg.alpha_w * w_val + cfg.alpha_b * b_val
+    parts = {"cfm": c_val, "wta": w_val, "bal": b_val}
+    return value, grads, parts, info
+
+
+class ReferenceAdam:
+    """Reference optimizer: Adam with separate moment arrays per block,
+    updated one block at a time."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step = 0
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+
+    def update(self, params, grads):
+        self.step += 1
+        bc1 = 1.0 - self.beta1 ** self.step
+        bc2 = 1.0 - self.beta2 ** self.step
+        for name, p in params.items():
+            g = grads[name]
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 @pytest.fixture

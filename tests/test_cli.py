@@ -108,6 +108,22 @@ class TestTrainSampleEval:
                    "--steps", "2", "--seed", "0",
                    "--out", str(tmp_path / "x.csv")) == 2
 
+    def test_negative_sample_count_is_runtime_error(self, tmp_path,
+                                                    checkpoint, capsys):
+        out = tmp_path / "x.csv"
+        assert run("sample", "--checkpoint", checkpoint, "--n", "-1",
+                   "--steps", "2", "--seed", "0", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_negative_epochs_is_runtime_error(self, tmp_path, data_csv,
+                                              capsys):
+        out = tmp_path / "neg.ckpt"
+        assert run("train", "--data", data_csv, "--seed", "0", "--epochs",
+                   "-1", "--quiet", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         assert run("sample", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--n", "2", "--steps", "2", "--seed", "0",
@@ -257,9 +273,25 @@ class TestDmdVerb:
     def test_requires_inputs(self, tmp_path):
         assert run("dmd", "--out", str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.parametrize("flag", ["--delay", "--rank"])
+    def test_non_positive_delay_or_rank_is_runtime_error(
+            self, tmp_path, data_csv, capsys, flag):
+        out = tmp_path / "dmd.csv"
+        assert run("dmd", "--real", data_csv, "--gen", data_csv, flag, "0",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestDiagnoseVerb:
     def test_prints_energy_gap(self, capsys):
         assert run("diagnose", "--n", "2000", "--seed", "0") == 0
         out = capsys.readouterr().out
         assert "energy gap" in out
+
+    @pytest.mark.parametrize("flags", [("--n", "0"), ("--w", "2")])
+    def test_bad_spec_is_runtime_error(self, capsys, flags):
+        assert run("diagnose", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""

@@ -4,7 +4,7 @@ import pytest
 from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.numcore import (AdamState, Mlp, RngStream, adam_update,
                                finite_difference_check, mlp_apply,
-                               mlp_blocks, mlp_gradients)
+                               mlp_blocks, mlp_gradients, tape_rows)
 
 
 def make_net(dims, seed=0, activation="tanh"):
@@ -89,6 +89,37 @@ class TestMlpGradients:
 
         params = mlp_blocks("", net.weights, net.biases)
         assert finite_difference_check(loss, params, 1e-6) < 1e-6
+
+    def test_tanh_derivative_from_tape_is_bitwise(self):
+        """The tanh derivative read off the stored activations equals the
+        one recomputed from the pre-activations, bit for bit."""
+        net = make_net([3, 5, 4, 2], seed=3)
+        gen = RngStream(4).generator()
+        _, tape = mlp_apply(net, gen.standard_normal((6, 3)))
+        upstream = gen.standard_normal((6, 2))
+        dws, dbs, dx = mlp_gradients(net, tape, upstream)
+        delta = upstream
+        for i in range(net.n_layers - 1, -1, -1):
+            if i != net.n_layers - 1:
+                th = np.tanh(tape.preacts[i])
+                delta = delta * (1.0 - th * th)
+            np.testing.assert_array_equal(dws[i], tape.inputs[i].T @ delta)
+            np.testing.assert_array_equal(dbs[i], delta.sum(axis=0))
+            delta = delta @ net.weights[i].T
+        np.testing.assert_array_equal(dx, delta)
+
+    @pytest.mark.parametrize("activation", ["tanh", "softplus"])
+    def test_tape_rows_backpropagates_those_rows(self, activation):
+        net = make_net([3, 5, 2], seed=5, activation=activation)
+        gen = RngStream(6).generator()
+        _, tape = mlp_apply(net, gen.standard_normal((6, 3)))
+        rows = np.array([4, 1, 1])
+        upstream = gen.standard_normal((3, 2))
+        dws, dbs, dx = mlp_gradients(net, tape_rows(tape, rows), upstream)
+        _, sub_tape = mlp_apply(net, tape.inputs[0][rows])
+        ref_ws, ref_bs, ref_dx = mlp_gradients(net, sub_tape, upstream)
+        for got, want in zip(dws + dbs + [dx], ref_ws + ref_bs + [ref_dx]):
+            np.testing.assert_array_equal(got, want)
 
     def test_stale_tape_rejected(self):
         net = make_net([2, 2])

@@ -2,13 +2,28 @@ import json
 
 import numpy as np
 import pytest
+from conftest import ReferenceAdam, reference_total_loss
 
+import prismflow.flowpath as flowpath_module
+import prismflow.router as router_module
+import prismflow.trainer as trainer_module
 from prismflow.errors import ConfigError, ContractViolation, NumericError
-from prismflow.model import ModelConfig
-from prismflow.numcore import AdamState, RngStream, finite_difference_check
-from prismflow.trainer import (TrainConfig, fit, frozen_total_loss_fn,
-                               lambda_schedule, load_config_file, total_loss,
-                               train_step)
+from prismflow.flowpath import encode, interpolate_state
+from prismflow.model import ModelConfig, PrismFlowModel
+from prismflow.numcore import (AdamState, RngStream, adam_update,
+                               finite_difference_check, mlp_apply)
+from prismflow.trainer import (LAMBDA_KINDS, TrainConfig, fit,
+                               frozen_total_loss_fn, lambda_schedule,
+                               load_config_file, total_loss, train_step)
+
+
+@pytest.fixture
+def four_expert_model():
+    """The tiny model's shapes with K=4, so a batch of 4 can leave
+    experts without a winning sample."""
+    cfg = ModelConfig(seq_len=8, channels=2, n_experts=4, latent_dim=4,
+                      hidden_dim=8, dec_hidden=8, router_hidden=8)
+    return PrismFlowModel.init(cfg, RngStream(0))
 
 
 class TestLambdaSchedule:
@@ -68,6 +83,75 @@ class TestTotalLoss:
         assert err < 1e-4
 
 
+class TestFusedTotalLoss:
+    """The one-pass objective against the sum of the public per-objective
+    losses, each of which runs its own trunk."""
+
+    @pytest.mark.parametrize("kind", LAMBDA_KINDS)
+    @pytest.mark.parametrize("knobs", ["live", "frozen"])
+    def test_matches_sum_of_public_objectives(self, four_expert_model,
+                                              tiny_batch, kind, knobs):
+        model = four_expert_model
+        x0, x1, t = tiny_batch
+        cfg = TrainConfig(alpha_w=0.7, alpha_b=0.3, beta=0.5,
+                          lambda_kind=kind)
+        extra = {}
+        if knobs == "frozen":
+            h0, _ = encode(model, interpolate_state(x0, x1, t), t)
+            v0, _ = mlp_apply(model.head, h0)
+            extra = {"winners": np.array([0, 0, 2, 2]),
+                     "frozen_v_global": v0 * 1.1,
+                     "frozen_h_balance": h0 + 0.1}
+        value, grads, parts, info = total_loss(model, x0, x1, t, cfg, **extra)
+        ref_value, ref_grads, ref_parts, ref_info = reference_total_loss(
+            model, x0, x1, t, cfg, **extra)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        for key, ref in ref_parts.items():
+            assert parts[key] == pytest.approx(ref, rel=1e-12)
+        np.testing.assert_array_equal(info.winners, ref_info.winners)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-10,
+                                       err_msg=name)
+        losers = [k for k in range(model.n_experts) if k not in info.winners]
+        if knobs == "frozen":
+            assert losers == [1, 3]
+        for k in losers:
+            assert np.all(grads[f"expert{k}.S"] == 0.0)
+            assert np.all(grads[f"expert{k}.R"] == 0.0)
+
+    def test_one_trunk_forward(self, tiny_model, tiny_batch, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return encode(*args)
+
+        # count the calls made through every module that holds `encode`
+        for module in (flowpath_module, router_module, trainer_module):
+            if getattr(module, "encode", None) is encode:
+                monkeypatch.setattr(module, "encode", counted)
+        x0, x1, t = tiny_batch
+        total_loss(tiny_model, x0, x1, t, TrainConfig())
+        assert len(calls) == 1
+
+    def test_decoder_backward_on_winner_rows_only(self, four_expert_model,
+                                                  tiny_batch, monkeypatch):
+        model = four_expert_model
+        rows = []
+        original = router_module.mlp_gradients
+
+        def recorded(net, tape, upstream):
+            if net is model.decoder:
+                rows.append(upstream.shape[0])
+            return original(net, tape, upstream)
+
+        monkeypatch.setattr(router_module, "mlp_gradients", recorded)
+        x0, x1, t = tiny_batch
+        total_loss(model, x0, x1, t, TrainConfig())
+        assert rows == [x0.shape[0]]
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("key", ["lr", "alpha_w", "alpha_b", "beta",
                                      "wta_eps", "prob_floor",
@@ -80,6 +164,33 @@ class TestTrainConfig:
     def test_negative_lr_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr=-1e-3).validate()
+
+    def test_negative_epochs_rejected(self):
+        TrainConfig(epochs=0).validate()
+        with pytest.raises(ConfigError, match="epochs"):
+            TrainConfig(epochs=-1).validate()
+
+
+class TestFlatAdam:
+    def test_bitwise_equal_to_per_block_update(self, tiny_model, tiny_batch):
+        """Five real training steps on every parameter block of a model,
+        applied by the flat update and by the per-block reference."""
+        x0, x1, t = tiny_batch
+        cfg = TrainConfig(beta=0.5)
+        params = tiny_model.params()
+        mirror = {name: p.copy() for name, p in params.items()}
+        opt = AdamState.create(params, lr=0.01)
+        ref = ReferenceAdam(mirror, lr=0.01)
+        for step in range(5):
+            _, grads, _, _ = total_loss(tiny_model, x0 * (1 + step), x1, t,
+                                        cfg)
+            adam_update(opt, params, grads)
+            ref.update(mirror, grads)
+            for name, p in params.items():
+                np.testing.assert_array_equal(p, mirror[name], err_msg=name)
+                np.testing.assert_array_equal(opt.m[name], ref.m[name])
+                np.testing.assert_array_equal(opt.v[name], ref.v[name])
+        assert opt.step == ref.step == 5
 
 
 class TestTrainStep:
