@@ -13,12 +13,14 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .checkpoint import atomic_write_text
 from .datasets import (DiagnosticSpec, gen_bimodal_frequency, gen_sines,
                        gen_velocity_mixture_diagnostic, load_csv_windows,
                        normalize, save_csv_windows, velocity_energy_gap)
-from .errors import ConfigError, PrismFlowError
+from .errors import ConfigError, ContractViolation, PrismFlowError
 from .experts import operator_eigenvalues
 from .metrics import (MetricReport, correlational_score, discriminative_score,
                       predictive_score)
@@ -93,6 +95,19 @@ def _configs(args) -> tuple[TrainConfig, ModelConfig]:
     return tcfg, mcfg
 
 
+def _load_windows(path, **kwargs):
+    """Windows that train, eval and dmd can work on: at least one window
+    and every value finite; anything else is a ContractViolation."""
+    ds = load_csv_windows(path, **kwargs)
+    if ds.n == 0:
+        raise ContractViolation(f"{path}: holds no windows")
+    bad = np.flatnonzero(~np.isfinite(ds.windows).all(axis=(1, 2)))
+    if bad.size:
+        raise ContractViolation(f"{path}: window {bad[0]} holds a non-finite "
+                                f"value")
+    return ds
+
+
 def cmd_gen_data(args):
     rng = RngStream(args.seed)
     if args.kind == "sines":
@@ -111,8 +126,8 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    ds = load_csv_windows(args.data, seq_len=args.seq_len,
-                          stride=args.stride, mode=args.load_mode)
+    ds = _load_windows(args.data, seq_len=args.seq_len, stride=args.stride,
+                       mode=args.load_mode)
     shift = scale = None
     if args.normalize:
         ds = normalize(ds)
@@ -165,10 +180,9 @@ def cmd_forecast(args):
 
 
 def cmd_eval(args):
-    real = load_csv_windows(args.real, seq_len=args.seq_len,
-                            mode=args.load_mode)
-    gen = load_csv_windows(args.gen, seq_len=args.seq_len,
-                           mode=args.load_mode)
+    real = _load_windows(args.real, seq_len=args.seq_len,
+                         mode=args.load_mode)
+    gen = _load_windows(args.gen, seq_len=args.seq_len, mode=args.load_mode)
     rng = RngStream(args.seed)
     wanted = args.metrics.split(",")
     rows = [{"resolved_config": _resolved(args)}]
@@ -208,8 +222,8 @@ def cmd_dmd(args):
         return
     if not (args.real and args.gen):
         raise PrismFlowError("dmd needs --experts or both --real and --gen")
-    real = load_csv_windows(args.real, mode="blocks")
-    gen = load_csv_windows(args.gen, mode="blocks")
+    real = _load_windows(args.real, mode="blocks")
+    gen = _load_windows(args.gen, mode="blocks")
     sr = exact_dmd(real.windows, rank=args.rank, delay=args.delay)
     sg = exact_dmd(gen.windows, rank=args.rank, delay=args.delay)
     for tag, spec in (("real", sr), ("gen", sg)):

@@ -12,8 +12,10 @@ import csv
 import io
 import os
 from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import atomic_write_text
 from .errors import ConfigError, ContractViolation, ParseError
@@ -121,34 +123,124 @@ def velocity_energy_gap(x0, x1):
     return mean_sq, sq_mean
 
 
-def _parse_rows(text: str, path: str):
-    reader = csv.reader(io.StringIO(text))
+# CSV lines (rows for quoted files) read or written per slice: bounds the
+# cell lists held at once, so memory does not grow with a per-line list of
+# cells.
+_SLICE_LINES = 8192
+
+
+def _read_text(path: str) -> str:
+    """The file as text, with universal newlines as `open` would give;
+    bytes that are not UTF-8 are a ParseError naming their offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
-    channels = [name.strip() for name in header]
-    blocks, current = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            if current:
-                blocks.append(current)
-                current = []
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _plain_slices(text: str, path: str):
+    """Header cells and per-slice (cells, counts, rows) of a file with no
+    quote character, where a row is its line split at commas."""
+    lines = text.split("\n")
+    try:
+        header = next(csv.reader(lines[:1]))
+    except csv.Error as exc:
+        raise ParseError(f"{path}:1: {exc}") from None
+    # cells per line = commas before each line end + 1; in UTF-8 no byte of
+    # a multi-byte character equals "," or "\n"
+    raw = np.frombuffer(text.encode(), np.uint8)
+    ends = np.append(np.flatnonzero(raw == 10), raw.size)
+    counts = np.diff(np.searchsorted(np.flatnonzero(raw == 44), ends),
+                     prepend=0) + 1
+
+    def slices():
+        for start in range(1, len(lines), _SLICE_LINES):
+            chunk = lines[start:start + _SLICE_LINES]
+            yield (",".join(chunk).split(","),
+                   counts[start:start + _SLICE_LINES],
+                   lambda chunk=chunk: [ln.split(",") for ln in chunk])
+
+    return header, slices()
+
+
+def _quoted_slices(text: str, path: str):
+    """Header cells and per-slice (cells, counts, rows) of a file with
+    quoted cells, split by `csv.reader`."""
+    reader = csv.reader(io.StringIO(text))
+
+    def read(n):
+        try:
+            return list(islice(reader, n))
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+    def slices():
+        while rows := read(_SLICE_LINES):
+            counts = np.fromiter(map(len, rows), np.intp, len(rows))
+            yield list(chain.from_iterable(rows)), counts, lambda rows=rows: rows
+
+    return read(1)[0], slices()
+
+
+def _raise_first_error(rows, first_lineno: int, d: int, path: str):
+    """Walk a slice that failed the bulk checks cell by cell and raise the
+    error of its first bad row."""
+    for lineno, row in enumerate(rows, start=first_lineno):
+        if all(cell.strip() == "" for cell in row):
             continue
-        if len(row) != len(channels):
-            raise ParseError(f"{path}:{lineno}: expected {len(channels)} "
-                             f"cells, got {len(row)}")
-        vals = []
+        if len(row) != d:
+            raise ParseError(f"{path}:{lineno}: expected {d} cells, "
+                             f"got {len(row)}")
         for col, cell in enumerate(row, start=1):
             try:
-                vals.append(float(cell))
+                float(cell)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: column {col}: "
                                  f"non-numeric cell {cell!r}") from None
-        current.append(vals)
-    if current:
-        blocks.append(current)
-    return channels, blocks
+    raise ParseError(f"{path}:{first_lineno}: unreadable rows")
+
+
+def _parse_rows(text: str, path: str):
+    """Parse block CSV text. Returns the channel names, the values of the
+    non-blank rows as one (rows, D) array, and the length of each block
+    (run of non-blank rows between blank lines)."""
+    if not text:
+        raise ParseError(f"{path}: empty file")
+    if '"' in text:
+        header, slices = _quoted_slices(text, path)
+    else:
+        header, slices = _plain_slices(text, path)
+    channels = [name.strip() for name in header]
+    d = len(channels)
+    values = np.empty((text.count("\n") + 1, d))  # at most one row a line
+    solids, filled, lineno = [], 0, 2
+    for cells, counts, rows in slices:
+        # a row is blank when every cell is whitespace (a csv [] row too)
+        full = np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells))
+        ends = np.cumsum(counts)
+        seen = np.concatenate(([0], np.cumsum(full)))
+        solid = seen[ends] != seen[ends - counts]
+        k = int(np.count_nonzero(solid))
+        if np.any(counts[solid] != d):
+            _raise_first_error(rows(), lineno, d, path)
+        kept = compress(cells, np.repeat(solid, counts).tolist())
+        try:
+            values[filled:filled + k] = np.fromiter(
+                map(float, kept), np.float64, k * d).reshape(k, d)
+        except ValueError:
+            _raise_first_error(rows(), lineno, d, path)
+        solids.append(solid)
+        filled += k
+        lineno += len(counts)
+    # blocks are the runs of non-blank rows
+    edges = np.diff(np.concatenate([[0], *solids, [0]]))
+    lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    return channels, values[:filled], lengths
 
 
 def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
@@ -160,47 +252,59 @@ def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
     """
     if not os.path.exists(path):
         raise ContractViolation(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    channels, blocks = _parse_rows(text, path)
+    channels, rows, lengths = _parse_rows(_read_text(path), path)
     if mode == "blocks":
-        if not blocks:
+        if not lengths.size:
             arr = np.zeros((0, seq_len or 0, len(channels)))
             return Dataset(arr, provenance=path)
-        lengths = {len(b) for b in blocks}
-        if len(lengths) != 1:
-            raise ParseError(f"{path}: blocks have mixed lengths {sorted(lengths)}")
-        if seq_len is not None and lengths != {seq_len}:
+        sizes = np.unique(lengths).tolist()
+        if len(sizes) != 1:
+            raise ParseError(f"{path}: blocks have mixed lengths {sizes}")
+        if seq_len is not None and sizes[0] != seq_len:
             raise ContractViolation(
-                f"{path}: blocks have length {lengths.pop()}, expected {seq_len}")
-        return Dataset(np.asarray(blocks, dtype=np.float64), provenance=path)
+                f"{path}: blocks have length {sizes[0]}, expected {seq_len}")
+        return Dataset(rows.reshape(lengths.size, sizes[0], len(channels)),
+                       provenance=path)
     if mode != "sliding":
         raise ConfigError(f"unknown load mode {mode!r}")
     if seq_len is None:
         raise ConfigError("sliding mode needs seq_len")
-    rows = np.asarray([r for b in blocks for r in b], dtype=np.float64)
+    if seq_len < 1 or stride < 1:
+        raise ConfigError(f"sliding mode needs seq_len >= 1 and stride >= 1, "
+                          f"got {seq_len} and {stride}")
     if rows.shape[0] < seq_len:
         raise ContractViolation(
             f"{path}: {rows.shape[0]} rows < window length {seq_len}")
-    count = (rows.shape[0] - seq_len) // stride + 1
-    windows = np.stack([rows[i * stride:i * stride + seq_len]
-                        for i in range(count)])
-    return Dataset(windows, provenance=path)
+    windows = sliding_window_view(rows, seq_len, axis=0)[::stride]
+    return Dataset(windows.transpose(0, 2, 1).copy(), provenance=path)
+
+
+def _format_windows(block: np.ndarray) -> str:
+    """Block CSV body of (n, S, D) windows: one line per row, a blank line
+    between windows, every line ending in a newline."""
+    n, s, d = block.shape
+    if s == 0:
+        return "\n" * (n - 1)
+    cells = map(repr, block.ravel().tolist())
+    if d > 1:
+        rows = map(",".join, zip(*[cells] * d))
+    else:
+        rows = cells if d else repeat("", n * s)
+    return "\n\n".join(map("\n".join, zip(*[iter(rows)] * s))) + "\n"
 
 
 def save_csv_windows(windows, path, channel_names=None) -> None:
     """Write windows as block CSV (blank line between windows)."""
     windows = np.asarray(windows, dtype=np.float64)
-    d = windows.shape[2]
+    n, s, d = windows.shape
     names = channel_names or [f"c{i}" for i in range(d)]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names)
-    for w, window in enumerate(windows):
-        if w:
+    csv.writer(buf, lineterminator="\n").writerow(names)
+    per_slice = max(1, _SLICE_LINES // max(s, 1))
+    for start in range(0, n, per_slice):
+        if start:
             buf.write("\n")
-        for row in window:
-            writer.writerow([repr(float(v)) for v in row])
+        buf.write(_format_windows(windows[start:start + per_slice]))
     atomic_write_text(path, buf.getvalue())
 
 

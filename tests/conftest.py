@@ -1,6 +1,12 @@
+import csv
+import io
+import os
+
 import numpy as np
 import pytest
 
+from prismflow.datasets import Dataset
+from prismflow.errors import ConfigError, ContractViolation, ParseError
 from prismflow.flowpath import cfm_loss, encode
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream, mlp_apply
@@ -65,6 +71,87 @@ class ReferenceAdam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def _reference_parse_rows(text: str, path: str):
+    """Reference CSV parser: csv.reader row by row, one float() per cell."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    channels = [name.strip() for name in header]
+    blocks, current = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(cell.strip() == "" for cell in row):
+            if current:
+                blocks.append(current)
+                current = []
+            continue
+        if len(row) != len(channels):
+            raise ParseError(f"{path}:{lineno}: expected {len(channels)} "
+                             f"cells, got {len(row)}")
+        vals = []
+        for col, cell in enumerate(row, start=1):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: column {col}: "
+                                 f"non-numeric cell {cell!r}") from None
+        current.append(vals)
+    if current:
+        blocks.append(current)
+    return channels, blocks
+
+
+def reference_load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
+    """Reference reader: nested Python lists of floats, then np.asarray;
+    sliding windows cut one slice at a time and stacked."""
+    if not os.path.exists(path):
+        raise ContractViolation(f"no such file: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    channels, blocks = _reference_parse_rows(text, path)
+    if mode == "blocks":
+        if not blocks:
+            arr = np.zeros((0, seq_len or 0, len(channels)))
+            return Dataset(arr, provenance=path)
+        lengths = {len(b) for b in blocks}
+        if len(lengths) != 1:
+            raise ParseError(f"{path}: blocks have mixed lengths {sorted(lengths)}")
+        if seq_len is not None and lengths != {seq_len}:
+            raise ContractViolation(
+                f"{path}: blocks have length {lengths.pop()}, expected {seq_len}")
+        return Dataset(np.asarray(blocks, dtype=np.float64), provenance=path)
+    if mode != "sliding":
+        raise ConfigError(f"unknown load mode {mode!r}")
+    if seq_len is None:
+        raise ConfigError("sliding mode needs seq_len")
+    rows = np.asarray([r for b in blocks for r in b], dtype=np.float64)
+    if rows.shape[0] < seq_len:
+        raise ContractViolation(
+            f"{path}: {rows.shape[0]} rows < window length {seq_len}")
+    count = (rows.shape[0] - seq_len) // stride + 1
+    windows = np.stack([rows[i * stride:i * stride + seq_len]
+                        for i in range(count)])
+    return Dataset(windows, provenance=path)
+
+
+def reference_csv_text(windows, channel_names=None) -> str:
+    """Reference writer: the block CSV text of `windows`, one csv.writer
+    row per timestep and repr(float) per cell."""
+    windows = np.asarray(windows, dtype=np.float64)
+    d = windows.shape[2]
+    names = channel_names or [f"c{i}" for i in range(d)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    for w, window in enumerate(windows):
+        if w:
+            buf.write("\n")
+        for row in window:
+            writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()
 
 
 @pytest.fixture

@@ -175,6 +175,91 @@ class TestTrainSampleEval:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestDataFiles:
+    """train, eval and dmd refuse data they cannot use before any work;
+    every verb turns an undecodable CSV into exit 2."""
+
+    def verbs(self, bad, good, checkpoint, out):
+        return {
+            "train": ["train", "--data", bad, "--seed", "0", "--epochs", "1",
+                      "--quiet", "--out", out],
+            "eval": ["eval", "--real", good, "--gen", bad, "--metrics",
+                     "corr", "--out", out],
+            "dmd": ["dmd", "--real", bad, "--gen", good, "--rank", "4",
+                    "--out", out],
+            "impute": ["impute", "--checkpoint", checkpoint, "--observed",
+                       bad, "--mask", bad, "--seed", "0", "--out", out],
+            "forecast": ["forecast", "--checkpoint", checkpoint,
+                         "--observed", bad, "--mask", bad, "--seed", "0",
+                         "--out", out],
+        }
+
+    @pytest.mark.parametrize("verb", ["train", "eval", "dmd", "impute",
+                                      "forecast"])
+    def test_invalid_utf8_is_runtime_error(self, tmp_path, data_csv,
+                                           checkpoint, capsys, verb):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"c0\n\xff\xfe\n")
+        out = tmp_path / "out"
+        argv = self.verbs(str(bad), data_csv, checkpoint, str(out))[verb]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (f"error: {bad}: not valid UTF-8 "
+                                           f"at byte 3\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["train", "eval", "dmd"])
+    @pytest.mark.parametrize("content", ["c0,c1\n", "c0,c1\n\n\n"])
+    def test_zero_windows_is_runtime_error(self, tmp_path, data_csv,
+                                           checkpoint, capsys, verb,
+                                           content):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(content)
+        out = tmp_path / "out"
+        argv = self.verbs(str(empty), data_csv, checkpoint, str(out))[verb]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {empty}: holds no windows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["train", "eval", "dmd"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_data_is_runtime_error(self, tmp_path, data_csv,
+                                              checkpoint, capsys, verb, cell):
+        ds = load_csv_windows(data_csv, mode="blocks")
+        ds.windows[3, 5, 1] = float(cell)
+        bad = str(tmp_path / "bad.csv")
+        save_csv_windows(ds.windows, bad)
+        out = tmp_path / "out"
+        argv = self.verbs(bad, data_csv, checkpoint, str(out))[verb]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {bad}: window 3 holds a non-finite "
+                                f"value\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_impute_accepts_nan_where_unobserved(self, tmp_path, checkpoint):
+        mask = np.zeros((2, 8, 2))
+        mask[:, :4] = 1.0
+        obs = np.where(mask > 0, 0.5, np.nan)
+        obs_path, mask_path = str(tmp_path / "o.csv"), str(tmp_path / "m.csv")
+        save_csv_windows(obs, obs_path)
+        save_csv_windows(mask, mask_path)
+        out = str(tmp_path / "x.csv")
+        assert run("impute", "--checkpoint", checkpoint, "--observed",
+                   obs_path, "--mask", mask_path, "--steps", "3", "--seed",
+                   "0", "--out", out) == 0
+        got = load_csv_windows(out, mode="blocks").windows
+        assert np.all(np.isfinite(got))
+
+    def test_zero_stride_is_runtime_error(self, tmp_path, data_csv, capsys):
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", data_csv, "--load-mode", "sliding",
+                   "--seq-len", "4", "--stride", "0", "--seed", "0",
+                   "--quiet", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestConditionalVerbs:
     def write(self, tmp_path, obs, mask):
         obs_path = str(tmp_path / "obs.csv")

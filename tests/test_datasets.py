@@ -1,6 +1,13 @@
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import reference_csv_text, reference_load_csv_windows
+from prismflow import datasets
 from prismflow.datasets import (Dataset, DiagnosticSpec,
                                 gen_bimodal_frequency, gen_sines,
                                 gen_velocity_mixture_diagnostic,
@@ -121,6 +128,166 @@ class TestCsvRoundTrip:
         path.write_text("a\n1.0\n2.0\n")
         with pytest.raises(ContractViolation):
             load_csv_windows(str(path), seq_len=5)
+
+
+def outcome(load, path, **kwargs):
+    """What a reader makes of a file: the windows' shape and bytes, or the
+    error's type and message."""
+    try:
+        w = load(path, **kwargs).windows
+    except (ParseError, ContractViolation, ConfigError) as exc:
+        return type(exc).__name__, str(exc)
+    return w.dtype, w.shape, w.tobytes()
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
+           -1e308, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 1 / 3]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+
+
+@st.composite
+def window_arrays(draw):
+    n = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 3))
+    flat = draw(st.lists(VALUES, min_size=n * s * d, max_size=n * s * d))
+    return np.array(flat, dtype=np.float64).reshape(n, s, d)
+
+
+# cells as people write them: plain, padded, signed, integer, exponent,
+# spelled-out non-finite; any of them may be quoted on one line
+NUMERIC_CELLS = st.one_of(
+    st.floats(allow_nan=False, width=64).map(repr),
+    st.sampled_from([" 1.5", "2 ", "\t-3", "+4", "7", "1e-3", "1E3", "nan",
+                     "-inf", "Infinity", "1_0"]))
+BAD_CELLS = st.sampled_from(["abc", "", " ", " x ", "\t", "1.0x", "--1"])
+SEPARATORS = st.sampled_from(["", ",", " ", " , ,", ",,", "\t"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A header and blocks of rows, some ragged or with a bad cell, with
+    blank-ish separator lines; half of the files quote some cells."""
+    quoted = draw(st.booleans())
+    d = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(["a", "b c", "x,y"] if quoted
+                                          else ["a", "b c"]),
+                          min_size=d, max_size=d))
+    head = io.StringIO()
+    csv.writer(head, lineterminator="").writerow(names)
+    lines = [head.getvalue()]
+    block = draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 5))):  # blocks
+        for _ in range(block + draw(st.sampled_from([0, 0, 0, 1]))):
+            cells = draw(st.lists(NUMERIC_CELLS, min_size=d, max_size=d))
+            fault = draw(st.sampled_from([None] * 8 + ["ragged", "cell"]))
+            if fault == "ragged":
+                cells = cells + ["1.0"] if draw(st.booleans()) else cells[:-1]
+            elif fault == "cell":
+                cells[draw(st.integers(0, d - 1))] = draw(BAD_CELLS)
+            if quoted:
+                cells = [f'"{c}"' if draw(st.booleans()) else c for c in cells]
+            lines.append(",".join(cells))
+        lines.extend(draw(st.lists(SEPARATORS, min_size=1, max_size=2)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestCsvMatchesReference:
+    """The bulk reader and writer against the row-by-row reference
+    versions in conftest, at the real slice size and at tiny ones that put
+    slice boundaries inside every file."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(windows=window_arrays(), slice_lines=st.sampled_from([1, 2, 5, 8192]))
+    def test_writer_bytes_and_read_back(self, tmp_path_factory, windows,
+                                        slice_lines):
+        path = str(tmp_path_factory.mktemp("csv") / "w.csv")
+        names = ["a", "b,c", 'd"e'][:windows.shape[2]]
+        with mock.patch.object(datasets, "_SLICE_LINES", slice_lines):
+            save_csv_windows(windows, path, channel_names=names)
+            with open(path, "rb") as fh:
+                assert fh.read() == reference_csv_text(windows, names).encode()
+            back = load_csv_windows(path, mode="blocks").windows
+        want = reference_load_csv_windows(path, mode="blocks").windows
+        assert back.tobytes() == want.tobytes() and back.shape == want.shape
+        keep = ~np.isnan(windows)
+        assert back[keep].tobytes() == windows[keep].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=csv_texts(), slice_lines=st.sampled_from([1, 2, 3, 8192]),
+           seq_len=st.integers(1, 4), stride=st.integers(1, 3))
+    def test_parsed_text(self, tmp_path_factory, text, slice_lines, seq_len,
+                         stride):
+        path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        for kwargs in ({"mode": "blocks"},
+                       {"mode": "sliding", "seq_len": seq_len,
+                        "stride": stride}):
+            with mock.patch.object(datasets, "_SLICE_LINES", slice_lines):
+                got = outcome(load_csv_windows, path, **kwargs)
+            assert got == outcome(reference_load_csv_windows, path, **kwargs)
+
+    def test_window_longer_than_a_slice(self, tmp_path):
+        windows = RngStream(9).generator().standard_normal(
+            (2, datasets._SLICE_LINES + 3, 2))
+        path = str(tmp_path / "long.csv")
+        save_csv_windows(windows, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv_text(windows).encode()
+        for kwargs in ({"mode": "blocks"},
+                       {"mode": "sliding", "seq_len": 100, "stride": 37}):
+            assert (outcome(load_csv_windows, path, **kwargs)
+                    == outcome(reference_load_csv_windows, path, **kwargs))
+
+
+class TestCsvContract:
+    def test_invalid_utf8_names_file_and_byte(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"c0\n0.5\n\xff\xfe\n")
+        with pytest.raises(ParseError, match=r"bad\.csv: not valid UTF-8 at "
+                                             r"byte 7"):
+            load_csv_windows(str(path), mode="blocks")
+
+    def test_error_shows_the_cell_as_written(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text("a,b\n1,2\n x ,2\n")
+        with pytest.raises(ParseError,
+                           match=r"3: column 1: non-numeric cell ' x '$"):
+            load_csv_windows(str(path), mode="blocks")
+
+    def test_crlf_quoted_cells_and_comma_separator_lines(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_bytes(b'"a","b"\r\n"0.5",1\r\n 2 ,"3"\r\n , \r\n'
+                         b'4,5\r\n6,7\r\n,\r\n')
+        ds = load_csv_windows(str(path), mode="blocks")
+        np.testing.assert_array_equal(ds.windows,
+                                      [[[0.5, 1], [2, 3]], [[4, 5], [6, 7]]])
+
+    @pytest.mark.parametrize("text,line", [("a" * 200_000 + "\n1\n", 1),
+                                           ('"a"\n' + "1" * 200_000, 2)],
+                             ids=["header", "quoted_cell"])
+    def test_cell_over_csv_field_limit_is_parse_error(self, tmp_path, text,
+                                                      line):
+        path = tmp_path / "long_cell.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"csv:{line}: field larger"):
+            load_csv_windows(str(path), mode="blocks")
+
+    def test_long_unquoted_number_reads_as_float_does(self, tmp_path):
+        path = tmp_path / "long_cell.csv"
+        path.write_text("a\n" + "1" * 200_000 + "\n")
+        assert load_csv_windows(str(path), mode="blocks").windows[0, 0, 0] \
+            == float("1" * 200_000)
+
+    @pytest.mark.parametrize("seq_len,stride", [(0, 1), (2, 0), (2, -1)])
+    def test_sliding_needs_positive_length_and_stride(self, tmp_path,
+                                                      seq_len, stride):
+        path = str(tmp_path / "long.csv")
+        save_csv_windows(np.arange(10.0).reshape(1, 10, 1), path)
+        with pytest.raises(ConfigError):
+            load_csv_windows(path, seq_len=seq_len, stride=stride)
 
 
 class TestNormalization:
