@@ -156,7 +156,11 @@ def cmd_sample(args):
 def _conditional(args, mode):
     model = PrismFlowModel.load(args.checkpoint)
     observed = load_csv_windows(args.observed, mode="blocks")
-    mask = load_csv_windows(args.mask, mode="blocks")
+    mask = load_csv_windows(args.mask, mode="blocks").windows
+    bad = np.flatnonzero(~((mask == 0.0) | (mask == 1.0)).all(axis=(1, 2)))
+    if bad.size:
+        raise ContractViolation(f"{args.mask}: window {bad[0]} holds a mask "
+                                f"cell that is not 0 or 1")
     cfg = SamplerConfig(steps=args.steps, gamma=args.gamma,
                         eta_g=args.eta_g, mode=mode)
     y = observed.windows
@@ -164,7 +168,7 @@ def _conditional(args, mode):
         y = (y - model.norm_shift) / model.norm_scale
     # window i draws its noise from stream (seed, i)
     batch = generate_conditional(
-        model, ConditionMask(mask=mask.windows > 0.5, values=y), cfg,
+        model, ConditionMask(mask=mask == 1.0, values=y), cfg,
         RngStream(args.seed))
     export_samples(batch, args.out, model.norm_shift, model.norm_scale)
     _write_meta(args.out, args)

@@ -61,21 +61,13 @@ def operator_eigenvalues(a: np.ndarray) -> np.ndarray:
     return eig[order]
 
 
-def decode_expert_velocity(model, k: int, z: np.ndarray):
-    """Residual data-space velocity of expert k from latent codes z (B, d_z).
-
-    Applies the expert generator A^k and decodes concat(z, A^k z) to a
-    (B, S*D) residual field. Sampling applies it to each expert's routed
-    rows. Returns (residual, operator, dec_tape).
-    """
-    resids, ops, dec_tape = decode_experts(model, [k], z)
-    return resids[0], ops[0], dec_tape
-
-
 def decode_experts(model, experts, z: np.ndarray):
     """Residual velocities of several experts on the same latent codes z
     (B, d_z), decoded as one stacked batch whose i-th block of B rows
-    belongs to experts[i]. Training scores all K experts with one call.
+    belongs to experts[i]: expert k applies its generator A^k and decodes
+    concat(z, A^k z) to a (B, S*D) residual field. Training scores all K
+    experts with one call; sampling calls it per expert on that expert's
+    routed rows.
 
     Returns (residuals (len(experts), B, S*D), operators, dec_tape): each
     operator is assembled once per call and, with the tape, is what the

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ShapeError
-from .numcore import Tape, mlp_apply, mlp_gradients
+from .numcore import Params, Tape, mlp_apply, mlp_gradients
 
 DEFAULT_TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
 
@@ -100,13 +100,13 @@ def trunk_forward(model, x0, x1, t) -> Trunk:
     return Trunk(x0, x1, t, xt, h, tape)
 
 
-def encoder_backward(model, trunk: Trunk, dh, grads: dict) -> None:
+def encoder_backward(model, trunk: Trunk, dh, grads: Params) -> None:
     """Add the encoder gradient of upstream `dh` on the trunk features."""
     ew, eb, _ = mlp_gradients(model.encoder, trunk.tape, dh)
-    model.pack_mlp_grads(grads, "encoder", ew, eb)
+    grads.add_mlp("encoder.", ew, eb)
 
 
-def cfm_core(model, trunk: Trunk, grads: dict):
+def cfm_core(model, trunk: Trunk, grads: Params):
     """Flow-matching term on a trunk pass: adds the head gradient to
     `grads` and returns (loss, dh, v) with dh the trunk-feature gradient
     and v the (B, S*D) global velocity."""
@@ -116,7 +116,7 @@ def cfm_core(model, trunk: Trunk, grads: dict):
     loss = float(np.mean(resid * resid))
     dv = 2.0 * resid / resid.size
     hw, hb, dh = mlp_gradients(model.head, head_tape, dv)
-    model.pack_mlp_grads(grads, "head", hw, hb)
+    grads.add_mlp("head.", hw, hb)
     return loss, dh, v
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .numcore import (AdamState, Mlp, RngStream, adam_update, mlp_apply,
-                      mlp_blocks, mlp_gradients)
+from .numcore import (AdamState, Mlp, Params, RngStream, adam_update,
+                      mlp_apply, mlp_gradients, mlp_shapes)
 
 HIDDEN = 32
 TRAIN_STEPS = 500
@@ -39,8 +39,9 @@ def _as_windows(ds):
 
 def _train_net(dims, x, y, rng: RngStream, kind: str):
     """Fit a small MLP with Adam; kind is "logistic" or "l2"."""
-    net = Mlp.init(dims, rng.child(1))
-    params = mlp_blocks("", net.weights, net.biases)
+    params = Params(mlp_shapes("", dims))
+    net = Mlp.view(params, "", dims)
+    net.draw(rng.child(1))
     opt = AdamState.create(params, lr=1e-3)
     gen = rng.child(2).generator()
     n = x.shape[0]
@@ -53,7 +54,9 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
         else:
             upstream = 2.0 * (out - y[idx]) / out.size
         wg, bg, _ = mlp_gradients(net, tape, upstream)
-        adam_update(opt, params, mlp_blocks("", wg, bg))
+        grads = params.zeros_like()
+        grads.add_mlp("", wg, bg)
+        adam_update(opt, params, grads)
         net.bump_version()
     return net
 

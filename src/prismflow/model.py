@@ -1,9 +1,11 @@
 """Model assembly: the global velocity estimator, Koopman expert bank,
-projector/decoder pair, and router, with a flat named-parameter view for
-the optimizer and checkpointing."""
+projector/decoder pair, and router, all views of one flat parameter
+vector (laid out by `param_layout`) that optimizer and checkpoint share."""
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -12,15 +14,19 @@ from . import checkpoint as ckpt
 from .errors import ConfigError, ParseError
 from .flowpath import DEFAULT_TIME_FREQS
 from .experts import assemble_operator
-from .numcore import Mlp, RngStream, mlp_blocks
+from .numcore import ACTIVATIONS, Mlp, Params, RngStream, mlp_shapes
 
-# fixed child-stream ids for reproducible initialization
-_STREAM_ENCODER = 1
-_STREAM_HEAD = 2
-_STREAM_PROJECTOR = 3
-_STREAM_DECODER = 4
-_STREAM_ROUTER = 5
+# fixed child-stream ids for reproducible initialization, per network
+_MLP_STREAMS = dict(encoder=1, head=2, projector=3, decoder=4, router=5)
 _STREAM_EXPERTS = 6
+
+_SIZES = ("seq_len", "channels", "n_experts", "latent_dim", "hidden_dim",
+          "enc_layers", "dec_hidden", "router_hidden")
+
+
+def _finite_real(x) -> bool:
+    """A real number that converts to a finite float."""
+    return isinstance(x, numbers.Real) and abs(x) <= sys.float_info.max
 
 
 @dataclass
@@ -49,16 +55,44 @@ class ModelConfig:
     expert_spread_base: float = 0.25
 
     def validate(self) -> None:
-        if self.expert_init not in ("random", "spread"):
-            raise ConfigError(f"unknown expert_init {self.expert_init!r}")
-        if self.seq_len < 1 or self.channels < 1:
-            raise ConfigError("seq_len and channels must be >= 1")
-        if self.n_experts < 1:
-            raise ConfigError("n_experts must be >= 1")
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be >= 1")
+        sizes = {key: getattr(self, key) for key in _SIZES}
+        if self.head_hidden is not None:
+            sizes["head_hidden"] = self.head_hidden
+        for key, value in sizes.items():
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{key} must be an integer >= 1, "
+                                  f"got {value!r}")
+        for key in ("delta", "expert_init_scale", "expert_spread_base"):
+            if not _finite_real(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
         if self.delta < 0:
             raise ConfigError("delta must be >= 0")
+        if not all(_finite_real(f) for f in self.time_freqs):
+            raise ConfigError("time_freqs must be finite")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
+        if self.expert_init not in ("random", "spread"):
+            raise ConfigError(f"unknown expert_init {self.expert_init!r}")
+
+
+def param_layout(cfg: ModelConfig) -> tuple[dict, dict]:
+    """The parameter layout, by arithmetic on the config: each network's
+    layer widths (the checkpoint header's `mlp_dims`) and every block's
+    name and shape, in flat-vector and checkpoint order."""
+    sd = cfg.seq_len * cfg.channels
+    tf = 2 * len(cfg.time_freqs)
+    dims = {"encoder": [sd + tf] + [cfg.hidden_dim] * cfg.enc_layers,
+            "head": [cfg.hidden_dim, cfg.head_hidden or cfg.hidden_dim, sd],
+            "projector": [cfg.hidden_dim, cfg.latent_dim],
+            "decoder": [2 * cfg.latent_dim, cfg.dec_hidden, sd],
+            "router": [tf + cfg.hidden_dim, cfg.router_hidden,
+                       cfg.n_experts]}
+    shapes = {}
+    for name, widths in dims.items():
+        shapes.update(mlp_shapes(f"{name}.", widths))
+    for k in range(cfg.n_experts):
+        shapes[f"expert{k}.S"] = shapes[f"expert{k}.R"] = (cfg.latent_dim,) * 2
+    return dims, shapes
 
 
 class PrismFlowModel:
@@ -71,51 +105,36 @@ class PrismFlowModel:
     operators are derived on demand.
     """
 
-    def __init__(self, cfg: ModelConfig, encoder, head, projector, decoder,
-                 router, expert_s, expert_r, norm_shift=None, norm_scale=None):
-        cfg.validate()
-        self.cfg = cfg
-        self.encoder = encoder
-        self.head = head
-        self.projector = projector
-        self.decoder = decoder
-        self.router = router
-        self.expert_s = expert_s  # list of (d_z, d_z) arrays
-        self.expert_r = expert_r
+    def __init__(self, cfg: ModelConfig, params: Params, norm_shift=None,
+                 norm_scale=None):
+        """`params` holds the blocks of `param_layout(cfg)`, in order."""
+        self.cfg, self._params = cfg, params
+        for name, widths in param_layout(cfg)[0].items():
+            setattr(self, name,
+                    Mlp.view(params, f"{name}.", widths, cfg.activation))
+        self.expert_s = [params[f"expert{k}.S"] for k in range(cfg.n_experts)]
+        self.expert_r = [params[f"expert{k}.R"] for k in range(cfg.n_experts)]
         self.norm_shift = norm_shift  # per-channel, set when trained on
         self.norm_scale = norm_scale  # normalized data
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: RngStream) -> "PrismFlowModel":
         cfg.validate()
-        sd = cfg.seq_len * cfg.channels
-        tf = 2 * len(cfg.time_freqs)
-        enc_dims = [sd + tf] + [cfg.hidden_dim] * cfg.enc_layers
-        encoder = Mlp.init(enc_dims, rng.child(_STREAM_ENCODER), cfg.activation)
-        head_mid = cfg.head_hidden or cfg.hidden_dim
-        head = Mlp.init([cfg.hidden_dim, head_mid, sd],
-                        rng.child(_STREAM_HEAD), cfg.activation)
-        projector = Mlp.init([cfg.hidden_dim, cfg.latent_dim],
-                             rng.child(_STREAM_PROJECTOR), cfg.activation)
-        decoder = Mlp.init([2 * cfg.latent_dim, cfg.dec_hidden, sd],
-                           rng.child(_STREAM_DECODER), cfg.activation)
-        router = Mlp.init([tf + cfg.hidden_dim, cfg.router_hidden, cfg.n_experts],
-                          rng.child(_STREAM_ROUTER), cfg.activation)
+        model = cls(cfg, Params(param_layout(cfg)[1]))
+        for name, stream in _MLP_STREAMS.items():
+            getattr(model, name).draw(rng.child(stream))
         gen = rng.child(_STREAM_EXPERTS).generator()
         scale = cfg.expert_init_scale / np.sqrt(cfg.latent_dim)
-        expert_s = [gen.normal(0.0, scale, (cfg.latent_dim, cfg.latent_dim))
-                    for _ in range(cfg.n_experts)]
-        expert_r = [gen.normal(0.0, scale, (cfg.latent_dim, cfg.latent_dim))
-                    for _ in range(cfg.n_experts)]
+        for block in model.expert_s + model.expert_r:
+            block[...] = gen.normal(0.0, scale, block.shape)
         if cfg.expert_init == "spread":
             rot = np.zeros((cfg.latent_dim, cfg.latent_dim))
             for i in range(0, cfg.latent_dim - 1, 2):
                 rot[i, i + 1] = 1.0
                 rot[i + 1, i] = -1.0
-            for k in range(cfg.n_experts):
-                expert_s[k] += cfg.expert_spread_base * (2.0 ** k) * rot
-        return cls(cfg, encoder, head, projector, decoder, router,
-                   expert_s, expert_r)
+            for k, s in enumerate(model.expert_s):
+                s += cfg.expert_spread_base * (2.0 ** k) * rot
+        return model
 
     # -- expert bank view ------------------------------------------------
 
@@ -127,31 +146,18 @@ class PrismFlowModel:
         return assemble_operator(self.expert_s[k], self.expert_r[k],
                                  self.cfg.delta)
 
-    # -- flat parameter view ---------------------------------------------
+    # -- flat parameter store --------------------------------------------
 
-    _MLPS = ("encoder", "head", "projector", "decoder", "router")
+    def params(self) -> Params:
+        """Every parameter block by name, in layout order, over `.flat`."""
+        return self._params
 
-    def params(self) -> dict:
-        out = {}
-        for name in self._MLPS:
-            net = getattr(self, name)
-            out.update(mlp_blocks(f"{name}.", net.weights, net.biases))
-        for k in range(self.n_experts):
-            out[f"expert{k}.S"] = self.expert_s[k]
-            out[f"expert{k}.R"] = self.expert_r[k]
-        return out
-
-    def zero_grads(self) -> dict:
-        return {name: np.zeros_like(p) for name, p in self.params().items()}
-
-    @staticmethod
-    def pack_mlp_grads(grads: dict, name: str, wgrads, bgrads,
-                       scale: float = 1.0) -> None:
-        for key, g in mlp_blocks(f"{name}.", wgrads, bgrads).items():
-            grads[key] += scale * g
+    def zero_grads(self) -> Params:
+        """A fresh zeroed gradient store with the parameters' layout."""
+        return self._params.zeros_like()
 
     def bump_versions(self) -> None:
-        for name in self._MLPS:
+        for name in _MLP_STREAMS:
             getattr(self, name).bump_version()
 
     # -- checkpointing ---------------------------------------------------
@@ -159,48 +165,63 @@ class PrismFlowModel:
     def save(self, path: str, extra_header: dict | None = None) -> None:
         header = {"model_config": asdict(self.cfg)}
         header["model_config"]["time_freqs"] = list(self.cfg.time_freqs)
-        header["mlp_dims"] = {n: list(getattr(self, n).layer_dims)
-                              for n in self._MLPS}
+        header["mlp_dims"] = param_layout(self.cfg)[0]
         header["normalization"] = None
         if self.norm_shift is not None:
             header["normalization"] = {"shift": list(np.asarray(self.norm_shift)),
                                        "scale": list(np.asarray(self.norm_scale))}
         if extra_header:
             header.update(extra_header)
-        ckpt.save_checkpoint(path, header, self.params())
+        ckpt.save_checkpoint(path, header, self._params)
 
     @classmethod
     def load(cls, path: str) -> "PrismFlowModel":
+        """Read a checkpoint whose header config validates and whose layout
+        matches its `mlp_dims` and block table (checked before anything is
+        allocated), with finite parameters and normalization stats."""
         header, blocks = ckpt.load_checkpoint(path)
         try:
             mc = dict(header["model_config"])
             mc["time_freqs"] = tuple(mc["time_freqs"])
-            # a fresh model has exactly the blocks and shapes the config
-            # implies; the checkpoint's blocks then replace its values
-            model = cls.init(ModelConfig(**mc), RngStream(0))
+            cfg = ModelConfig(**mc)
+            cfg.validate()
             norm = header["normalization"]
+            shift = scale = None
             if norm:
-                model.norm_shift = np.asarray(norm["shift"], dtype=np.float64)
-                model.norm_scale = np.asarray(norm["scale"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+                shift = np.asarray(norm["shift"], dtype=np.float64)
+                scale = np.asarray(norm["scale"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError, OverflowError,
+                ConfigError) as exc:
             raise ParseError(f"{path}: malformed checkpoint header: "
                              f"{exc!r}") from None
-        dims = {n: list(getattr(model, n).layer_dims) for n in cls._MLPS}
+        # each encoder layer and each expert has blocks of its own
+        if cfg.enc_layers + cfg.n_experts > len(blocks):
+            raise ParseError(f"{path}: the model config needs more blocks "
+                             f"than the {len(blocks)} stored")
+        dims, shapes = param_layout(cfg)
         if header.get("mlp_dims") != dims:
             raise ParseError(f"{path}: mlp_dims {header.get('mlp_dims')} do "
                              f"not match the model config ({dims})")
-        params = model.params()
-        if blocks.keys() != params.keys():
-            missing = sorted(params.keys() - blocks.keys())
-            extra = sorted(blocks.keys() - params.keys())
-            raise ParseError(f"{path}: block set does not match the model "
+        # block names and shapes as stored: rows == 1 blocks come back 1-D
+        table = {name: np.atleast_2d(a).shape for name, a in blocks.items()}
+        want = {name: (1,) * (2 - len(s)) + s for name, s in shapes.items()}
+        if table != want:
+            missing = sorted(want.items() - table.items())
+            extra = sorted(table.items() - want.items())
+            raise ParseError(f"{path}: block table does not match the model "
                              f"config: missing {missing}, unexpected {extra}")
-        for name, p in params.items():
-            # rows == 1 blocks come back 1-D
-            if np.atleast_2d(blocks[name]).shape != np.atleast_2d(p).shape:
-                raise ParseError(f"{path}: block {name!r} has shape "
-                                 f"{blocks[name].shape}, expected {p.shape}")
-            p[...] = blocks[name].reshape(p.shape)
+        if shift is not None and not (
+                shift.shape == scale.shape == (cfg.channels,)
+                and np.isfinite(shift).all() and np.isfinite(scale).all()
+                and np.all(scale != 0.0)):
+            raise ParseError(f"{path}: normalization needs {cfg.channels} "
+                             f"finite shifts and nonzero finite scales")
+        params = Params(shapes, np.concatenate([blocks[name].ravel()
+                                                for name in shapes]))
+        bad = params.first_nonfinite()
+        if bad is not None:
+            raise ParseError(f"{path}: block {bad!r} holds a non-finite value")
+        model = cls(cfg, params, shift, scale)
         model.extra_header = {k: v for k, v in header.items()
                               if k not in ("model_config", "mlp_dims",
                                            "normalization")}

@@ -1,12 +1,13 @@
 """Dense numerics core: MLPs with exact reverse-mode gradients, Adam,
 counter-based RNG streams, and a finite-difference gradient oracle.
 
-Everything is float64. Networks are plain numpy arrays; gradients are
-derived by hand per loss rather than through a generic autodiff graph.
+Everything is float64. Parameters live in one flat vector (`Params`);
+gradients are derived by hand per loss, not by a generic autodiff graph.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,17 +75,19 @@ class Mlp:
     version: int = 0
 
     @classmethod
-    def init(cls, layer_dims, rng: RngStream, activation: str = "tanh") -> "Mlp":
-        """Xavier-uniform weights, zero biases."""
-        if activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {activation!r}")
+    def view(cls, params: "Params", prefix: str, layer_dims,
+             activation: str = "tanh") -> "Mlp":
+        """The net whose weights and biases are the blocks of `params`
+        that `mlp_shapes(prefix, layer_dims)` names: views, not copies."""
+        blocks = [params[name] for name in mlp_shapes(prefix, layer_dims)]
+        return cls(list(layer_dims), blocks[::2], blocks[1::2], activation)
+
+    def draw(self, rng: RngStream) -> None:
+        """Xavier-uniform weights in place (a fresh store's biases are 0)."""
         gen = rng.generator()
-        weights, biases = [], []
-        for din, dout in zip(layer_dims[:-1], layer_dims[1:]):
-            limit = np.sqrt(6.0 / (din + dout))
-            weights.append(gen.uniform(-limit, limit, size=(din, dout)))
-            biases.append(np.zeros(dout))
-        return cls(list(layer_dims), weights, biases, activation)
+        for w in self.weights:
+            limit = np.sqrt(6.0 / sum(w.shape))
+            w[...] = gen.uniform(-limit, limit, size=w.shape)
 
     @property
     def n_layers(self) -> int:
@@ -102,6 +105,39 @@ def mlp_blocks(prefix: str, weights, biases) -> dict:
         out[f"{prefix}W{i}"] = w
         out[f"{prefix}b{i}"] = b
     return out
+
+
+def mlp_shapes(prefix: str, layer_dims) -> dict:
+    """Block names and shapes of an Mlp with these layer widths."""
+    pairs = list(zip(layer_dims[:-1], layer_dims[1:]))
+    return mlp_blocks(prefix, pairs, [(dout,) for _, dout in pairs])
+
+
+class Params(dict):
+    """Named parameter blocks, each a view of one flat float64 vector
+    `flat` (zeros unless given), laid out in the order of `shapes`."""
+
+    def __init__(self, shapes: dict, flat: np.ndarray | None = None):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        start = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            self[name] = self.flat[start:start + size].reshape(shape)
+            start += size
+
+    def zeros_like(self) -> "Params":
+        """A zeroed store of the same layout: one allocation."""
+        return Params({name: p.shape for name, p in self.items()})
+
+    def first_nonfinite(self) -> str | None:
+        """Name of the first block that holds a nan or inf, or None."""
+        return next((name for name, p in self.items()
+                     if not np.isfinite(p).all()), None)
+
+    def add_mlp(self, prefix: str, wgrads, bgrads) -> None:
+        """Add an Mlp's gradients to its blocks {prefix}W{i}, {prefix}b{i}."""
+        for name, g in mlp_blocks(prefix, wgrads, bgrads).items():
+            self[name] += g
 
 
 def mlp_apply(net: Mlp, x: np.ndarray):
@@ -162,62 +198,39 @@ def tape_rows(tape: Tape, rows) -> Tape:
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer over a named parameter dict.
+    """Bias-corrected Adam over one flat vector, with flat moments m, v."""
 
-    Each moment lives in one flat float64 buffer; `m` and `v` name views
-    of it, one per parameter block, in the order `create` saw them.
-    """
-
+    m: np.ndarray
+    v: np.ndarray
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m_flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v_flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    slices: dict = field(default_factory=dict)  # block name -> flat slice
 
     @classmethod
-    def create(cls, params: dict, lr: float = 1e-3, beta1: float = 0.9,
+    def create(cls, params: Params, lr: float = 1e-3, beta1: float = 0.9,
                beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        size = sum(np.size(p) for p in params.values())
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                    m_flat=np.zeros(size), v_flat=np.zeros(size))
-        start = 0
-        for name, p in params.items():
-            sl = slice(start, start + np.size(p))
-            state.slices[name] = sl
-            state.m[name] = state.m_flat[sl].reshape(np.shape(p))
-            state.v[name] = state.v_flat[sl].reshape(np.shape(p))
-            start = sl.stop
-        return state
+        size = params.flat.size
+        return cls(np.zeros(size), np.zeros(size), lr, beta1, beta2, eps)
 
 
-def adam_update(state: AdamState, params: dict, grads: dict) -> None:
-    """One Adam step, in place on the arrays in `params`.
-
-    The moment and step arithmetic runs once on the flat buffers; only
-    the final parameter write is per block.
-    """
-    g = np.concatenate([np.ravel(grads[name]) for name in state.slices])
-    if not np.all(np.isfinite(g)):
-        bad = next(name for name, sl in state.slices.items()
-                   if not np.all(np.isfinite(g[sl])))
-        raise NumericError(f"non-finite gradient in block {bad!r}")
+def adam_update(state: AdamState, params: Params, grads: Params) -> None:
+    """One Adam step, in place on `params.flat`, from `grads.flat`."""
+    g = grads.flat
+    if not np.isfinite(g).all():
+        raise NumericError(f"non-finite gradient in block "
+                           f"{grads.first_nonfinite()!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    m, v = state.m_flat, state.v_flat
+    m, v = state.m, state.v
     m *= state.beta1
     m += (1.0 - state.beta1) * g
     v *= state.beta2
     v += (1.0 - state.beta2) * g * g
-    update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    for name, p in params.items():
-        p -= update[state.slices[name]].reshape(p.shape)
+    params.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ContractViolation, NumericError, ShapeError
 from .experts import decode_experts, operator_grads
 from .flowpath import encoder_backward, time_features, trunk_forward
-from .numcore import mlp_apply, mlp_gradients, tape_rows
+from .numcore import Params, mlp_apply, mlp_gradients, tape_rows
 
 
 @dataclass
@@ -119,7 +119,7 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None, winners=None,
 
 
 def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
-             grads: dict, lam=None, winners=None, scale: float = 1.0):
+             grads: Params, lam=None, winners=None, scale: float = 1.0):
     """Winner-take-all term on a trunk pass and its routing.
 
     The decoder runs forward once on all K experts' rows stacked, and
@@ -152,7 +152,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
     dresid = (1.0 - t)[:, None] * derr
     win_tape = tape_rows(dec_tape, winners * b + rows)
     dw, db, din = mlp_gradients(model.decoder, win_tape, dresid)
-    model.pack_mlp_grads(grads, "decoder", dw, db)
+    grads.add_mlp("decoder.", dw, db)
     dz = din[:, : model.cfg.latent_dim].copy()
     da = din[:, model.cfg.latent_dim:]
     for k, a in enumerate(ops):
@@ -166,7 +166,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
         grads[f"expert{k}.R"] += dr
 
     pw, pb, dh = mlp_gradients(model.projector, proj_tape, dz)
-    model.pack_mlp_grads(grads, "projector", pw, pb)
+    grads.add_mlp("projector.", pw, pb)
 
     # confidence term: only the winner's -beta*log(prob + eps) is live
     p_win = probs[rows, winners]
@@ -176,7 +176,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
     onehot[rows, winners] = 1.0
     dlogits = coef[:, None] * (onehot - probs)
     rw, rb, drin = mlp_gradients(model.router, router_tape, dlogits)
-    model.pack_mlp_grads(grads, "router", rw, rb)
+    grads.add_mlp("router.", rw, rb)
     dh += drin[:, 2 * len(model.cfg.time_freqs):]
 
     info = WtaBatchInfo(winners=winners, scores=scores, probs=probs,
@@ -217,7 +217,7 @@ def balance_loss_and_grads(model, x0, x1, t, cfg: WtaConfig, h_override=None):
     return loss, grads, probs
 
 
-def balance_core(model, probs, router_tape, cfg: WtaConfig, grads: dict,
+def balance_core(model, probs, router_tape, cfg: WtaConfig, grads: Params,
                  scale: float = 1.0) -> float:
     """Balance term of one routing pass: adds `scale` times its router
     gradient to `grads` and returns the loss. Nothing flows back to the
@@ -231,5 +231,5 @@ def balance_core(model, probs, router_tape, cfg: WtaConfig, grads: dict,
     inner = (dprobs * probs).sum(axis=1, keepdims=True)
     dlogits = probs * (dprobs - inner)
     rw, rb, _ = mlp_gradients(model.router, router_tape, dlogits)
-    model.pack_mlp_grads(grads, "router", rw, rb)
+    grads.add_mlp("router.", rw, rb)
     return loss

@@ -9,7 +9,7 @@ import numpy as np
 
 from .datasets import save_csv_windows
 from .errors import ConfigError, ContractViolation, NumericError, ShapeError
-from .experts import decode_expert_velocity
+from .experts import decode_experts
 from .flowpath import encode
 from .numcore import RngStream, mlp_apply, mlp_gradients
 from .router import route
@@ -79,7 +79,8 @@ def _velocity(model, x, t, cfg: SamplerConfig):
     for k in range(model.n_experts):
         mask = winners == k
         if np.any(mask):
-            resid[mask], _, _ = decode_expert_velocity(model, k, z[mask])
+            resids, _, _ = decode_experts(model, [k], z[mask])
+            resid[mask] = resids[0]
     total = v + cfg.gamma * resid
     return total.reshape(x.shape), (h, enc_tape, head_tape)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from prismflow.checkpoint import load_checkpoint, save_checkpoint
 from prismflow.cli import run_command
 from prismflow.datasets import load_csv_windows, save_csv_windows
-from prismflow.model import PrismFlowModel
+from prismflow.model import ModelConfig, PrismFlowModel, param_layout
 from prismflow.numcore import RngStream
 from prismflow.sampler import (ConditionMask, SamplerConfig,
                                generate_conditional)
@@ -175,6 +176,96 @@ class TestTrainSampleEval:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestCheckpointContract:
+    """What a checkpoint declares is checked on load: normalization stats,
+    parameter values and the sizes that the layout is derived from."""
+
+    def rewrite(self, tmp_path, checkpoint, edit):
+        header, blocks = load_checkpoint(checkpoint)
+        edit(header, blocks)
+        bad = str(tmp_path / "bad.ckpt")
+        save_checkpoint(bad, header, blocks)
+        return bad
+
+    def sample(self, path, out):
+        return run("sample", "--checkpoint", path, "--n", "2", "--steps",
+                   "2", "--seed", "0", "--out", out)
+
+    @pytest.mark.parametrize("key,value", [
+        ("scale", [float("nan"), 1.0]), ("shift", [0.0, float("inf")]),
+        ("scale", [0.0, 1.0]), ("scale", [1.0, 1.0, 1.0]),
+        ("shift", [0.5])])
+    def test_bad_normalization_is_runtime_error(self, tmp_path, checkpoint,
+                                                capsys, key, value):
+        bad = self.rewrite(tmp_path, checkpoint,
+                           lambda h, b: h["normalization"].update({key: value}))
+        out = tmp_path / "x.csv"
+        assert self.sample(bad, str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["encoder.W1", "router.b0", "expert1.R"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_block_is_named(self, tmp_path, checkpoint, capsys,
+                                       name, value):
+        def poison(header, blocks):
+            blocks[name].reshape(-1)[1] = value
+
+        bad = self.rewrite(tmp_path, checkpoint, poison)
+        out = tmp_path / "x.csv"
+        assert self.sample(bad, str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: block {name!r} holds a non-finite value\n")
+        for verb in (["dmd", "--experts", bad, "--out", str(out)],
+                     ["impute", "--checkpoint", bad, "--observed", bad,
+                      "--mask", bad, "--seed", "0", "--out", str(out)]):
+            assert run(*verb) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("consistent_dims", [False, True])
+    def test_inflated_sizes_fail_before_allocating(self, tmp_path,
+                                                   checkpoint, capsys,
+                                                   consistent_dims):
+        """A header that declares hidden_dim=3000 over small blocks exits
+        2 without allocating the 3000-wide model it describes."""
+        def inflate(header, blocks):
+            header["model_config"]["hidden_dim"] = 3000
+            if consistent_dims:
+                mc = dict(header["model_config"],
+                          time_freqs=tuple(header["model_config"]
+                                           ["time_freqs"]))
+                header["mlp_dims"] = param_layout(ModelConfig(**mc))[0]
+
+        bad = self.rewrite(tmp_path, checkpoint, inflate)
+        tracemalloc.start()
+        try:
+            code = self.sample(bad, str(tmp_path / "x.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--hidden-dim", "0", "hidden_dim"), ("--hidden-dim", "-3",
+                                              "hidden_dim"),
+        ("--delta", "nan", "delta"), ("--delta", "inf", "delta"),
+        ("--head-hidden", "0", "head_hidden"),
+        ("--latent-dim", "0", "latent_dim"), ("--k", "0", "n_experts")])
+    def test_bad_model_settings_fail_before_training(self, tmp_path,
+                                                     data_csv, capsys, flag,
+                                                     value, key):
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", data_csv, "--seed", "0", "--epochs",
+                   "1", "--out", str(out), flag, value) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {key} must be ")
+        assert captured.err.count("\n") == 1
+        assert "epoch" not in captured.out
+        assert not out.exists()
+
+
 class TestDataFiles:
     """train, eval and dmd refuse data they cannot use before any work;
     every verb turns an undecodable CSV into exit 2."""
@@ -304,6 +395,23 @@ class TestConditionalVerbs:
                                         cfg, RngStream(4, i))[0]
             want = want * model.norm_scale + model.norm_shift
             np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cell", [float("nan"), 0.7, 2.0, -1.0,
+                                      float("inf")])
+    @pytest.mark.parametrize("verb", ["impute", "forecast"])
+    def test_mask_cells_are_exactly_0_or_1(self, tmp_path, checkpoint,
+                                           capsys, cell, verb):
+        obs, mask = np.zeros((3, 8, 2)), np.ones((3, 8, 2))
+        mask[2, 4, 1] = cell
+        obs_path, mask_path = self.write(tmp_path, obs, mask)
+        out = tmp_path / "x.csv"
+        assert run(verb, "--checkpoint", checkpoint, "--observed", obs_path,
+                   "--mask", mask_path, "--steps", "2", "--seed", "0",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {mask_path}: window 2 holds a mask cell that is not "
+            f"0 or 1\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["counts", "shape", "no_windows",
                                       "empty_mask"])

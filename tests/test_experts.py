@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismflow.errors import ContractViolation, ShapeError
-from prismflow.experts import (assemble_operator, decode_expert_velocity,
+from prismflow.experts import (assemble_operator, decode_experts,
                                latent_velocity, operator_eigenvalues)
 from prismflow.flowpath import encode
 from prismflow.numcore import mlp_apply
@@ -99,6 +99,8 @@ class TestLatentVelocity:
 
 
 class TestDecodeExpertVelocity:
+    """One expert's residual velocity, decoded by `decode_experts`."""
+
     def test_zero_decoder(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
         for w in tiny_model.decoder.weights:
@@ -107,21 +109,21 @@ class TestDecodeExpertVelocity:
             b[:] = 0.0
         z = latent_codes(tiny_model, x0, t)
         for k in range(tiny_model.n_experts):
-            resid, *_ = decode_expert_velocity(tiny_model, k, z)
+            (resid,), *_ = decode_experts(tiny_model, [k], z)
             assert np.all(resid == 0.0)
 
     def test_output_shape(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
         z = latent_codes(tiny_model, x0, t)
         for k in range(tiny_model.n_experts):
-            resid, *_ = decode_expert_velocity(tiny_model, k, z)
+            (resid,), *_ = decode_experts(tiny_model, [k], z)
             assert resid.shape == (x0.shape[0], 16)
 
     def test_experts_generically_distinct(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
         z = latent_codes(tiny_model, x0, t)
-        r0, *_ = decode_expert_velocity(tiny_model, 0, z)
-        r1, *_ = decode_expert_velocity(tiny_model, 1, z)
+        (r0,), *_ = decode_experts(tiny_model, [0], z)
+        (r1,), *_ = decode_experts(tiny_model, [1], z)
         assert np.abs(r0 - r1).max() > 0.0
 
 

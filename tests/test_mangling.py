@@ -1,16 +1,21 @@
 """Truncated and bit-flipped checkpoints and CSVs through the CLI: every
 verb must end with exit code 0, 1 or 2 and a one-line error, never a
 traceback. Files that still parse after the damage are valid inputs, so
-exit 0 is allowed for them; a cut checkpoint never parses and must exit 2."""
+exit 0 is allowed for them; a cut checkpoint never parses and must exit 2.
+Checkpoint headers whose values no valid checkpoint holds must fail the
+same way, without a numpy warning."""
 
 import contextlib
+import copy
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prismflow.checkpoint import load_checkpoint, save_checkpoint
 from prismflow.cli import run_command
 from prismflow.datasets import save_csv_windows
 
@@ -107,3 +112,108 @@ def test_mangled_input_exits_cleanly(files, tmp_path_factory, verb, data):
         assert stderr.count("\n") == 1
     if target == "model" and how[0] == "cut":
         assert code == 2
+
+
+SIZES = ("seq_len", "channels", "n_experts", "latent_dim", "hidden_dim",
+         "head_hidden", "enc_layers", "dec_hidden", "router_hidden")
+REALS = ("delta", "expert_init_scale", "expert_spread_base")
+CHOICES = ("activation", "expert_init")
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                              10 ** 400, -10 ** 400])
+# values of the wrong type; no text here reads as a number
+JUNK = st.one_of(st.none(), st.booleans(), st.text("xyz_", max_size=4),
+                 st.lists(st.integers(-2, 2), max_size=1),
+                 st.dictionaries(st.text(max_size=2), st.integers(),
+                                 max_size=1))
+# any value that a size, a width or a count could be replaced with
+NUMBERS = st.one_of(st.integers(-5, 5000), st.integers(2 ** 62, 2 ** 70),
+                    st.floats(-1e6, 1e6), NON_FINITE, JUNK)
+
+
+def not_int(current):
+    """Values that are not the integer `current` (8.0 is not 8)."""
+    return NUMBERS.filter(lambda v: not (isinstance(v, int) and v == current))
+
+
+@st.composite
+def header_edit(draw, header):
+    """A copy of a valid checkpoint header with one value that no valid
+    checkpoint over the same blocks holds: a changed size, a non-finite or
+    mistyped real, an unknown choice, a bad time frequency, bad
+    normalization stats, changed `mlp_dims` or a missing section."""
+    out = copy.deepcopy(header)
+    mc, norm = out["model_config"], out["normalization"]
+    kind = draw(st.sampled_from(["size", "real", "choice", "freq", "stat",
+                                 "dims", "section", "key"]), label="kind")
+    if kind == "size":
+        key = draw(st.sampled_from(SIZES), label="key")
+        mc[key] = draw(not_int(mc[key]), label="value")
+    elif kind == "real":
+        key = draw(st.sampled_from(REALS), label="key")
+        bad = st.one_of(NON_FINITE, JUNK.filter(lambda v: v is not True
+                                                and v is not False))
+        if key == "delta":
+            bad = st.one_of(bad, st.floats(-1e6, -1e-9))
+        mc[key] = draw(bad, label="value")
+    elif kind == "choice":
+        key = draw(st.sampled_from(CHOICES), label="key")
+        mc[key] = draw(st.one_of(st.text(max_size=8), JUNK).filter(
+            lambda v: v not in ("tanh", "softplus", "random", "spread")),
+            label="value")
+    elif kind == "freq":
+        freqs = mc["time_freqs"]
+        if draw(st.booleans(), label="whole"):
+            mc["time_freqs"] = draw(st.one_of(st.none(), st.integers(),
+                                              st.text(max_size=6)))
+        else:
+            i = draw(st.integers(0, len(freqs) - 1), label="index")
+            freqs[i] = draw(st.one_of(NON_FINITE, JUNK).filter(
+                lambda v: not isinstance(v, bool)), label="value")
+    elif kind == "stat":
+        key = draw(st.sampled_from(["shift", "scale"]), label="key")
+        how = draw(st.sampled_from(["cell", "zero", "length", "whole"]),
+                   label="how")
+        if how == "cell":
+            i = draw(st.integers(0, len(norm[key]) - 1), label="index")
+            norm[key][i] = draw(st.one_of(NON_FINITE, JUNK).filter(
+                lambda v: not isinstance(v, bool)), label="value")
+        elif how == "zero":
+            norm["scale"][0] = draw(st.sampled_from([0.0, -0.0, 0]))
+        elif how == "length":
+            norm[key] = norm[key][:-1] if draw(st.booleans()) else \
+                norm[key] + [1.0]
+        else:
+            norm[key] = draw(st.one_of(st.none(), st.booleans(),
+                                       st.text(max_size=4), NON_FINITE))
+    elif kind == "dims":
+        net = draw(st.sampled_from(sorted(out["mlp_dims"])), label="net")
+        widths = out["mlp_dims"][net]
+        i = draw(st.integers(0, len(widths) - 1), label="index")
+        widths[i] = draw(NUMBERS.filter(lambda v: v != widths[i]),
+                         label="value")
+    elif kind == "section":
+        del out[draw(st.sampled_from(["model_config", "mlp_dims",
+                                      "normalization"]), label="section")]
+    else:
+        mc[draw(st.text(min_size=1, max_size=6).filter(
+            lambda k: k not in mc), label="key")] = 1
+    return out
+
+
+@pytest.mark.parametrize("verb", ["sample", "dmd-experts", "impute"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_header_values_that_no_checkpoint_holds_fail_cleanly(
+        files, tmp_path_factory, verb, data):
+    header, blocks = load_checkpoint(files["model"])
+    edited = data.draw(header_edit(header), label="header")
+    work = tmp_path_factory.mktemp("header")
+    paths = dict(files, model=str(work / "model"))
+    save_checkpoint(paths["model"], edited, blocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stderr = run(verb, paths, str(work / "out"))
+    assert "Traceback" not in stderr
+    assert code in (1, 2)
+    assert stderr.startswith("error: ")
+    assert stderr.count("\n") == 1

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from prismflow.errors import ContractViolation, NumericError, ShapeError
-from prismflow.numcore import (AdamState, Mlp, RngStream, adam_update,
-                               finite_difference_check, mlp_apply,
-                               mlp_blocks, mlp_gradients, tape_rows)
+from prismflow.numcore import (AdamState, Mlp, Params, RngStream,
+                               adam_update, finite_difference_check,
+                               mlp_apply, mlp_blocks, mlp_gradients,
+                               mlp_shapes, tape_rows)
 
 
 def make_net(dims, seed=0, activation="tanh"):
-    return Mlp.init(dims, RngStream(seed), activation)
+    net = Mlp.view(Params(mlp_shapes("", dims)), "", dims, activation)
+    net.draw(RngStream(seed))
+    return net
 
 
 class TestMlpApply:
@@ -131,12 +134,12 @@ class TestMlpGradients:
 
 class TestAdam:
     def params(self):
-        return {"w": np.array([1.0, -2.0, 0.5])}
+        return Params({"w": (3,)}, np.array([1.0, -2.0, 0.5]))
 
     def test_zero_gradient_no_change(self):
         p = self.params()
         state = AdamState.create(p, lr=0.1)
-        adam_update(state, p, {"w": np.zeros(3)})
+        adam_update(state, p, Params({"w": (3,)}))
         np.testing.assert_array_equal(p["w"], [1.0, -2.0, 0.5])
 
     def test_single_step_closed_form(self):
@@ -144,7 +147,7 @@ class TestAdam:
         before = p["w"].copy()
         g = np.array([0.3, -0.2, 1.5])
         state = AdamState.create(p, lr=0.01)
-        adam_update(state, p, {"w": g})
+        adam_update(state, p, Params({"w": (3,)}, g))
         # after bias correction the first step is -lr * g / (|g| + eps)
         expected = before - 0.01 * g / (np.abs(g) + state.eps)
         np.testing.assert_allclose(p["w"], expected, rtol=1e-9)
@@ -153,17 +156,18 @@ class TestAdam:
         p = self.params()
         g = np.array([0.3, -0.2, 1.5])
         state = AdamState.create(p, lr=0.01)
-        adam_update(state, p, {"w": g})
-        v1 = state.v["w"].copy()
-        adam_update(state, p, {"w": g})
+        adam_update(state, p, Params({"w": (3,)}, g))
+        v1 = state.v.copy()
+        adam_update(state, p, Params({"w": (3,)}, g))
         assert state.step == 2
-        assert np.all(state.v["w"] >= v1)
+        assert np.all(state.v >= v1)
 
     def test_nonfinite_gradient_named(self):
         p = self.params()
         state = AdamState.create(p)
         with pytest.raises(NumericError, match="w"):
-            adam_update(state, p, {"w": np.array([0.0, np.nan, 0.0])})
+            adam_update(state, p,
+                        Params({"w": (3,)}, np.array([0.0, np.nan, 0.0])))
 
 
 class TestFiniteDifferenceCheck:

@@ -10,7 +10,7 @@ import prismflow.trainer as trainer_module
 from prismflow.errors import ConfigError, ContractViolation, NumericError
 from prismflow.flowpath import encode, interpolate_state
 from prismflow.model import ModelConfig, PrismFlowModel
-from prismflow.numcore import (AdamState, RngStream, adam_update,
+from prismflow.numcore import (AdamState, Params, RngStream, adam_update,
                                finite_difference_check, mlp_apply)
 from prismflow.trainer import (LAMBDA_KINDS, TrainConfig, fit,
                                frozen_total_loss_fn, lambda_schedule,
@@ -181,6 +181,8 @@ class TestFlatAdam:
         mirror = {name: p.copy() for name, p in params.items()}
         opt = AdamState.create(params, lr=0.01)
         ref = ReferenceAdam(mirror, lr=0.01)
+        shapes = {name: p.shape for name, p in params.items()}
+        opt_m, opt_v = Params(shapes, opt.m), Params(shapes, opt.v)
         for step in range(5):
             _, grads, _, _ = total_loss(tiny_model, x0 * (1 + step), x1, t,
                                         cfg)
@@ -188,8 +190,8 @@ class TestFlatAdam:
             ref.update(mirror, grads)
             for name, p in params.items():
                 np.testing.assert_array_equal(p, mirror[name], err_msg=name)
-                np.testing.assert_array_equal(opt.m[name], ref.m[name])
-                np.testing.assert_array_equal(opt.v[name], ref.v[name])
+                np.testing.assert_array_equal(opt_m[name], ref.m[name])
+                np.testing.assert_array_equal(opt_v[name], ref.v[name])
         assert opt.step == ref.step == 5
 
 
