@@ -61,25 +61,22 @@ def operator_eigenvalues(a: np.ndarray) -> np.ndarray:
     return eig[order]
 
 
-def decode_experts(model, experts, z: np.ndarray):
+def decode_experts(model, ops, experts, z: np.ndarray):
     """Residual velocities of several experts on the same latent codes z
     (B, d_z), decoded as one stacked batch whose i-th block of B rows
-    belongs to experts[i]: expert k applies its generator A^k and decodes
+    belongs to experts[i]: expert k applies its generator A^k = ops[k],
+    assembled once per training step or sampling call, and decodes
     concat(z, A^k z) to a (B, S*D) residual field. Training scores all K
-    experts with one call; sampling calls it per expert on that expert's
-    routed rows.
+    experts with one call; sampling calls it per expert on its rows.
 
-    Returns (residuals (len(experts), B, S*D), operators, dec_tape): each
-    operator is assembled once per call and, with the tape, is what the
-    backward pass needs.
+    Returns (residuals (len(experts), B, S*D), dec_tape).
     """
-    ops = [_expert_operator(model, k) for k in experts]
-    pairs = np.concatenate([np.concatenate([z, z @ a.T], axis=1)
-                            for a in ops])
+    pairs = np.concatenate([np.concatenate([z, z @ ops[k].T], axis=1)
+                            for k in experts])
     resid, dec_tape = mlp_apply(model.decoder, pairs)
-    resids = resid.reshape(len(ops), z.shape[0], resid.shape[1])
+    resids = resid.reshape(-1, z.shape[0], resid.shape[1])
     finite = np.isfinite(resids).all(axis=(1, 2))
     if not finite.all():
         k = list(experts)[int(np.argmin(finite))]
         raise NumericError(f"expert {k} produced non-finite residual velocity")
-    return resids, ops, dec_tape
+    return resids, dec_tape

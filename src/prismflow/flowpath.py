@@ -13,14 +13,13 @@ from .numcore import Params, Tape, mlp_apply, mlp_gradients
 DEFAULT_TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
 
 
-def time_features(t, freqs=DEFAULT_TIME_FREQS) -> np.ndarray:
-    """Fourier features of flow time: [sin(2*pi*f*t), cos(2*pi*f*t)] per f.
-
-    Scalar t -> (2F,); array (B,) -> (B, 2F).
-    """
+def time_features(t, freqs, rows: int) -> np.ndarray:
+    """Fourier features [sin(2*pi*f*t), cos(2*pi*f*t)] per f of flow times
+    t (rows,), or of one scalar t computed once and repeated: (rows, 2F)."""
     t = np.asarray(t, dtype=np.float64)
     ang = 2.0 * np.pi * np.multiply.outer(t, np.asarray(freqs))
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+    tf = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+    return tf if tf.ndim == 2 else tf[np.newaxis].repeat(rows, axis=0)
 
 
 def interpolate_state(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:
@@ -48,11 +47,13 @@ def target_velocity(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
 
 
 def encoder_input(model, x, t) -> np.ndarray:
-    """Flattened state concatenated with time features. Batched: (B, S*D + 2F)."""
+    """Flattened state concatenated with time features. Batched: (B, S*D + 2F)
+    for times t (B,) or one scalar t."""
     x = np.asarray(x, dtype=np.float64)
     b = x.shape[0]
     flat = x.reshape(b, -1)
-    return np.concatenate([flat, time_features(t, model.cfg.time_freqs)], axis=1)
+    return np.concatenate([flat, time_features(t, model.cfg.time_freqs, b)],
+                          axis=1)
 
 
 def encode(model, x, t):

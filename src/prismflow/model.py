@@ -11,7 +11,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, NumericError, ParseError
 from .flowpath import DEFAULT_TIME_FREQS
 from .experts import assemble_operator
 from .numcore import ACTIVATIONS, Mlp, Params, RngStream, mlp_shapes
@@ -143,8 +143,13 @@ class PrismFlowModel:
         return self.cfg.n_experts
 
     def operator(self, k: int) -> np.ndarray:
-        return assemble_operator(self.expert_s[k], self.expert_r[k],
-                                 self.cfg.delta)
+        """Expert k's generator; an overflow is a NumericError naming k."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = assemble_operator(self.expert_s[k], self.expert_r[k],
+                                  self.cfg.delta)
+        if not np.isfinite(a).all():
+            raise NumericError(f"expert {k} has a non-finite operator")
+        return a
 
     # -- flat parameter store --------------------------------------------
 

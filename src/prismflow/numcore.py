@@ -163,13 +163,9 @@ def mlp_apply(net: Mlp, x: np.ndarray):
     return a, Tape(inputs, preacts, id(net), net.version)
 
 
-def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray):
-    """Exact reverse-mode gradients of <upstream, output> w.r.t. all
-    parameters and the input.
-
-    Returns (weight_grads, bias_grads, input_grad); the parameter
-    gradients sum over the batch.
-    """
+def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool):
+    """The delta recurrence of both backward entries; the parameter
+    gradients are computed only `with_params`."""
     if tape.net_id != id(net) or tape.net_version != net.version:
         raise ContractViolation("tape is stale: network mutated since forward pass")
     delta = np.asarray(upstream, dtype=np.float64)
@@ -183,10 +179,24 @@ def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray):
         if i != net.n_layers - 1:
             delta = delta * _act_grad(net.activation, tape.preacts[i],
                                       tape.inputs[i + 1])
-        wgrads[i] = tape.inputs[i].T @ delta
-        bgrads[i] = delta.sum(axis=0)
+        if with_params:
+            wgrads[i] = tape.inputs[i].T @ delta
+            bgrads[i] = delta.sum(axis=0)
         delta = delta @ net.weights[i].T
     return wgrads, bgrads, delta
+
+
+def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray):
+    """Exact reverse-mode gradients of <upstream, output>: returns
+    (weight_grads, bias_grads, input_grad), parameter gradients summed
+    over the batch."""
+    return _backward(net, tape, upstream, True)
+
+
+def mlp_input_gradient(net: Mlp, tape: Tape, upstream: np.ndarray):
+    """The input gradient of mlp_gradients alone, bit for bit, without
+    computing any parameter gradient."""
+    return _backward(net, tape, upstream, False)[2]
 
 
 def tape_rows(tape: Tape, rows) -> Tape:

@@ -34,15 +34,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def route(model, t, h):
-    """Categorical expert probabilities for a batch of trunk features.
+    """Categorical expert probabilities for a batch of trunk features at
+    flow times t (B,) or one scalar t.
 
     Returns (probs, logits, tape, router_input); probs rows are strictly
     positive and sum to 1.
     """
-    tf = time_features(t, model.cfg.time_freqs)
+    tf = time_features(t, model.cfg.time_freqs, h.shape[0])
     rin = np.concatenate([tf, h], axis=-1)
     logits, tape = mlp_apply(model.router, rin)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericError("router produced non-finite logits")
     return softmax(logits), logits, tape, rin
 
@@ -136,7 +137,8 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
     v_g = np.asarray(v_global, dtype=np.float64).reshape(b, sd)
 
     z, proj_tape = mlp_apply(model.projector, trunk.h)
-    resids, ops, dec_tape = decode_experts(model, range(model.n_experts), z)
+    ops = [model.operator(k) for k in range(model.n_experts)]
+    resids, dec_tape = decode_experts(model, ops, range(model.n_experts), z)
     errs = np.stack([estimate_endpoint(trunk.xt, t, v_g, r) - trunk.x1
                      for r in resids])  # (K, B, S*D)
     mses = np.mean(errs * errs, axis=2).T  # (B, K)

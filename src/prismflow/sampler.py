@@ -11,7 +11,7 @@ from .datasets import save_csv_windows
 from .errors import ConfigError, ContractViolation, NumericError, ShapeError
 from .experts import decode_experts
 from .flowpath import encode
-from .numcore import RngStream, mlp_apply, mlp_gradients
+from .numcore import RngStream, mlp_apply, mlp_input_gradient
 from .router import route
 
 MODES = ("unconditional", "imputation", "forecasting")
@@ -64,37 +64,51 @@ class ConditionMask:
             raise ContractViolation("observed values must be finite")
 
 
-def _velocity(model, x, t, cfg: SamplerConfig):
+def _operators(model, cfg: SamplerConfig):
+    """The K expert operators one sampling call uses: none at gamma 0."""
+    if cfg.gamma == 0.0:
+        return None
+    return [model.operator(k) for k in range(model.n_experts)]
+
+
+def _velocity(model, x, t, cfg: SamplerConfig, ops):
     """Total sampling velocity at scalar time t for a batch (B, S, D)."""
-    b = x.shape[0]
-    tvec = np.full(b, t)
-    h, enc_tape = encode(model, x, tvec)
+    h, enc_tape = encode(model, x, t)
     v, head_tape = mlp_apply(model.head, h)
     if cfg.gamma == 0.0:
-        return v.reshape(x.shape), (h, enc_tape, head_tape)
-    probs, _, _, _ = route(model, tvec, h)
+        return v.reshape(x.shape), (enc_tape, head_tape)
+    probs, _, _, _ = route(model, t, h)
     winners = np.argmax(probs, axis=1)
     z, _ = mlp_apply(model.projector, h)
     resid = np.empty_like(v)
     for k in range(model.n_experts):
         mask = winners == k
-        if np.any(mask):
-            resids, _, _ = decode_experts(model, [k], z[mask])
-            resid[mask] = resids[0]
+        if mask.any():
+            resid[mask] = decode_experts(model, ops, [k], z[mask])[0][0]
     total = v + cfg.gamma * resid
-    return total.reshape(x.shape), (h, enc_tape, head_tape)
+    return total.reshape(x.shape), (enc_tape, head_tape)
 
 
-def residual_velocity_step(model, x, t: float, cfg: SamplerConfig):
+def _global_vjp(model, enc_tape, head_tape, upstream):
+    """u^T dv_global/dx for upstream u (B, S*D) on one _velocity pass:
+    back-propagates the input gradient only, through head and encoder."""
+    dh = mlp_input_gradient(model.head, head_tape, upstream)
+    din = mlp_input_gradient(model.encoder, enc_tape, dh)
+    return din[:, : upstream.shape[1]]
+
+
+def residual_velocity_step(model, x, t: float, cfg: SamplerConfig, ops=None):
     """One Euler update x + (v_global + gamma*v_expert) * dt,
     with the dominant expert chosen per sample by argmax routing
-    probability. gamma=0 reduces exactly to the plain Euler update."""
+    probability. gamma=0 reduces exactly to the plain Euler update.
+    `ops` are the experts' operators when the caller assembled them."""
     cfg.validate()
     x = np.asarray(x, dtype=np.float64)
     dt = 1.0 / cfg.steps
-    v, _ = _velocity(model, x, t, cfg)
+    ops = _operators(model, cfg) if ops is None else ops
+    v, _ = _velocity(model, x, t, cfg, ops)
     xn = x + v * dt
-    if not np.all(np.isfinite(xn)):
+    if not np.isfinite(xn).all():
         raise NumericError(f"non-finite state at t={t:.4f}")
     return xn
 
@@ -108,8 +122,9 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     x = rng.generator().standard_normal((n, s, d))
     if n == 0:
         return x
+    ops = _operators(model, cfg)
     for i in range(cfg.steps):
-        x = residual_velocity_step(model, x, i / cfg.steps, cfg)
+        x = residual_velocity_step(model, x, i / cfg.steps, cfg, ops)
     return x
 
 
@@ -150,19 +165,18 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     for i in range(n):
         x[i] = rng.child(rng.stream + i).generator().standard_normal((s, d))
     dt = 1.0 / cfg.steps
+    ops = _operators(model, cfg)
     for i in range(cfg.steps):
         t = i / cfg.steps
-        v, (h, enc_tape, head_tape) = _velocity(model, x, t, cfg)
+        v, tapes = _velocity(model, x, t, cfg, ops)
         xhat = x + (1.0 - t) * v
         g = 2.0 * m * (xhat - y)
         if cfg.exact_guidance:
             # add the global-field term of the endpoint Jacobian
             upstream = (1.0 - t) * g.reshape(n, -1)
-            _, _, dh = mlp_gradients(model.head, head_tape, upstream)
-            _, _, din = mlp_gradients(model.encoder, enc_tape, dh)
-            g = g + din[:, : s * d].reshape(n, s, d)
+            g = g + _global_vjp(model, *tapes, upstream).reshape(n, s, d)
         x = x + (v - cfg.eta_g * g) * dt
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericError(f"non-finite state at guidance step {i}")
     return np.where(mask, y, x)
 

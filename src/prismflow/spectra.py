@@ -38,14 +38,12 @@ def _snapshots(batch, delay):
     n, s, d = batch.shape
     if s < delay + 1:
         raise ContractViolation(f"need S >= delay+1, got S={s}, delay={delay}")
-    cols_x, cols_y = [], []
-    for w in batch:
-        # delay-embedded state: [x_s, ..., x_{s+delay-1}], dim delay*D
-        emb = np.concatenate([w[i:s - delay + i] for i in range(delay)], axis=1)
-        cols_x.append(emb[:-1])
-        cols_y.append(emb[1:])
-    x = np.concatenate(cols_x, axis=0).T  # (delay*D, columns)
-    y = np.concatenate(cols_y, axis=0).T
+    # delay-embedded states [x_j, ..., x_{j+delay-1}] (dim delay*D) of
+    # each window, for its first s - delay start indices j
+    win = np.lib.stride_tricks.sliding_window_view(batch, delay, axis=1)
+    emb = win[:, :s - delay].swapaxes(2, 3).reshape(n, s - delay, delay * d)
+    x = emb[:, :-1].reshape(-1, delay * d).T  # (delay*D, columns)
+    y = emb[:, 1:].reshape(-1, delay * d).T
     return x, y
 
 

@@ -15,6 +15,10 @@ def latent_codes(model, x, t):
     return z
 
 
+def operators(model):
+    return [model.operator(k) for k in range(model.n_experts)]
+
+
 class TestAssembleOperator:
     def test_all_zero(self):
         a = assemble_operator(np.zeros((3, 3)), np.zeros((3, 3)), 0.0)
@@ -109,21 +113,24 @@ class TestDecodeExpertVelocity:
             b[:] = 0.0
         z = latent_codes(tiny_model, x0, t)
         for k in range(tiny_model.n_experts):
-            (resid,), *_ = decode_experts(tiny_model, [k], z)
+            (resid,), *_ = decode_experts(tiny_model, operators(tiny_model),
+                                         [k], z)
             assert np.all(resid == 0.0)
 
     def test_output_shape(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
         z = latent_codes(tiny_model, x0, t)
         for k in range(tiny_model.n_experts):
-            (resid,), *_ = decode_experts(tiny_model, [k], z)
+            (resid,), *_ = decode_experts(tiny_model, operators(tiny_model),
+                                         [k], z)
             assert resid.shape == (x0.shape[0], 16)
 
     def test_experts_generically_distinct(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
         z = latent_codes(tiny_model, x0, t)
-        (r0,), *_ = decode_experts(tiny_model, [0], z)
-        (r1,), *_ = decode_experts(tiny_model, [1], z)
+        ops = operators(tiny_model)
+        (r0,), *_ = decode_experts(tiny_model, ops, [0], z)
+        (r1,), *_ = decode_experts(tiny_model, ops, [1], z)
         assert np.abs(r0 - r1).max() > 0.0
 
 

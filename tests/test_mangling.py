@@ -217,3 +217,33 @@ def test_header_values_that_no_checkpoint_holds_fail_cleanly(
     assert code in (1, 2)
     assert stderr.startswith("error: ")
     assert stderr.count("\n") == 1
+
+
+# verbs that load the model's expert operators, plus gamma-0 sampling,
+# which never assembles them
+OPERATOR_VERBS = {
+    "sample": (VERBS["sample"], 2),
+    "impute": (VERBS["impute"], 2),
+    "forecast": (VERBS["impute"].replace("impute", "forecast", 1), 2),
+    "dmd-experts": (VERBS["dmd-experts"], 2),
+    "sample-gamma0": (VERBS["sample"] + " --gamma 0", 0),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(OPERATOR_VERBS))
+def test_huge_finite_expert_parameter_fails_cleanly(files, tmp_path,
+                                                     monkeypatch, verb):
+    """A finite parameter whose operator overflows (R^T R with R[0, 0] =
+    1e300) is an error naming the expert, not a numpy warning."""
+    header, blocks = load_checkpoint(files["model"])
+    blocks["expert1.R"][0, 0] = 1e300
+    paths = dict(files, model=str(tmp_path / "model"))
+    save_checkpoint(paths["model"], header, blocks)
+    argv, want = OPERATOR_VERBS[verb]
+    monkeypatch.setitem(VERBS, verb, argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stderr = run(verb, paths, str(tmp_path / "out"))
+    assert code == want
+    if want:
+        assert stderr == "error: expert 1 has a non-finite operator\n"

@@ -5,7 +5,7 @@ from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.numcore import (AdamState, Mlp, Params, RngStream,
                                adam_update, finite_difference_check,
                                mlp_apply, mlp_blocks, mlp_gradients,
-                               mlp_shapes, tape_rows)
+                               mlp_input_gradient, mlp_shapes, tape_rows)
 
 
 def make_net(dims, seed=0, activation="tanh"):
@@ -130,6 +130,34 @@ class TestMlpGradients:
         net.bump_version()
         with pytest.raises(ContractViolation):
             mlp_gradients(net, tape, np.zeros((1, 2)))
+
+
+class TestMlpInputGradient:
+    @pytest.mark.parametrize("activation", ["tanh", "softplus"])
+    @pytest.mark.parametrize("rows", [None, [4, 1, 1, 0]])
+    def test_bitwise_equal_to_mlp_gradients(self, activation, rows):
+        net = make_net([3, 5, 4, 2], seed=9, activation=activation)
+        gen = RngStream(10).generator()
+        _, tape = mlp_apply(net, 3.0 * gen.standard_normal((6, 3)))
+        if rows is not None:
+            tape = tape_rows(tape, np.array(rows))
+        upstream = gen.standard_normal((tape.inputs[0].shape[0], 2))
+        _, _, want = mlp_gradients(net, tape, upstream)
+        np.testing.assert_array_equal(mlp_input_gradient(net, tape, upstream),
+                                      want)
+
+    def test_stale_tape_rejected(self):
+        net = make_net([2, 3, 2])
+        _, tape = mlp_apply(net, np.zeros((1, 2)))
+        net.bump_version()
+        with pytest.raises(ContractViolation):
+            mlp_input_gradient(net, tape, np.zeros((1, 2)))
+
+    def test_upstream_shape_checked(self):
+        net = make_net([2, 3, 2])
+        _, tape = mlp_apply(net, np.zeros((2, 2)))
+        with pytest.raises(ShapeError):
+            mlp_input_gradient(net, tape, np.zeros((1, 2)))
 
 
 class TestAdam:

@@ -4,10 +4,11 @@ import pytest
 from conftest import vanilla_euler_generate
 from prismflow.datasets import load_csv_windows
 from prismflow.errors import ConfigError, ContractViolation, ShapeError
+from prismflow.flowpath import global_velocity
 from prismflow.numcore import RngStream
-from prismflow.sampler import (ConditionMask, SamplerConfig, export_samples,
-                               generate, generate_conditional,
-                               residual_velocity_step)
+from prismflow.sampler import (ConditionMask, SamplerConfig, _global_vjp,
+                               _velocity, export_samples, generate,
+                               generate_conditional, residual_velocity_step)
 
 
 def constant_field(model, c):
@@ -68,6 +69,15 @@ class TestGenerate:
     def test_empty_batch(self, tiny_model):
         out = generate(tiny_model, 0, SamplerConfig(steps=3), RngStream(0))
         assert out.shape == (0, 8, 2)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_matches_steps_that_assemble_their_own_operators(self, tiny_model,
+                                                             gamma):
+        cfg = SamplerConfig(steps=7, gamma=gamma)
+        x = RngStream(12).generator().standard_normal((5, 8, 2))
+        for i in range(cfg.steps):
+            x = residual_velocity_step(tiny_model, x, i / cfg.steps, cfg)
+        assert np.array_equal(generate(tiny_model, 5, cfg, RngStream(12)), x)
 
 
 class TestResidualVelocityStep:
@@ -186,6 +196,27 @@ class TestGenerateConditional:
         cfg = SamplerConfig(steps=4, mode="forecasting", exact_guidance=True)
         out = generate_conditional(tiny_model, cond, cfg, RngStream(1))
         assert np.all(np.isfinite(out))
+
+    def test_exact_guidance_vjp_matches_central_differences(self, tiny_model):
+        """The endpoint-Jacobian term of exact guidance is u^T dv/dx of
+        the global field v (encoder and head) at the step's time."""
+        gen = RngStream(13).generator()
+        x = gen.standard_normal((3, 8, 2))
+        u = gen.standard_normal((3, 16))
+        t, step = 0.3, 1e-6
+        _, tapes = _velocity(tiny_model, x, t, SamplerConfig(gamma=0.0), None)
+        got = _global_vjp(tiny_model, *tapes, u).reshape(x.shape)
+
+        def f(xs):
+            v = global_velocity(tiny_model, xs, np.full(len(xs), t))
+            return np.sum(u.reshape(x.shape) * v, axis=(1, 2))
+
+        want = np.empty_like(x)
+        for idx in np.ndindex(*x.shape[1:]):
+            e = np.zeros_like(x)
+            e[(slice(None),) + idx] = step
+            want[(slice(None),) + idx] = (f(x + e) - f(x - e)) / (2 * step)
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
 class TestExportSamples:

@@ -5,8 +5,20 @@ import pytest
 
 from prismflow.errors import ContractViolation, ShapeError
 from prismflow.numcore import RngStream
-from prismflow.spectra import (DmdSpectrum, exact_dmd, power_spectrum,
-                               spectral_overlap)
+from prismflow.spectra import (DmdSpectrum, _snapshots, exact_dmd,
+                               power_spectrum, spectral_overlap)
+
+
+def reference_snapshots(batch, delay):
+    """Snapshot matrices built window by window: each window's delay
+    embedding over its first S - delay start indices, one-step pairs."""
+    s = batch.shape[1]
+    cols_x, cols_y = [], []
+    for w in batch:
+        emb = np.concatenate([w[i:s - delay + i] for i in range(delay)], axis=1)
+        cols_x.append(emb[:-1])
+        cols_y.append(emb[1:])
+    return np.concatenate(cols_x, axis=0).T, np.concatenate(cols_y, axis=0).T
 
 
 def rotation_batch(phi, steps=40, n=3, seed=0):
@@ -65,6 +77,22 @@ class TestExactDmd:
             exact_dmd(np.zeros((4, 5)))
         with pytest.raises(ContractViolation):
             exact_dmd(np.zeros((1, 2, 1)), delay=2)
+
+
+class TestSnapshots:
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("delay", [1, 2, 5, 11])
+    def test_bitwise_equal_to_window_loop(self, d, delay):
+        batch = RngStream(3).generator().standard_normal((4, 12, d))
+        x, y = _snapshots(batch, delay)
+        want_x, want_y = reference_snapshots(batch, delay)
+        assert x.shape == want_x.shape and y.shape == want_y.shape
+        np.testing.assert_array_equal(x, want_x)
+        np.testing.assert_array_equal(y, want_y)
+        if x.size:
+            for got, want in zip(np.linalg.svd(x, full_matrices=False),
+                                 np.linalg.svd(want_x, full_matrices=False)):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestPowerSpectrum:
