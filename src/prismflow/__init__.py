@@ -12,5 +12,5 @@ from .numcore import RngStream
 __all__ = [
     "ConfigError", "ContractViolation", "ModelConfig", "NumericError",
     "ParseError", "PrismFlowError", "PrismFlowModel", "RngStream",
-    "__version__",
+    "ShapeError", "__version__",
 ]

@@ -216,8 +216,8 @@ def cmd_dmd(args):
     lines = ["source,re,im,amplitude"]
     if args.experts:
         model = PrismFlowModel.load(args.experts)
-        for k in range(model.n_experts):
-            for ev in operator_eigenvalues(model.operator(k)):
+        for k, a in enumerate(model.operators()):
+            for ev in operator_eigenvalues(a):
                 lines.append(f"expert{k},{float(ev.real)!r},"
                              f"{float(ev.imag)!r},")
         atomic_write_text(args.out, "\n".join(lines) + "\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
@@ -27,7 +28,6 @@ class Dataset:
     windows: np.ndarray  # (n, S, D)
     norm_shift: np.ndarray | None = None  # per-channel, set by normalize()
     norm_scale: np.ndarray | None = None
-    provenance: str = "unknown"
     labels: np.ndarray | None = None  # regime labels where the generator has them
 
     @property
@@ -43,13 +43,19 @@ class Dataset:
         return self.windows.shape[2]
 
 
+def _check_sizes(**sizes) -> None:
+    """Window count and shape of a generated set: each at least 1."""
+    for key, value in sizes.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
+
+
 def gen_sines(n, seq_len, channels, freq_range=(0.0, 1.0),
               phase_range=(-np.pi, np.pi), rng: RngStream = RngStream(0)):
     """Sines protocol: channel i of each window is
     sin(2*pi*eta*s/seq_len + theta) with eta ~ U(freq_range),
     theta ~ U(phase_range) drawn per window and channel."""
-    if n < 1:
-        raise ConfigError("need n >= 1 windows")
+    _check_sizes(n=n, seq_len=seq_len, channels=channels)
     if freq_range[0] > freq_range[1] or phase_range[0] > phase_range[1]:
         raise ConfigError("invalid range: low > high")
     gen = rng.generator()
@@ -57,7 +63,7 @@ def gen_sines(n, seq_len, channels, freq_range=(0.0, 1.0),
     theta = gen.uniform(*phase_range, size=(n, 1, channels))
     s = np.arange(seq_len).reshape(1, seq_len, 1)
     windows = np.sin(2.0 * np.pi * eta * s / seq_len + theta)
-    return Dataset(windows, provenance=f"sines(n={n},S={seq_len},D={channels})")
+    return Dataset(windows)
 
 
 def gen_bimodal_frequency(n, seq_len, channels, f_low, f_high,
@@ -65,6 +71,7 @@ def gen_bimodal_frequency(n, seq_len, channels, f_low, f_high,
     """Two-regime stress set: each window is a pure sinusoid at f_low or
     f_high cycles per window (equal probability), random phase. Regime
     labels are kept on the dataset."""
+    _check_sizes(n=n, seq_len=seq_len, channels=channels)
     if f_low == f_high:
         raise ConfigError("f_low and f_high must differ")
     for f in (f_low, f_high):
@@ -76,8 +83,7 @@ def gen_bimodal_frequency(n, seq_len, channels, f_low, f_high,
     theta = gen.uniform(-np.pi, np.pi, size=(n, 1, channels))
     s = np.arange(seq_len).reshape(1, seq_len, 1)
     windows = np.sin(2.0 * np.pi * freqs * s / seq_len + theta)
-    return Dataset(windows, labels=labels,
-                   provenance=f"bimodal(f={f_low}/{f_high},S={seq_len})")
+    return Dataset(windows, labels=labels)
 
 
 @dataclass
@@ -97,6 +103,9 @@ class DiagnosticSpec:
             raise ConfigError("weights must be a 2-way simplex")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if not math.isfinite(self.separation):
+            raise ConfigError(f"separation must be finite, got "
+                              f"{self.separation}")
 
 
 def gen_velocity_mixture_diagnostic(spec: DiagnosticSpec,
@@ -256,15 +265,14 @@ def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
     if mode == "blocks":
         if not lengths.size:
             arr = np.zeros((0, seq_len or 0, len(channels)))
-            return Dataset(arr, provenance=path)
+            return Dataset(arr)
         sizes = np.unique(lengths).tolist()
         if len(sizes) != 1:
             raise ParseError(f"{path}: blocks have mixed lengths {sizes}")
         if seq_len is not None and sizes[0] != seq_len:
             raise ContractViolation(
                 f"{path}: blocks have length {sizes[0]}, expected {seq_len}")
-        return Dataset(rows.reshape(lengths.size, sizes[0], len(channels)),
-                       provenance=path)
+        return Dataset(rows.reshape(lengths.size, sizes[0], len(channels)))
     if mode != "sliding":
         raise ConfigError(f"unknown load mode {mode!r}")
     if seq_len is None:
@@ -276,7 +284,7 @@ def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
         raise ContractViolation(
             f"{path}: {rows.shape[0]} rows < window length {seq_len}")
     windows = sliding_window_view(rows, seq_len, axis=0)[::stride]
-    return Dataset(windows.transpose(0, 2, 1).copy(), provenance=path)
+    return Dataset(windows.transpose(0, 2, 1).copy())
 
 
 def _format_windows(block: np.ndarray) -> str:
@@ -320,4 +328,4 @@ def normalize(ds: Dataset) -> Dataset:
     shift = np.where(const, 0.0, shift)
     scale = np.where(const, 1.0, scale)
     return Dataset((w - shift) / scale, norm_shift=shift, norm_scale=scale,
-                   provenance=ds.provenance, labels=ds.labels)
+                   labels=ds.labels)

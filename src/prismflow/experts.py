@@ -1,11 +1,11 @@
-"""Koopman expert bank: stable operator assembly, latent linear
-velocities, and residual velocity decoding."""
+"""Koopman expert bank: stable operator assembly and its gradient,
+operator spectra, and residual velocity decoding."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 from .numcore import mlp_apply
 
 
@@ -35,17 +35,6 @@ def operator_grads(s: np.ndarray, r: np.ndarray, da: np.ndarray):
     ds = da - da.T
     dr = -r @ (da + da.T)
     return ds, dr
-
-
-def _expert_operator(bank, k: int) -> np.ndarray:
-    if not 0 <= k < bank.n_experts:
-        raise ContractViolation(f"expert index {k} out of range [0, {bank.n_experts})")
-    return bank.operator(k)
-
-
-def latent_velocity(bank, k: int, z: np.ndarray) -> np.ndarray:
-    """Linear latent velocity A^k z for expert k."""
-    return np.asarray(z, dtype=np.float64) @ _expert_operator(bank, k).T
 
 
 def operator_eigenvalues(a: np.ndarray) -> np.ndarray:

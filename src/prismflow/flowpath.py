@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, NumericError, ShapeError
+from .errors import ContractViolation, ShapeError
 from .numcore import Params, Tape, mlp_apply, mlp_gradients
 
 DEFAULT_TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
@@ -59,15 +59,6 @@ def encoder_input(model, x, t) -> np.ndarray:
 def encode(model, x, t):
     """Shared trunk features h_t for a batch of states. Returns (h, tape)."""
     return mlp_apply(model.encoder, encoder_input(model, x, t))
-
-
-def global_velocity(model, x, t) -> np.ndarray:
-    """Global transport field evaluated on a batch: (B, S, D)."""
-    h, _ = encode(model, x, t)
-    v, _ = mlp_apply(model.head, h)
-    if not np.all(np.isfinite(v)):
-        raise NumericError("global velocity produced non-finite values")
-    return v.reshape(x.shape)
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Dense numerics core: MLPs with exact reverse-mode gradients, Adam,
-counter-based RNG streams, and a finite-difference gradient oracle.
+and counter-based RNG streams.
 
 Everything is float64. Parameters live in one flat vector (`Params`);
 gradients are derived by hand per loss, not by a generic autodiff graph.
@@ -241,35 +241,3 @@ def adam_update(state: AdamState, params: Params, grads: Params) -> None:
     v *= state.beta2
     v += (1.0 - state.beta2) * g * g
     params.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-
-
-def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,
-                            blocks=None) -> float:
-    """Central-difference gradient oracle.
-
-    `loss_and_grad_fn(params) -> (value, grads)` must be deterministic.
-    Returns the max over checked entries of
-    |analytic - central| / (|central| + 1e-12). `blocks` restricts the
-    check to a subset of parameter names.
-    """
-    v0, grads = loss_and_grad_fn(params)
-    v1, _ = loss_and_grad_fn(params)
-    if v0 != v1:
-        raise ContractViolation("loss function is not deterministic under fixed inputs")
-    names = list(params) if blocks is None else list(blocks)
-    worst = 0.0
-    for name in names:
-        p = params[name]
-        flat = p.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            plus, _ = loss_and_grad_fn(params)
-            flat[i] = orig - step
-            minus, _ = loss_and_grad_fn(params)
-            flat[i] = orig
-            central = (plus - minus) / (2.0 * step)
-            rel = abs(gflat[i] - central) / (abs(central) + 1e-12)
-            worst = max(worst, rel)
-    return worst

@@ -37,27 +37,28 @@ def route(model, t, h):
     """Categorical expert probabilities for a batch of trunk features at
     flow times t (B,) or one scalar t.
 
-    Returns (probs, logits, tape, router_input); probs rows are strictly
-    positive and sum to 1.
+    Returns (probs, tape); probs rows are strictly positive and sum to 1,
+    and tape.inputs[0] is the router input [time features, h].
     """
     tf = time_features(t, model.cfg.time_freqs, h.shape[0])
-    rin = np.concatenate([tf, h], axis=-1)
-    logits, tape = mlp_apply(model.router, rin)
+    logits, tape = mlp_apply(model.router, np.concatenate([tf, h], axis=-1))
     if not np.isfinite(logits).all():
         raise NumericError("router produced non-finite logits")
-    return softmax(logits), logits, tape, rin
+    return softmax(logits), tape
 
 
-def estimate_endpoint(x_t, t, v_global, v_expert):
+def estimate_endpoint(x_t, t, v):
     """Linear extrapolation to t=1 along the constant-velocity path:
-    x_t + (1 - t) * (v_global + v_expert)."""
+    x_t + (1 - t) * v, for flow times t (B,) or one scalar t. `v` has the
+    shape of x_t, or one leading axis more (one velocity per expert)."""
     x_t = np.asarray(x_t, dtype=np.float64)
-    if np.shape(v_global) != x_t.shape or np.shape(v_expert) != x_t.shape:
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape[v.ndim - x_t.ndim:] != x_t.shape or v.ndim > x_t.ndim + 1:
         raise ShapeError("velocity shape does not match state shape")
     t = np.asarray(t, dtype=np.float64)
     if t.ndim == 1:
         t = t.reshape((-1,) + (1,) * (x_t.ndim - 1))
-    return x_t + (1.0 - t) * (v_global + v_expert)
+    return x_t + (1.0 - t) * v
 
 
 def wta_scores(mses, probs, cfg: WtaConfig) -> np.ndarray:
@@ -111,7 +112,7 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None, winners=None,
     v_global = frozen_v_global
     if v_global is None:
         v_global, _ = mlp_apply(model.head, trunk.h)  # value only
-    probs, _, router_tape, _ = route(model, trunk.t, trunk.h)
+    probs, router_tape = route(model, trunk.t, trunk.h)
     grads = model.zero_grads()
     loss, dh, info = wta_core(model, trunk, probs, router_tape, v_global,
                               cfg, grads, lam=lam, winners=winners)
@@ -137,10 +138,10 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
     v_g = np.asarray(v_global, dtype=np.float64).reshape(b, sd)
 
     z, proj_tape = mlp_apply(model.projector, trunk.h)
-    ops = [model.operator(k) for k in range(model.n_experts)]
+    ops = model.operators()
     resids, dec_tape = decode_experts(model, ops, range(model.n_experts), z)
-    errs = np.stack([estimate_endpoint(trunk.xt, t, v_g, r) - trunk.x1
-                     for r in resids])  # (K, B, S*D)
+    # endpoint errors (K, B, S*D): one estimate per expert's total velocity
+    errs = estimate_endpoint(trunk.xt, t, v_g + resids) - trunk.x1
     mses = np.mean(errs * errs, axis=2).T  # (B, K)
     scores = wta_scores(mses, probs, cfg)
     winners = select_winner(scores) if winners is None else winners
@@ -213,7 +214,7 @@ def balance_loss_and_grads(model, x0, x1, t, cfg: WtaConfig, h_override=None):
     else:
         h = np.asarray(h_override, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64).reshape(h.shape[0])
-    probs, _, tape, _ = route(model, t, h)
+    probs, tape = route(model, t, h)
     grads = model.zero_grads()
     loss = balance_core(model, probs, tape, cfg, grads)
     return loss, grads, probs

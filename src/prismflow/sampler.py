@@ -12,7 +12,7 @@ from .errors import ConfigError, ContractViolation, NumericError, ShapeError
 from .experts import decode_experts
 from .flowpath import encode
 from .numcore import RngStream, mlp_apply, mlp_input_gradient
-from .router import route
+from .router import estimate_endpoint, route
 
 MODES = ("unconditional", "imputation", "forecasting")
 
@@ -64,20 +64,13 @@ class ConditionMask:
             raise ContractViolation("observed values must be finite")
 
 
-def _operators(model, cfg: SamplerConfig):
-    """The K expert operators one sampling call uses: none at gamma 0."""
-    if cfg.gamma == 0.0:
-        return None
-    return [model.operator(k) for k in range(model.n_experts)]
-
-
 def _velocity(model, x, t, cfg: SamplerConfig, ops):
     """Total sampling velocity at scalar time t for a batch (B, S, D)."""
     h, enc_tape = encode(model, x, t)
     v, head_tape = mlp_apply(model.head, h)
     if cfg.gamma == 0.0:
         return v.reshape(x.shape), (enc_tape, head_tape)
-    probs, _, _, _ = route(model, t, h)
+    probs, _ = route(model, t, h)
     winners = np.argmax(probs, axis=1)
     z, _ = mlp_apply(model.projector, h)
     resid = np.empty_like(v)
@@ -101,11 +94,13 @@ def residual_velocity_step(model, x, t: float, cfg: SamplerConfig, ops=None):
     """One Euler update x + (v_global + gamma*v_expert) * dt,
     with the dominant expert chosen per sample by argmax routing
     probability. gamma=0 reduces exactly to the plain Euler update.
-    `ops` are the experts' operators when the caller assembled them."""
+    `ops` are the experts' operators when the caller assembled them; at
+    gamma 0 none are needed."""
     cfg.validate()
     x = np.asarray(x, dtype=np.float64)
     dt = 1.0 / cfg.steps
-    ops = _operators(model, cfg) if ops is None else ops
+    if ops is None and cfg.gamma != 0.0:
+        ops = model.operators()
     v, _ = _velocity(model, x, t, cfg, ops)
     xn = x + v * dt
     if not np.isfinite(xn).all():
@@ -122,7 +117,7 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     x = rng.generator().standard_normal((n, s, d))
     if n == 0:
         return x
-    ops = _operators(model, cfg)
+    ops = model.operators() if cfg.gamma != 0.0 else None
     for i in range(cfg.steps):
         x = residual_velocity_step(model, x, i / cfg.steps, cfg, ops)
     return x
@@ -165,11 +160,11 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     for i in range(n):
         x[i] = rng.child(rng.stream + i).generator().standard_normal((s, d))
     dt = 1.0 / cfg.steps
-    ops = _operators(model, cfg)
+    ops = model.operators() if cfg.gamma != 0.0 else None
     for i in range(cfg.steps):
         t = i / cfg.steps
         v, tapes = _velocity(model, x, t, cfg, ops)
-        xhat = x + (1.0 - t) * v
+        xhat = estimate_endpoint(x, t, v)
         g = 2.0 * m * (xhat - y)
         if cfg.exact_guidance:
             # add the global-field term of the endpoint Jacobian

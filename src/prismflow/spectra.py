@@ -16,7 +16,6 @@ class DmdSpectrum:
     eigenvalues: np.ndarray  # complex
     amplitudes: np.ndarray  # real, per mode
     rank: int
-    sample_interval: float = 1.0  # index units
 
 
 @dataclass

@@ -12,10 +12,9 @@ import numpy as np
 
 from .checkpoint import atomic_write_text
 from .errors import ConfigError, ContractViolation, NumericError
-from .flowpath import (cfm_core, encode, encoder_backward, interpolate_state,
-                       trunk_forward)
+from .flowpath import cfm_core, encoder_backward, trunk_forward
 from .model import ModelConfig, PrismFlowModel
-from .numcore import AdamState, RngStream, adam_update, mlp_apply
+from .numcore import AdamState, RngStream, adam_update
 from .router import WtaConfig, balance_core, route, wta_core
 
 LAMBDA_KINDS = ("constant", "linear-ramp", "late-gate")
@@ -50,6 +49,7 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.lambda_kind not in LAMBDA_KINDS:
             raise ConfigError(f"unknown lambda schedule {self.lambda_kind!r}")
+        self.wta().validate()
 
     def wta(self) -> WtaConfig:
         return WtaConfig(beta=self.beta, eps=self.wta_eps,
@@ -78,9 +78,9 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, winners=None,
     projector/decoder/winning experts <- WTA; router <- WTA confidence
     term + balance. The trunk, head, router and projector run forward
     once, and the summed trunk-feature gradient goes through one encoder
-    backward. The frozen_* knobs pin detached quantities for the
-    finite-difference oracle (see frozen_total_loss_fn); only
-    `frozen_h_balance` costs a second router forward.
+    backward. The frozen_* knobs pin detached quantities for the tests'
+    finite-difference oracle; only `frozen_h_balance` costs a second
+    router forward.
     Returns (value, grads, parts, wta_info).
     """
     cfg.validate()
@@ -92,12 +92,12 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, winners=None,
     c_val, dh, v_global = cfm_core(model, trunk, grads)
     if frozen_v_global is not None:
         v_global = frozen_v_global
-    probs, _, router_tape, _ = route(model, trunk.t, trunk.h)
+    probs, router_tape = route(model, trunk.t, trunk.h)
     w_val, w_dh, info = wta_core(model, trunk, probs, router_tape, v_global,
                                  wcfg, grads, lam=lam, winners=winners,
                                  scale=cfg.alpha_w)
     if frozen_h_balance is not None:
-        probs, _, router_tape, _ = route(model, trunk.t, frozen_h_balance)
+        probs, router_tape = route(model, trunk.t, frozen_h_balance)
     b_val = balance_core(model, probs, router_tape, wcfg, grads,
                          scale=cfg.alpha_b)
     encoder_backward(model, trunk, dh + w_dh, grads)
@@ -105,30 +105,6 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, winners=None,
     value = c_val + cfg.alpha_w * w_val + cfg.alpha_b * b_val
     parts = {"cfm": c_val, "wta": w_val, "bal": b_val}
     return value, grads, parts, info
-
-
-def frozen_total_loss_fn(model, x0, x1, t, cfg: TrainConfig):
-    """Closure for the finite-difference oracle.
-
-    Detached quantities (the global velocity inside the WTA endpoint,
-    the winner assignment, and the trunk features feeding the balance
-    term) are pinned at their current values so central differences see
-    the same function the routed analytic gradient differentiates.
-    """
-    b = np.asarray(x0).shape[0]
-    tt = np.asarray(t, dtype=np.float64).reshape(b)
-    xt = interpolate_state(x0, x1, tt)
-    h0, _ = encode(model, xt, tt)
-    v0, _ = mlp_apply(model.head, h0)
-    _, _, _, info = total_loss(model, x0, x1, tt, cfg)
-
-    def fn(_params):
-        value, grads, _, _ = total_loss(
-            model, x0, x1, tt, cfg, winners=info.winners,
-            frozen_v_global=v0, frozen_h_balance=h0)
-        return value, grads
-
-    return fn
 
 
 def train_step(model, opt: AdamState, x1_batch, rng: RngStream,

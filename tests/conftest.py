@@ -13,6 +13,10 @@ from prismflow.numcore import RngStream, mlp_apply
 from prismflow.router import balance_loss_and_grads, wta_loss
 from prismflow.trainer import lambda_schedule
 
+# test-only oracles, importable from here like the reference code below
+from oracles import (finite_difference_check,  # noqa: F401
+                     frozen_total_loss_fn, global_velocity)
+
 
 def vanilla_euler_generate(model, n: int, steps: int,
                            rng: RngStream) -> np.ndarray:
@@ -115,14 +119,14 @@ def reference_load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
     if mode == "blocks":
         if not blocks:
             arr = np.zeros((0, seq_len or 0, len(channels)))
-            return Dataset(arr, provenance=path)
+            return Dataset(arr)
         lengths = {len(b) for b in blocks}
         if len(lengths) != 1:
             raise ParseError(f"{path}: blocks have mixed lengths {sorted(lengths)}")
         if seq_len is not None and lengths != {seq_len}:
             raise ContractViolation(
                 f"{path}: blocks have length {lengths.pop()}, expected {seq_len}")
-        return Dataset(np.asarray(blocks, dtype=np.float64), provenance=path)
+        return Dataset(np.asarray(blocks, dtype=np.float64))
     if mode != "sliding":
         raise ConfigError(f"unknown load mode {mode!r}")
     if seq_len is None:
@@ -134,7 +138,7 @@ def reference_load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
     count = (rows.shape[0] - seq_len) // stride + 1
     windows = np.stack([rows[i * stride:i * stride + seq_len]
                         for i in range(count)])
-    return Dataset(windows, provenance=path)
+    return Dataset(windows)
 
 
 def reference_csv_text(windows, channel_names=None) -> str:

@@ -8,22 +8,22 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import vanilla_euler_generate
+from conftest import (finite_difference_check, frozen_total_loss_fn,
+                      global_velocity, vanilla_euler_generate)
 from prismflow.datasets import (gen_bimodal_frequency, gen_sines,
                                 gen_velocity_mixture_diagnostic, normalize,
                                 DiagnosticSpec, velocity_energy_gap)
 from prismflow.experts import assemble_operator, operator_eigenvalues
-from prismflow.flowpath import cfm_loss, encode, global_velocity, \
-    interpolate_state
+from prismflow.flowpath import cfm_loss, encode, interpolate_state
 from prismflow.metrics import correlational_score, discriminative_score
 from prismflow.model import ModelConfig, PrismFlowModel
-from prismflow.numcore import RngStream, finite_difference_check
+from prismflow.numcore import RngStream
 from prismflow.router import (WtaConfig, balance_loss, balance_loss_and_grads,
                               wta_loss)
 from prismflow.sampler import (ConditionMask, SamplerConfig, generate,
                                generate_conditional)
 from prismflow.spectra import exact_dmd, power_spectrum, spectral_overlap
-from prismflow.trainer import TrainConfig, fit, frozen_total_loss_fn
+from prismflow.trainer import TrainConfig, fit
 
 # shared experiment configuration for the bimodal-frequency runs
 BIMODAL_SEEDS = (0, 1, 2, 3, 4)
@@ -301,7 +301,7 @@ def test_each_regime_routes_to_its_own_majority_expert(bimodal_runs):
             xt = interpolate_state(x0, win, t)
             h, _ = encode(model, xt, t)
             from prismflow.router import route
-            probs, _, _, _ = route(model, t, h)
+            probs, _ = route(model, t, h)
             k = probs.argmax(axis=1)
             for g in (0, 1):
                 hists[g] += np.bincount(k[labels == g],

@@ -51,6 +51,18 @@ class TestGenData:
     def test_usage_error_exit_code(self):
         assert run("gen-data", "--kind", "sines") == 1
 
+    @pytest.mark.parametrize("kind,flag,value", [
+        ("bimodal", "--n", "-3"), ("bimodal", "--n", "0"),
+        ("sines", "--channels", "-1"), ("sines", "--channels", "0"),
+        ("sines", "--seq-len", "0"), ("sines", "--seq-len", "-2")])
+    def test_sizes_below_one_are_runtime_errors(self, tmp_path, capsys, kind,
+                                                flag, value):
+        out = tmp_path / "d.csv"
+        assert run("gen-data", "--kind", kind, "--n", "4", "--seq-len", "32",
+                   "--channels", "1", "--out", str(out), flag, value) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unknown_verb(self):
         assert run("frobnicate") == 1
 
@@ -122,6 +134,21 @@ class TestTrainSampleEval:
         out = tmp_path / "neg.ckpt"
         assert run("train", "--data", data_csv, "--seed", "0", "--epochs",
                    "-1", "--quiet", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,text", [
+        (["--beta", "-1"], ""), ([], "[train]\nwta_eps = 0\n")],
+        ids=["beta-flag", "wta_eps-file"])
+    def test_bad_wta_settings_fail_before_training(self, tmp_path, data_csv,
+                                                   capsys, flags, text):
+        """With no epoch to run, only the check up front can refuse them."""
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", data_csv, "--config", str(cfg),
+                   "--seed", "0", "--epochs", "0", "--quiet",
+                   "--out", str(out), *flags) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
@@ -482,7 +509,8 @@ class TestDiagnoseVerb:
         out = capsys.readouterr().out
         assert "energy gap" in out
 
-    @pytest.mark.parametrize("flags", [("--n", "0"), ("--w", "2")])
+    @pytest.mark.parametrize("flags", [("--n", "0"), ("--w", "2"),
+                                       ("--c", "nan"), ("--c", "inf")])
     def test_bad_spec_is_runtime_error(self, capsys, flags):
         assert run("diagnose", *flags) == 2
         captured = capsys.readouterr()

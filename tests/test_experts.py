@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prismflow.errors import ContractViolation, ShapeError
+from prismflow.errors import ShapeError
 from prismflow.experts import (assemble_operator, decode_experts,
-                               latent_velocity, operator_eigenvalues)
+                               operator_eigenvalues)
 from prismflow.flowpath import encode
 from prismflow.numcore import mlp_apply
 
@@ -76,30 +76,24 @@ class TestAssembleOperator:
 
 
 class TestLatentVelocity:
+    """The linear latent velocity A^k z that `decode_experts` feeds the
+    decoder, with A^k from `model.operator` or `assemble_operator`."""
+
     def test_zero_state(self, tiny_model):
-        assert np.all(latent_velocity(tiny_model, 0, np.zeros(4)) == 0.0)
+        assert np.all(np.zeros(4) @ tiny_model.operator(0).T == 0.0)
 
     def test_negative_identity(self, tiny_model):
         tiny_model.expert_s[0][:] = 0.0
         tiny_model.expert_r[0][:] = np.eye(4)
         tiny_model.cfg.delta = 0.0
         v = np.array([1.0, -2.0, 0.5, 3.0])
-        np.testing.assert_allclose(latent_velocity(tiny_model, 0, v), -v)
+        np.testing.assert_allclose(v @ tiny_model.operator(0).T, -v)
 
     def test_rotation_example(self):
-        class Bank:
-            n_experts = 1
-
-            def operator(self, k):
-                return assemble_operator(
-                    np.array([[0.0, 0.5], [-0.5, 0.0]]), np.zeros((2, 2)), 0.1)
-
-        out = latent_velocity(Bank(), 0, np.array([1.0, 0.0]))
+        a = assemble_operator(np.array([[0.0, 0.5], [-0.5, 0.0]]),
+                              np.zeros((2, 2)), 0.1)
+        out = np.array([1.0, 0.0]) @ a.T
         np.testing.assert_allclose(out, [-0.1, -1.0])
-
-    def test_index_out_of_range(self, tiny_model):
-        with pytest.raises(ContractViolation):
-            latent_velocity(tiny_model, 5, np.zeros(4))
 
 
 class TestDecodeExpertVelocity:

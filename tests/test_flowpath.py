@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import finite_difference_check, global_velocity
 from prismflow.errors import ContractViolation, ShapeError
-from prismflow.flowpath import (cfm_loss, global_velocity, interpolate_state,
-                                target_velocity)
-from prismflow.numcore import finite_difference_check
+from prismflow.flowpath import cfm_loss, interpolate_state, target_velocity
 
 
 class TestInterpolate:

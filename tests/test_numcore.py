@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import finite_difference_check
 from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.numcore import (AdamState, Mlp, Params, RngStream,
-                               adam_update, finite_difference_check,
-                               mlp_apply, mlp_blocks, mlp_gradients,
-                               mlp_input_gradient, mlp_shapes, tape_rows)
+                               adam_update, mlp_apply, mlp_blocks,
+                               mlp_gradients, mlp_input_gradient, mlp_shapes,
+                               tape_rows)
 
 
 def make_net(dims, seed=0, activation="tanh"):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import finite_difference_check, global_velocity
 import prismflow.model as model_module
-from prismflow.errors import ContractViolation, NumericError
+from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.experts import assemble_operator
-from prismflow.flowpath import encode, global_velocity, interpolate_state
+from prismflow.flowpath import encode, interpolate_state
 from prismflow.model import ModelConfig, PrismFlowModel
-from prismflow.numcore import RngStream, finite_difference_check
+from prismflow.numcore import RngStream
 from prismflow.router import (WtaConfig, balance_loss, balance_loss_and_grads,
                               estimate_endpoint, route, select_winner, softmax,
                               wta_loss, wta_scores)
@@ -33,22 +34,23 @@ class TestRoute:
     def test_shapes_and_simplex(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
         h, _ = encode(tiny_model, x0, t)
-        probs, logits, _, rin = route(tiny_model, t, h)
-        assert probs.shape == logits.shape == (4, tiny_model.n_experts)
+        probs, tape = route(tiny_model, t, h)
+        assert probs.shape == (4, tiny_model.n_experts)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        assert rin.shape[1] == 8 + 2 * len(tiny_model.cfg.time_freqs)
+        width = 8 + 2 * len(tiny_model.cfg.time_freqs)
+        assert tape.inputs[0].shape[1] == width
 
 
 class TestEstimateEndpoint:
     def test_at_terminal_time(self):
         x = np.ones((2, 3))
-        out = estimate_endpoint(x, np.ones(2), 5.0 * x, -2.0 * x)
+        out = estimate_endpoint(x, np.ones(2), 5.0 * x + -2.0 * x)
         np.testing.assert_array_equal(out, x)
 
     def test_hand_case(self):
         x = np.zeros((1, 2))
         out = estimate_endpoint(x, np.array([0.25]),
-                                np.full((1, 2), 2.0), np.full((1, 2), -0.4))
+                                np.full((1, 2), 2.0) + np.full((1, 2), -0.4))
         np.testing.assert_allclose(out, 0.75 * 1.6)
 
     def test_exact_velocity_recovers_target(self):
@@ -56,8 +58,23 @@ class TestEstimateEndpoint:
         x0, x1 = gen.standard_normal((2, 3, 4))
         t = np.array([0.3, 0.8, 0.5])[:, None]
         xt = (1 - t) * x0 + t * x1
-        out = estimate_endpoint(xt, t.ravel(), x1 - x0, np.zeros_like(x0))
+        out = estimate_endpoint(xt, t.ravel(), x1 - x0)
         np.testing.assert_allclose(out, x1, atol=1e-12)
+
+    def test_expert_axis_gives_each_single_expert_endpoint(self):
+        gen = np.random.default_rng(1)
+        xt = gen.standard_normal((3, 4))
+        t = gen.uniform(size=3)
+        v = gen.standard_normal((5, 3, 4))  # (K, B, S*D)
+        out = estimate_endpoint(xt, t, v)
+        assert out.shape == v.shape
+        for k in range(5):
+            np.testing.assert_array_equal(out[k],
+                                          estimate_endpoint(xt, t, v[k]))
+
+    def test_mismatched_velocity_rejected(self):
+        with pytest.raises(ShapeError):
+            estimate_endpoint(np.zeros((3, 4)), 0.5, np.zeros((3, 5)))
 
 
 class TestWtaScores:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import vanilla_euler_generate
+from conftest import global_velocity, vanilla_euler_generate
 from prismflow.datasets import load_csv_windows
 from prismflow.errors import ConfigError, ContractViolation, ShapeError
-from prismflow.flowpath import global_velocity
 from prismflow.numcore import RngStream
 from prismflow.sampler import (ConditionMask, SamplerConfig, _global_vjp,
                                _velocity, export_samples, generate,

@@ -1,11 +1,15 @@
 """The benchmark traces prismflow functions by name; a rename must fail
-here rather than inside a benchmark run."""
+here rather than inside a benchmark run. The package's modules import
+nothing they do not use."""
 
+import ast
 import importlib
 import inspect
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+SRC = ROOT / "src" / "prismflow"
 
 
 def test_every_traced_function_resolves(monkeypatch):
@@ -41,3 +45,37 @@ def test_every_hook_argument_is_where_the_hook_reads_it(monkeypatch):
         fn = getattr(importlib.import_module(f"prismflow.{module}"), name)
         params = list(inspect.signature(fn).parameters)
         assert params[pos:pos + 1] == [arg], f"{module}.{name}{params}"
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads, nor lists in `__all__`."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = ("from .errors import NumericError, ShapeError\n"
+              "import numpy as np\nimport os.path\n"
+              "__all__ = ['ShapeError']\nnp.zeros(1)\n")
+    assert unused_imports(source) == ["NumericError (line 1)", "os (line 3)"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    for path in sorted(SRC.glob("*.py")):
+        assert unused_imports(path.read_text()) == [], path.name

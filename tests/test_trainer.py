@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 import pytest
-from conftest import ReferenceAdam, reference_total_loss
+from conftest import (ReferenceAdam, finite_difference_check,
+                      frozen_total_loss_fn, reference_total_loss)
 
 import prismflow.flowpath as flowpath_module
 import prismflow.router as router_module
@@ -10,11 +11,11 @@ import prismflow.trainer as trainer_module
 from prismflow.errors import ConfigError, ContractViolation, NumericError
 from prismflow.flowpath import encode, interpolate_state
 from prismflow.model import ModelConfig, PrismFlowModel
-from prismflow.numcore import (AdamState, Params, RngStream, adam_update,
-                               finite_difference_check, mlp_apply)
+from prismflow.numcore import AdamState, Params, RngStream, adam_update, \
+    mlp_apply
 from prismflow.trainer import (LAMBDA_KINDS, TrainConfig, fit,
-                               frozen_total_loss_fn, lambda_schedule,
-                               load_config_file, total_loss, train_step)
+                               lambda_schedule, load_config_file, total_loss,
+                               train_step)
 
 
 @pytest.fixture
