@@ -132,47 +132,85 @@ def velocity_energy_gap(x0, x1):
     return mean_sq, sq_mean
 
 
-# CSV lines (rows for quoted files) read or written per slice: bounds the
+# rows of a quoted file read, or CSV lines written, per slice: bounds the
 # cell lists held at once, so memory does not grow with a per-line list of
 # cells.
 _SLICE_LINES = 8192
+# bytes read at a time from a file: a file with no quote character is
+# parsed a piece of about this size at a time, so reading it holds neither
+# the whole file nor a list of its lines
+_SLICE_BYTES = 1 << 16
 
 
-def _read_text(path: str) -> str:
-    """The file as text, with universal newlines as `open` would give;
-    bytes that are not UTF-8 are a ParseError naming their offset."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _decode(data: bytes, path: str, offset: int = 0) -> str:
+    """data, found at `offset` in the file, as text with universal newlines
+    as `open` would give; bytes that are not UTF-8 are a ParseError naming
+    their offset in the file."""
     try:
-        text = raw.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+        raise ParseError(f"{path}: not valid UTF-8 at byte "
+                         f"{offset + exc.start}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
 
 
-def _plain_slices(text: str, path: str):
-    """Header cells and per-slice (cells, counts, rows) of a file with no
-    quote character, where a row is its line split at commas."""
-    lines = text.split("\n")
+def _pieces(fh):
+    """The rest of a binary file in pieces of whole lines: every piece but
+    the last ends with a newline byte, and the last is the text after the
+    final one (possibly empty). A piece is about _SLICE_BYTES long, or one
+    line when that line is longer. In UTF-8 no byte of a multi-byte
+    character is a newline, so each piece decodes on its own."""
+    parts = []
+    while block := fh.read(_SLICE_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*parts, block[:cut]])
+            parts = []
+        parts.append(block[cut:])
+    yield b"".join(parts)
+
+
+def _scan(fh, path: str):
+    """Size in bytes, line count (newlines after translation, plus one)
+    and whether a quote character occurs, of a binary file read to its
+    end; a ParseError at its first byte that is not UTF-8."""
+    size, lines, quoted = 0, 1, False
+    for piece in _pieces(fh):
+        text = _decode(piece, path, size)
+        size += len(piece)
+        lines += text.count("\n")
+        quoted = quoted or '"' in text
+    return size, lines, quoted
+
+
+def _plain_slices(fh, path: str):
+    """Header cells and per-piece (cells, counts, rows) of a binary file
+    with no quote character, where a row is its line split at commas."""
+
+    def body(piece):
+        # the piece's lines joined by "\n", with no line end after the last
+        data = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return data[:-1] if piece.endswith(b"\n") else data
+
+    pieces = map(body, _pieces(fh))
+    head, more, first = next(pieces).partition(b"\n")
     try:
-        header = next(csv.reader(lines[:1]))
+        header = next(csv.reader([head.decode()]))
     except csv.Error as exc:
         raise ParseError(f"{path}:1: {exc}") from None
-    # cells per line = commas before each line end + 1; in UTF-8 no byte of
-    # a multi-byte character equals "," or "\n"
-    raw = np.frombuffer(text.encode(), np.uint8)
-    ends = np.append(np.flatnonzero(raw == 10), raw.size)
-    counts = np.diff(np.searchsorted(np.flatnonzero(raw == 44), ends),
-                     prepend=0) + 1
 
     def slices():
-        for start in range(1, len(lines), _SLICE_LINES):
-            chunk = lines[start:start + _SLICE_LINES]
-            yield (",".join(chunk).split(","),
-                   counts[start:start + _SLICE_LINES],
-                   lambda chunk=chunk: [ln.split(",") for ln in chunk])
+        for data in chain([first] if more else [], pieces):
+            # cells per line = commas before each line end + 1
+            raw = np.frombuffer(data, np.uint8)
+            ends = np.append(np.flatnonzero(raw == 10), raw.size)
+            counts = np.diff(np.searchsorted(np.flatnonzero(raw == 44), ends),
+                             prepend=0) + 1
+            text = data.decode()
+            yield (text.replace("\n", ",").split(","), counts,
+                   lambda t=text: [ln.split(",") for ln in t.split("\n")])
 
     return header, slices()
 
@@ -214,40 +252,45 @@ def _raise_first_error(rows, first_lineno: int, d: int, path: str):
     raise ParseError(f"{path}:{first_lineno}: unreadable rows")
 
 
-def _parse_rows(text: str, path: str):
-    """Parse block CSV text. Returns the channel names, the values of the
+def _parse_rows(path: str):
+    """Parse a block CSV file. Returns the channel names, the values of the
     non-blank rows as one (rows, D) array, and the length of each block
-    (run of non-blank rows between blank lines)."""
-    if not text:
-        raise ParseError(f"{path}: empty file")
-    if '"' in text:
-        header, slices = _quoted_slices(text, path)
-    else:
-        header, slices = _plain_slices(text, path)
-    channels = [name.strip() for name in header]
-    d = len(channels)
-    values = np.empty((text.count("\n") + 1, d))  # at most one row a line
-    solids, filled, lineno = [], 0, 2
-    for cells, counts, rows in slices:
-        # a row is blank when every cell is whitespace (a csv [] row too)
-        full = np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells))
-        ends = np.cumsum(counts)
-        seen = np.concatenate(([0], np.cumsum(full)))
-        solid = seen[ends] != seen[ends - counts]
-        k = int(np.count_nonzero(solid))
-        if np.any(counts[solid] != d):
-            _raise_first_error(rows(), lineno, d, path)
-        kept = compress(cells, np.repeat(solid, counts).tolist())
-        try:
-            values[filled:filled + k] = np.fromiter(
-                map(float, kept), np.float64, k * d).reshape(k, d)
-        except ValueError:
-            _raise_first_error(rows(), lineno, d, path)
-        solids.append(solid)
-        filled += k
-        lineno += len(counts)
+    (run of non-blank rows between blank lines). The file is read twice:
+    to check its text and count its lines, then to parse it."""
+    with open(path, "rb") as fh:
+        size, lines, quoted = _scan(fh, path)
+        if not size:
+            raise ParseError(f"{path}: empty file")
+        fh.seek(0)
+        if quoted:
+            header, slices = _quoted_slices(_decode(fh.read(), path), path)
+        else:
+            header, slices = _plain_slices(fh, path)
+        channels = [name.strip() for name in header]
+        d = len(channels)
+        values = np.empty((lines, d))  # at most one row a line
+        solids, filled, lineno = [], 0, 2
+        for cells, counts, rows in slices:
+            # a row is blank when every cell is whitespace (a csv [] row too)
+            full = np.fromiter(map(bool, map(str.strip, cells)), bool,
+                               len(cells))
+            ends = np.cumsum(counts)
+            seen = np.concatenate(([0], np.cumsum(full)))
+            solid = seen[ends] != seen[ends - counts]
+            k = int(np.count_nonzero(solid))
+            if np.any(counts[solid] != d):
+                _raise_first_error(rows(), lineno, d, path)
+            kept = compress(cells, np.repeat(solid, counts).tolist())
+            try:
+                values[filled:filled + k] = np.fromiter(
+                    map(float, kept), np.float64, k * d).reshape(k, d)
+            except ValueError:
+                _raise_first_error(rows(), lineno, d, path)
+            solids.append(solid)
+            filled += k
+            lineno += len(counts)
     # blocks are the runs of non-blank rows
-    edges = np.diff(np.concatenate([[0], *solids, [0]]))
+    edges = np.diff(np.concatenate([[False], *solids, [False]]).view(np.int8))
     lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
     return channels, values[:filled], lengths
 
@@ -261,7 +304,7 @@ def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
     """
     if not os.path.exists(path):
         raise ContractViolation(f"no such file: {path}")
-    channels, rows, lengths = _parse_rows(_read_text(path), path)
+    channels, rows, lengths = _parse_rows(path)
     if mode == "blocks":
         if not lengths.size:
             arr = np.zeros((0, seq_len or 0, len(channels)))

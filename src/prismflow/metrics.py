@@ -16,6 +16,9 @@ from .numcore import (AdamState, Mlp, Params, RngStream, adam_update,
 HIDDEN = 32
 TRAIN_STEPS = 500
 BATCH = 64
+# rows per forward slice of a trained net: bounds the activations held at
+# once, so scoring memory does not grow with the number of rows
+FORWARD_ROWS = 4096
 
 
 @dataclass
@@ -35,6 +38,32 @@ class MetricReport:
 def _as_windows(ds):
     w = ds.windows if hasattr(ds, "windows") else np.asarray(ds)
     return np.asarray(w, dtype=np.float64)
+
+
+def _window_pair(real, gen, metric: str, tail: int):
+    """Both window sets as (n, S, D) arrays; a ContractViolation naming
+    both shapes unless they agree on the last `tail` axes."""
+    rw, gw = _as_windows(real), _as_windows(gen)
+    if rw.shape[-tail:] != gw.shape[-tail:]:
+        axes = "(S, D)" if tail == 2 else "D"
+        raise ContractViolation(
+            f"{metric} needs real and generated windows of equal {axes}, "
+            f"got real (n, S, D) = {rw.shape} and generated {gw.shape}")
+    return rw, gw
+
+
+def _forward(net, x):
+    """The trained net on every row of x, FORWARD_ROWS rows a call into one
+    output. A short last slice (at most half a slice) joins the one before
+    it, so no call takes a single row: a 1-row product takes BLAS's
+    matrix-vector path and can differ in the last bit from the same row of
+    a multi-row product."""
+    n = x.shape[0]
+    out = np.empty((n, net.layer_dims[-1]))
+    starts = range(0, max(n - FORWARD_ROWS // 2, 1), FORWARD_ROWS)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        out[start:stop], _ = mlp_apply(net, x[start:stop])
+    return out
 
 
 def _train_net(dims, x, y, rng: RngStream, kind: str):
@@ -64,8 +93,7 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
 def discriminative_score(real, gen, rng: RngStream) -> float:
     """|test accuracy - 0.5| of a small classifier separating real from
     generated windows (80/20 split). 0 means indistinguishable."""
-    rw = _as_windows(real)
-    gw = _as_windows(gen)
+    rw, gw = _window_pair(real, gen, "disc", 2)
     if rw.shape[0] < 64 or gw.shape[0] < 64:
         raise ContractViolation("need at least 64 windows per side")
     x = np.concatenate([rw.reshape(rw.shape[0], -1),
@@ -76,15 +104,14 @@ def discriminative_score(real, gen, rng: RngStream) -> float:
     split = int(0.8 * x.shape[0])
     net = _train_net([x.shape[1], HIDDEN, 1], x[:split], y[:split],
                      rng.child(10), "logistic")
-    logits, _ = mlp_apply(net, x[split:])
+    logits = _forward(net, x[split:])
     acc = float(np.mean((logits > 0) == (y[split:] > 0.5)))
     return abs(acc - 0.5)
 
 
 def predictive_score(real, gen, rng: RngStream) -> float:
     """Train-on-synthetic test-on-real one-step-ahead MAE."""
-    rw = _as_windows(real)
-    gw = _as_windows(gen)
+    rw, gw = _window_pair(real, gen, "pred", 1)
     if rw.shape[1] < 2 or gw.shape[1] < 2:
         raise ContractViolation("need seq_len >= 2 for one-step prediction")
     d = gw.shape[2]
@@ -92,10 +119,9 @@ def predictive_score(real, gen, rng: RngStream) -> float:
     def pairs(w):
         return (w[:, :-1].reshape(-1, d), w[:, 1:].reshape(-1, d))
 
-    gx, gy = pairs(gw)
-    net = _train_net([d, HIDDEN, d], gx, gy, rng.child(20), "l2")
+    net = _train_net([d, HIDDEN, d], *pairs(gw), rng.child(20), "l2")
     rx, ry = pairs(rw)
-    pred, _ = mlp_apply(net, rx)
+    pred = _forward(net, rx)
     return float(np.mean(np.abs(pred - ry)))
 
 
@@ -119,8 +145,7 @@ def _corr_matrix(w):
 def correlational_score(real, gen) -> float:
     """Mean absolute difference of lag-0 cross-channel correlation
     matrices (strict upper triangle). 0 for D = 1."""
-    rw = _as_windows(real)
-    gw = _as_windows(gen)
+    rw, gw = _window_pair(real, gen, "corr", 1)
     d = rw.shape[2]
     if d < 2:
         return 0.0

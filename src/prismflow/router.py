@@ -21,10 +21,11 @@ class WtaConfig:
     prob_floor: float = 1e-8  # clamp for the balance KL
 
     def validate(self) -> None:
+        """Errors name the settings by their training config keys."""
         if self.beta < 0:
             raise ContractViolation("beta must be >= 0")
         if self.eps <= 0:
-            raise ContractViolation("eps must be > 0")
+            raise ContractViolation("wta_eps must be > 0")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -30,20 +30,19 @@ class PowerSpectrum:
         return float(e[bin_index] / e.sum())
 
 
-def _snapshots(batch, delay):
+def _snapshots(batch, delay, lag=0):
+    """Snapshot matrix (delay*D, columns) of the delay-embedded states
+    [x_j, ..., x_{j+delay-1}] of each window, for the start indices
+    j = lag .. lag + S - delay - 2: lag 0 gives X, lag 1 gives X'."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3:
         raise ShapeError("expected (n, S, D) batch")
     n, s, d = batch.shape
     if s < delay + 1:
         raise ContractViolation(f"need S >= delay+1, got S={s}, delay={delay}")
-    # delay-embedded states [x_j, ..., x_{j+delay-1}] (dim delay*D) of
-    # each window, for its first s - delay start indices j
     win = np.lib.stride_tricks.sliding_window_view(batch, delay, axis=1)
-    emb = win[:, :s - delay].swapaxes(2, 3).reshape(n, s - delay, delay * d)
-    x = emb[:, :-1].reshape(-1, delay * d).T  # (delay*D, columns)
-    y = emb[:, 1:].reshape(-1, delay * d).T
-    return x, y
+    states = win[:, lag:lag + s - delay - 1].swapaxes(2, 3)
+    return states.reshape(-1, delay * d).T
 
 
 def exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
@@ -58,7 +57,7 @@ def exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
     if rank < 1 or delay < 1:
         raise ContractViolation(f"DMD needs rank >= 1 and delay >= 1, got "
                                 f"rank={rank}, delay={delay}")
-    x, y = _snapshots(batch, delay)
+    x = _snapshots(batch, delay)
     try:
         u, sig, vt = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -72,6 +71,11 @@ def exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
     r = min(r_cap, effective)
     if r == 0:
         raise NumericError("snapshot matrix is numerically zero")
+    # X is done with but for its first column; X' is built only now, so
+    # the two are never held together
+    first = x[:, 0].copy()
+    del x
+    y = _snapshots(batch, delay, lag=1)
     u, sig, v = u[:, :r], sig[:r], vt[:r].T
     atilde = u.T @ y @ v / sig
     eig, wvec = np.linalg.eig(atilde)
@@ -81,7 +85,7 @@ def exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
     # exact DMD modes, then amplitudes from the first snapshot column
     with np.errstate(divide="ignore", invalid="ignore"):
         modes = (y @ v / sig) @ wvec
-    b, *_ = np.linalg.lstsq(modes, x[:, 0], rcond=None)
+    b, *_ = np.linalg.lstsq(modes, first, rcond=None)
     return DmdSpectrum(eigenvalues=eig, amplitudes=np.abs(b), rank=r)
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,18 @@ from prismflow.trainer import lambda_schedule
 # test-only oracles, importable from here like the reference code below
 from oracles import (finite_difference_check,  # noqa: F401
                      frozen_total_loss_fn, global_velocity)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes that tracemalloc saw allocated while
+    it ran (numpy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def vanilla_euler_generate(model, n: int, steps: int,

@@ -1,10 +1,10 @@
 import json
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from prismflow.checkpoint import load_checkpoint, save_checkpoint
 from prismflow.cli import run_command
 from prismflow.datasets import load_csv_windows, save_csv_windows
@@ -137,19 +137,21 @@ class TestTrainSampleEval:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags,text", [
-        (["--beta", "-1"], ""), ([], "[train]\nwta_eps = 0\n")],
+    @pytest.mark.parametrize("flags,text,key", [
+        (["--beta", "-1"], "", "beta"),
+        ([], "[train]\nwta_eps = 0\n", "wta_eps")],
         ids=["beta-flag", "wta_eps-file"])
     def test_bad_wta_settings_fail_before_training(self, tmp_path, data_csv,
-                                                   capsys, flags, text):
-        """With no epoch to run, only the check up front can refuse them."""
+                                                   capsys, flags, text, key):
+        """With no epoch to run, only the check up front can refuse them;
+        the error names the key the user set."""
         cfg = tmp_path / "run.ini"
         cfg.write_text(text)
         out = tmp_path / "m.ckpt"
         assert run("train", "--data", data_csv, "--config", str(cfg),
                    "--seed", "0", "--epochs", "0", "--quiet",
                    "--out", str(out), *flags) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert not out.exists()
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
@@ -264,12 +266,7 @@ class TestCheckpointContract:
                 header["mlp_dims"] = param_layout(ModelConfig(**mc))[0]
 
         bad = self.rewrite(tmp_path, checkpoint, inflate)
-        tracemalloc.start()
-        try:
-            code = self.sample(bad, str(tmp_path / "x.csv"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(self.sample, bad, str(tmp_path / "x.csv"))
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert peak < 2 * 2 ** 20
@@ -337,6 +334,30 @@ class TestDataFiles:
         assert run(*argv) == 2
         assert capsys.readouterr().err == f"error: {empty}: holds no windows\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("metric,seq_len,channels,code", [
+        ("disc", 6, 2, 2), ("disc", 8, 1, 2), ("pred", 8, 1, 2),
+        ("corr", 8, 1, 2), ("pred", 6, 2, 0), ("corr", 6, 2, 0),
+        ("spectral", 6, 1, 0)])
+    def test_eval_shape_contract(self, tmp_path, data_csv, capsys, metric,
+                                 seq_len, channels, code):
+        """disc needs equal (S, D), pred and corr equal D, against the
+        (80, 8, 2) real windows; a refusal names both shapes."""
+        gen = str(tmp_path / "gen.csv")
+        assert run("gen-data", "--kind", "sines", "--n", "80", "--seq-len",
+                   str(seq_len), "--channels", str(channels), "--seed", "1",
+                   "--out", gen) == 0
+        out = tmp_path / "report.jsonl"
+        assert run("eval", "--real", data_csv, "--gen", gen, "--metrics",
+                   metric, "--rank", "2", "--out", str(out)) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(f"error: {metric} needs real and "
+                                  f"generated windows of equal ")
+            assert f"(80, 8, 2) and generated (80, {seq_len}, {channels})" \
+                in err
+            assert err.count("\n") == 1
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("verb", ["train", "eval", "dmd"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

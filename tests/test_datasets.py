@@ -1,12 +1,14 @@
 import csv
 import io
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_csv_text, reference_load_csv_windows
+from conftest import (reference_csv_text, reference_load_csv_windows,
+                      traced_peak)
 from prismflow import datasets
 from prismflow.datasets import (Dataset, DiagnosticSpec,
                                 gen_bimodal_frequency, gen_sines,
@@ -160,7 +162,8 @@ NUMERIC_CELLS = st.one_of(
     st.floats(allow_nan=False, width=64).map(repr),
     st.sampled_from([" 1.5", "2 ", "\t-3", "+4", "7", "1e-3", "1E3", "nan",
                      "-inf", "Infinity", "1_0"]))
-BAD_CELLS = st.sampled_from(["abc", "", " ", " x ", "\t", "1.0x", "--1"])
+BAD_CELLS = st.sampled_from(["abc", "", " ", " x ", "\t", "1.0x", "--1",
+                             "\u00b5s"])
 SEPARATORS = st.sampled_from(["", ",", " ", " , ,", ",,", "\t"])
 
 
@@ -170,8 +173,8 @@ def csv_texts(draw):
     blank-ish separator lines; half of the files quote some cells."""
     quoted = draw(st.booleans())
     d = draw(st.integers(1, 3))
-    names = draw(st.lists(st.sampled_from(["a", "b c", "x,y"] if quoted
-                                          else ["a", "b c"]),
+    choices = ["a", "b c", "\u00e9"] + (["x,y"] if quoted else [])
+    names = draw(st.lists(st.sampled_from(choices),
                           min_size=d, max_size=d))
     head = io.StringIO()
     csv.writer(head, lineterminator="").writerow(names)
@@ -189,7 +192,7 @@ def csv_texts(draw):
                 cells = [f'"{c}"' if draw(st.booleans()) else c for c in cells]
             lines.append(",".join(cells))
         lines.extend(draw(st.lists(SEPARATORS, min_size=1, max_size=2)))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
@@ -204,7 +207,8 @@ class TestCsvMatchesReference:
                                         slice_lines):
         path = str(tmp_path_factory.mktemp("csv") / "w.csv")
         names = ["a", "b,c", 'd"e'][:windows.shape[2]]
-        with mock.patch.object(datasets, "_SLICE_LINES", slice_lines):
+        with mock.patch.multiple(datasets, _SLICE_LINES=slice_lines,
+                                 _SLICE_BYTES=slice_lines):
             save_csv_windows(windows, path, channel_names=names)
             with open(path, "rb") as fh:
                 assert fh.read() == reference_csv_text(windows, names).encode()
@@ -225,7 +229,8 @@ class TestCsvMatchesReference:
         for kwargs in ({"mode": "blocks"},
                        {"mode": "sliding", "seq_len": seq_len,
                         "stride": stride}):
-            with mock.patch.object(datasets, "_SLICE_LINES", slice_lines):
+            with mock.patch.multiple(datasets, _SLICE_LINES=slice_lines,
+                                 _SLICE_BYTES=slice_lines):
                 got = outcome(load_csv_windows, path, **kwargs)
             assert got == outcome(reference_load_csv_windows, path, **kwargs)
 
@@ -249,6 +254,18 @@ class TestCsvContract:
         with pytest.raises(ParseError, match=r"bad\.csv: not valid UTF-8 at "
                                              r"byte 7"):
             load_csv_windows(str(path), mode="blocks")
+
+    @pytest.mark.parametrize("slice_bytes", [1, 4, 1 << 16])
+    def test_first_bad_byte_is_found_before_bad_rows(self, tmp_path,
+                                                     slice_bytes):
+        """Whatever pieces the file is read in, the first byte that is not
+        UTF-8 is named by its offset in the file, even after a bad row."""
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"c0\r\nx\n0.5\n\xc3\xa9\n1\n\xe2\x82\n2\n\xff\n")
+        with mock.patch.object(datasets, "_SLICE_BYTES", slice_bytes):
+            with pytest.raises(ParseError, match=r"bad\.csv: not valid UTF-8 "
+                                                 r"at byte 15$"):
+                load_csv_windows(str(path), mode="blocks")
 
     def test_error_shows_the_cell_as_written(self, tmp_path):
         path = tmp_path / "padded.csv"
@@ -280,6 +297,17 @@ class TestCsvContract:
         path.write_text("a\n" + "1" * 200_000 + "\n")
         assert load_csv_windows(str(path), mode="blocks").windows[0, 0, 0] \
             == float("1" * 200_000)
+
+    def test_plain_load_holds_the_values_and_a_few_pieces(self, tmp_path):
+        """A 2.5 MB file of 128,000 lines: the reader holds the values
+        (1 MB) and the text and cell strings of a piece or two of the
+        file, not the whole file or a list of its lines."""
+        path = str(tmp_path / "big.csv")
+        windows = RngStream(15).generator().standard_normal((2000, 64, 1))
+        save_csv_windows(windows, path)
+        ds, peak = traced_peak(load_csv_windows, path, mode="blocks")
+        assert ds.windows.tobytes() == windows.tobytes()
+        assert peak < windows.nbytes + 2 * 2**20
 
     @pytest.mark.parametrize("seq_len,stride", [(0, 1), (2, 0), (2, -1)])
     def test_sliding_needs_positive_length_and_stride(self, tmp_path,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+from prismflow import metrics
 from prismflow.errors import ContractViolation
 from prismflow.metrics import (MetricReport, correlational_score,
                                discriminative_score, predictive_score)
-from prismflow.numcore import RngStream
+from prismflow.numcore import Mlp, Params, RngStream, mlp_apply, mlp_shapes
 
 
 def noise(n, s=8, d=2, seed=0, scale=1.0, shift=0.0):
@@ -53,6 +55,34 @@ class TestPredictiveScore:
     def test_needs_two_steps(self):
         with pytest.raises(ContractViolation):
             predictive_score(noise(80, s=1), noise(80, s=1), RngStream(0))
+
+    def test_working_memory_is_a_few_window_arrays(self):
+        """4,000 windows of S=64 give 252,000 (x, y) pairs; one forward
+        over all of them held two 252,000 x HIDDEN activation arrays
+        (about 70 times the windows' bytes). Sliced, the score holds a few
+        window-sized arrays."""
+        real, gen = noise(4000, s=64, d=1, seed=12), noise(4000, s=64, d=1)
+        score, peak = traced_peak(predictive_score, real, gen, RngStream(0))
+        assert np.isfinite(score)
+        assert peak < 8 * real.nbytes
+
+
+class TestForward:
+    @pytest.mark.parametrize("width", [1, 64, 300])
+    @pytest.mark.parametrize("slices,extra", [
+        (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+        ids=["1", "slice-1", "slice", "slice+1", "2slice+1"])
+    def test_slices_match_one_call_bitwise(self, width, slices, extra):
+        """For the pred net at D=1 and disc nets on 64 and 300 inputs: a
+        lone row past a slice boundary would take BLAS's matrix-vector
+        path and differ in the last bit from one multi-row product."""
+        dims = [width, metrics.HIDDEN, 1]
+        net = Mlp.view(Params(mlp_shapes("", dims)), "", dims)
+        net.draw(RngStream(13))
+        n = slices * metrics.FORWARD_ROWS + extra
+        x = RngStream(14).generator().standard_normal((n, width))
+        want, _ = mlp_apply(net, x)
+        assert metrics._forward(net, x).tobytes() == want.tobytes()
 
 
 class TestCorrelationalScore:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from prismflow.errors import ContractViolation, ShapeError
 from prismflow.numcore import RngStream
 from prismflow.spectra import (DmdSpectrum, _snapshots, exact_dmd,
@@ -72,6 +73,15 @@ class TestExactDmd:
         spec = exact_dmd(rotation_batch(0.7), rank=2)
         assert list(spec.eigenvalues.real) == sorted(spec.eigenvalues.real)
 
+    def test_working_memory_is_three_snapshot_matrices(self):
+        """X and X' of 4,000 windows (S=64, delay 8) are 14 MB each. The
+        SVD holds X and V^T; X' is built once X is dropped, next to V^T
+        and U^T X'. Holding X and X' together took four matrices."""
+        batch = RngStream(5).generator().standard_normal((4000, 64, 1))
+        spec, peak = traced_peak(exact_dmd, batch, rank=10, delay=8)
+        assert spec.rank == 8
+        assert peak < 3.5 * _snapshots(batch, 8).nbytes
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
             exact_dmd(np.zeros((4, 5)))
@@ -84,7 +94,7 @@ class TestSnapshots:
     @pytest.mark.parametrize("delay", [1, 2, 5, 11])
     def test_bitwise_equal_to_window_loop(self, d, delay):
         batch = RngStream(3).generator().standard_normal((4, 12, d))
-        x, y = _snapshots(batch, delay)
+        x, y = _snapshots(batch, delay), _snapshots(batch, delay, lag=1)
         want_x, want_y = reference_snapshots(batch, delay)
         assert x.shape == want_x.shape and y.shape == want_y.shape
         np.testing.assert_array_equal(x, want_x)
