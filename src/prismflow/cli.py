@@ -23,12 +23,12 @@ from .datasets import (DiagnosticSpec, gen_bimodal_frequency, gen_sines,
 from .errors import ConfigError, ContractViolation, PrismFlowError
 from .experts import operator_eigenvalues
 from .metrics import (MetricReport, correlational_score, discriminative_score,
-                      predictive_score)
+                      predictive_score, window_pair)
 from .model import ModelConfig, PrismFlowModel
 from .numcore import RngStream
 from .sampler import (ConditionMask, SamplerConfig, export_samples, generate,
                       generate_conditional)
-from .spectra import exact_dmd, spectral_overlap
+from .spectra import check_dmd, exact_dmd, spectral_overlap
 from .trainer import TrainConfig, fit, load_config_file
 
 CONFIG_ENV = "PRISMFLOW_CONFIG"
@@ -188,21 +188,27 @@ def cmd_eval(args):
                          mode=args.load_mode)
     gen = _load_windows(args.gen, seq_len=args.seq_len, mode=args.load_mode)
     rng = RngStream(args.seed)
+    scores = {
+        "disc": lambda: discriminative_score(real, gen, rng.child(1)),
+        "pred": lambda: predictive_score(real, gen, rng.child(2)),
+        "corr": lambda: correlational_score(real, gen),
+        "spectral": lambda: spectral_overlap(
+            exact_dmd(real.windows, rank=args.rank, delay=args.delay),
+            exact_dmd(gen.windows, rank=args.rank, delay=args.delay)),
+    }
     wanted = args.metrics.split(",")
-    rows = [{"resolved_config": _resolved(args)}]
+    # refuse any request that cannot run before any metric runs
     for name in wanted:
-        if name == "disc":
-            value = discriminative_score(real, gen, rng.child(1))
-        elif name == "pred":
-            value = predictive_score(real, gen, rng.child(2))
-        elif name == "corr":
-            value = correlational_score(real, gen)
-        elif name == "spectral":
-            value = spectral_overlap(
-                exact_dmd(real.windows, rank=args.rank, delay=args.delay),
-                exact_dmd(gen.windows, rank=args.rank, delay=args.delay))
+        if name == "spectral":
+            for ds in (real, gen):
+                check_dmd(ds.seq_len, args.rank, args.delay)
+        elif name in scores:
+            window_pair(real, gen, name)
         else:
             raise PrismFlowError(f"unknown metric {name!r}")
+    rows = [{"resolved_config": _resolved(args)}]
+    for name in wanted:
+        value = scores[name]()
         report = MetricReport.build(name, value, args.seed, _resolved(args))
         rows.append(report.__dict__)
         print(f"{name}: {value:.6f}")

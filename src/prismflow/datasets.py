@@ -50,17 +50,14 @@ def _check_sizes(**sizes) -> None:
             raise ConfigError(f"{key} must be >= 1, got {value}")
 
 
-def gen_sines(n, seq_len, channels, freq_range=(0.0, 1.0),
-              phase_range=(-np.pi, np.pi), rng: RngStream = RngStream(0)):
+def gen_sines(n, seq_len, channels, rng: RngStream = RngStream(0)):
     """Sines protocol: channel i of each window is
-    sin(2*pi*eta*s/seq_len + theta) with eta ~ U(freq_range),
-    theta ~ U(phase_range) drawn per window and channel."""
+    sin(2*pi*eta*s/seq_len + theta) with eta ~ U(0, 1) and
+    theta ~ U(-pi, pi) drawn per window and channel."""
     _check_sizes(n=n, seq_len=seq_len, channels=channels)
-    if freq_range[0] > freq_range[1] or phase_range[0] > phase_range[1]:
-        raise ConfigError("invalid range: low > high")
     gen = rng.generator()
-    eta = gen.uniform(*freq_range, size=(n, 1, channels))
-    theta = gen.uniform(*phase_range, size=(n, 1, channels))
+    eta = gen.uniform(0.0, 1.0, size=(n, 1, channels))
+    theta = gen.uniform(-np.pi, np.pi, size=(n, 1, channels))
     s = np.arange(seq_len).reshape(1, seq_len, 1)
     windows = np.sin(2.0 * np.pi * eta * s / seq_len + theta)
     return Dataset(windows)
@@ -344,13 +341,13 @@ def _format_windows(block: np.ndarray) -> str:
     return "\n\n".join(map("\n".join, zip(*[iter(rows)] * s))) + "\n"
 
 
-def save_csv_windows(windows, path, channel_names=None) -> None:
-    """Write windows as block CSV (blank line between windows)."""
+def save_csv_windows(windows, path) -> None:
+    """Write windows as block CSV (blank line between windows) under the
+    channel names c0, c1, ..."""
     windows = np.asarray(windows, dtype=np.float64)
     n, s, d = windows.shape
-    names = channel_names or [f"c{i}" for i in range(d)]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(names)
+    buf.write(",".join(f"c{i}" for i in range(d)) + "\n")
     per_slice = max(1, _SLICE_LINES // max(s, 1))
     for start in range(0, n, per_slice):
         if start:

@@ -27,7 +27,7 @@ def assemble_operator(s: np.ndarray, r: np.ndarray, delta: float) -> np.ndarray:
     return (s - s.T) - r.T @ r - delta * np.eye(d)
 
 
-def operator_grads(s: np.ndarray, r: np.ndarray, da: np.ndarray):
+def operator_grads(r: np.ndarray, da: np.ndarray):
     """Chain dL/dA back to the raw parameters of assemble_operator.
 
     dS = G - G^T,  dR = -R (G + G^T)  for G = dL/dA.

@@ -30,9 +30,9 @@ class MetricReport:
     auxiliary: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, name, value, seed, config: dict, aux=None):
+    def build(cls, name, value, seed, config: dict):
         digest = hashlib.sha256(repr(sorted(config.items())).encode()).hexdigest()
-        return cls(name, float(value), seed, digest[:12], aux or {})
+        return cls(name, float(value), seed, digest[:12])
 
 
 def _as_windows(ds):
@@ -40,15 +40,26 @@ def _as_windows(ds):
     return np.asarray(w, dtype=np.float64)
 
 
-def _window_pair(real, gen, metric: str, tail: int):
-    """Both window sets as (n, S, D) arrays; a ContractViolation naming
-    both shapes unless they agree on the last `tail` axes."""
+# per metric: the trailing axes that real and generated windows share,
+# and the least windows and steps that each side needs
+WINDOW_RULES = {"disc": (2, 64, 1), "pred": (1, 1, 2), "corr": (1, 1, 1)}
+
+
+def window_pair(real, gen, metric: str):
+    """Both window sets as (n, S, D) arrays, or a ContractViolation unless
+    `metric` can compare them; a shape mismatch names both shapes."""
     rw, gw = _as_windows(real), _as_windows(gen)
+    tail, min_windows, min_steps = WINDOW_RULES[metric]
     if rw.shape[-tail:] != gw.shape[-tail:]:
         axes = "(S, D)" if tail == 2 else "D"
         raise ContractViolation(
             f"{metric} needs real and generated windows of equal {axes}, "
             f"got real (n, S, D) = {rw.shape} and generated {gw.shape}")
+    if min(rw.shape[0], gw.shape[0]) < min_windows:
+        raise ContractViolation(f"{metric} needs at least {min_windows} "
+                                f"windows per side")
+    if min(rw.shape[1], gw.shape[1]) < min_steps:
+        raise ContractViolation(f"{metric} needs seq_len >= {min_steps}")
     return rw, gw
 
 
@@ -93,9 +104,7 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
 def discriminative_score(real, gen, rng: RngStream) -> float:
     """|test accuracy - 0.5| of a small classifier separating real from
     generated windows (80/20 split). 0 means indistinguishable."""
-    rw, gw = _window_pair(real, gen, "disc", 2)
-    if rw.shape[0] < 64 or gw.shape[0] < 64:
-        raise ContractViolation("need at least 64 windows per side")
+    rw, gw = window_pair(real, gen, "disc")
     x = np.concatenate([rw.reshape(rw.shape[0], -1),
                         gw.reshape(gw.shape[0], -1)])
     y = np.concatenate([np.ones((rw.shape[0], 1)), np.zeros((gw.shape[0], 1))])
@@ -111,9 +120,7 @@ def discriminative_score(real, gen, rng: RngStream) -> float:
 
 def predictive_score(real, gen, rng: RngStream) -> float:
     """Train-on-synthetic test-on-real one-step-ahead MAE."""
-    rw, gw = _window_pair(real, gen, "pred", 1)
-    if rw.shape[1] < 2 or gw.shape[1] < 2:
-        raise ContractViolation("need seq_len >= 2 for one-step prediction")
+    rw, gw = window_pair(real, gen, "pred")
     d = gw.shape[2]
 
     def pairs(w):
@@ -145,7 +152,7 @@ def _corr_matrix(w):
 def correlational_score(real, gen) -> float:
     """Mean absolute difference of lag-0 cross-channel correlation
     matrices (strict upper triangle). 0 for D = 1."""
-    rw, gw = _window_pair(real, gen, "corr", 1)
+    rw, gw = window_pair(real, gen, "corr")
     d = rw.shape[2]
     if d < 2:
         return 0.0

@@ -210,19 +210,19 @@ def tape_rows(tape: Tape, rows) -> Tape:
 class AdamState:
     """Bias-corrected Adam over one flat vector, with flat moments m, v."""
 
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
     m: np.ndarray
     v: np.ndarray
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
 
     @classmethod
-    def create(cls, params: Params, lr: float = 1e-3, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def create(cls, params: Params, lr: float = 1e-3) -> "AdamState":
         size = params.flat.size
-        return cls(np.zeros(size), np.zeros(size), lr, beta1, beta2, eps)
+        return cls(np.zeros(size), np.zeros(size), lr)
 
 
 def adam_update(state: AdamState, params: Params, grads: Params) -> None:
@@ -233,11 +233,11 @@ def adam_update(state: AdamState, params: Params, grads: Params) -> None:
                            f"{grads.first_nonfinite()!r}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - state.BETA1 ** t
+    bc2 = 1.0 - state.BETA2 ** t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    params.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m *= state.BETA1
+    m += (1.0 - state.BETA1) * g
+    v *= state.BETA2
+    v += (1.0 - state.BETA2) * g * g
+    params.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.EPS)

@@ -95,34 +95,30 @@ class WtaBatchInfo:
     endpoint_mses: np.ndarray  # (B, K)
 
 
-def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None, winners=None,
-             frozen_v_global=None):
+def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None):
     """Masked winner-take-all loss over a batch, with exact gradients.
 
     Gradient routing: the winning expert's (S, R), the shared projector
     and decoder, and the router (through the confidence term only)
     receive gradients; non-winning expert blocks get exactly zero. The
-    global velocity inside the endpoint estimate is treated as a
-    constant, so the global head gets no WTA gradient. `frozen_v_global`
-    supplies that constant explicitly (finite-difference harnesses);
-    otherwise it is computed from the current head and detached.
+    global velocity inside the endpoint estimate is computed from the
+    current head and treated as a constant, so the global head gets no
+    WTA gradient.
 
     Returns (loss, grads, WtaBatchInfo).
     """
     trunk = trunk_forward(model, x0, x1, t)
-    v_global = frozen_v_global
-    if v_global is None:
-        v_global, _ = mlp_apply(model.head, trunk.h)  # value only
+    v_global, _ = mlp_apply(model.head, trunk.h)  # value only
     probs, router_tape = route(model, trunk.t, trunk.h)
     grads = model.zero_grads()
     loss, dh, info = wta_core(model, trunk, probs, router_tape, v_global,
-                              cfg, grads, lam=lam, winners=winners)
+                              cfg, grads, lam=lam)
     encoder_backward(model, trunk, dh, grads)
     return loss, grads, info
 
 
 def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
-             grads: Params, lam=None, winners=None, scale: float = 1.0):
+             grads: Params, lam=None, scale: float = 1.0):
     """Winner-take-all term on a trunk pass and its routing.
 
     The decoder runs forward once on all K experts' rows stacked, and
@@ -145,8 +141,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
     errs = estimate_endpoint(trunk.xt, t, v_g + resids) - trunk.x1
     mses = np.mean(errs * errs, axis=2).T  # (B, K)
     scores = wta_scores(mses, probs, cfg)
-    winners = select_winner(scores) if winners is None else winners
-    winners = np.asarray(winners, dtype=np.int64)
+    winners = select_winner(scores)
     rows = np.arange(b)
     loss = float(np.mean(lam * scores[rows, winners]))
 
@@ -165,7 +160,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
             continue  # masked expert: exactly zero gradient
         dz[mine] += da[mine] @ a
         d_op = da[mine].T @ z[mine]  # dL/dA^k from expert k's rows only
-        ds, dr = operator_grads(model.expert_s[k], model.expert_r[k], d_op)
+        ds, dr = operator_grads(model.expert_r[k], d_op)
         grads[f"expert{k}.S"] += ds
         grads[f"expert{k}.R"] += dr
 
@@ -202,20 +197,14 @@ def balance_loss(probs, prob_floor: float = 1e-8) -> float:
     return float(np.sum(u * (np.log(u) - np.log(pibar))))
 
 
-def balance_loss_and_grads(model, x0, x1, t, cfg: WtaConfig, h_override=None):
+def balance_loss_and_grads(model, x0, x1, t, cfg: WtaConfig):
     """Balance regularizer with gradients to the router body only.
 
     The trunk features feeding the router are treated as constants here;
     the balance term regularizes routing, not the representation.
-    `h_override` pins those features explicitly (finite-difference use).
     """
-    if h_override is None:
-        trunk = trunk_forward(model, x0, x1, t)
-        t, h = trunk.t, trunk.h
-    else:
-        h = np.asarray(h_override, dtype=np.float64)
-        t = np.asarray(t, dtype=np.float64).reshape(h.shape[0])
-    probs, tape = route(model, t, h)
+    trunk = trunk_forward(model, x0, x1, t)
+    probs, tape = route(model, trunk.t, trunk.h)
     grads = model.zero_grads()
     loss = balance_core(model, probs, tape, cfg, grads)
     return loss, grads, probs

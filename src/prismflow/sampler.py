@@ -3,6 +3,7 @@ residual corrections, plus guidance-based conditional sampling."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ class SamplerConfig:
             raise ConfigError("steps must be >= 1")
         if self.mode not in MODES:
             raise ConfigError(f"unknown sampler mode {self.mode!r}")
+        for key in ("gamma", "eta_g"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
         if self.eta_g < 0:
             raise ConfigError("eta_g must be >= 0")
 
@@ -90,17 +94,15 @@ def _global_vjp(model, enc_tape, head_tape, upstream):
     return din[:, : upstream.shape[1]]
 
 
-def residual_velocity_step(model, x, t: float, cfg: SamplerConfig, ops=None):
+def residual_velocity_step(model, x, t: float, cfg: SamplerConfig, ops):
     """One Euler update x + (v_global + gamma*v_expert) * dt,
     with the dominant expert chosen per sample by argmax routing
     probability. gamma=0 reduces exactly to the plain Euler update.
-    `ops` are the experts' operators when the caller assembled them; at
-    gamma 0 none are needed."""
+    `ops` are the experts' operators, assembled once by the caller; at
+    gamma 0 none are read."""
     cfg.validate()
     x = np.asarray(x, dtype=np.float64)
     dt = 1.0 / cfg.steps
-    if ops is None and cfg.gamma != 0.0:
-        ops = model.operators()
     v, _ = _velocity(model, x, t, cfg, ops)
     xn = x + v * dt
     if not np.isfinite(xn).all():
@@ -124,7 +126,7 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
 
 
 def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
-                         rng: RngStream, n: int | None = None) -> np.ndarray:
+                         rng: RngStream) -> np.ndarray:
     """Conditional generation with endpoint-consistency guidance.
 
     Each Euler step steers the velocity by the (negative) gradient of the
@@ -134,9 +136,9 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     exact_guidance backpropagates through the global field.
 
     A per-window (n, S, D) condition generates its n windows as one
-    batch; an (S, D) condition is shared by n windows (default 1).
-    Window i starts from the noise of stream (rng.seed, rng.stream + i),
-    so it matches a one-window call with that stream up to rounding.
+    batch; an (S, D) condition generates one window. Window i starts
+    from the noise of stream (rng.seed, rng.stream + i), so it matches a
+    one-window call with that stream up to rounding.
     """
     cfg.validate()
     if cfg.mode == "unconditional":
@@ -146,14 +148,8 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     if cond.mask.shape[-2:] != (s, d):
         raise ShapeError(f"condition windows are {cond.mask.shape[-2:]}, "
                          f"the model generates {(s, d)}")
-    if cond.mask.ndim == 3:
-        if n is not None and n != cond.mask.shape[0]:
-            raise ContractViolation(f"n={n} but the condition holds "
-                                    f"{cond.mask.shape[0]} windows")
-        n = cond.mask.shape[0]
-    elif n is None:
-        n = 1
-    mask = np.broadcast_to(cond.mask, (n, s, d))
+    mask = cond.mask.reshape(-1, s, d)
+    n = mask.shape[0]
     m = mask.astype(np.float64)
     y = np.where(mask, cond.values, 0.0)
     x = np.empty((n, s, d))

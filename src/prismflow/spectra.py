@@ -30,16 +30,22 @@ class PowerSpectrum:
         return float(e[bin_index] / e.sum())
 
 
+def check_dmd(seq_len: int, rank: int, delay: int) -> None:
+    """A ContractViolation unless DMD at this rank and delay can run on
+    windows of seq_len steps."""
+    if rank < 1 or delay < 1:
+        raise ContractViolation(f"DMD needs rank >= 1 and delay >= 1, got "
+                                f"rank={rank}, delay={delay}")
+    if seq_len < delay + 1:
+        raise ContractViolation(f"need S >= delay+1, got S={seq_len}, "
+                                f"delay={delay}")
+
+
 def _snapshots(batch, delay, lag=0):
     """Snapshot matrix (delay*D, columns) of the delay-embedded states
     [x_j, ..., x_{j+delay-1}] of each window, for the start indices
     j = lag .. lag + S - delay - 2: lag 0 gives X, lag 1 gives X'."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 3:
-        raise ShapeError("expected (n, S, D) batch")
     n, s, d = batch.shape
-    if s < delay + 1:
-        raise ContractViolation(f"need S >= delay+1, got S={s}, delay={delay}")
     win = np.lib.stride_tricks.sliding_window_view(batch, delay, axis=1)
     states = win[:, lag:lag + s - delay - 1].swapaxes(2, 3)
     return states.reshape(-1, delay * d).T
@@ -54,9 +60,10 @@ def exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
     `delay` > 1 uses a delay-embedded state so oscillatory modes are
     recoverable from scalar channels.
     """
-    if rank < 1 or delay < 1:
-        raise ContractViolation(f"DMD needs rank >= 1 and delay >= 1, got "
-                                f"rank={rank}, delay={delay}")
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 3:
+        raise ShapeError("expected (n, S, D) batch")
+    check_dmd(batch.shape[1], rank, delay)
     x = _snapshots(batch, delay)
     try:
         u, sig, vt = np.linalg.svd(x, full_matrices=False)

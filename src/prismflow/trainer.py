@@ -70,17 +70,14 @@ def lambda_schedule(kind: str, t):
     raise ConfigError(f"unknown lambda schedule {kind!r}")
 
 
-def total_loss(model, x0, x1, t, cfg: TrainConfig, winners=None,
-               frozen_v_global=None, frozen_h_balance=None):
+def total_loss(model, x0, x1, t, cfg: TrainConfig):
     """Weighted sum of the three objectives with routed gradients.
 
     Routing: global head <- CFM only; trunk encoder <- CFM + WTA;
     projector/decoder/winning experts <- WTA; router <- WTA confidence
     term + balance. The trunk, head, router and projector run forward
     once, and the summed trunk-feature gradient goes through one encoder
-    backward. The frozen_* knobs pin detached quantities for the tests'
-    finite-difference oracle; only `frozen_h_balance` costs a second
-    router forward.
+    backward.
     Returns (value, grads, parts, wta_info).
     """
     cfg.validate()
@@ -90,14 +87,9 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, winners=None,
     grads = model.zero_grads()
 
     c_val, dh, v_global = cfm_core(model, trunk, grads)
-    if frozen_v_global is not None:
-        v_global = frozen_v_global
     probs, router_tape = route(model, trunk.t, trunk.h)
     w_val, w_dh, info = wta_core(model, trunk, probs, router_tape, v_global,
-                                 wcfg, grads, lam=lam, winners=winners,
-                                 scale=cfg.alpha_w)
-    if frozen_h_balance is not None:
-        probs, router_tape = route(model, trunk.t, frozen_h_balance)
+                                 wcfg, grads, lam=lam, scale=cfg.alpha_w)
     b_val = balance_core(model, probs, router_tape, wcfg, grads,
                          scale=cfg.alpha_b)
     encoder_backward(model, trunk, dh + w_dh, grads)

@@ -15,8 +15,9 @@ from prismflow.router import balance_loss_and_grads, wta_loss
 from prismflow.trainer import lambda_schedule
 
 # test-only oracles, importable from here like the reference code below
-from oracles import (finite_difference_check,  # noqa: F401
-                     frozen_total_loss_fn, global_velocity)
+from oracles import (FrozenObjective,  # noqa: F401
+                     finite_difference_check, frozen_total_loss_fn,
+                     frozen_wta_loss_fn, global_velocity)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -46,19 +47,15 @@ def vanilla_euler_generate(model, n: int, steps: int,
     return x
 
 
-def reference_total_loss(model, x0, x1, t, cfg, winners=None,
-                         frozen_v_global=None, frozen_h_balance=None):
+def reference_total_loss(model, x0, x1, t, cfg):
     """Reference objective: the three public per-objective losses, each
     with its own trunk pass, summed with their weights."""
     cfg.validate()
     wcfg = cfg.wta()
     lam = lambda_schedule(cfg.lambda_kind, t)
     c_val, grads = cfm_loss(model, x0, x1, t)
-    w_val, w_grads, info = wta_loss(model, x0, x1, t, wcfg, lam=lam,
-                                    winners=winners,
-                                    frozen_v_global=frozen_v_global)
-    b_val, b_grads, _ = balance_loss_and_grads(model, x0, x1, t, wcfg,
-                                               h_override=frozen_h_balance)
+    w_val, w_grads, info = wta_loss(model, x0, x1, t, wcfg, lam=lam)
+    b_val, b_grads, _ = balance_loss_and_grads(model, x0, x1, t, wcfg)
     for name in grads:
         grads[name] += cfg.alpha_w * w_grads[name] + cfg.alpha_b * b_grads[name]
     value = c_val + cfg.alpha_w * w_val + cfg.alpha_b * b_val
@@ -154,15 +151,13 @@ def reference_load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
     return Dataset(windows)
 
 
-def reference_csv_text(windows, channel_names=None) -> str:
+def reference_csv_text(windows) -> str:
     """Reference writer: the block CSV text of `windows`, one csv.writer
     row per timestep and repr(float) per cell."""
     windows = np.asarray(windows, dtype=np.float64)
-    d = windows.shape[2]
-    names = channel_names or [f"c{i}" for i in range(d)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names)
+    writer.writerow([f"c{i}" for i in range(windows.shape[2])])
     for w, window in enumerate(windows):
         if w:
             buf.write("\n")
@@ -175,6 +170,15 @@ def reference_csv_text(windows, channel_names=None) -> str:
 def tiny_model():
     """S=8, D=2, d_z=4, K=2, hidden 8."""
     cfg = ModelConfig(seq_len=8, channels=2, n_experts=2, latent_dim=4,
+                      hidden_dim=8, dec_hidden=8, router_hidden=8)
+    return PrismFlowModel.init(cfg, RngStream(0))
+
+
+@pytest.fixture
+def four_expert_model():
+    """The tiny model's shapes with K=4, so a batch of 4 can leave
+    experts without a winning sample."""
+    cfg = ModelConfig(seq_len=8, channels=2, n_experts=4, latent_dim=4,
                       hidden_dim=8, dec_hidden=8, router_hidden=8)
     return PrismFlowModel.init(cfg, RngStream(0))
 

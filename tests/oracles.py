@@ -1,13 +1,16 @@
 """Test-only oracles: a central-difference gradient check, the frozen
-closure of the training objective it differentiates, and the global
-velocity field evaluated on its own. `conftest` re-exports them."""
+training objective whose value it differences, and the global velocity
+field evaluated on its own. `conftest` re-exports them."""
 
 import numpy as np
 
 from prismflow.errors import ContractViolation, NumericError
+from prismflow.experts import decode_experts
 from prismflow.flowpath import encode, interpolate_state
 from prismflow.numcore import mlp_apply
-from prismflow.trainer import TrainConfig, total_loss
+from prismflow.router import (balance_loss, estimate_endpoint, route,
+                              select_winner, wta_loss, wta_scores)
+from prismflow.trainer import TrainConfig, lambda_schedule, total_loss
 
 
 def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,
@@ -42,28 +45,73 @@ def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,
     return worst
 
 
-def frozen_total_loss_fn(model, x0, x1, t, cfg: TrainConfig):
-    """Closure for the finite-difference oracle.
+class FrozenObjective:
+    """The training objective's value as a function of the parameters
+    alone, built from the forward primitives and independent of
+    `total_loss`.
 
-    Detached quantities (the global velocity inside the WTA endpoint,
-    the winner assignment, and the trunk features feeding the balance
-    term) are pinned at their current values so central differences see
-    the same function the routed analytic gradient differentiates.
+    What the analytic gradient treats as constant keeps its value at the
+    parameters of construction: the winners, the global velocity inside
+    the WTA endpoint (the head at the path points x_t), and the trunk
+    features that feed the balance term.
     """
-    b = np.asarray(x0).shape[0]
-    tt = np.asarray(t, dtype=np.float64).reshape(b)
-    xt = interpolate_state(x0, x1, tt)
-    h0, _ = encode(model, xt, tt)
-    v0, _ = mlp_apply(model.head, h0)
-    _, _, _, info = total_loss(model, x0, x1, tt, cfg)
 
-    def fn(_params):
-        value, grads, _, _ = total_loss(
-            model, x0, x1, tt, cfg, winners=info.winners,
-            frozen_v_global=v0, frozen_h_balance=h0)
-        return value, grads
+    def __init__(self, model, x0, x1, t, cfg: TrainConfig):
+        self.model, self.cfg, self.wcfg = model, cfg, cfg.wta()
+        b = np.asarray(x0).shape[0]
+        self.x0 = np.asarray(x0, dtype=np.float64).reshape(b, -1)
+        self.x1 = np.asarray(x1, dtype=np.float64).reshape(b, -1)
+        self.t = np.asarray(t, dtype=np.float64).reshape(b)
+        self.xt = interpolate_state(self.x0, self.x1, self.t)
+        self.lam = lambda_schedule(cfg.lambda_kind, self.t)
+        self.h0, _ = encode(model, self.xt, self.t)
+        self.v0, _ = mlp_apply(model.head, self.h0)
+        self.winners = select_winner(self._scores(self.h0))
 
-    return fn
+    def _scores(self, h):
+        """WTA scores (B, K) on trunk features h, against the frozen
+        global velocity."""
+        model = self.model
+        probs, _ = route(model, self.t, h)
+        z, _ = mlp_apply(model.projector, h)
+        resids, _ = decode_experts(model, model.operators(),
+                                   range(model.n_experts), z)
+        errs = estimate_endpoint(self.xt, self.t, self.v0 + resids) - self.x1
+        return wta_scores(np.mean(errs * errs, axis=2).T, probs, self.wcfg)
+
+    def wta(self) -> float:
+        """The WTA term on the frozen winners."""
+        h, _ = encode(self.model, self.xt, self.t)
+        scores = self._scores(h)
+        return float(np.mean(self.lam * scores[np.arange(h.shape[0]),
+                                               self.winners]))
+
+    def total(self) -> float:
+        """CFM + alpha_w * WTA + alpha_b * balance on the frozen features."""
+        model, cfg = self.model, self.cfg
+        h, _ = encode(model, self.xt, self.t)
+        v, _ = mlp_apply(model.head, h)
+        resid = v - (self.x1 - self.x0)
+        cfm = float(np.mean(resid * resid))
+        probs, _ = route(model, self.t, self.h0)
+        bal = balance_loss(probs, self.wcfg.prob_floor)
+        return cfm + cfg.alpha_w * self.wta() + cfg.alpha_b * bal
+
+
+def frozen_total_loss_fn(model, x0, x1, t, cfg: TrainConfig):
+    """Closure for the finite-difference oracle: the frozen objective's
+    value at the current parameters, and `total_loss`'s gradient at the
+    parameters of construction."""
+    frozen = FrozenObjective(model, x0, x1, t, cfg)
+    _, grads, _, _ = total_loss(model, x0, x1, t, cfg)
+    return lambda _params: (frozen.total(), grads)
+
+
+def frozen_wta_loss_fn(model, x0, x1, t, cfg: TrainConfig):
+    """As `frozen_total_loss_fn`, for the WTA term and `wta_loss`."""
+    frozen = FrozenObjective(model, x0, x1, t, cfg)
+    _, grads, _ = wta_loss(model, x0, x1, t, cfg.wta(), lam=frozen.lam)
+    return lambda _params: (frozen.wta(), grads)
 
 
 def global_velocity(model, x, t) -> np.ndarray:

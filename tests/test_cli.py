@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,63 @@ class TestTrainSampleEval:
         assert run("sample", "--checkpoint", bad, "--n", "2", "--steps",
                    "2", "--seed", "0", "--out", str(tmp_path / "x.csv")) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestRefusedBeforeWork:
+    """A request that cannot run fails with exit 2 before any work: no
+    metric printed, no sample drawn, no output written."""
+
+    def check_refused(self, capsys, argv, out, err):
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {err}")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metrics,flags,gen,err", [
+        ("corr,bogus", [], (80, 24), "unknown metric 'bogus'"),
+        ("corr,spectral", ["--rank", "0"], (80, 24), "DMD needs rank >= 1"),
+        ("corr,spectral", ["--delay", "30"], (80, 24), "need S >= delay+1"),
+        ("corr,pred,disc", [], (80, 24),
+         "disc needs real and generated windows"),
+        ("corr,disc", [], (10, 32), "disc needs at least 64 windows")],
+        ids=["name", "rank", "delay", "shape", "count"])
+    def test_eval_checks_every_metric_first(self, tmp_path, capsys, metrics,
+                                            flags, gen, err):
+        """Real (80, 32, 1) against generated (n, S, 1) windows."""
+        paths = {}
+        for name, (n, seq_len) in (("real", (80, 32)), ("gen", gen)):
+            paths[name] = str(tmp_path / f"{name}.csv")
+            assert run("gen-data", "--kind", "sines", "--n", str(n),
+                       "--seq-len", str(seq_len), "--channels", "1",
+                       "--seed", "0", "--out", paths[name]) == 0
+        capsys.readouterr()
+        out = tmp_path / "report.jsonl"
+        self.check_refused(capsys, [
+            "eval", "--real", paths["real"], "--gen", paths["gen"],
+            "--metrics", metrics, "--out", str(out), *flags], out, err)
+
+    @pytest.mark.parametrize("verb,flag", [
+        ("sample", "--gamma"), ("impute", "--gamma"), ("impute", "--eta-g"),
+        ("forecast", "--gamma"), ("forecast", "--eta-g")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sampler_settings(self, tmp_path, checkpoint, capsys,
+                                         verb, flag, value):
+        out = tmp_path / "x.csv"
+        argv = [verb, "--checkpoint", checkpoint, "--steps", "2", "--seed",
+                "0", "--out", str(out), flag, value]
+        if verb == "sample":
+            argv += ["--n", "2"]
+        else:
+            obs, mask = str(tmp_path / "obs.csv"), str(tmp_path / "mask.csv")
+            save_csv_windows(np.zeros((2, 8, 2)), obs)
+            save_csv_windows(np.ones((2, 8, 2)), mask)
+            argv += ["--observed", obs, "--mask", mask]
+        key = flag[2:].replace("-", "_")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check_refused(capsys, argv, out, f"{key} must be finite")
 
 
 class TestCheckpointContract:

@@ -178,7 +178,7 @@ class TestAdam:
         state = AdamState.create(p, lr=0.01)
         adam_update(state, p, Params({"w": (3,)}, g))
         # after bias correction the first step is -lr * g / (|g| + eps)
-        expected = before - 0.01 * g / (np.abs(g) + state.eps)
+        expected = before - 0.01 * g / (np.abs(g) + AdamState.EPS)
         np.testing.assert_allclose(p["w"], expected, rtol=1e-9)
 
     def test_two_steps_accumulators(self):

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import finite_difference_check, global_velocity
+from conftest import finite_difference_check, frozen_wta_loss_fn
 import prismflow.model as model_module
 from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.experts import assemble_operator
-from prismflow.flowpath import encode, interpolate_state
-from prismflow.model import ModelConfig, PrismFlowModel
-from prismflow.numcore import RngStream
+from prismflow.flowpath import encode
 from prismflow.router import (WtaConfig, balance_loss, balance_loss_and_grads,
                               estimate_endpoint, route, select_winner, softmax,
                               wta_loss, wta_scores)
+from prismflow.trainer import TrainConfig
 
 
 class TestSoftmax:
@@ -126,40 +125,44 @@ class TestWtaLoss:
         np.testing.assert_array_equal(info.winners,
                                       np.argmax(info.probs, axis=1))
 
-    def test_masked_experts_get_exact_zero_gradient(self, tiny_model,
+    def test_masked_experts_get_exact_zero_gradient(self, four_expert_model,
                                                     tiny_batch):
+        model = four_expert_model
         x0, x1, t = tiny_batch
-        cfg = WtaConfig()
-        loss, grads, info = wta_loss(tiny_model, x0, x1, t, cfg)
-        for k in range(tiny_model.n_experts):
-            if k in info.winners:
-                continue
+        _, grads, info = wta_loss(model, x0, x1, t, WtaConfig())
+        losers = [k for k in range(model.n_experts) if k not in info.winners]
+        assert losers
+        for k in losers:
             assert np.all(grads[f"expert{k}.S"] == 0.0)
             assert np.all(grads[f"expert{k}.R"] == 0.0)
 
-    def test_perturbing_masked_expert_does_not_move_loss(self, tiny_model,
+    def test_perturbing_masked_expert_does_not_move_loss(self,
+                                                         four_expert_model,
                                                          tiny_batch):
+        model = four_expert_model
         x0, x1, t = tiny_batch
         cfg = WtaConfig()
-        winners = np.zeros(x0.shape[0], dtype=np.int64)  # expert 1 loses
-        loss, _, _ = wta_loss(tiny_model, x0, x1, t, cfg, winners=winners)
-        tiny_model.expert_s[1] += 1e-3
-        tiny_model.expert_r[1] += 1e-3
-        loss2, _, _ = wta_loss(tiny_model, x0, x1, t, cfg, winners=winners)
+        loss, _, info = wta_loss(model, x0, x1, t, cfg)
+        losers = [k for k in range(model.n_experts) if k not in info.winners]
+        assert losers
+        for k in losers:
+            model.expert_s[k] += 1e-3
+            model.expert_r[k] += 1e-3
+        loss2, _, info2 = wta_loss(model, x0, x1, t, cfg)
+        np.testing.assert_array_equal(info2.winners, info.winners)
         assert abs(loss2 - loss) <= 1e-12
 
     def test_lambda_weighting_scales_loss(self, tiny_model, tiny_batch):
         x0, x1, t = tiny_batch
         cfg = WtaConfig()
         base, _, info = wta_loss(tiny_model, x0, x1, t, cfg)
-        doubled, _, _ = wta_loss(tiny_model, x0, x1, t, cfg,
-                                 lam=2.0 * np.ones(4), winners=info.winners)
+        doubled, _, info2 = wta_loss(tiny_model, x0, x1, t, cfg,
+                                     lam=2.0 * np.ones(4))
+        np.testing.assert_array_equal(info2.winners, info.winners)
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
-    def test_assembles_each_operator_once(self, tiny_batch, monkeypatch):
-        cfg = ModelConfig(seq_len=8, channels=2, n_experts=4, latent_dim=4,
-                          hidden_dim=8, dec_hidden=8, router_hidden=8)
-        model = PrismFlowModel.init(cfg, RngStream(0))
+    def test_assembles_each_operator_once(self, four_expert_model, tiny_batch,
+                                          monkeypatch):
         calls = []
 
         def counted(*args):
@@ -168,21 +171,13 @@ class TestWtaLoss:
 
         monkeypatch.setattr(model_module, "assemble_operator", counted)
         x0, x1, t = tiny_batch
-        wta_loss(model, x0, x1, t, WtaConfig())
+        wta_loss(four_expert_model, x0, x1, t, WtaConfig())
         assert len(calls) == 4
 
     def test_gradients_match_finite_differences(self, tiny_model, tiny_batch):
         x0, x1, t = tiny_batch
-        cfg = WtaConfig(beta=0.5)
-        v0 = global_velocity(tiny_model, x0, t)
-        _, _, info = wta_loss(tiny_model, x0, x1, t, cfg,
-                              frozen_v_global=v0)
-        winners = info.winners
-
-        def loss_fn(params):
-            loss, grads, _ = wta_loss(tiny_model, x0, x1, t, cfg,
-                                      winners=winners, frozen_v_global=v0)
-            return loss, grads
+        loss_fn = frozen_wta_loss_fn(tiny_model, x0, x1, t,
+                                     TrainConfig(beta=0.5))
         blocks = [n for n in tiny_model.params()
                   if not n.startswith("head")]
         err = finite_difference_check(loss_fn, tiny_model.params(), 1e-5,
@@ -236,12 +231,11 @@ class TestBalanceLoss:
         # vanishingly small relative to finite-difference roundoff
         tiny_model.router.biases[-1][:] = [0.8, -0.8]
         tiny_model.router.bump_version()
-        xt = interpolate_state(x0, x1, t)
-        h0, _ = encode(tiny_model, xt, t)
 
+        # the router blocks perturbed here cannot move the trunk features
         def loss_fn(params):
-            loss, grads, _ = balance_loss_and_grads(
-                tiny_model, x0, x1, t, cfg, h_override=h0)
+            loss, grads, _ = balance_loss_and_grads(tiny_model, x0, x1, t,
+                                                    cfg)
             return loss, grads
         blocks = [n for n in tiny_model.params() if n.startswith("router")]
         err = finite_difference_check(loss_fn, tiny_model.params(), 3e-5,

@@ -79,3 +79,36 @@ def test_unused_imports_are_found():
 def test_no_module_imports_a_name_it_does_not_use():
     for path in sorted(SRC.glob("*.py")):
         assert unused_imports(path.read_text()) == [], path.name
+
+
+def unread_parameters(source: str) -> list:
+    """Parameters of functions and lambdas that their bodies never read,
+    `self` and `cls` aside."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unread += [f"{name}({p.arg}) (line {node.lineno})" for p in params
+                   if p.arg not in read | {"self", "cls"}]
+    return unread
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(self, a, b, *c, d=1, **e):\n    return a + d\n"
+              "def g(cls, x):\n    x = 2\n    return lambda y, z: z\n")
+    assert unread_parameters(source) == [
+        "f(b) (line 1)", "f(c) (line 1)", "f(e) (line 1)",
+        "g(x) (line 3)", "lambda(y) (line 5)"]
+
+
+def test_every_parameter_is_read():
+    for path in sorted(SRC.glob("*.py")):
+        assert unread_parameters(path.read_text()) == [], path.name

@@ -2,29 +2,21 @@ import json
 
 import numpy as np
 import pytest
-from conftest import (ReferenceAdam, finite_difference_check,
-                      frozen_total_loss_fn, reference_total_loss)
+from conftest import (FrozenObjective, ReferenceAdam,
+                      finite_difference_check, frozen_total_loss_fn,
+                      reference_total_loss)
 
 import prismflow.flowpath as flowpath_module
 import prismflow.router as router_module
 import prismflow.trainer as trainer_module
 from prismflow.errors import ConfigError, ContractViolation, NumericError
-from prismflow.flowpath import encode, interpolate_state
+from prismflow.flowpath import encode
 from prismflow.model import ModelConfig, PrismFlowModel
-from prismflow.numcore import AdamState, Params, RngStream, adam_update, \
-    mlp_apply
+from prismflow.numcore import AdamState, Params, RngStream, adam_update
+from prismflow.router import wta_loss
 from prismflow.trainer import (LAMBDA_KINDS, TrainConfig, fit,
                                lambda_schedule, load_config_file, total_loss,
                                train_step)
-
-
-@pytest.fixture
-def four_expert_model():
-    """The tiny model's shapes with K=4, so a batch of 4 can leave
-    experts without a winning sample."""
-    cfg = ModelConfig(seq_len=8, channels=2, n_experts=4, latent_dim=4,
-                      hidden_dim=8, dec_hidden=8, router_hidden=8)
-    return PrismFlowModel.init(cfg, RngStream(0))
 
 
 class TestLambdaSchedule:
@@ -76,6 +68,18 @@ class TestTotalLoss:
             total_loss(tiny_model, x0, x1, t,
                        TrainConfig(alpha_w=-1.0))
 
+    def test_losing_experts_get_exactly_zero_gradient(self,
+                                                      four_expert_model,
+                                                      tiny_batch):
+        model = four_expert_model
+        x0, x1, t = tiny_batch
+        _, grads, _, info = total_loss(model, x0, x1, t, TrainConfig())
+        losers = [k for k in range(model.n_experts) if k not in info.winners]
+        assert losers
+        for k in losers:
+            assert np.all(grads[f"expert{k}.S"] == 0.0)
+            assert np.all(grads[f"expert{k}.R"] == 0.0)
+
     def test_gradients_match_finite_differences(self, tiny_model, tiny_batch):
         x0, x1, t = tiny_batch
         cfg = TrainConfig(alpha_w=1.0, alpha_b=1.0, beta=0.5)
@@ -84,28 +88,46 @@ class TestTotalLoss:
         assert err < 1e-4
 
 
+class TestFrozenObjective:
+    """The finite-difference oracle differences the objective it checks:
+    at the current parameters its frozen values are the objective's."""
+
+    @pytest.mark.parametrize("kind", LAMBDA_KINDS)
+    @pytest.mark.parametrize("n_experts", [1, 4])
+    def test_frozen_values_equal_the_objective(self, tiny_batch, kind,
+                                               n_experts):
+        cfg = ModelConfig(seq_len=8, channels=2, n_experts=n_experts,
+                          latent_dim=4, hidden_dim=8, dec_hidden=8,
+                          router_hidden=8)
+        model = PrismFlowModel.init(cfg, RngStream(0))
+        x0, x1, t = tiny_batch
+        tcfg = TrainConfig(alpha_w=0.7, alpha_b=0.3, beta=0.5,
+                           lambda_kind=kind)
+        frozen = FrozenObjective(model, x0, x1, t, tcfg)
+        value, _, _, _ = total_loss(model, x0, x1, t, tcfg)
+        wta, _, _ = wta_loss(model, x0, x1, t, tcfg.wta(),
+                             lam=lambda_schedule(kind, t))
+        assert frozen.total() == pytest.approx(value, rel=1e-12)
+        assert frozen.wta() == pytest.approx(wta, rel=1e-12)
+
+
 class TestFusedTotalLoss:
     """The one-pass objective against the sum of the public per-objective
     losses, each of which runs its own trunk."""
 
-    @pytest.mark.parametrize("kind", LAMBDA_KINDS)
-    @pytest.mark.parametrize("knobs", ["live", "frozen"])
+    # "live": the winners, the global velocity and the balance features
+    # all come from the current parameters
+    @pytest.mark.parametrize("kind", LAMBDA_KINDS,
+                             ids=lambda kind: f"live-{kind}")
     def test_matches_sum_of_public_objectives(self, four_expert_model,
-                                              tiny_batch, kind, knobs):
+                                              tiny_batch, kind):
         model = four_expert_model
         x0, x1, t = tiny_batch
         cfg = TrainConfig(alpha_w=0.7, alpha_b=0.3, beta=0.5,
                           lambda_kind=kind)
-        extra = {}
-        if knobs == "frozen":
-            h0, _ = encode(model, interpolate_state(x0, x1, t), t)
-            v0, _ = mlp_apply(model.head, h0)
-            extra = {"winners": np.array([0, 0, 2, 2]),
-                     "frozen_v_global": v0 * 1.1,
-                     "frozen_h_balance": h0 + 0.1}
-        value, grads, parts, info = total_loss(model, x0, x1, t, cfg, **extra)
+        value, grads, parts, info = total_loss(model, x0, x1, t, cfg)
         ref_value, ref_grads, ref_parts, ref_info = reference_total_loss(
-            model, x0, x1, t, cfg, **extra)
+            model, x0, x1, t, cfg)
         assert value == pytest.approx(ref_value, rel=1e-12)
         for key, ref in ref_parts.items():
             assert parts[key] == pytest.approx(ref, rel=1e-12)
@@ -114,12 +136,6 @@ class TestFusedTotalLoss:
         for name, ref in ref_grads.items():
             np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-10,
                                        err_msg=name)
-        losers = [k for k in range(model.n_experts) if k not in info.winners]
-        if knobs == "frozen":
-            assert losers == [1, 3]
-        for k in losers:
-            assert np.all(grads[f"expert{k}.S"] == 0.0)
-            assert np.all(grads[f"expert{k}.R"] == 0.0)
 
     def test_one_trunk_forward(self, tiny_model, tiny_batch, monkeypatch):
         calls = []
