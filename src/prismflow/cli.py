@@ -234,6 +234,8 @@ def cmd_dmd(args):
         raise PrismFlowError("dmd needs --experts or both --real and --gen")
     real = _load_windows(args.real, mode="blocks")
     gen = _load_windows(args.gen, mode="blocks")
+    for ds in (real, gen):  # refuse either set before any DMD runs
+        check_dmd(ds.seq_len, args.rank, args.delay)
     sr = exact_dmd(real.windows, rank=args.rank, delay=args.delay)
     sg = exact_dmd(gen.windows, rank=args.rank, delay=args.delay)
     for tag, spec in (("real", sr), ("gen", sg)):

@@ -69,11 +69,13 @@ def gen_bimodal_frequency(n, seq_len, channels, f_low, f_high,
     f_high cycles per window (equal probability), random phase. Regime
     labels are kept on the dataset."""
     _check_sizes(n=n, seq_len=seq_len, channels=channels)
-    if f_low == f_high:
-        raise ConfigError("f_low and f_high must differ")
-    for f in (f_low, f_high):
+    for key, f in (("f_low", f_low), ("f_high", f_high)):
+        if not math.isfinite(f):
+            raise ConfigError(f"frequency {key} must be finite, got {f}")
         if not 0 < f < seq_len / 2:
             raise ConfigError(f"frequency {f} aliased for seq_len {seq_len}")
+    if f_low == f_high:
+        raise ConfigError("f_low and f_high must differ")
     gen = rng.generator()
     labels = gen.integers(0, 2, size=n)
     freqs = np.where(labels == 0, f_low, f_high).reshape(n, 1, 1)
@@ -103,6 +105,12 @@ class DiagnosticSpec:
         if not math.isfinite(self.separation):
             raise ConfigError(f"separation must be finite, got "
                               f"{self.separation}")
+        # the velocity statistics sum n*S*D squared velocities of about
+        # c^2; 4c^2 bounds each of them wherever the sum could overflow
+        c, elements = self.separation, self.n * self.seq_len * self.channels
+        if not math.isfinite(4.0 * c * c * elements):
+            raise ConfigError(f"separation {c} overflows the squared "
+                              f"velocities of {elements} elements")
 
 
 def gen_velocity_mixture_diagnostic(spec: DiagnosticSpec,

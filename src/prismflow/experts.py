@@ -56,7 +56,7 @@ def decode_experts(model, ops, experts, z: np.ndarray):
     belongs to experts[i]: expert k applies its generator A^k = ops[k],
     assembled once per training step or sampling call, and decodes
     concat(z, A^k z) to a (B, S*D) residual field. Training scores all K
-    experts with one call; sampling calls it per expert on its rows.
+    experts with one call; sampling calls it per expert that won rows.
 
     Returns (residuals (len(experts), B, S*D), dec_tape).
     """
@@ -64,8 +64,8 @@ def decode_experts(model, ops, experts, z: np.ndarray):
                             for k in experts])
     resid, dec_tape = mlp_apply(model.decoder, pairs)
     resids = resid.reshape(-1, z.shape[0], resid.shape[1])
-    finite = np.isfinite(resids).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(resid).all():
+        finite = np.isfinite(resids).all(axis=(1, 2))
         k = list(experts)[int(np.argmin(finite))]
         raise NumericError(f"expert {k} produced non-finite residual velocity")
     return resids, dec_tape

@@ -13,13 +13,12 @@ from .numcore import Params, Tape, mlp_apply, mlp_gradients
 DEFAULT_TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
 
 
-def time_features(t, freqs, rows: int) -> np.ndarray:
+def time_features(t, freqs) -> np.ndarray:
     """Fourier features [sin(2*pi*f*t), cos(2*pi*f*t)] per f of flow times
-    t (rows,), or of one scalar t computed once and repeated: (rows, 2F)."""
-    t = np.asarray(t, dtype=np.float64)
-    ang = 2.0 * np.pi * np.multiply.outer(t, np.asarray(freqs))
-    tf = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
-    return tf if tf.ndim == 2 else tf[np.newaxis].repeat(rows, axis=0)
+    t: (rows, 2F) for t (rows,), or (2F,) for one scalar t."""
+    ang = 2.0 * np.pi * np.multiply.outer(np.asarray(t, dtype=np.float64),
+                                          np.asarray(freqs))
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
 def interpolate_state(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:
@@ -46,19 +45,13 @@ def target_velocity(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     return x1 - x0
 
 
-def encoder_input(model, x, t) -> np.ndarray:
-    """Flattened state concatenated with time features. Batched: (B, S*D + 2F)
-    for times t (B,) or one scalar t."""
+def encode(model, x, tf):
+    """Shared trunk features h_t for a batch of states x (B, ...) with
+    time features tf (B, 2F): the encoder on [flattened x, tf].
+    Returns (h, tape)."""
     x = np.asarray(x, dtype=np.float64)
-    b = x.shape[0]
-    flat = x.reshape(b, -1)
-    return np.concatenate([flat, time_features(t, model.cfg.time_freqs, b)],
-                          axis=1)
-
-
-def encode(model, x, t):
-    """Shared trunk features h_t for a batch of states. Returns (h, tape)."""
-    return mlp_apply(model.encoder, encoder_input(model, x, t))
+    return mlp_apply(model.encoder,
+                     np.concatenate([x.reshape(x.shape[0], -1), tf], axis=1))
 
 
 @dataclass
@@ -72,6 +65,7 @@ class Trunk:
     x0: np.ndarray  # source samples
     x1: np.ndarray  # data samples
     t: np.ndarray  # (B,) flow times
+    tf: np.ndarray  # (B, 2F) their time features, read by encoder and router
     xt: np.ndarray  # path points (1 - t) * x0 + t * x1
     h: np.ndarray  # (B, hidden) trunk features
     tape: Tape  # encoder tape
@@ -88,8 +82,9 @@ def trunk_forward(model, x0, x1, t) -> Trunk:
     x0, x1 = x0.reshape(b, -1), x1.reshape(b, -1)
     t = np.asarray(t, dtype=np.float64).reshape(b)
     xt = interpolate_state(x0, x1, t)
-    h, tape = encode(model, xt, t)
-    return Trunk(x0, x1, t, xt, h, tape)
+    tf = time_features(t, model.cfg.time_freqs)
+    h, tape = encode(model, xt, tf)
+    return Trunk(x0, x1, t, tf, xt, h, tape)
 
 
 def encoder_backward(model, trunk: Trunk, dh, grads: Params) -> None:

@@ -14,7 +14,12 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericError, ShapeError
 
-ACTIVATIONS = ("tanh", "softplus")
+# hidden activations by name
+ACTIVATIONS = {
+    "tanh": np.tanh,
+    # smooth relu; stable for large |x|
+    "softplus": lambda x: np.logaddexp(0.0, x),
+}
 
 
 @dataclass(frozen=True)
@@ -35,13 +40,11 @@ class RngStream:
         return RngStream(self.seed, stream)
 
 
-def _act(name, x):
-    if name == "tanh":
-        return np.tanh(x)
-    if name == "softplus":
-        # smooth relu; stable for large |x|
-        return np.logaddexp(0.0, x)
-    raise ConfigError(f"unknown activation {name!r}")
+def _activation(name):
+    try:
+        return ACTIVATIONS[name]
+    except KeyError:
+        raise ConfigError(f"unknown activation {name!r}") from None
 
 
 def _act_grad(name, pre, out):
@@ -88,10 +91,6 @@ class Mlp:
         for w in self.weights:
             limit = np.sqrt(6.0 / sum(w.shape))
             w[...] = gen.uniform(-limit, limit, size=w.shape)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
 
     def bump_version(self) -> None:
         self.version += 1
@@ -153,13 +152,15 @@ def mlp_apply(net: Mlp, x: np.ndarray):
         raise ShapeError(
             f"input dim {a.shape[1]} != first layer dim {net.layer_dims[0]}"
         )
+    act = _activation(net.activation)
     inputs, preacts = [], []
-    last = net.n_layers - 1
+    last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(a)
-        pre = a @ w + b
+        pre = a @ w
+        pre += b
         preacts.append(pre)
-        a = pre if i == last else _act(net.activation, pre)
+        a = pre if i == last else act(pre)
     return a, Tape(inputs, preacts, id(net), net.version)
 
 
@@ -173,12 +174,14 @@ def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool):
         raise ShapeError(
             f"upstream shape {delta.shape} != output shape {tape.preacts[-1].shape}"
         )
-    wgrads = [None] * net.n_layers
-    bgrads = [None] * net.n_layers
-    for i in range(net.n_layers - 1, -1, -1):
-        if i != net.n_layers - 1:
-            delta = delta * _act_grad(net.activation, tape.preacts[i],
-                                      tape.inputs[i + 1])
+    last = len(net.weights) - 1
+    wgrads = [None] * (last + 1)
+    bgrads = [None] * (last + 1)
+    for i in range(last, -1, -1):
+        if i != last:
+            # delta is a product of this backward, never the caller's array
+            delta *= _act_grad(net.activation, tape.preacts[i],
+                               tape.inputs[i + 1])
         if with_params:
             wgrads[i] = tape.inputs[i].T @ delta
             bgrads[i] = delta.sum(axis=0)

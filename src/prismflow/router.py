@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ContractViolation, NumericError, ShapeError
 from .experts import decode_experts, operator_grads
-from .flowpath import encoder_backward, time_features, trunk_forward
+from .flowpath import encoder_backward, trunk_forward
 from .numcore import Params, mlp_apply, mlp_gradients, tape_rows
 
 
@@ -34,14 +34,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def route(model, t, h):
-    """Categorical expert probabilities for a batch of trunk features at
-    flow times t (B,) or one scalar t.
+def route(model, tf, h):
+    """Categorical expert probabilities for a batch of trunk features h
+    with time features tf (B, 2F).
 
     Returns (probs, tape); probs rows are strictly positive and sum to 1,
-    and tape.inputs[0] is the router input [time features, h].
+    and tape.inputs[0] is the router input [tf, h].
     """
-    tf = time_features(t, model.cfg.time_freqs, h.shape[0])
     logits, tape = mlp_apply(model.router, np.concatenate([tf, h], axis=-1))
     if not np.isfinite(logits).all():
         raise NumericError("router produced non-finite logits")
@@ -109,7 +108,7 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None):
     """
     trunk = trunk_forward(model, x0, x1, t)
     v_global, _ = mlp_apply(model.head, trunk.h)  # value only
-    probs, router_tape = route(model, trunk.t, trunk.h)
+    probs, router_tape = route(model, trunk.tf, trunk.h)
     grads = model.zero_grads()
     loss, dh, info = wta_core(model, trunk, probs, router_tape, v_global,
                               cfg, grads, lam=lam)
@@ -204,7 +203,7 @@ def balance_loss_and_grads(model, x0, x1, t, cfg: WtaConfig):
     the balance term regularizes routing, not the representation.
     """
     trunk = trunk_forward(model, x0, x1, t)
-    probs, tape = route(model, trunk.t, trunk.h)
+    probs, tape = route(model, trunk.tf, trunk.h)
     grads = model.zero_grads()
     loss = balance_core(model, probs, tape, cfg, grads)
     return loss, grads, probs

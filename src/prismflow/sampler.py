@@ -11,7 +11,7 @@ import numpy as np
 from .datasets import save_csv_windows
 from .errors import ConfigError, ContractViolation, NumericError, ShapeError
 from .experts import decode_experts
-from .flowpath import encode
+from .flowpath import encode, time_features
 from .numcore import RngStream, mlp_apply, mlp_input_gradient
 from .router import estimate_endpoint, route
 
@@ -68,19 +68,32 @@ class ConditionMask:
             raise ContractViolation("observed values must be finite")
 
 
-def _velocity(model, x, t, cfg: SamplerConfig, ops):
-    """Total sampling velocity at scalar time t for a batch (B, S, D)."""
-    h, enc_tape = encode(model, x, t)
+def step_time_features(model, steps: int, n: int) -> np.ndarray:
+    """Time features of every Euler step's flow time i / steps for a batch
+    of n windows, computed once per sampling call: a (steps, n, 2F) view
+    of the (steps, 2F) table, row i repeated over the batch."""
+    table = time_features(np.arange(steps) / steps, model.cfg.time_freqs)
+    return np.broadcast_to(table[:, np.newaxis], (steps, n, table.shape[1]))
+
+
+def _velocity(model, x, tf, cfg: SamplerConfig, ops):
+    """Total sampling velocity for a batch (B, S, D) at one flow time,
+    given by its time features tf (B, 2F). Only the experts that won rows
+    decode; when one expert won every row, it decodes the whole batch."""
+    h, enc_tape = encode(model, x, tf)
     v, head_tape = mlp_apply(model.head, h)
     if cfg.gamma == 0.0:
         return v.reshape(x.shape), (enc_tape, head_tape)
-    probs, _ = route(model, t, h)
-    winners = np.argmax(probs, axis=1)
+    probs, _ = route(model, tf, h)
+    winners = probs.argmax(axis=1)
     z, _ = mlp_apply(model.projector, h)
-    resid = np.empty_like(v)
-    for k in range(model.n_experts):
-        mask = winners == k
-        if mask.any():
+    won = np.bincount(winners).nonzero()[0]
+    if won.size == 1:
+        resid = decode_experts(model, ops, won, z)[0][0]
+    else:
+        resid = np.empty_like(v)
+        for k in won:
+            mask = winners == k
             resid[mask] = decode_experts(model, ops, [k], z[mask])[0][0]
     total = v + cfg.gamma * resid
     return total.reshape(x.shape), (enc_tape, head_tape)
@@ -94,19 +107,19 @@ def _global_vjp(model, enc_tape, head_tape, upstream):
     return din[:, : upstream.shape[1]]
 
 
-def residual_velocity_step(model, x, t: float, cfg: SamplerConfig, ops):
-    """One Euler update x + (v_global + gamma*v_expert) * dt,
-    with the dominant expert chosen per sample by argmax routing
-    probability. gamma=0 reduces exactly to the plain Euler update.
-    `ops` are the experts' operators, assembled once by the caller; at
-    gamma 0 none are read."""
+def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops):
+    """One Euler update x + (v_global + gamma*v_expert) * dt at the flow
+    time whose time features are tf (B, 2F), with the dominant expert
+    chosen per sample by argmax routing probability. gamma=0 reduces
+    exactly to the plain Euler update. `ops` are the experts' operators,
+    assembled once by the caller; at gamma 0 none are read."""
     cfg.validate()
     x = np.asarray(x, dtype=np.float64)
     dt = 1.0 / cfg.steps
-    v, _ = _velocity(model, x, t, cfg, ops)
+    v, _ = _velocity(model, x, tf, cfg, ops)
     xn = x + v * dt
     if not np.isfinite(xn).all():
-        raise NumericError(f"non-finite state at t={t:.4f}")
+        raise NumericError("non-finite state after a sampler step")
     return xn
 
 
@@ -120,8 +133,8 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     if n == 0:
         return x
     ops = model.operators() if cfg.gamma != 0.0 else None
-    for i in range(cfg.steps):
-        x = residual_velocity_step(model, x, i / cfg.steps, cfg, ops)
+    for tf in step_time_features(model, cfg.steps, n):
+        x = residual_velocity_step(model, x, tf, cfg, ops)
     return x
 
 
@@ -157,9 +170,9 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
         x[i] = rng.child(rng.stream + i).generator().standard_normal((s, d))
     dt = 1.0 / cfg.steps
     ops = model.operators() if cfg.gamma != 0.0 else None
-    for i in range(cfg.steps):
+    for i, tf in enumerate(step_time_features(model, cfg.steps, n)):
         t = i / cfg.steps
-        v, tapes = _velocity(model, x, t, cfg, ops)
+        v, tapes = _velocity(model, x, tf, cfg, ops)
         xhat = estimate_endpoint(x, t, v)
         g = 2.0 * m * (xhat - y)
         if cfg.exact_guidance:

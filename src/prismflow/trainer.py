@@ -87,7 +87,7 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig):
     grads = model.zero_grads()
 
     c_val, dh, v_global = cfm_core(model, trunk, grads)
-    probs, router_tape = route(model, trunk.t, trunk.h)
+    probs, router_tape = route(model, trunk.tf, trunk.h)
     w_val, w_dh, info = wta_core(model, trunk, probs, router_tape, v_global,
                                  wcfg, grads, lam=lam, scale=cfg.alpha_w)
     b_val = balance_core(model, probs, router_tape, wcfg, grads,

@@ -8,7 +8,7 @@ import pytest
 
 from prismflow.datasets import Dataset
 from prismflow.errors import ConfigError, ContractViolation, ParseError
-from prismflow.flowpath import cfm_loss, encode
+from prismflow.flowpath import cfm_loss, encode, time_features
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream, mlp_apply
 from prismflow.router import balance_loss_and_grads, wta_loss
@@ -17,7 +17,7 @@ from prismflow.trainer import lambda_schedule
 # test-only oracles, importable from here like the reference code below
 from oracles import (FrozenObjective,  # noqa: F401
                      finite_difference_check, frozen_total_loss_fn,
-                     frozen_wta_loss_fn, global_velocity)
+                     frozen_wta_loss_fn, global_velocity, reference_velocity)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -41,7 +41,7 @@ def vanilla_euler_generate(model, n: int, steps: int,
     for i in range(steps):
         b = x.shape[0]
         tvec = np.full(b, i / steps)
-        h, _ = encode(model, x, tvec)
+        h, _ = encode(model, x, time_features(tvec, model.cfg.time_freqs))
         v, _ = mlp_apply(model.head, h)
         x = x + v.reshape(x.shape) * dt
     return x

@@ -1,12 +1,13 @@
 """Test-only oracles: a central-difference gradient check, the frozen
-training objective whose value it differences, and the global velocity
-field evaluated on its own. `conftest` re-exports them."""
+training objective whose value it differences, the global velocity
+field evaluated on its own, and the sampler's velocity as computed
+before its per-call time-feature table. `conftest` re-exports them."""
 
 import numpy as np
 
 from prismflow.errors import ContractViolation, NumericError
 from prismflow.experts import decode_experts
-from prismflow.flowpath import encode, interpolate_state
+from prismflow.flowpath import encode, interpolate_state, time_features
 from prismflow.numcore import mlp_apply
 from prismflow.router import (balance_loss, estimate_endpoint, route,
                               select_winner, wta_loss, wta_scores)
@@ -63,8 +64,9 @@ class FrozenObjective:
         self.x1 = np.asarray(x1, dtype=np.float64).reshape(b, -1)
         self.t = np.asarray(t, dtype=np.float64).reshape(b)
         self.xt = interpolate_state(self.x0, self.x1, self.t)
+        self.tf = time_features(self.t, model.cfg.time_freqs)
         self.lam = lambda_schedule(cfg.lambda_kind, self.t)
-        self.h0, _ = encode(model, self.xt, self.t)
+        self.h0, _ = encode(model, self.xt, self.tf)
         self.v0, _ = mlp_apply(model.head, self.h0)
         self.winners = select_winner(self._scores(self.h0))
 
@@ -72,7 +74,7 @@ class FrozenObjective:
         """WTA scores (B, K) on trunk features h, against the frozen
         global velocity."""
         model = self.model
-        probs, _ = route(model, self.t, h)
+        probs, _ = route(model, self.tf, h)
         z, _ = mlp_apply(model.projector, h)
         resids, _ = decode_experts(model, model.operators(),
                                    range(model.n_experts), z)
@@ -81,7 +83,7 @@ class FrozenObjective:
 
     def wta(self) -> float:
         """The WTA term on the frozen winners."""
-        h, _ = encode(self.model, self.xt, self.t)
+        h, _ = encode(self.model, self.xt, self.tf)
         scores = self._scores(h)
         return float(np.mean(self.lam * scores[np.arange(h.shape[0]),
                                                self.winners]))
@@ -89,11 +91,11 @@ class FrozenObjective:
     def total(self) -> float:
         """CFM + alpha_w * WTA + alpha_b * balance on the frozen features."""
         model, cfg = self.model, self.cfg
-        h, _ = encode(model, self.xt, self.t)
+        h, _ = encode(model, self.xt, self.tf)
         v, _ = mlp_apply(model.head, h)
         resid = v - (self.x1 - self.x0)
         cfm = float(np.mean(resid * resid))
-        probs, _ = route(model, self.t, self.h0)
+        probs, _ = route(model, self.tf, self.h0)
         bal = balance_loss(probs, self.wcfg.prob_floor)
         return cfm + cfg.alpha_w * self.wta() + cfg.alpha_b * bal
 
@@ -115,9 +117,37 @@ def frozen_wta_loss_fn(model, x0, x1, t, cfg: TrainConfig):
 
 
 def global_velocity(model, x, t) -> np.ndarray:
-    """Global transport field evaluated on a batch: (B, S, D)."""
-    h, _ = encode(model, x, t)
+    """Global transport field evaluated on a batch at flow times t (B,):
+    (B, S, D)."""
+    h, _ = encode(model, x, time_features(t, model.cfg.time_freqs))
     v, _ = mlp_apply(model.head, h)
     if not np.all(np.isfinite(v)):
         raise NumericError("global velocity produced non-finite values")
     return v.reshape(x.shape)
+
+
+def _repeated_features(model, t, rows: int) -> np.ndarray:
+    """Time features of one scalar t computed once and repeated: (rows, 2F)."""
+    return time_features(t, model.cfg.time_freqs)[np.newaxis].repeat(rows,
+                                                                     axis=0)
+
+
+def reference_velocity(model, x, t, cfg, ops):
+    """Total sampling velocity at scalar time t for a batch (B, S, D), as
+    the sampler computed it before its per-call time-feature table: the
+    encoder and the router each compute the time features of t, and every
+    one of the K experts is masked in turn."""
+    h, enc_tape = encode(model, x, _repeated_features(model, t, x.shape[0]))
+    v, head_tape = mlp_apply(model.head, h)
+    if cfg.gamma == 0.0:
+        return v.reshape(x.shape), (enc_tape, head_tape)
+    probs, _ = route(model, _repeated_features(model, t, h.shape[0]), h)
+    winners = np.argmax(probs, axis=1)
+    z, _ = mlp_apply(model.projector, h)
+    resid = np.empty_like(v)
+    for k in range(model.n_experts):
+        mask = winners == k
+        if mask.any():
+            resid[mask] = decode_experts(model, ops, [k], z[mask])[0][0]
+    total = v + cfg.gamma * resid
+    return total.reshape(x.shape), (enc_tape, head_tape)

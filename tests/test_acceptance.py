@@ -14,7 +14,8 @@ from prismflow.datasets import (gen_bimodal_frequency, gen_sines,
                                 gen_velocity_mixture_diagnostic, normalize,
                                 DiagnosticSpec, velocity_energy_gap)
 from prismflow.experts import assemble_operator, operator_eigenvalues
-from prismflow.flowpath import cfm_loss, encode, interpolate_state
+from prismflow.flowpath import (cfm_loss, encode, interpolate_state,
+                                time_features)
 from prismflow.metrics import correlational_score, discriminative_score
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream
@@ -293,9 +294,10 @@ def test_each_regime_routes_to_its_own_majority_expert(bimodal_runs):
             t = gen.uniform(0.5, 1.0, size=win.shape[0])
             x0 = gen.standard_normal(win.shape)
             xt = interpolate_state(x0, win, t)
-            h, _ = encode(model, xt, t)
+            tf = time_features(t, model.cfg.time_freqs)
+            h, _ = encode(model, xt, tf)
             from prismflow.router import route
-            probs, _ = route(model, t, h)
+            probs, _ = route(model, tf, h)
             k = probs.argmax(axis=1)
             for g in (0, 1):
                 hists[g] += np.bincount(k[labels == g],

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import prismflow.cli as cli_module
 from conftest import traced_peak
 from prismflow.checkpoint import load_checkpoint, save_checkpoint
 from prismflow.cli import run_command
@@ -62,6 +63,17 @@ class TestGenData:
         assert run("gen-data", "--kind", kind, "--n", "4", "--seq-len", "32",
                    "--channels", "1", "--out", str(out), flag, value) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--f-low", "--f-high"])
+    def test_nan_frequency_is_refused_as_non_finite(self, tmp_path, capsys,
+                                                    flag):
+        out = tmp_path / "d.csv"
+        assert run("gen-data", "--kind", "bimodal", "--n", "4", "--seq-len",
+                   "16", "--out", str(out), flag, "nan") == 2
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == (f"error: frequency {key} must be "
+                                           f"finite, got nan\n")
         assert not out.exists()
 
     def test_unknown_verb(self):
@@ -261,6 +273,31 @@ class TestRefusedBeforeWork:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.check_refused(capsys, argv, out, f"{key} must be finite")
+
+
+    def test_dmd_checks_both_sets_before_either_dmd(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """Real windows of S=64 against generated ones of S=8 at delay 8:
+        the generated set is refused before the real-side DMD runs."""
+        paths = {}
+        for name, n, seq_len in (("real", 200, 64), ("gen", 10, 8)):
+            paths[name] = str(tmp_path / f"{name}.csv")
+            assert run("gen-data", "--kind", "bimodal", "--n", str(n),
+                       "--seq-len", str(seq_len), "--f-low", "2",
+                       "--f-high", "3", "--seed", "0",
+                       "--out", paths[name]) == 0
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli_module, "exact_dmd",
+                            lambda *a, **k: calls.append(1))
+        out = tmp_path / "dmd.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check_refused(capsys, [
+                "dmd", "--real", paths["real"], "--gen", paths["gen"],
+                "--rank", "10", "--delay", "8", "--out", str(out)], out,
+                "need S >= delay+1, got S=8, delay=8")
+        assert calls == []
 
 
 class TestCheckpointContract:
@@ -587,6 +624,17 @@ class TestDiagnoseVerb:
         assert run("diagnose", "--n", "2000", "--seed", "0") == 0
         out = capsys.readouterr().out
         assert "energy gap" in out
+
+    @pytest.mark.parametrize("c", ["1e200", "-1e200", "1e154"])
+    def test_overflowing_separation_is_refused(self, capsys, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("diagnose", f"--c={c}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: separation {float(c)} "
+                                       f"overflows")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [("--n", "0"), ("--w", "2"),
                                        ("--c", "nan"), ("--c", "inf")])

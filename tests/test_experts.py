@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 from prismflow.errors import ShapeError
 from prismflow.experts import (assemble_operator, decode_experts,
                                operator_eigenvalues)
-from prismflow.flowpath import encode
+from prismflow.flowpath import encode, time_features
 from prismflow.numcore import mlp_apply
 
 
 def latent_codes(model, x, t):
-    h, _ = encode(model, x, t)
+    h, _ = encode(model, x, time_features(t, model.cfg.time_freqs))
     z, _ = mlp_apply(model.projector, h)
     return z
 

@@ -103,8 +103,9 @@ class TestMlpGradients:
         upstream = gen.standard_normal((6, 2))
         dws, dbs, dx = mlp_gradients(net, tape, upstream)
         delta = upstream
-        for i in range(net.n_layers - 1, -1, -1):
-            if i != net.n_layers - 1:
+        last = len(net.weights) - 1
+        for i in range(last, -1, -1):
+            if i != last:
                 th = np.tanh(tape.preacts[i])
                 delta = delta * (1.0 - th * th)
             np.testing.assert_array_equal(dws[i], tape.inputs[i].T @ delta)

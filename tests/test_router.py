@@ -6,7 +6,7 @@ from conftest import finite_difference_check, frozen_wta_loss_fn
 import prismflow.model as model_module
 from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.experts import assemble_operator
-from prismflow.flowpath import encode
+from prismflow.flowpath import encode, time_features
 from prismflow.router import (WtaConfig, balance_loss, balance_loss_and_grads,
                               estimate_endpoint, route, select_winner, softmax,
                               wta_loss, wta_scores)
@@ -32,8 +32,9 @@ class TestSoftmax:
 class TestRoute:
     def test_shapes_and_simplex(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
-        h, _ = encode(tiny_model, x0, t)
-        probs, tape = route(tiny_model, t, h)
+        tf = time_features(t, tiny_model.cfg.time_freqs)
+        h, _ = encode(tiny_model, x0, tf)
+        probs, tape = route(tiny_model, tf, h)
         assert probs.shape == (4, tiny_model.n_experts)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         width = 8 + 2 * len(tiny_model.cfg.time_freqs)

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import global_velocity, vanilla_euler_generate
+import prismflow.sampler as sampler_module
+from conftest import (global_velocity, reference_velocity,
+                      vanilla_euler_generate)
 from prismflow.datasets import load_csv_windows
-from prismflow.errors import ConfigError, ContractViolation, ShapeError
+from prismflow.errors import (ConfigError, ContractViolation, NumericError,
+                              ShapeError)
+from prismflow.flowpath import encode, time_features
 from prismflow.numcore import RngStream
+from prismflow.router import estimate_endpoint, route
 from prismflow.sampler import (ConditionMask, SamplerConfig, _global_vjp,
                                _velocity, export_samples, generate,
-                               generate_conditional, residual_velocity_step)
+                               generate_conditional, residual_velocity_step,
+                               step_time_features)
 
 
 def constant_field(model, c):
@@ -83,8 +89,9 @@ class TestGenerate:
         x = RngStream(12).generator().standard_normal((5, 8, 2))
         for i in range(cfg.steps):
             ops = tiny_model.operators() if gamma else None
-            x = residual_velocity_step(tiny_model, x, i / cfg.steps, cfg,
-                                       ops)
+            tf = time_features(np.full(5, i / cfg.steps),
+                               tiny_model.cfg.time_freqs)
+            x = residual_velocity_step(tiny_model, x, tf, cfg, ops)
         assert np.array_equal(generate(tiny_model, 5, cfg, RngStream(12)), x)
 
 
@@ -92,7 +99,8 @@ class TestResidualVelocityStep:
     def test_single_step_euler_identity(self, tiny_model):
         constant_field(tiny_model, -0.5)
         x = np.ones((1, 8, 2))
-        out = residual_velocity_step(tiny_model, x, 0.0,
+        tf = time_features(np.zeros(1), tiny_model.cfg.time_freqs)
+        out = residual_velocity_step(tiny_model, x, tf,
                                      SamplerConfig(steps=4),
                                      tiny_model.operators())
         np.testing.assert_allclose(out, x - 0.5 / 4.0, atol=1e-15)
@@ -205,7 +213,9 @@ class TestGenerateConditional:
         x = gen.standard_normal((3, 8, 2))
         u = gen.standard_normal((3, 16))
         t, step = 0.3, 1e-6
-        _, tapes = _velocity(tiny_model, x, t, SamplerConfig(gamma=0.0), None)
+        tf = time_features(np.full(3, t), tiny_model.cfg.time_freqs)
+        _, tapes = _velocity(tiny_model, x, tf, SamplerConfig(gamma=0.0),
+                             None)
         got = _global_vjp(tiny_model, *tapes, u).reshape(x.shape)
 
         def f(xs):
@@ -218,6 +228,159 @@ class TestGenerateConditional:
             e[(slice(None),) + idx] = step
             want[(slice(None),) + idx] = (f(x + e) - f(x - e)) / (2 * step)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+
+
+def route_everything_to(model, k):
+    """Constant router logits that expert k wins on every row."""
+    model.router.weights[-1][:] = 0.0
+    model.router.biases[-1][:] = 0.0
+    model.router.biases[-1][k] = 5.0
+    model.bump_versions()
+
+
+def reference_generate(model, n, cfg, rng):
+    """Euler loop of generate over the reference velocity."""
+    x = rng.generator().standard_normal((n, model.cfg.seq_len,
+                                         model.cfg.channels))
+    dt = 1.0 / cfg.steps
+    ops = model.operators()
+    for i in range(cfg.steps):
+        v, _ = reference_velocity(model, x, i / cfg.steps, cfg, ops)
+        x = x + v * dt
+    return x
+
+
+def reference_generate_conditional(model, mask, values, cfg, rng):
+    """Guided Euler loop of generate_conditional over the reference
+    velocity, for a per-window (n, S, D) condition."""
+    n, s, d = mask.shape
+    m = mask.astype(np.float64)
+    y = np.where(mask, values, 0.0)
+    x = np.empty((n, s, d))
+    for i in range(n):
+        x[i] = rng.child(rng.stream + i).generator().standard_normal((s, d))
+    dt = 1.0 / cfg.steps
+    ops = model.operators()
+    for i in range(cfg.steps):
+        t = i / cfg.steps
+        v, tapes = reference_velocity(model, x, t, cfg, ops)
+        xhat = estimate_endpoint(x, t, v)
+        g = 2.0 * m * (xhat - y)
+        if cfg.exact_guidance:
+            upstream = (1.0 - t) * g.reshape(n, -1)
+            g = g + _global_vjp(model, *tapes, upstream).reshape(n, s, d)
+        x = x + (v - cfg.eta_g * g) * dt
+    return np.where(mask, y, x)
+
+
+def record_decodes(monkeypatch):
+    """Row counts of every decode the sampler runs, in call order."""
+    rows = []
+    original = sampler_module.decode_experts
+
+    def counted(model, ops, experts, z):
+        rows.append(z.shape[0])
+        return original(model, ops, experts, z)
+
+    monkeypatch.setattr(sampler_module, "decode_experts", counted)
+    return rows
+
+
+# (windows, expert that the router is fixed to, or None for its own choice)
+STEP_CASES = {"batch1": (1, None), "one_expert": (6, 2), "mixed": (8, None)}
+
+
+class TestLeanStep:
+    """The sampler against Euler loops over `reference_velocity`, bit for
+    bit: one table of time features per call, and decodes of only the
+    experts that won rows."""
+
+    def model_for(self, model, case):
+        if STEP_CASES[case][1] is not None:
+            route_everything_to(model, STEP_CASES[case][1])
+        return model
+
+    def check_path(self, case, rows):
+        """One decode of the whole batch per step, unless mixed."""
+        n = STEP_CASES[case][0]
+        if case == "mixed":
+            assert min(rows) < n
+        else:
+            assert rows and set(rows) == {n}
+
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_generate_matches_reference_bitwise(self, four_expert_model,
+                                                case, monkeypatch):
+        model = self.model_for(four_expert_model, case)
+        rows = record_decodes(monkeypatch)
+        cfg = SamplerConfig(steps=7, gamma=1.0)
+        n = STEP_CASES[case][0]
+        got = generate(model, n, cfg, RngStream(21))
+        want = reference_generate(model, n, cfg, RngStream(21))
+        assert got.tobytes() == want.tobytes()
+        self.check_path(case, rows)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_conditional_matches_reference_bitwise(self, four_expert_model,
+                                                   case, exact, monkeypatch):
+        model = self.model_for(four_expert_model, case)
+        rows = record_decodes(monkeypatch)
+        n = STEP_CASES[case][0]
+        gen = RngStream(22).generator()
+        mask = gen.uniform(size=(n, 8, 2)) < 0.5
+        mask[:, 0, 0] = True
+        values = np.where(mask, gen.standard_normal((n, 8, 2)), 0.0)
+        cfg = SamplerConfig(steps=7, mode="imputation", eta_g=2.0,
+                            exact_guidance=exact)
+        # a batch of one goes in as the (S, D) condition every window shares
+        cond = (ConditionMask(mask[0], values[0]) if n == 1
+                else ConditionMask(mask, values))
+        got = generate_conditional(model, cond, cfg, RngStream(23, 4))
+        want = reference_generate_conditional(model, mask, values, cfg,
+                                              RngStream(23, 4))
+        assert got.tobytes() == want.tobytes()
+        self.check_path(case, rows)
+
+    @pytest.mark.parametrize("steps", [1, 3, 7, 100])
+    def test_time_feature_table_rows_are_scalar_features(self, tiny_model,
+                                                         steps):
+        freqs = tiny_model.cfg.time_freqs
+        table = step_time_features(tiny_model, steps, 3)
+        assert table.shape == (steps, 3, 2 * len(freqs))
+        for i in range(steps):
+            want = time_features(i / steps, freqs).tobytes()
+            assert all(row.tobytes() == want for row in table[i])
+
+    @pytest.mark.parametrize("case", ["one_expert", "mixed"])
+    def test_nan_router_logit_raises(self, four_expert_model, case):
+        model = self.model_for(four_expert_model, case)
+        model.router.biases[-1][1] = np.nan
+        model.bump_versions()
+        with pytest.raises(NumericError, match="router"):
+            generate(model, STEP_CASES[case][0], SamplerConfig(steps=3),
+                     RngStream(24))
+
+    @pytest.mark.parametrize("case", ["one_expert", "mixed"])
+    def test_non_finite_residual_names_its_expert(self, four_expert_model,
+                                                  case, monkeypatch):
+        model = self.model_for(four_expert_model, case)
+        n = STEP_CASES[case][0]
+        x0 = RngStream(25).generator().standard_normal((n, 8, 2))
+        tf = step_time_features(model, 3, n)[0]
+        probs, _ = route(model, tf, encode(model, x0, tf)[0])
+        winners = np.argmax(probs, axis=1)
+        k = int(winners.max())  # a winner decoded after any other
+        assert (np.unique(winners).size > 1) == (case == "mixed")
+        # a bank whose expert k maps every code to nan; assembling an
+        # operator from parameters would reject it before any step
+        bank = model.operators()
+        bank[k] = np.full_like(bank[k], np.nan)
+        monkeypatch.setattr(model, "operators", lambda: bank)
+        rows = record_decodes(monkeypatch)
+        with pytest.raises(NumericError, match=f"expert {k} produced"):
+            generate(model, n, SamplerConfig(steps=3), RngStream(25))
+        self.check_path(case, rows)
 
 
 class TestExportSamples:
