@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .numcore import (AdamState, Mlp, Params, RngStream, adam_update,
-                      mlp_apply, mlp_gradients, mlp_shapes)
+                      mlp_apply, mlp_blocks, mlp_gradients, mlp_shapes)
 
 HIDDEN = 32
 TRAIN_STEPS = 500
@@ -85,6 +85,7 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
     opt = AdamState.create(params, lr=1e-3)
     gen = rng.child(2).generator()
     n = x.shape[0]
+    grads = params.zeros_like()
     for _ in range(TRAIN_STEPS):
         idx = gen.integers(0, n, size=min(BATCH, n))
         out, tape = mlp_apply(net, x[idx])
@@ -94,8 +95,8 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
         else:
             upstream = 2.0 * (out - y[idx]) / out.size
         wg, bg, _ = mlp_gradients(net, tape, upstream)
-        grads = params.zeros_like()
-        grads.add_mlp("", wg, bg)
+        for name, g in mlp_blocks("", wg, bg).items():
+            grads[name][...] = g
         adam_update(opt, params, grads)
         net.bump_version()
     return net

@@ -219,13 +219,14 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
+    work: np.ndarray  # (2, size) scratch for adam_update's temporaries
     lr: float
     step: int = 0
 
     @classmethod
     def create(cls, params: Params, lr: float = 1e-3) -> "AdamState":
         size = params.flat.size
-        return cls(np.zeros(size), np.zeros(size), lr)
+        return cls(np.zeros(size), np.zeros(size), np.empty((2, size)), lr)
 
 
 def adam_update(state: AdamState, params: Params, grads: Params) -> None:
@@ -238,9 +239,13 @@ def adam_update(state: AdamState, params: Params, grads: Params) -> None:
     t = state.step
     bc1 = 1.0 - state.BETA1 ** t
     bc2 = 1.0 - state.BETA2 ** t
-    m, v = state.m, state.v
+    # lr * (m / bc1) / (sqrt(v / bc2) + eps): its operands, order and bits
+    m, v, (tmp, denom) = state.m, state.v, state.work
     m *= state.BETA1
-    m += (1.0 - state.BETA1) * g
+    m += np.multiply(g, 1.0 - state.BETA1, out=tmp)
     v *= state.BETA2
-    v += (1.0 - state.BETA2) * g * g
-    params.flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.EPS)
+    v += np.multiply(np.multiply(g, 1.0 - state.BETA2, out=tmp), g, out=tmp)
+    np.multiply(np.divide(m, bc1, out=tmp), state.lr, out=tmp)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    denom += state.EPS
+    params.flat -= np.divide(tmp, denom, out=tmp)

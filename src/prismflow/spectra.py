@@ -54,19 +54,22 @@ def _snapshots(batch, delay, lag=0):
 def exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
     """Exact DMD over all snapshot pairs of a batch of sequences.
 
-    Stacks per-sequence one-step pairs into snapshot matrices, takes the
-    thin SVD truncated to `rank` (reduced further below a 1e-10 singular
-    value tolerance, with a warning), and reads off eig(U^T X' V S^-1).
-    `delay` > 1 uses a delay-embedded state so oscillatory modes are
-    recoverable from scalar channels.
+    Stacks per-sequence one-step pairs into snapshot matrices X, X' and
+    reads off eig(U^T X' V S^-1) from the thin SVD X = U S V^T, truncated
+    to `rank` (reduced further below a 1e-10 singular value tolerance,
+    with a warning). The SVD is taken of the tall X^T, which is
+    (snapshots, state) and C-contiguous, so U and V come out swapped.
+    X' is built once X is dropped, and X' V serves both U^T X' V and the
+    modes. `delay` > 1 uses a delay-embedded state so oscillatory modes
+    are recoverable from scalar channels.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3:
         raise ShapeError("expected (n, S, D) batch")
     check_dmd(batch.shape[1], rank, delay)
-    x = _snapshots(batch, delay)
+    xt = _snapshots(batch, delay).T
     try:
-        u, sig, vt = np.linalg.svd(x, full_matrices=False)
+        v, sig, ut = np.linalg.svd(xt, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc
     tol = 1e-10 * max(sig[0], 1.0) if sig.size else 0.0
@@ -78,20 +81,17 @@ def exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
     r = min(r_cap, effective)
     if r == 0:
         raise NumericError("snapshot matrix is numerically zero")
-    # X is done with but for its first column; X' is built only now, so
-    # the two are never held together
-    first = x[:, 0].copy()
-    del x
-    y = _snapshots(batch, delay, lag=1)
-    u, sig, v = u[:, :r], sig[:r], vt[:r].T
-    atilde = u.T @ y @ v / sig
+    first = xt[0].copy()
+    del xt
+    yv = _snapshots(batch, delay, lag=1) @ v[:, :r]
+    atilde = ut[:r] @ yv / sig[:r]
     eig, wvec = np.linalg.eig(atilde)
     order = np.lexsort((eig.imag, eig.real))
     eig = eig[order]
     wvec = wvec[:, order]
     # exact DMD modes, then amplitudes from the first snapshot column
     with np.errstate(divide="ignore", invalid="ignore"):
-        modes = (y @ v / sig) @ wvec
+        modes = (yv / sig[:r]) @ wvec
     b, *_ = np.linalg.lstsq(modes, first, rcond=None)
     return DmdSpectrum(eigenvalues=eig, amplitudes=np.abs(b), rank=r)
 

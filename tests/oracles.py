@@ -1,16 +1,20 @@
 """Test-only oracles: a central-difference gradient check, the frozen
 training objective whose value it differences, the global velocity
-field evaluated on its own, and the sampler's velocity as computed
-before its per-call time-feature table. `conftest` re-exports them."""
+field evaluated on its own, the sampler's velocity as computed
+before its per-call time-feature table, and exact DMD from the SVD of
+the wide snapshot matrix. `conftest` re-exports them."""
+
+import warnings
 
 import numpy as np
 
-from prismflow.errors import ContractViolation, NumericError
+from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.experts import decode_experts
 from prismflow.flowpath import encode, interpolate_state, time_features
 from prismflow.numcore import mlp_apply
 from prismflow.router import (balance_loss, estimate_endpoint, route,
                               select_winner, wta_loss, wta_scores)
+from prismflow.spectra import DmdSpectrum, _snapshots, check_dmd
 from prismflow.trainer import TrainConfig, lambda_schedule, total_loss
 
 
@@ -151,3 +155,50 @@ def reference_velocity(model, x, t, cfg, ops):
             resid[mask] = decode_experts(model, ops, [k], z[mask])[0][0]
     total = v + cfg.gamma * resid
     return total.reshape(x.shape), (enc_tape, head_tape)
+
+
+def reference_exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
+    """Exact DMD over all snapshot pairs of a batch of sequences, as
+    `spectra.exact_dmd` computed it from the SVD of the wide (state,
+    snapshots) matrix X.
+
+    Stacks per-sequence one-step pairs into snapshot matrices, takes the
+    thin SVD truncated to `rank` (reduced further below a 1e-10 singular
+    value tolerance, with a warning), and reads off eig(U^T X' V S^-1).
+    `delay` > 1 uses a delay-embedded state so oscillatory modes are
+    recoverable from scalar channels.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 3:
+        raise ShapeError("expected (n, S, D) batch")
+    check_dmd(batch.shape[1], rank, delay)
+    x = _snapshots(batch, delay)
+    try:
+        u, sig, vt = np.linalg.svd(x, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed: {exc}") from exc
+    tol = 1e-10 * max(sig[0], 1.0) if sig.size else 0.0
+    effective = int(np.sum(sig > tol))
+    r_cap = min(rank, sig.size)
+    if effective < r_cap:
+        warnings.warn(f"DMD rank reduced from {r_cap} to {effective} "
+                      f"(rank-deficient snapshots)", stacklevel=2)
+    r = min(r_cap, effective)
+    if r == 0:
+        raise NumericError("snapshot matrix is numerically zero")
+    # X is done with but for its first column; X' is built only now, so
+    # the two are never held together
+    first = x[:, 0].copy()
+    del x
+    y = _snapshots(batch, delay, lag=1)
+    u, sig, v = u[:, :r], sig[:r], vt[:r].T
+    atilde = u.T @ y @ v / sig
+    eig, wvec = np.linalg.eig(atilde)
+    order = np.lexsort((eig.imag, eig.real))
+    eig = eig[order]
+    wvec = wvec[:, order]
+    # exact DMD modes, then amplitudes from the first snapshot column
+    with np.errstate(divide="ignore", invalid="ignore"):
+        modes = (y @ v / sig) @ wvec
+    b, *_ = np.linalg.lstsq(modes, first, rcond=None)
+    return DmdSpectrum(eigenvalues=eig, amplitudes=np.abs(b), rank=r)

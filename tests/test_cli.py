@@ -619,6 +619,33 @@ class TestDmdVerb:
         assert not out.exists()
 
 
+class TestOutOfMemory:
+    """A request too large to allocate exits 2 with one error line, not
+    numpy's traceback. Each probe's first array takes a pebibyte or more,
+    beyond a 47-bit user address space, so it fails at once and nothing
+    is allocated."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--n", str(10 ** 13)),
+        ("gen-data", "--kind", "sines", "--n", str(10 ** 15)),
+        ("gen-data", "--kind", "bimodal", "--n", str(10 ** 15)),
+        ("diagnose", "--n", str(10 ** 13))],
+        ids=["sample", "gen-sines", "gen-bimodal", "diagnose"])
+    def test_exits_2_with_one_line(self, tmp_path, request, capsys, argv):
+        out = tmp_path / "out.csv"
+        if argv[0] != "diagnose":
+            argv += ("--seed", "0", "--out", str(out))
+        if argv[0] == "sample":
+            argv += ("--checkpoint", request.getfixturevalue("checkpoint"))
+        capsys.readouterr()
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestDiagnoseVerb:
     def test_prints_energy_gap(self, capsys):
         assert run("diagnose", "--n", "2000", "--seed", "0") == 0

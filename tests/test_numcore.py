@@ -192,6 +192,25 @@ class TestAdam:
         assert state.step == 2
         assert np.all(state.v >= v1)
 
+    def test_scratch_update_equals_the_plain_expression_bitwise(self):
+        """The in-place update keeps the bits of the textbook expression
+        lr * (m / bc1) / (sqrt(v / bc2) + eps), step after step."""
+        gen = RngStream(9).generator()
+        p = Params({"w": (1003,)}, gen.standard_normal(1003))
+        flat, m, v = p.flat.copy(), np.zeros(1003), np.zeros(1003)
+        state = AdamState.create(p, lr=3e-3)
+        b1, b2 = AdamState.BETA1, AdamState.BETA2
+        for t in range(1, 8):
+            g = gen.standard_normal(1003) * 10.0 ** gen.integers(-8, 3, 1003)
+            adam_update(state, p, Params({"w": (1003,)}, g.copy()))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            flat = flat - 3e-3 * (m / (1.0 - b1 ** t)) / (
+                np.sqrt(v / (1.0 - b2 ** t)) + AdamState.EPS)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+            np.testing.assert_array_equal(p.flat, flat)
+
     def test_nonfinite_gradient_named(self):
         p = self.params()
         state = AdamState.create(p)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import reference_exact_dmd, traced_peak
 from prismflow.errors import ContractViolation, ShapeError
 from prismflow.numcore import RngStream
 from prismflow.spectra import (DmdSpectrum, _snapshots, exact_dmd,
@@ -87,6 +87,70 @@ class TestExactDmd:
             exact_dmd(np.zeros((4, 5)))
         with pytest.raises(ContractViolation):
             exact_dmd(np.zeros((1, 2, 1)), delay=2)
+
+
+def dmd_with_warnings(fn, batch, rank, delay):
+    """fn's spectrum and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = fn(batch, rank=rank, delay=delay)
+    return spec, [(w.category, str(w.message)) for w in caught]
+
+
+def two_tone_windows(n, seed):
+    """Windows holding tones of 2 and 8 cycles per 64 steps, each at its
+    own random phase: delay-embedded rank 4. Unlike the bimodal set, whose
+    windows hold one tone each, the first window excites all four modes,
+    so no amplitude is rounding noise."""
+    theta = RngStream(seed).generator().uniform(-np.pi, np.pi, size=(2, n, 1))
+    phase = 2.0 * np.pi * np.arange(64) / 64.0
+    return (np.sin(2.0 * phase + theta[0]) + np.sin(8.0 * phase + theta[1]))[
+        :, :, None]
+
+
+TALL_SVD_CASES = {
+    # name: (batch, rank, delay, expected rank)
+    "two-tone": (two_tone_windows(500, 4), 10, 8, 4),
+    "noise": (RngStream(6).generator().standard_normal((200, 64, 1)), 10, 8, 8),
+    "rotation-0.1": (rotation_batch(0.1), 2, 1, 2),
+    "rotation-0.5": (rotation_batch(0.5), 2, 1, 2),
+    "rotation-1.0": (rotation_batch(1.0), 2, 1, 2),
+    "channels-3": (RngStream(7).generator().standard_normal((30, 20, 3)),
+                   5, 2, 5),
+}
+
+
+class TestTallSvd:
+    """exact_dmd factors the tall X^T; the oracle factors the wide X."""
+
+    @pytest.mark.parametrize("name", sorted(TALL_SVD_CASES))
+    def test_matches_wide_svd_oracle(self, name):
+        batch, rank, delay, expected = TALL_SVD_CASES[name]
+        # every singular value is decades away from the 1e-10 rank
+        # tolerance, so both factorizations keep the same modes
+        sig = np.linalg.svd(_snapshots(batch, delay), compute_uv=False)
+        rel = sig / max(sig[0], 1.0)
+        assert np.all((rel > 1e-6) | (rel < 1e-12))
+        got, got_warned = dmd_with_warnings(exact_dmd, batch, rank, delay)
+        want, want_warned = dmd_with_warnings(reference_exact_dmd, batch,
+                                              rank, delay)
+        assert got.rank == want.rank == expected
+        assert got_warned == want_warned
+        assert len(got_warned) == (expected < min(rank, sig.size))
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues,
+                                   rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes,
+                                   rtol=1e-9, atol=0.0)
+
+    def test_working_memory_is_two_snapshot_matrices(self):
+        """The SVD of X^T holds X and its right singular vectors V, both
+        (snapshots, state); X' is built next to V once X is dropped. The
+        working copy and workspace that numpy's LAPACK wrapper takes with
+        malloc are not traced, in either orientation."""
+        batch = RngStream(5).generator().standard_normal((4000, 64, 1))
+        spec, peak = traced_peak(exact_dmd, batch, rank=10, delay=8)
+        assert spec.rank == 8
+        assert peak < 2.5 * _snapshots(batch, 8).nbytes
 
 
 class TestSnapshots:
