@@ -50,22 +50,21 @@ def operator_eigenvalues(a: np.ndarray) -> np.ndarray:
     return eig[order]
 
 
-def decode_experts(model, ops, experts, z: np.ndarray):
-    """Residual velocities of several experts on the same latent codes z
-    (B, d_z), decoded as one stacked batch whose i-th block of B rows
-    belongs to experts[i]: expert k applies its generator A^k = ops[k],
-    assembled once per training step or sampling call, and decodes
-    concat(z, A^k z) to a (B, S*D) residual field. Training scores all K
-    experts with one call; sampling calls it per expert that won rows.
+def decode_experts(model, ops, z: np.ndarray, experts):
+    """Residual velocities (n, S*D) of latent codes z (n, d_z), row i
+    decoded by expert k = experts[i] with generator A^k = ops[k], from the
+    (K, d_z, d_z) bank assembled once per training step or sampling call.
+    One product of z with [A_1^T ... A_K^T] gives every expert's latent
+    map; each row takes its own expert's block, and the decoder runs once
+    on concat(z, A^k z).
 
-    Returns (residuals (len(experts), B, S*D), dec_tape).
+    Returns (residuals, dec_tape).
     """
-    pairs = np.concatenate([np.concatenate([z, z @ ops[k].T], axis=1)
-                            for k in experts])
-    resid, dec_tape = mlp_apply(model.decoder, pairs)
-    resids = resid.reshape(-1, z.shape[0], resid.shape[1])
+    n = z.shape[0]
+    az = (z @ np.reshape(ops, (-1, z.shape[1])).T).reshape(n, len(ops), -1)
+    resid, dec_tape = mlp_apply(
+        model.decoder, np.concatenate([z, az[np.arange(n), experts]], axis=1))
     if not np.isfinite(resid).all():
-        finite = np.isfinite(resids).all(axis=(1, 2))
-        k = list(experts)[int(np.argmin(finite))]
+        k = experts[np.argmin(np.isfinite(resid).all(axis=1))]
         raise NumericError(f"expert {k} produced non-finite residual velocity")
-    return resids, dec_tape
+    return resid, dec_tape

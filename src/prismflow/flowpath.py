@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ShapeError
-from .numcore import Params, Tape, mlp_apply, mlp_gradients
+from .numcore import (Params, Tape, mlp_apply, mlp_gradients,
+                      mlp_param_gradients)
 
 DEFAULT_TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
 
@@ -89,7 +90,7 @@ def trunk_forward(model, x0, x1, t) -> Trunk:
 
 def encoder_backward(model, trunk: Trunk, dh, grads: Params) -> None:
     """Add the encoder gradient of upstream `dh` on the trunk features."""
-    ew, eb, _ = mlp_gradients(model.encoder, trunk.tape, dh)
+    ew, eb = mlp_param_gradients(model.encoder, trunk.tape, dh)
     grads.add_mlp("encoder.", ew, eb)
 
 

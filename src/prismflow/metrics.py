@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .numcore import (AdamState, Mlp, Params, RngStream, adam_update,
-                      mlp_apply, mlp_blocks, mlp_gradients, mlp_shapes)
+                      mlp_apply, mlp_blocks, mlp_param_gradients, mlp_shapes)
 
 HIDDEN = 32
 TRAIN_STEPS = 500
@@ -94,7 +94,7 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
             upstream = (p - y[idx]) / idx.size
         else:
             upstream = 2.0 * (out - y[idx]) / out.size
-        wg, bg, _ = mlp_gradients(net, tape, upstream)
+        wg, bg = mlp_param_gradients(net, tape, upstream)
         for name, g in mlp_blocks("", wg, bg).items():
             grads[name][...] = g
         adam_update(opt, params, grads)

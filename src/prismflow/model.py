@@ -151,10 +151,10 @@ class PrismFlowModel:
             raise NumericError(f"expert {k} has a non-finite operator")
         return a
 
-    def operators(self) -> list:
-        """Every expert's generator, in expert order: the bank that one
-        training step or one sampling call assembles once."""
-        return [self.operator(k) for k in range(self.n_experts)]
+    def operators(self) -> np.ndarray:
+        """The (K, d_z, d_z) bank of every expert's generator, in expert
+        order, that one training step or one sampling call assembles once."""
+        return np.stack([self.operator(k) for k in range(self.n_experts)])
 
     # -- flat parameter store --------------------------------------------
 

@@ -164,9 +164,11 @@ def mlp_apply(net: Mlp, x: np.ndarray):
     return a, Tape(inputs, preacts, id(net), net.version)
 
 
-def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool):
-    """The delta recurrence of both backward entries; the parameter
-    gradients are computed only `with_params`."""
+def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool,
+              with_input: bool):
+    """The delta recurrence of every backward entry; the parameter
+    gradients are computed only `with_params`, the input gradient only
+    `with_input`."""
     if tape.net_id != id(net) or tape.net_version != net.version:
         raise ContractViolation("tape is stale: network mutated since forward pass")
     delta = np.asarray(upstream, dtype=np.float64)
@@ -185,7 +187,8 @@ def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool):
         if with_params:
             wgrads[i] = tape.inputs[i].T @ delta
             bgrads[i] = delta.sum(axis=0)
-        delta = delta @ net.weights[i].T
+        if i or with_input:
+            delta = delta @ net.weights[i].T
     return wgrads, bgrads, delta
 
 
@@ -193,13 +196,19 @@ def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray):
     """Exact reverse-mode gradients of <upstream, output>: returns
     (weight_grads, bias_grads, input_grad), parameter gradients summed
     over the batch."""
-    return _backward(net, tape, upstream, True)
+    return _backward(net, tape, upstream, True, True)
 
 
 def mlp_input_gradient(net: Mlp, tape: Tape, upstream: np.ndarray):
     """The input gradient of mlp_gradients alone, bit for bit, without
     computing any parameter gradient."""
-    return _backward(net, tape, upstream, False)[2]
+    return _backward(net, tape, upstream, False, True)[2]
+
+
+def mlp_param_gradients(net: Mlp, tape: Tape, upstream: np.ndarray):
+    """The (weight_grads, bias_grads) of mlp_gradients alone, bit for bit,
+    without computing the input gradient."""
+    return _backward(net, tape, upstream, True, False)[:2]
 
 
 def tape_rows(tape: Tape, rows) -> Tape:

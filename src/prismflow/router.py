@@ -11,7 +11,8 @@ import numpy as np
 from .errors import ContractViolation, NumericError, ShapeError
 from .experts import decode_experts, operator_grads
 from .flowpath import encoder_backward, trunk_forward
-from .numcore import Params, mlp_apply, mlp_gradients, tape_rows
+from .numcore import (Params, mlp_apply, mlp_gradients, mlp_param_gradients,
+                      tape_rows)
 
 
 @dataclass
@@ -120,8 +121,8 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
              grads: Params, lam=None, scale: float = 1.0):
     """Winner-take-all term on a trunk pass and its routing.
 
-    The decoder runs forward once on all K experts' rows stacked, and
-    backward once on the B winner rows gathered from that tape. `scale`
+    The decoder runs forward once on K blocks of the B rows, block k by
+    expert k, and backward once on the B winner rows of that tape. `scale`
     weights every gradient this term adds to `grads` and the returned
     trunk-feature gradient dh. Returns (loss, dh, WtaBatchInfo).
     """
@@ -135,7 +136,9 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
 
     z, proj_tape = mlp_apply(model.projector, trunk.h)
     ops = model.operators()
-    resids, dec_tape = decode_experts(model, ops, range(model.n_experts), z)
+    resids, dec_tape = decode_experts(model, ops, np.tile(z, (len(ops), 1)),
+                                      np.repeat(np.arange(len(ops)), b))
+    resids = resids.reshape(len(ops), b, sd)
     # endpoint errors (K, B, S*D): one estimate per expert's total velocity
     errs = estimate_endpoint(trunk.xt, t, v_g + resids) - trunk.x1
     mses = np.mean(errs * errs, axis=2).T  # (B, K)
@@ -222,6 +225,6 @@ def balance_core(model, probs, router_tape, cfg: WtaConfig, grads: Params,
     dprobs = np.tile(scale * dpibar / b, (b, 1))
     inner = (dprobs * probs).sum(axis=1, keepdims=True)
     dlogits = probs * (dprobs - inner)
-    rw, rb, _ = mlp_gradients(model.router, router_tape, dlogits)
+    rw, rb = mlp_param_gradients(model.router, router_tape, dlogits)
     grads.add_mlp("router.", rw, rb)
     return loss

@@ -80,8 +80,11 @@ class FrozenObjective:
         model = self.model
         probs, _ = route(model, self.tf, h)
         z, _ = mlp_apply(model.projector, h)
+        kk, b = model.n_experts, z.shape[0]
         resids, _ = decode_experts(model, model.operators(),
-                                   range(model.n_experts), z)
+                                   np.tile(z, (kk, 1)),
+                                   np.repeat(np.arange(kk), b))
+        resids = resids.reshape(kk, b, -1)
         errs = estimate_endpoint(self.xt, self.t, self.v0 + resids) - self.x1
         return wta_scores(np.mean(errs * errs, axis=2).T, probs, self.wcfg)
 
@@ -152,7 +155,7 @@ def reference_velocity(model, x, t, cfg, ops):
     for k in range(model.n_experts):
         mask = winners == k
         if mask.any():
-            resid[mask] = decode_experts(model, ops, [k], z[mask])[0][0]
+            resid[mask] = decode_experts(model, ops, z[mask], winners[mask])[0]
     total = v + cfg.gamma * resid
     return total.reshape(x.shape), (enc_tape, head_tape)
 

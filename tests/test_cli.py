@@ -494,6 +494,41 @@ class TestDataFiles:
         assert not out.exists()
 
 
+class TestHugeSamplerSettings:
+    """A finite setting whose products overflow is a runtime error at the
+    step where the state stops being finite, with no numpy warning."""
+
+    @pytest.mark.parametrize("verb,setting", [
+        ("sample", "--gamma=1e308"), ("impute", "--eta-g=1e308"),
+        ("forecast", "--gamma=-1e308")])
+    def test_exits_2_with_one_line(self, tmp_path, checkpoint, capsys, verb,
+                                   setting):
+        # every residual entry is near 4, so gamma * residual overflows
+        model = PrismFlowModel.load(checkpoint)
+        model.decoder.biases[-1][:] = 4.0
+        loud = str(tmp_path / "loud.ckpt")
+        model.save(loud)
+        out = tmp_path / "x.csv"
+        argv = [verb, "--checkpoint", loud, "--steps", "3", "--seed", "0",
+                "--out", str(out), setting]
+        if verb == "sample":
+            argv += ["--n", "2"]
+        else:
+            obs, mask = str(tmp_path / "obs.csv"), str(tmp_path / "mask.csv")
+            save_csv_windows(np.zeros((2, 8, 2)), obs)
+            save_csv_windows(np.ones((2, 8, 2)), mask)
+            argv += ["--observed", obs, "--mask", mask]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite state")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestConditionalVerbs:
     def write(self, tmp_path, obs, mask):
         obs_path = str(tmp_path / "obs.csv")

@@ -5,7 +5,8 @@ from conftest import finite_difference_check
 from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.numcore import (AdamState, Mlp, Params, RngStream,
                                adam_update, mlp_apply, mlp_blocks,
-                               mlp_gradients, mlp_input_gradient, mlp_shapes,
+                               mlp_gradients, mlp_input_gradient,
+                               mlp_param_gradients, mlp_shapes,
                                tape_rows)
 
 
@@ -154,6 +155,27 @@ class TestMlpInputGradient:
         net.bump_version()
         with pytest.raises(ContractViolation):
             mlp_input_gradient(net, tape, np.zeros((1, 2)))
+
+
+class TestMlpParamGradients:
+    @pytest.mark.parametrize("activation", ["tanh", "softplus"])
+    @pytest.mark.parametrize("dims", [[3, 2], [3, 5, 4, 2]])
+    def test_bitwise_equal_to_mlp_gradients(self, activation, dims):
+        net = make_net(dims, seed=11, activation=activation)
+        gen = RngStream(12).generator()
+        _, tape = mlp_apply(net, 3.0 * gen.standard_normal((6, 3)))
+        upstream = gen.standard_normal((6, 2))
+        want_ws, want_bs, _ = mlp_gradients(net, tape, upstream)
+        got_ws, got_bs = mlp_param_gradients(net, tape, upstream)
+        for got, want in zip(got_ws + got_bs, want_ws + want_bs):
+            assert got.tobytes() == want.tobytes()
+
+    def test_stale_tape_rejected(self):
+        net = make_net([2, 3, 2])
+        _, tape = mlp_apply(net, np.zeros((1, 2)))
+        net.bump_version()
+        with pytest.raises(ContractViolation):
+            mlp_param_gradients(net, tape, np.zeros((1, 2)))
 
     def test_upstream_shape_checked(self):
         net = make_net([2, 3, 2])

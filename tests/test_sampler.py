@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import prismflow.sampler as sampler_module
 from conftest import (global_velocity, reference_velocity,
                       vanilla_euler_generate)
@@ -278,12 +279,28 @@ def record_decodes(monkeypatch):
     rows = []
     original = sampler_module.decode_experts
 
-    def counted(model, ops, experts, z):
+    def counted(model, ops, z, experts):
         rows.append(z.shape[0])
-        return original(model, ops, experts, z)
+        return original(model, ops, z, experts)
 
     monkeypatch.setattr(sampler_module, "decode_experts", counted)
     return rows
+
+
+def record_lone_rows(monkeypatch):
+    """Rows that `reference_velocity` decodes as their expert's only row
+    at some step, a 1-row product that takes BLAS's matrix-vector path."""
+    lone = set()
+    original = oracles.route
+
+    def recorded(model, tf, h):
+        probs, tape = original(model, tf, h)
+        winners = np.argmax(probs, axis=1)
+        lone.update(np.flatnonzero(np.bincount(winners)[winners] == 1))
+        return probs, tape
+
+    monkeypatch.setattr(oracles, "route", recorded)
+    return lone
 
 
 # (windows, expert that the router is fixed to, or None for its own choice)
@@ -292,21 +309,17 @@ STEP_CASES = {"batch1": (1, None), "one_expert": (6, 2), "mixed": (8, None)}
 
 class TestLeanStep:
     """The sampler against Euler loops over `reference_velocity`, bit for
-    bit: one table of time features per call, and decodes of only the
-    experts that won rows."""
+    bit but for rows the reference decodes alone: one table of time
+    features per call, and one decode of the whole batch per step."""
 
     def model_for(self, model, case):
         if STEP_CASES[case][1] is not None:
             route_everything_to(model, STEP_CASES[case][1])
         return model
 
-    def check_path(self, case, rows):
-        """One decode of the whole batch per step, unless mixed."""
-        n = STEP_CASES[case][0]
-        if case == "mixed":
-            assert min(rows) < n
-        else:
-            assert rows and set(rows) == {n}
+    def check_path(self, case, rows, steps):
+        """One decode of all n rows per step."""
+        assert rows == [STEP_CASES[case][0]] * steps
 
     @pytest.mark.parametrize("case", list(STEP_CASES))
     def test_generate_matches_reference_bitwise(self, four_expert_model,
@@ -318,7 +331,7 @@ class TestLeanStep:
         got = generate(model, n, cfg, RngStream(21))
         want = reference_generate(model, n, cfg, RngStream(21))
         assert got.tobytes() == want.tobytes()
-        self.check_path(case, rows)
+        self.check_path(case, rows, cfg.steps)
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("case", list(STEP_CASES))
@@ -337,10 +350,36 @@ class TestLeanStep:
         cond = (ConditionMask(mask[0], values[0]) if n == 1
                 else ConditionMask(mask, values))
         got = generate_conditional(model, cond, cfg, RngStream(23, 4))
+        lone = record_lone_rows(monkeypatch)
         want = reference_generate_conditional(model, mask, values, cfg,
                                               RngStream(23, 4))
-        assert got.tobytes() == want.tobytes()
-        self.check_path(case, rows)
+        self.check_path(case, rows, cfg.steps)
+        if case != "mixed":
+            assert got.tobytes() == want.tobytes()
+            return
+        # the sampler decodes every row in a multi-row product; only the
+        # rows the reference decoded alone may differ, in their last bits
+        alone = np.isin(np.arange(n), list(lone))
+        assert alone.any()
+        assert got[~alone].tobytes() == want[~alone].tobytes()
+        np.testing.assert_allclose(got[alone], want[alone], rtol=1e-12,
+                                   atol=0)
+
+    def test_sub_batch_rows_match_full_batch_bitwise(self, four_expert_model):
+        """A row's step does not depend on which other rows share its
+        batch, even where its expert wins only that row."""
+        model, n = four_expert_model, STEP_CASES["mixed"][0]
+        x = RngStream(26).generator().standard_normal((n, 8, 2))
+        cfg = SamplerConfig(steps=7)
+        tf = step_time_features(model, cfg.steps, n)[0]
+        winners = np.argmax(route(model, tf, encode(model, x, tf)[0])[0],
+                            axis=1)
+        counts = np.bincount(winners)[winners]
+        rows = [np.flatnonzero(counts == 1)[0], np.flatnonzero(counts > 1)[0]]
+        ops = model.operators()
+        full = residual_velocity_step(model, x, tf, cfg, ops)
+        sub = residual_velocity_step(model, x[rows], tf[rows], cfg, ops)
+        assert sub.tobytes() == full[rows].tobytes()
 
     @pytest.mark.parametrize("steps", [1, 3, 7, 100])
     def test_time_feature_table_rows_are_scalar_features(self, tiny_model,
@@ -380,7 +419,7 @@ class TestLeanStep:
         rows = record_decodes(monkeypatch)
         with pytest.raises(NumericError, match=f"expert {k} produced"):
             generate(model, n, SamplerConfig(steps=3), RngStream(25))
-        self.check_path(case, rows)
+        self.check_path(case, rows, 1)
 
 
 class TestExportSamples:
