@@ -156,6 +156,12 @@ class TestMlpInputGradient:
         with pytest.raises(ContractViolation):
             mlp_input_gradient(net, tape, np.zeros((1, 2)))
 
+    def test_upstream_shape_checked(self):
+        net = make_net([2, 3, 2])
+        _, tape = mlp_apply(net, np.zeros((2, 2)))
+        with pytest.raises(ShapeError):
+            mlp_input_gradient(net, tape, np.zeros((1, 2)))
+
 
 class TestMlpParamGradients:
     @pytest.mark.parametrize("activation", ["tanh", "softplus"])
@@ -181,7 +187,7 @@ class TestMlpParamGradients:
         net = make_net([2, 3, 2])
         _, tape = mlp_apply(net, np.zeros((2, 2)))
         with pytest.raises(ShapeError):
-            mlp_input_gradient(net, tape, np.zeros((1, 2)))
+            mlp_param_gradients(net, tape, np.zeros((1, 2)))
 
 
 class TestAdam:
