@@ -198,7 +198,9 @@ def cmd_eval(args):
     }
     wanted = args.metrics.split(",")
     # refuse any request that cannot run before any metric runs
-    for name in wanted:
+    for i, name in enumerate(wanted):
+        if name in wanted[:i]:
+            raise PrismFlowError(f"metric {name!r} requested twice")
         if name == "spectral":
             for ds in (real, gen):
                 check_dmd(ds.seq_len, args.rank, args.delay)
@@ -220,6 +222,9 @@ def cmd_eval(args):
 
 def cmd_dmd(args):
     lines = ["source,re,im,amplitude"]
+    if args.experts and (args.real or args.gen):
+        raise PrismFlowError("dmd takes --experts or --real and --gen, "
+                             "not both")
     if args.experts:
         model = PrismFlowModel.load(args.experts)
         for k, a in enumerate(model.operators()):

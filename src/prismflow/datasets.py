@@ -145,6 +145,8 @@ _SLICE_LINES = 8192
 # parsed a piece of about this size at a time, so reading it holds neither
 # the whole file nor a list of its lines
 _SLICE_BYTES = 1 << 16
+# the bytes that the body of a numeric file may hold (see `_scan`)
+_NUMERIC = b"0123456789+-.eE,\n"
 
 
 def _decode(data: bytes, path: str, offset: int = 0) -> str:
@@ -177,21 +179,76 @@ def _pieces(fh):
     yield b"".join(parts)
 
 
+def _solid_lines(body: bytes) -> np.ndarray:
+    """One flag per line of a piece of a numeric body, True where the line
+    is not empty; text after the last newline is a line of its own."""
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    nl = np.frombuffer(b"\n" + body, np.uint8) == 10
+    return ~nl[:-1][nl[1:]]  # a line is empty when a newline precedes its end
+
+
 def _scan(fh, path: str):
-    """Size in bytes, line count (newlines after translation, plus one)
-    and whether a quote character occurs, of a binary file read to its
-    end; a ParseError at its first byte that is not UTF-8."""
-    size, lines, quoted = 0, 1, False
+    """Size in bytes, line count (newlines after translation, plus one),
+    whether a quote character occurs, and the line flags of a numeric
+    body, of a binary file read to its end; a ParseError at its first byte
+    that is not UTF-8.
+
+    The body (the lines after the header) is numeric when the file holds no
+    quote and no carriage return, every body byte is a digit, a sign, '.',
+    'e', 'E', a comma or a newline, some body line is not empty, and the
+    body is longer than one piece. Its flags are then one bool per body
+    line, True where the line is not empty (`_solid_lines`); else None."""
+    size, lines, quoted, solid = 0, 1, False, []
+    total = os.fstat(fh.fileno()).st_size
     for piece in _pieces(fh):
         text = _decode(piece, path, size)
+        body = piece
+        if not size:
+            head, more, body = piece.partition(b"\n")
+            if not more or total - len(head) - 1 <= _SLICE_BYTES:
+                solid = None  # no body, or one no longer than a piece
         size += len(piece)
         lines += text.count("\n")
         quoted = quoted or '"' in text
-    return size, lines, quoted
+        if solid is not None and not quoted and b"\r" not in piece \
+                and not body.translate(None, _NUMERIC):
+            solid.append(_solid_lines(body))
+        else:
+            solid = None
+    if solid is not None:
+        solid = np.concatenate(solid)
+        if solid.any():
+            return size, lines, quoted, solid
+    return size, lines, quoted, None
+
+
+def _header(head: bytes, path: str) -> list:
+    """Channel names from a header line with no quote character."""
+    try:
+        return [name.strip() for name in next(csv.reader([head.decode()]))]
+    except csv.Error as exc:
+        raise ParseError(f"{path}:1: {exc}") from None
+
+
+def _numeric_values(path: str, rows: int, d: int):
+    """The (rows, d) values of a numeric file from numpy's C reader, or
+    None when it raises or reads another shape. Within the numeric
+    alphabet it converts a cell with the same routine as `float`, so the
+    values are those of the Python path; every fault (a bad or empty cell,
+    a comma-only or ragged line) is left to the Python path to name."""
+    try:
+        # an absolute path, so numpy never takes the name for a URL
+        values = np.loadtxt(os.path.abspath(path), delimiter=",",
+                            skiprows=1, comments=None, ndmin=2,
+                            dtype=np.float64, encoding="utf-8")
+    except Exception:  # also a name that numpy opens as compressed
+        return None
+    return values if values.shape == (rows, d) else None
 
 
 def _plain_slices(fh, path: str):
-    """Header cells and per-piece (cells, counts, rows) of a binary file
+    """Channel names and per-piece (cells, counts, rows) of a binary file
     with no quote character, where a row is its line split at commas."""
 
     def body(piece):
@@ -201,10 +258,7 @@ def _plain_slices(fh, path: str):
 
     pieces = map(body, _pieces(fh))
     head, more, first = next(pieces).partition(b"\n")
-    try:
-        header = next(csv.reader([head.decode()]))
-    except csv.Error as exc:
-        raise ParseError(f"{path}:1: {exc}") from None
+    header = _header(head, path)
 
     def slices():
         for data in chain([first] if more else [], pieces):
@@ -221,7 +275,7 @@ def _plain_slices(fh, path: str):
 
 
 def _quoted_slices(text: str, path: str):
-    """Header cells and per-slice (cells, counts, rows) of a file with
+    """Channel names and per-slice (cells, counts, rows) of a file with
     quoted cells, split by `csv.reader`."""
     reader = csv.reader(io.StringIO(text))
 
@@ -236,7 +290,7 @@ def _quoted_slices(text: str, path: str):
             counts = np.fromiter(map(len, rows), np.intp, len(rows))
             yield list(chain.from_iterable(rows)), counts, lambda rows=rows: rows
 
-    return read(1)[0], slices()
+    return [name.strip() for name in read(1)[0]], slices()
 
 
 def _raise_first_error(rows, first_lineno: int, d: int, path: str):
@@ -257,21 +311,35 @@ def _raise_first_error(rows, first_lineno: int, d: int, path: str):
     raise ParseError(f"{path}:{first_lineno}: unreadable rows")
 
 
+def _block_lengths(solids) -> np.ndarray:
+    """Lengths of the runs of non-blank rows, from per-line flags."""
+    edges = np.diff(np.concatenate([[False], *solids, [False]]).view(np.int8))
+    return np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+
+
 def _parse_rows(path: str):
     """Parse a block CSV file. Returns the channel names, the values of the
     non-blank rows as one (rows, D) array, and the length of each block
     (run of non-blank rows between blank lines). The file is read twice:
-    to check its text and count its lines, then to parse it."""
+    to check its text and count its lines, then to parse it. A numeric
+    file (see `_scan`) is parsed by numpy's C reader; any other file, and
+    a numeric one that reader cannot take, cell by cell in Python."""
     with open(path, "rb") as fh:
-        size, lines, quoted = _scan(fh, path)
+        size, lines, quoted, solid = _scan(fh, path)
         if not size:
             raise ParseError(f"{path}: empty file")
         fh.seek(0)
+        if solid is not None:
+            channels = _header(fh.readline()[:-1], path)
+            values = _numeric_values(path, int(np.count_nonzero(solid)),
+                                     len(channels))
+            if values is not None:
+                return channels, values, _block_lengths([solid])
+            fh.seek(0)
         if quoted:
-            header, slices = _quoted_slices(_decode(fh.read(), path), path)
+            channels, slices = _quoted_slices(_decode(fh.read(), path), path)
         else:
-            header, slices = _plain_slices(fh, path)
-        channels = [name.strip() for name in header]
+            channels, slices = _plain_slices(fh, path)
         d = len(channels)
         values = np.empty((lines, d))  # at most one row a line
         solids, filled, lineno = [], 0, 2
@@ -294,10 +362,7 @@ def _parse_rows(path: str):
             solids.append(solid)
             filled += k
             lineno += len(counts)
-    # blocks are the runs of non-blank rows
-    edges = np.diff(np.concatenate([[False], *solids, [False]]).view(np.int8))
-    lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
-    return channels, values[:filled], lengths
+    return channels, values[:filled], _block_lengths(solids)
 
 
 def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):

@@ -33,6 +33,16 @@ class RngStream:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        # each is one 64-bit Philox key word; in this range two's
+        # complement maps distinct values to distinct words, while numpy
+        # rounds a larger value through a float or fails to cast it
+        for key in ("seed", "stream"):
+            value = getattr(self, key)
+            if not -2**63 <= value < 2**63:
+                raise ConfigError(f"{key} must be in [-2**63, 2**63), "
+                                  f"got {value}")
+
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
 

@@ -236,8 +236,9 @@ class TestRefusedBeforeWork:
         ("corr,spectral", ["--delay", "30"], (80, 24), "need S >= delay+1"),
         ("corr,pred,disc", [], (80, 24),
          "disc needs real and generated windows"),
-        ("corr,disc", [], (10, 32), "disc needs at least 64 windows")],
-        ids=["name", "rank", "delay", "shape", "count"])
+        ("corr,disc", [], (10, 32), "disc needs at least 64 windows"),
+        ("corr,spectral,corr", [], (80, 32), "metric 'corr' requested twice")],
+        ids=["name", "rank", "delay", "shape", "count", "twice"])
     def test_eval_checks_every_metric_first(self, tmp_path, capsys, metrics,
                                             flags, gen, err):
         """Real (80, 32, 1) against generated (n, S, 1) windows."""
@@ -298,6 +299,20 @@ class TestRefusedBeforeWork:
                 "--rank", "10", "--delay", "8", "--out", str(out)], out,
                 "need S >= delay+1, got S=8, delay=8")
         assert calls == []
+
+    @pytest.mark.parametrize("inputs", [("--real",), ("--gen",),
+                                        ("--real", "--gen")])
+    def test_dmd_refuses_experts_with_windows(self, tmp_path, checkpoint,
+                                              data_csv, capsys, inputs):
+        """--experts with --real or --gen is ambiguous: refused, not half
+        served."""
+        out = tmp_path / "dmd.csv"
+        argv = ["dmd", "--experts", checkpoint, "--out", str(out)]
+        for flag in inputs:
+            argv += [flag, data_csv]
+        capsys.readouterr()
+        self.check_refused(capsys, argv, out,
+                           "dmd takes --experts or --real and --gen, not both")
 
 
 class TestCheckpointContract:
@@ -492,6 +507,51 @@ class TestDataFiles:
                    "--quiet", "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestSeedRange:
+    """A seed is one signed 64-bit Philox key word: one outside
+    [-2**63, 2**63) is refused with one error line and no numpy warning,
+    and every seed in range draws its own numbers."""
+
+    @pytest.mark.parametrize("seed", [2**64, -2**63 - 1, 2**64 - 1, 2**63,
+                                      2**63 + 5])
+    @pytest.mark.parametrize("verb", ["gen-data", "train", "sample",
+                                      "diagnose"])
+    def test_out_of_range_seed_is_refused(self, tmp_path, request, capsys,
+                                          verb, seed):
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["gen-data", "--kind", "sines", "--n", "4",
+                         "--out", str(out)],
+            "train": ["train", "--epochs", "1", "--quiet", "--out", str(out)],
+            "sample": ["sample", "--n", "2", "--steps", "2",
+                       "--out", str(out)],
+            "diagnose": ["diagnose", "--n", "10"]}[verb]
+        if verb == "train":
+            argv += ["--data", request.getfixturevalue("data_csv")]
+        if verb == "sample":
+            argv += ["--checkpoint", request.getfixturevalue("checkpoint")]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, f"--seed={seed}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: seed must be in [-2**63, 2**63), "
+                                f"got {seed}\n")
+        assert not out.exists()
+
+    def test_seeds_at_the_ends_of_the_range_differ(self, tmp_path):
+        texts = []
+        for seed in (-2**63, 2**63 - 1, -1):
+            out = tmp_path / f"{seed}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run("gen-data", "--kind", "sines", "--n", "4",
+                           "--seed", str(seed), "--out", str(out)) == 0
+            texts.append(out.read_text())
+        assert len(set(texts)) == 3
 
 
 class TestHugeSamplerSettings:

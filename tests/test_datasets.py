@@ -239,6 +239,138 @@ class TestCsvMatchesReference:
                     == outcome(reference_load_csv_windows, path, **kwargs))
 
 
+# fields made only of the numeric alphabet (digits, signs, '.', 'e', 'E'):
+# floats as repr and %.17g write them and hand-picked good ones; the bad
+# ones are hand-picked or random strings of the alphabet, most of which
+# float() rejects
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+NUMERIC_FIELDS = st.one_of(
+    FINITE.map(repr), FINITE.map("%.17g".__mod__),
+    st.sampled_from(["0", "-0", "+1", "1.", ".5", "+.5e+2", "1E-3", "007",
+                     "1e400", "-1e-400"]))
+BAD_FIELDS = st.one_of(
+    st.sampled_from(["1e", "--1", ".", "+", "-", "e", "1-2", "1e+", "1.2.3"]),
+    st.text(alphabet="0123456789+-.eE", min_size=1, max_size=6))
+
+
+@st.composite
+def numeric_texts(draw):
+    """A header and lines of the numeric alphabet only: rows of D fields,
+    some with a bad or empty cell or a cell too many or too few,
+    comma-only lines, empty lines between blocks, at the start and at the
+    end, and maybe no final newline."""
+    d = draw(st.integers(1, 3))
+    lines = [",".join(f"c{i}" for i in range(d))]
+    lines += [""] * draw(st.integers(0, 2))
+    block = draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 5))):  # blocks
+        for _ in range(block + draw(st.sampled_from([0, 0, 0, 1]))):
+            cells = draw(st.lists(NUMERIC_FIELDS, min_size=d, max_size=d))
+            fault = draw(st.sampled_from([None] * 24 + [
+                "bad", "empty", "ragged", "commas"]))
+            if fault == "bad":
+                cells[draw(st.integers(0, d - 1))] = draw(BAD_FIELDS)
+            elif fault == "empty":
+                cells[draw(st.integers(0, d - 1))] = ""
+            elif fault == "ragged":
+                cells = cells + ["1"] if draw(st.booleans()) else cells[:-1]
+            elif fault == "commas":
+                cells = [""] * draw(st.integers(1, 3))
+            lines.append(",".join(cells))
+        lines += [""] * draw(st.integers(1, 2))
+    lines += [""] * draw(st.integers(0, 2))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestNumericCsv:
+    """Files of the numeric alphabet, which numpy's C reader parses once
+    their body is longer than one piece: the same windows and the same
+    errors as the row-by-row reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=numeric_texts(),
+           slice_bytes=st.sampled_from([1, 2, 3, 1 << 16]),
+           seq_len=st.integers(1, 4), stride=st.integers(1, 3))
+    def test_matches_reference(self, tmp_path_factory, text, slice_bytes,
+                               seq_len, stride):
+        path = str(tmp_path_factory.mktemp("csv") / "n.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        for kwargs in ({"mode": "blocks"},
+                       {"mode": "sliding", "seq_len": seq_len,
+                        "stride": stride}):
+            with mock.patch.object(datasets, "_SLICE_BYTES", slice_bytes):
+                got = outcome(load_csv_windows, path, **kwargs)
+            assert got == outcome(reference_load_csv_windows, path, **kwargs)
+
+    @staticmethod
+    def python_float_raises():
+        """Make the Python path's float conversion fail, so that a file
+        loads only when it took numpy's C reader."""
+        return mock.patch.object(
+            datasets, "float", create=True,
+            side_effect=AssertionError("parsed cell by cell"))
+
+    def test_bench_sized_file_takes_the_c_reader(self, tmp_path):
+        windows = RngStream(16).generator().standard_normal((2000, 64, 1))
+        path = str(tmp_path / "big.csv")
+        save_csv_windows(windows, path)
+        with open(path, "rb+") as fh:  # and with no final newline
+            fh.truncate(os.path.getsize(path) - 1)
+        with self.python_float_raises():
+            ds = load_csv_windows(path, mode="blocks")
+        assert ds.windows.tobytes() == windows.tobytes()
+        # a nan cell is outside the alphabet: the same file, cell by cell
+        windows[1000, 3, 0] = np.nan
+        save_csv_windows(windows, path)
+        with self.python_float_raises(), \
+                pytest.raises(AssertionError, match="cell by cell"):
+            load_csv_windows(path, mode="blocks")
+
+    def test_file_within_one_piece_stays_on_the_python_path(self, tmp_path):
+        path = str(tmp_path / "small.csv")
+        save_csv_windows(np.arange(64.0).reshape(4, 16, 1), path)
+        assert os.path.getsize(path) < datasets._SLICE_BYTES
+        with self.python_float_raises(), \
+                pytest.raises(AssertionError, match="cell by cell"):
+            load_csv_windows(path, mode="blocks")
+
+    @pytest.mark.parametrize("name", ["w.csv.gz", "w.bz2", "w.xz"])
+    def test_name_numpy_opens_as_compressed_loads_as_text(self, tmp_path,
+                                                          name):
+        """numpy opens a name with a compression suffix as a compressed
+        file; a numeric file of such a name still loads as the text it
+        holds."""
+        path = str(tmp_path / name)
+        windows = RngStream(17).generator().standard_normal((200, 64, 1))
+        save_csv_windows(windows, path)
+        assert os.path.getsize(path) > 2 * datasets._SLICE_BYTES
+        ds = load_csv_windows(path, mode="blocks")
+        assert ds.windows.tobytes() == windows.tobytes()
+
+    @pytest.mark.parametrize("header,row,cells", [("a,b", "1", 1),
+                                                  ("a", "1,2", 2)])
+    def test_rows_of_one_other_width_are_refused(self, tmp_path, header, row,
+                                                 cells):
+        """numpy reads a file whose rows all have the same wrong width
+        without complaint; its shape gives it away."""
+        path = tmp_path / "wide.csv"
+        path.write_text(f"{header}\n" + f"{row}\n" * 8)
+        with mock.patch.object(datasets, "_SLICE_BYTES", 4), \
+                pytest.raises(ParseError,
+                              match=f"wide\\.csv:2: expected {3 - cells} "
+                                    f"cells, got {cells}$"):
+            load_csv_windows(str(path), mode="blocks")
+
+    def test_bad_cell_is_named_by_the_python_path(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n" + "1,2\n" * 40_000 + "3,1e\n")
+        with pytest.raises(ParseError,
+                           match=r"bad\.csv:40002: column 2: non-numeric "
+                                 r"cell '1e'$"):
+            load_csv_windows(str(path), mode="blocks")
+
+
 class TestCsvContract:
     def test_invalid_utf8_names_file_and_byte(self, tmp_path):
         path = tmp_path / "bad.csv"
