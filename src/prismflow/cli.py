@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -184,11 +185,8 @@ def cmd_forecast(args):
 
 
 def cmd_eval(args):
-    real = _load_windows(args.real, seq_len=args.seq_len,
-                         mode=args.load_mode)
-    gen = _load_windows(args.gen, seq_len=args.seq_len, mode=args.load_mode)
     rng = RngStream(args.seed)
-    scores = {
+    scores = {  # each reads the windows loaded below when it runs
         "disc": lambda: discriminative_score(real, gen, rng.child(1)),
         "pred": lambda: predictive_score(real, gen, rng.child(2)),
         "corr": lambda: correlational_score(real, gen),
@@ -197,17 +195,21 @@ def cmd_eval(args):
             exact_dmd(gen.windows, rank=args.rank, delay=args.delay)),
     }
     wanted = args.metrics.split(",")
-    # refuse any request that cannot run before any metric runs
+    # refuse a request by its names before either file is read
     for i, name in enumerate(wanted):
         if name in wanted[:i]:
             raise PrismFlowError(f"metric {name!r} requested twice")
+        if name not in scores:
+            raise PrismFlowError(f"unknown metric {name!r}")
+    real = _load_windows(args.real, seq_len=args.seq_len,
+                         mode=args.load_mode)
+    gen = _load_windows(args.gen, seq_len=args.seq_len, mode=args.load_mode)
+    for name in wanted:  # and what the windows cannot serve
         if name == "spectral":
             for ds in (real, gen):
                 check_dmd(ds.seq_len, args.rank, args.delay)
-        elif name in scores:
-            window_pair(real, gen, name)
         else:
-            raise PrismFlowError(f"unknown metric {name!r}")
+            window_pair(real, gen, name)
     rows = [{"resolved_config": _resolved(args)}]
     for name in wanted:
         value = scores[name]()
@@ -369,17 +371,22 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    try:
-        args.func(args)
-    except PrismFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
+    # each warning of the verb is one `warning:` line, also under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda *w: print(f"warning: {w[0]}",
+                                                file=sys.stderr)
+        try:
+            args.func(args)
+        except PrismFlowError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .numcore import mlp_apply
+from .numcore import mlp_layers
 
 
 def assemble_operator(s: np.ndarray, r: np.ndarray, delta: float) -> np.ndarray:
@@ -50,7 +50,7 @@ def operator_eigenvalues(a: np.ndarray) -> np.ndarray:
     return eig[order]
 
 
-def decode_experts(model, ops, z: np.ndarray, experts):
+def decode_experts(model, ops, z: np.ndarray, experts, taped: bool = False):
     """Residual velocities (n, S*D) of latent codes z (n, d_z), row i
     decoded by expert k = experts[i] with generator A^k = ops[k], from the
     (K, d_z, d_z) bank assembled once per training step or sampling call.
@@ -58,12 +58,12 @@ def decode_experts(model, ops, z: np.ndarray, experts):
     map; each row takes its own expert's block, and the decoder runs once
     on concat(z, A^k z).
 
-    Returns (residuals, dec_tape).
+    Returns (residuals, dec_tape), the tape None unless `taped`.
     """
-    n = z.shape[0]
-    az = (z @ np.reshape(ops, (-1, z.shape[1])).T).reshape(n, len(ops), -1)
-    resid, dec_tape = mlp_apply(
-        model.decoder, np.concatenate([z, az[np.arange(n), experts]], axis=1))
+    n, bank = z.shape[0], np.asarray(ops)
+    az = np.dot(z, bank.reshape(-1, z.shape[1]).T).reshape(n, len(bank), -1)
+    resid, dec_tape = mlp_layers(model.decoder, np.concatenate(
+        [z, az[np.arange(n), experts]], axis=1), taped)
     if not np.isfinite(resid).all():
         k = experts[np.argmin(np.isfinite(resid).all(axis=1))]
         raise NumericError(f"expert {k} produced non-finite residual velocity")

@@ -18,7 +18,7 @@ from .errors import ConfigError, ContractViolation, NumericError, ShapeError
 ACTIVATIONS = {
     "tanh": np.tanh,
     # smooth relu; stable for large |x|
-    "softplus": lambda x: np.logaddexp(0.0, x),
+    "softplus": lambda x, out=None: np.logaddexp(0.0, x, out=out),
 }
 
 
@@ -66,7 +66,7 @@ def _act_grad(name, pre, out):
     raise ConfigError(f"unknown activation {name!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Tape:
     """Activation record from a forward pass, consumed by mlp_gradients."""
 
@@ -149,6 +149,21 @@ class Params(dict):
             self[name] += g
 
 
+def mlp_layers(net: Mlp, a: np.ndarray, taped: bool = False):
+    """Every forward pass's layer loop, unchecked: (output, tape or None).
+    Untaped, each activation overwrites its pre-activation."""
+    act = _activation(net.activation)
+    inputs, preacts = [], []
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(a)
+        pre = np.dot(a, w)
+        pre += b
+        preacts.append(pre)
+        a = pre if i == last else act(pre, out=None if taped else pre)
+    return a, Tape(inputs, preacts, id(net), net.version) if taped else None
+
+
 def mlp_apply(net: Mlp, x: np.ndarray):
     """Forward pass on a batch (B, d).
 
@@ -162,16 +177,7 @@ def mlp_apply(net: Mlp, x: np.ndarray):
         raise ShapeError(
             f"input dim {a.shape[1]} != first layer dim {net.layer_dims[0]}"
         )
-    act = _activation(net.activation)
-    inputs, preacts = [], []
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        inputs.append(a)
-        pre = a @ w
-        pre += b
-        preacts.append(pre)
-        a = pre if i == last else act(pre)
-    return a, Tape(inputs, preacts, id(net), net.version)
+    return mlp_layers(net, a, taped=True)
 
 
 def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool,
@@ -195,10 +201,10 @@ def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool,
             delta *= _act_grad(net.activation, tape.preacts[i],
                                tape.inputs[i + 1])
         if with_params:
-            wgrads[i] = tape.inputs[i].T @ delta
+            wgrads[i] = np.dot(tape.inputs[i].T, delta)
             bgrads[i] = delta.sum(axis=0)
         if i or with_input:
-            delta = delta @ net.weights[i].T
+            delta = np.dot(delta, net.weights[i].T)
     return wgrads, bgrads, delta
 
 

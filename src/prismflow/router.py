@@ -30,9 +30,11 @@ class WtaConfig:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
+    if not np.isfinite(logits).all():
+        raise NumericError("router produced non-finite logits")
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def route(model, tf, h):
@@ -43,8 +45,6 @@ def route(model, tf, h):
     and tape.inputs[0] is the router input [tf, h].
     """
     logits, tape = mlp_apply(model.router, np.concatenate([tf, h], axis=-1))
-    if not np.isfinite(logits).all():
-        raise NumericError("router produced non-finite logits")
     return softmax(logits), tape
 
 
@@ -56,9 +56,8 @@ def estimate_endpoint(x_t, t, v):
     v = np.asarray(v, dtype=np.float64)
     if v.shape[v.ndim - x_t.ndim:] != x_t.shape or v.ndim > x_t.ndim + 1:
         raise ShapeError("velocity shape does not match state shape")
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim == 1:
-        t = t.reshape((-1,) + (1,) * (x_t.ndim - 1))
+    t = np.asarray(t, dtype=np.float64)  # one t: float arithmetic, same bits
+    t = t.reshape((-1,) + (1,) * (x_t.ndim - 1)) if t.ndim else float(t)
     return x_t + (1.0 - t) * v
 
 
@@ -137,7 +136,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
     z, proj_tape = mlp_apply(model.projector, trunk.h)
     ops = model.operators()
     resids, dec_tape = decode_experts(model, ops, np.tile(z, (len(ops), 1)),
-                                      np.repeat(np.arange(len(ops)), b))
+                                      np.repeat(np.arange(len(ops)), b), True)
     resids = resids.reshape(len(ops), b, sd)
     # endpoint errors (K, B, S*D): one estimate per expert's total velocity
     errs = estimate_endpoint(trunk.xt, t, v_g + resids) - trunk.x1

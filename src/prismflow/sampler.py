@@ -11,9 +11,9 @@ import numpy as np
 from .datasets import save_csv_windows
 from .errors import ConfigError, ContractViolation, NumericError, ShapeError
 from .experts import decode_experts
-from .flowpath import encode, time_features
-from .numcore import RngStream, mlp_apply, mlp_input_gradient
-from .router import estimate_endpoint, route
+from .flowpath import time_features
+from .numcore import Mlp, RngStream, mlp_input_gradient, mlp_layers
+from .router import estimate_endpoint, softmax
 
 MODES = ("unconditional", "imputation", "forecasting")
 
@@ -76,24 +76,40 @@ def step_time_features(model, steps: int, n: int) -> np.ndarray:
     return np.broadcast_to(table[:, np.newaxis], (steps, n, table.shape[1]))
 
 
-def _velocity(model, x, tf, cfg: SamplerConfig, ops):
-    """Total sampling velocity for a batch (B, S, D) at one flow time,
-    given by its time features tf (B, 2F). Every row decodes in one call,
-    by the expert with its largest routing probability."""
-    h, enc_tape = encode(model, x, tf)
-    v, head_tape = mlp_apply(model.head, h)
-    if cfg.gamma == 0.0:
-        return v.reshape(x.shape), (enc_tape, head_tape)
-    probs, _ = route(model, tf, h)
-    z, _ = mlp_apply(model.projector, h)
-    resid, _ = decode_experts(model, ops, z, probs.argmax(axis=1))
-    total = v + cfg.gamma * resid
-    return total.reshape(x.shape), (enc_tape, head_tape)
+class _StepPlan:
+    """What the steps of a call on n rows read: the nets with (1, d) bias
+    rows (no batch-1 broadcast; the plan is the model of `decode_experts`
+    and `_global_vjp`), operator bank, buffers; tapes only if `taped`."""
+
+    def __init__(self, model, cfg: SamplerConfig, n, ops=None, taped=False):
+        for name in ("encoder", "head", "router", "projector", "decoder"):
+            net = getattr(model, name)
+            setattr(self, name, Mlp(net.layer_dims, net.weights, [
+                b.reshape(1, -1) for b in net.biases], net.activation))
+        self.gamma, self.taped = cfg.gamma, taped
+        self.ops = model.operators() if cfg.gamma and ops is None else ops
+        self.enc_in = np.empty((n, self.encoder.layer_dims[0]))
+        self.router_in = np.empty((n, self.router.layer_dims[0]))
+
+    def velocity(self, x, tf):
+        """Total velocity (n, S*D) of states x (n, S*D) at time features
+        tf; every row decodes in one call, by its argmax expert."""
+        sd, f2 = x.shape[1], tf.shape[-1]
+        self.enc_in[:, :sd], self.enc_in[:, sd:] = x, tf
+        h, self.enc_tape = mlp_layers(self.encoder, self.enc_in, self.taped)
+        v, self.head_tape = mlp_layers(self.head, h, self.taped)
+        if self.gamma == 0.0:
+            return v
+        self.router_in[:, :f2], self.router_in[:, f2:] = tf, h
+        probs = softmax(mlp_layers(self.router, self.router_in)[0])
+        resid, _ = decode_experts(self, self.ops, mlp_layers(
+            self.projector, h)[0], probs.argmax(axis=1))
+        return v + self.gamma * resid
 
 
 def _global_vjp(model, enc_tape, head_tape, upstream):
-    """u^T dv_global/dx for upstream u (B, S*D) on one _velocity pass:
-    back-propagates the input gradient only, through head and encoder."""
+    """u^T dv_global/dx for upstream u (B, S*D) on one velocity pass: the
+    input gradient alone, through head and encoder of `model` or a plan."""
     dh = mlp_input_gradient(model.head, head_tape, upstream)
     din = mlp_input_gradient(model.encoder, enc_tape, dh)
     return din[:, : upstream.shape[1]]
@@ -102,17 +118,19 @@ def _global_vjp(model, enc_tape, head_tape, upstream):
 # A finite but huge gamma or eta_g may overflow a step's arithmetic: the
 # state check after each step raises NumericError, with no numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
-def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops):
+def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops, plan=None):
     """One Euler update x + (v_global + gamma*v_expert) * dt at the flow
     time whose time features are tf (B, 2F), with the dominant expert
     chosen per sample by argmax routing probability. gamma=0 reduces
     exactly to the plain Euler update. `ops` are the experts' operators,
-    assembled once by the caller; at gamma 0 none are read."""
-    cfg.validate()
+    assembled once by the caller; at gamma 0 none are read. Without the
+    `plan` of its caller's call, a step checks `cfg` and makes one."""
     x = np.asarray(x, dtype=np.float64)
-    dt = 1.0 / cfg.steps
-    v, _ = _velocity(model, x, tf, cfg, ops)
-    xn = x + v * dt
+    if plan is None:
+        cfg.validate()
+        plan = _StepPlan(model, cfg, len(x), ops)
+    v = plan.velocity(x.reshape(len(x), -1), tf).reshape(x.shape)
+    xn = x + v * (1.0 / cfg.steps)
     if not np.isfinite(xn).all():
         raise NumericError("non-finite state after a sampler step")
     return xn
@@ -127,9 +145,9 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     x = rng.generator().standard_normal((n, s, d))
     if n == 0:
         return x
-    ops = model.operators() if cfg.gamma != 0.0 else None
+    plan = _StepPlan(model, cfg, n)
     for tf in step_time_features(model, cfg.steps, n):
-        x = residual_velocity_step(model, x, tf, cfg, ops)
+        x = residual_velocity_step(model, x, tf, cfg, None, plan)
     return x
 
 
@@ -157,28 +175,27 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     if cond.mask.shape[-2:] != (s, d):
         raise ShapeError(f"condition windows are {cond.mask.shape[-2:]}, "
                          f"the model generates {(s, d)}")
-    mask = cond.mask.reshape(-1, s, d)
+    mask = cond.mask.reshape(-1, s * d)
     n = mask.shape[0]
-    m = mask.astype(np.float64)
-    y = np.where(mask, cond.values, 0.0)
-    x = np.empty((n, s, d))
+    m2 = 2.0 * mask.astype(np.float64)
+    y = np.where(mask, cond.values.reshape(-1, s * d), 0.0)
+    x = np.empty((n, s * d))
     for i in range(n):
-        x[i] = rng.child(rng.stream + i).generator().standard_normal((s, d))
+        x[i] = rng.child(rng.stream + i).generator().standard_normal(s * d)
     dt = 1.0 / cfg.steps
-    ops = model.operators() if cfg.gamma != 0.0 else None
+    plan = _StepPlan(model, cfg, n, taped=cfg.exact_guidance)
     for i, tf in enumerate(step_time_features(model, cfg.steps, n)):
         t = i / cfg.steps
-        v, tapes = _velocity(model, x, tf, cfg, ops)
-        xhat = estimate_endpoint(x, t, v)
-        g = 2.0 * m * (xhat - y)
+        v = plan.velocity(x, tf)
+        g = m2 * (estimate_endpoint(x, t, v) - y)
         if cfg.exact_guidance:
             # add the global-field term of the endpoint Jacobian
-            upstream = (1.0 - t) * g.reshape(n, -1)
-            g = g + _global_vjp(model, *tapes, upstream).reshape(n, s, d)
+            g = g + _global_vjp(plan, plan.enc_tape, plan.head_tape,
+                                (1.0 - t) * g)
         x = x + (v - cfg.eta_g * g) * dt
         if not np.isfinite(x).all():
             raise NumericError(f"non-finite state at guidance step {i}")
-    return np.where(mask, y, x)
+    return np.where(mask, y, x).reshape(n, s, d)
 
 
 def export_samples(batch: np.ndarray, path: str, norm_shift=None,

@@ -254,6 +254,25 @@ class TestRefusedBeforeWork:
             "eval", "--real", paths["real"], "--gen", paths["gen"],
             "--metrics", metrics, "--out", str(out), *flags], out, err)
 
+    @pytest.mark.parametrize("metrics,err", [
+        ("bogus", "unknown metric 'bogus'"),
+        ("corr,corr", "metric 'corr' requested twice")])
+    def test_eval_refuses_names_before_reading(self, tmp_path, capsys,
+                                               monkeypatch, metrics, err):
+        paths = []
+        for name in ("real", "gen"):
+            paths.append(str(tmp_path / f"{name}.csv"))
+            save_csv_windows(np.zeros((2, 4, 1)), paths[-1])
+
+        def read(path, **kwargs):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli_module, "load_csv_windows", read)
+        out = tmp_path / "report.jsonl"
+        self.check_refused(capsys, [
+            "eval", "--real", paths[0], "--gen", paths[1], "--metrics",
+            metrics, "--out", str(out)], out, err)
+
     @pytest.mark.parametrize("verb,flag", [
         ("sample", "--gamma"), ("impute", "--gamma"), ("impute", "--eta-g"),
         ("forecast", "--gamma"), ("forecast", "--eta-g")])
@@ -507,6 +526,63 @@ class TestDataFiles:
                    "--quiet", "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestWarningLines:
+    """A library warning raised during a verb is one `warning:` line on
+    stderr, also with warnings turned into errors, and leaves the exit
+    code and the output as they are."""
+
+    def run_with_warnings_as_errors(self, capsys, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured.err.splitlines()
+
+    def test_dmd_rank_reduction(self, tmp_path, capsys):
+        real, gen = str(tmp_path / "real.csv"), str(tmp_path / "gen.csv")
+        # two tones: their delay-8 snapshots have rank 4
+        assert run("gen-data", "--kind", "bimodal", "--n", "40", "--seq-len",
+                   "32", "--channels", "1", "--f-low", "2", "--f-high", "8",
+                   "--seed", "1", "--out", real) == 0
+        save_csv_windows(RngStream(2).generator().standard_normal((40, 32, 1)),
+                         gen)
+        out = tmp_path / "dmd.csv"
+        code, err = self.run_with_warnings_as_errors(
+            capsys, "dmd", "--real", real, "--gen", gen, "--rank", "10",
+            "--delay", "8", "--out", str(out))
+        assert code == 0
+        assert err == ["warning: DMD rank reduced from 8 to 4 "
+                       "(rank-deficient snapshots)"]
+        assert out.exists()
+
+    def test_zero_variance_channel(self, tmp_path, capsys):
+        real, gen = str(tmp_path / "real.csv"), str(tmp_path / "gen.csv")
+        windows = RngStream(3).generator().standard_normal((10, 8, 2))
+        save_csv_windows(windows, real)
+        windows[:, :, 1] = 0.5
+        save_csv_windows(windows, gen)
+        out = tmp_path / "report.jsonl"
+        code, err = self.run_with_warnings_as_errors(
+            capsys, "eval", "--real", real, "--gen", gen, "--metrics", "corr",
+            "--load-mode", "blocks", "--out", str(out))
+        assert code == 0
+        assert err == ["warning: zero-variance channel: correlations set "
+                       "to 0"]
+        assert out.exists()
+
+    def test_warning_then_error_keeps_exit_code(self, tmp_path, capsys,
+                                                monkeypatch):
+        def warn_then_fail(args):
+            warnings.warn("first")
+            raise cli_module.PrismFlowError("then this")
+
+        monkeypatch.setattr(cli_module, "cmd_dmd", warn_then_fail)
+        code, err = self.run_with_warnings_as_errors(
+            capsys, "dmd", "--experts", "x.ckpt", "--out", "x.csv")
+        assert (code, err) == (2, ["warning: first", "error: then this"])
 
 
 class TestSeedRange:

@@ -63,6 +63,46 @@ class TestMlpApply:
             np.testing.assert_allclose(batch[i], single[0], atol=1e-15)
 
 
+def at_loop(net, x, upstream):
+    """Forward and input-gradient backward with the `@` operator,
+    tape-free: (output, input gradient of <upstream, output>)."""
+    act = {"tanh": np.tanh, "softplus": lambda p: np.logaddexp(0.0, p)}
+    a, pres, outs = x, [], [x]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        pre = a @ w
+        pre += b
+        pres.append(pre)
+        a = pre if i == len(net.weights) - 1 else act[net.activation](pre)
+        outs.append(a)
+    delta = upstream
+    for i in range(len(net.weights) - 1, -1, -1):
+        if i != len(net.weights) - 1:
+            grad = (1.0 - outs[i + 1] * outs[i + 1] if net.activation == "tanh"
+                    else 1.0 / (1.0 + np.exp(-pres[i])))
+            delta = delta * grad
+        delta = delta @ net.weights[i].T
+    return a, delta
+
+
+class TestLayerLoopProducts:
+    """The layer loop and the delta recurrence form their products with
+    `np.dot`, which skips the ufunc dispatch of `@`; the bits are those
+    of the `@` loop, at the batch sizes that sampling and training use."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "softplus"])
+    @pytest.mark.parametrize("rows", [1, 2, 6, 16, 128, 512])
+    def test_bits_of_the_at_operator(self, activation, rows):
+        net = make_net([72, 48, 48, 64], activation=activation)
+        gen = RngStream(rows).generator()
+        x = gen.standard_normal((rows, 72))
+        upstream = gen.standard_normal((rows, 64))
+        out, tape = mlp_apply(net, x)
+        want_out, want_grad = at_loop(net, x, upstream)
+        assert out.tobytes() == want_out.tobytes()
+        grad = mlp_input_gradient(net, tape, upstream)
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 class TestMlpGradients:
     def test_linear_layer_adjoint(self):
         w = RngStream(2).generator().standard_normal((3, 2))

@@ -9,10 +9,11 @@ from prismflow.datasets import load_csv_windows
 from prismflow.errors import (ConfigError, ContractViolation, NumericError,
                               ShapeError)
 from prismflow.flowpath import encode, time_features
-from prismflow.numcore import RngStream
+from prismflow.model import ModelConfig, PrismFlowModel
+from prismflow.numcore import RngStream, Tape
 from prismflow.router import estimate_endpoint, route
 from prismflow.sampler import (ConditionMask, SamplerConfig, _global_vjp,
-                               _velocity, export_samples, generate,
+                               _StepPlan, export_samples, generate,
                                generate_conditional, residual_velocity_step,
                                step_time_features)
 
@@ -210,25 +211,35 @@ class TestGenerateConditional:
     def test_exact_guidance_vjp_matches_central_differences(self, tiny_model):
         """The endpoint-Jacobian term of exact guidance is u^T dv/dx of
         the global field v (encoder and head) at the step's time."""
-        gen = RngStream(13).generator()
-        x = gen.standard_normal((3, 8, 2))
-        u = gen.standard_normal((3, 16))
-        t, step = 0.3, 1e-6
-        tf = time_features(np.full(3, t), tiny_model.cfg.time_freqs)
-        _, tapes = _velocity(tiny_model, x, tf, SamplerConfig(gamma=0.0),
-                             None)
-        got = _global_vjp(tiny_model, *tapes, u).reshape(x.shape)
+        check_global_vjp(tiny_model)
 
-        def f(xs):
-            v = global_velocity(tiny_model, xs, np.full(len(xs), t))
-            return np.sum(u.reshape(x.shape) * v, axis=(1, 2))
 
-        want = np.empty_like(x)
-        for idx in np.ndindex(*x.shape[1:]):
-            e = np.zeros_like(x)
-            e[(slice(None),) + idx] = step
-            want[(slice(None),) + idx] = (f(x + e) - f(x - e)) / (2 * step)
-        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+def check_global_vjp(model):
+    """The step plan's VJP against central differences of the global
+    field, and bit for bit against the reference VJP on checked tapes."""
+    s, d = model.cfg.seq_len, model.cfg.channels
+    gen = RngStream(13).generator()
+    x = gen.standard_normal((3, s, d))
+    u = gen.standard_normal((3, s * d))
+    t, step = 0.3, 1e-6
+    plan = _StepPlan(model, SamplerConfig(gamma=0.0), 3, taped=True)
+    plan.velocity(x.reshape(3, -1), time_features(t, model.cfg.time_freqs))
+    got = _global_vjp(plan, plan.enc_tape, plan.head_tape, u)
+    # bit for bit the VJP on the tapes of checked mlp_apply passes
+    _, tapes = reference_velocity(model, x, t, SamplerConfig(gamma=0.0), None)
+    assert got.tobytes() == _global_vjp(model, *tapes, u).tobytes()
+
+    def f(xs):
+        v = global_velocity(model, xs, np.full(len(xs), t))
+        return np.sum(u.reshape(x.shape) * v, axis=(1, 2))
+
+    want = np.empty_like(x)
+    for idx in np.ndindex(*x.shape[1:]):
+        e = np.zeros_like(x)
+        e[(slice(None),) + idx] = step
+        want[(slice(None),) + idx] = (f(x + e) - f(x - e)) / (2 * step)
+    np.testing.assert_allclose(got.reshape(x.shape), want, rtol=1e-6,
+                               atol=1e-9)
 
 
 def route_everything_to(model, k):
@@ -437,3 +448,170 @@ class TestExportSamples:
                        norm_scale=np.array([3.0]))
         back = load_csv_windows(str(path), seq_len=2, mode="blocks")
         np.testing.assert_array_equal(back.windows, 4.0 * batch)
+
+
+def record_tapes(monkeypatch):
+    """Every tape recorded, in order."""
+    tapes = []
+    init = Tape.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tapes.append(self)
+
+    monkeypatch.setattr(Tape, "__init__", recorded)
+    return tapes
+
+
+def layer_widths(tapes):
+    """Each tape's layer output widths, which tell the networks apart."""
+    return [[pre.shape[1] for pre in tape.preacts] for tape in tapes]
+
+
+class TestStepPlan:
+    """What one sampling call does once and what each of its steps does,
+    counted rather than timed."""
+
+    def count_calls(self, monkeypatch, model):
+        counts = {"validate": 0, "operators": 0}
+        validate, operators = SamplerConfig.validate, model.operators
+
+        def counted_validate(cfg):
+            counts["validate"] += 1
+            validate(cfg)
+
+        def counted_operators():
+            counts["operators"] += 1
+            return operators()
+
+        monkeypatch.setattr(SamplerConfig, "validate", counted_validate)
+        monkeypatch.setattr(model, "operators", counted_operators)
+        return counts
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_generate_checks_and_assembles_once(self, four_expert_model,
+                                                gamma, monkeypatch):
+        counts = self.count_calls(monkeypatch, four_expert_model)
+        rows = record_decodes(monkeypatch)
+        tapes = record_tapes(monkeypatch)
+        generate(four_expert_model, 5, SamplerConfig(steps=7, gamma=gamma),
+                 RngStream(31))
+        assert counts == {"validate": 1, "operators": int(gamma != 0.0)}
+        assert rows == ([5] * 7 if gamma else [])
+        assert tapes == []  # no pass of `generate` is back-propagated
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_conditional_checks_and_assembles_once(self, four_expert_model,
+                                                   gamma, exact,
+                                                   monkeypatch):
+        model = four_expert_model
+        counts = self.count_calls(monkeypatch, model)
+        rows = record_decodes(monkeypatch)
+        tapes = record_tapes(monkeypatch)
+        mask = np.zeros((3, 8, 2), dtype=bool)
+        mask[:, ::2] = True
+        cfg = SamplerConfig(steps=7, gamma=gamma, mode="imputation",
+                            exact_guidance=exact)
+        generate_conditional(model, ConditionMask(mask, np.where(mask, 0.5,
+                                                                 0.0)),
+                             cfg, RngStream(32))
+        assert counts == {"validate": 1, "operators": int(gamma != 0.0)}
+        assert rows == ([3] * 7 if gamma else [])
+        # only the encoder and head passes are back-propagated, and only
+        # by exact guidance: hidden 8 twice, then head hidden 32 and S*D
+        assert layer_widths(tapes) == ([[8, 8], [32, 16]] * 7 if exact
+                                       else [])
+
+    def test_single_step_checks_once(self, four_expert_model, monkeypatch):
+        model = four_expert_model
+        ops = model.operators()
+        counts = self.count_calls(monkeypatch, model)
+        x = RngStream(33).generator().standard_normal((4, 8, 2))
+        tf = step_time_features(model, 7, 4)[2]
+        residual_velocity_step(model, x, tf, SamplerConfig(steps=7), ops)
+        assert counts == {"validate": 1, "operators": 0}
+
+    def test_state_check_names_the_guidance_step(self, tiny_model):
+        cond = ConditionMask(np.ones((8, 2), bool), np.zeros((8, 2)))
+        tiny_model.head.biases[-1][3] = 1e308
+        tiny_model.bump_versions()
+        cfg = SamplerConfig(steps=5, mode="imputation", gamma=0.0)
+        with pytest.raises(NumericError, match="guidance step 0"):
+            generate_conditional(tiny_model, cond, cfg, RngStream(34))
+
+
+# model variants of the sweep: the four-expert model with one setting
+# changed
+VARIANTS = {
+    "softplus": dict(activation="softplus"),
+    "enc_layers1": dict(enc_layers=1),
+    "enc_layers3": dict(enc_layers=3),
+    "head_hidden_none": dict(head_hidden=None),
+    "k1": dict(n_experts=1),
+    "d1": dict(channels=1),
+    "d3": dict(channels=3),
+    "spread": dict(expert_init="spread"),
+    "delta0": dict(delta=0.0),
+}
+
+
+def variant_model(name):
+    cfg = dict(seq_len=8, channels=2, n_experts=4, latent_dim=4,
+               hidden_dim=8, dec_hidden=8, router_hidden=8)
+    cfg.update(VARIANTS[name])
+    return PrismFlowModel.init(ModelConfig(**cfg), RngStream(0))
+
+
+def assert_matches_reference(got, want, lone):
+    """Bytes equal on every row the reference decoded in a multi-row
+    product; a row it decoded alone (BLAS's matrix-vector path) may move
+    in its last bits."""
+    alone = np.isin(np.arange(len(got)), list(lone))
+    if len(got) == 1:
+        alone[:] = False  # both sides decode the one row alone
+    assert got[~alone].tobytes() == want[~alone].tobytes()
+    np.testing.assert_allclose(got[alone], want[alone], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+class TestStepVariants:
+    """The step plan over the model's configuration space, against the
+    reference loops: `generate` at gamma 1 and 0, and guided imputation
+    with and without exact guidance at batch 1 and 6."""
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_generate_matches_references(self, variant, n, monkeypatch):
+        model = variant_model(variant)
+        cfg = SamplerConfig(steps=5)
+        got = generate(model, n, cfg, RngStream(41))
+        lone = record_lone_rows(monkeypatch)
+        want = reference_generate(model, n, cfg, RngStream(41))
+        assert_matches_reference(got, want, lone)
+        plain = generate(model, n, SamplerConfig(steps=5, gamma=0.0),
+                         RngStream(41))
+        assert plain.tobytes() == vanilla_euler_generate(
+            model, n, 5, RngStream(41)).tobytes()
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_conditional_matches_reference(self, variant, n, exact,
+                                           monkeypatch):
+        model = variant_model(variant)
+        s, d = model.cfg.seq_len, model.cfg.channels
+        gen = RngStream(42).generator()
+        mask = gen.uniform(size=(n, s, d)) < 0.5
+        mask[:, 0, 0] = True
+        values = np.where(mask, gen.standard_normal((n, s, d)), 0.0)
+        cfg = SamplerConfig(steps=5, mode="imputation", eta_g=2.0,
+                            exact_guidance=exact)
+        cond = (ConditionMask(mask[0], values[0]) if n == 1
+                else ConditionMask(mask, values))
+        got = generate_conditional(model, cond, cfg, RngStream(43))
+        lone = record_lone_rows(monkeypatch)
+        want = reference_generate_conditional(model, mask, values, cfg,
+                                              RngStream(43))
+        assert_matches_reference(got, want, lone)
+
+    def test_exact_guidance_vjp_matches_central_differences(self, variant):
+        check_global_vjp(variant_model(variant))
