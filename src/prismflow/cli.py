@@ -18,9 +18,10 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import atomic_write_text
-from .datasets import (DiagnosticSpec, gen_bimodal_frequency, gen_sines,
-                       gen_velocity_mixture_diagnostic, load_csv_windows,
-                       normalize, save_csv_windows, velocity_energy_gap)
+from .datasets import (LOAD_MODES, DiagnosticSpec, gen_bimodal_frequency,
+                       gen_sines, gen_velocity_mixture_diagnostic,
+                       load_csv_windows, normalize, save_csv_windows,
+                       velocity_energy_gap)
 from .errors import ConfigError, ContractViolation, PrismFlowError
 from .experts import operator_eigenvalues
 from .metrics import (MetricReport, correlational_score, discriminative_score,
@@ -30,7 +31,7 @@ from .numcore import RngStream
 from .sampler import (ConditionMask, SamplerConfig, export_samples, generate,
                       generate_conditional)
 from .spectra import check_dmd, exact_dmd, spectral_overlap
-from .trainer import TrainConfig, fit, load_config_file
+from .trainer import LAMBDA_KINDS, TrainConfig, fit, load_config_file
 
 CONFIG_ENV = "PRISMFLOW_CONFIG"
 
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seq-len", dest="seq_len", type=int, default=None)
     t.add_argument("--stride", type=int, default=1)
     t.add_argument("--load-mode", dest="load_mode", default="blocks",
-                   choices=["blocks", "sliding"])
+                   choices=LOAD_MODES)
     t.add_argument("--seed", type=int, required=True)
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--batch-size", dest="batch_size", type=int, default=None)
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--alpha-b", dest="alpha_b", type=float, default=None)
     t.add_argument("--beta", type=float, default=None)
     t.add_argument("--lambda-kind", dest="lambda_kind", default=None,
-                   choices=["constant", "linear-ramp", "late-gate"])
+                   choices=LAMBDA_KINDS)
     t.add_argument("--latent-dim", dest="latent_dim", type=int, default=None)
     t.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
     t.add_argument("--head-hidden", dest="head_hidden", type=int, default=None)
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--metrics", default="disc,pred,corr,spectral")
     e.add_argument("--seq-len", dest="seq_len", type=int, default=None)
     e.add_argument("--load-mode", dest="load_mode", default="blocks",
-                   choices=["blocks", "sliding"])
+                   choices=LOAD_MODES)
     e.add_argument("--rank", type=int, default=10)
     e.add_argument("--delay", type=int, default=1)
     e.add_argument("--seed", type=int, default=0)

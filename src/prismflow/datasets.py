@@ -22,6 +22,8 @@ from .checkpoint import atomic_write_text
 from .errors import ConfigError, ContractViolation, ParseError
 from .numcore import RngStream
 
+LOAD_MODES = ("blocks", "sliding")
+
 
 @dataclass
 class Dataset:
@@ -372,6 +374,8 @@ def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
     seq_len at the given stride. mode="blocks": blank-line-separated
     blocks are taken as whole windows (seq_len optional check).
     """
+    if mode not in LOAD_MODES:
+        raise ConfigError(f"unknown load mode {mode!r}")
     if not os.path.exists(path):
         raise ContractViolation(f"no such file: {path}")
     channels, rows, lengths = _parse_rows(path)
@@ -386,8 +390,6 @@ def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
             raise ContractViolation(
                 f"{path}: blocks have length {sizes[0]}, expected {seq_len}")
         return Dataset(rows.reshape(lengths.size, sizes[0], len(channels)))
-    if mode != "sliding":
-        raise ConfigError(f"unknown load mode {mode!r}")
     if seq_len is None:
         raise ConfigError("sliding mode needs seq_len")
     if seq_len < 1 or stride < 1:

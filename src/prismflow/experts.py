@@ -14,17 +14,18 @@ def assemble_operator(s: np.ndarray, r: np.ndarray, delta: float) -> np.ndarray:
 
         A = (S - S^T) - R^T R - delta*I
 
-    The symmetric part of A is -(R^T R) - delta*I, so its eigenvalues are
-    at most -delta for any S, R.
+    for one (d, d) pair or a (K, d, d) stack of pairs, the whole bank in
+    one expression. The symmetric part of A is -(R^T R) - delta*I, so its
+    eigenvalues are at most -delta for any S, R.
     """
     s = np.asarray(s, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    if s.ndim not in (2, 3) or s.shape[-1] != s.shape[-2]:
         raise ShapeError(f"S must be square, got {s.shape}")
     if r.shape != s.shape:
         raise ShapeError(f"R shape {r.shape} != S shape {s.shape}")
-    d = s.shape[0]
-    return (s - s.T) - r.T @ r - delta * np.eye(d)
+    return ((s - np.swapaxes(s, -1, -2)) - np.swapaxes(r, -1, -2) @ r
+            - delta * np.eye(s.shape[-1]))
 
 
 def operator_grads(r: np.ndarray, da: np.ndarray):

@@ -142,19 +142,18 @@ class PrismFlowModel:
     def n_experts(self) -> int:
         return self.cfg.n_experts
 
-    def operator(self, k: int) -> np.ndarray:
-        """Expert k's generator; an overflow is a NumericError naming k."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = assemble_operator(self.expert_s[k], self.expert_r[k],
-                                  self.cfg.delta)
-        if not np.isfinite(a).all():
-            raise NumericError(f"expert {k} has a non-finite operator")
-        return a
-
     def operators(self) -> np.ndarray:
         """The (K, d_z, d_z) bank of every expert's generator, in expert
-        order, that one training step or one sampling call assembles once."""
-        return np.stack([self.operator(k) for k in range(self.n_experts)])
+        order, that one training step or one sampling call assembles once.
+        An overflow is a NumericError naming the first expert it hits."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            bank = assemble_operator(np.stack(self.expert_s),
+                                     np.stack(self.expert_r), self.cfg.delta)
+        bad = ~np.isfinite(bank).all(axis=(1, 2))
+        if bad.any():
+            raise NumericError(f"expert {np.argmax(bad)} has a non-finite "
+                               f"operator")
+        return bank
 
     # -- flat parameter store --------------------------------------------
 

@@ -14,11 +14,15 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericError, ShapeError
 
-# hidden activations by name
+# hidden activations by name: (activation, derivative), the derivative
+# at hidden layer i of a tape, from its pre-activation tape.preacts[i] or
+# its activation tape.inputs[i + 1]
 ACTIVATIONS = {
-    "tanh": np.tanh,
+    "tanh": (np.tanh,
+             lambda tape, i: 1.0 - tape.inputs[i + 1] * tape.inputs[i + 1]),
     # smooth relu; stable for large |x|
-    "softplus": lambda x, out=None: np.logaddexp(0.0, x, out=out),
+    "softplus": (lambda x, out=None: np.logaddexp(0.0, x, out=out),
+                 lambda tape, i: 1.0 / (1.0 + np.exp(-tape.preacts[i]))),
 }
 
 
@@ -51,19 +55,11 @@ class RngStream:
 
 
 def _activation(name):
+    """The (activation, derivative) pair of ACTIVATIONS named `name`."""
     try:
         return ACTIVATIONS[name]
     except KeyError:
         raise ConfigError(f"unknown activation {name!r}") from None
-
-
-def _act_grad(name, pre, out):
-    """Activation derivative at `pre`, where `out` is the activation."""
-    if name == "tanh":
-        return 1.0 - out * out
-    if name == "softplus":
-        return 1.0 / (1.0 + np.exp(-pre))
-    raise ConfigError(f"unknown activation {name!r}")
 
 
 @dataclass(slots=True)
@@ -152,7 +148,7 @@ class Params(dict):
 def mlp_layers(net: Mlp, a: np.ndarray, taped: bool = False):
     """Every forward pass's layer loop, unchecked: (output, tape or None).
     Untaped, each activation overwrites its pre-activation."""
-    act = _activation(net.activation)
+    act = _activation(net.activation)[0]
     inputs, preacts = [], []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -192,14 +188,14 @@ def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool,
         raise ShapeError(
             f"upstream shape {delta.shape} != output shape {tape.preacts[-1].shape}"
         )
+    act_grad = _activation(net.activation)[1]
     last = len(net.weights) - 1
     wgrads = [None] * (last + 1)
     bgrads = [None] * (last + 1)
     for i in range(last, -1, -1):
         if i != last:
             # delta is a product of this backward, never the caller's array
-            delta *= _act_grad(net.activation, tape.preacts[i],
-                               tape.inputs[i + 1])
+            delta *= act_grad(tape, i)
         if with_params:
             wgrads[i] = np.dot(tape.inputs[i].T, delta)
             bgrads[i] = delta.sum(axis=0)

@@ -15,20 +15,6 @@ from .numcore import (Params, mlp_apply, mlp_gradients, mlp_param_gradients,
                       tape_rows)
 
 
-@dataclass
-class WtaConfig:
-    beta: float = 0.01  # confidence weight on -log(prob)
-    eps: float = 1e-8  # stabilizer inside the log
-    prob_floor: float = 1e-8  # clamp for the balance KL
-
-    def validate(self) -> None:
-        """Errors name the settings by their training config keys."""
-        if self.beta < 0:
-            raise ContractViolation("beta must be >= 0")
-        if self.eps <= 0:
-            raise ContractViolation("wta_eps must be > 0")
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     if not np.isfinite(logits).all():
         raise NumericError("router produced non-finite logits")
@@ -61,17 +47,17 @@ def estimate_endpoint(x_t, t, v):
     return x_t + (1.0 - t) * v
 
 
-def wta_scores(mses, probs, cfg: WtaConfig) -> np.ndarray:
+def wta_scores(mses, probs, cfg) -> np.ndarray:
     """Confidence-aware scores (B, K): the element-mean squared endpoint
-    error of each expert minus beta*log(prob + eps)."""
-    cfg.validate()
+    error of each expert minus beta*log(prob + wta_eps), with the weights
+    of the training config `cfg`."""
     mses = np.asarray(mses, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     if mses.shape != probs.shape:
         raise ShapeError(f"mse shape {mses.shape} != prob shape {probs.shape}")
     if np.any(probs < 0):
         raise ContractViolation("routing probabilities must be nonnegative")
-    return mses - cfg.beta * np.log(probs + cfg.eps)
+    return mses - cfg.beta * np.log(probs + cfg.wta_eps)
 
 
 def select_winner(scores) -> np.ndarray:
@@ -94,7 +80,7 @@ class WtaBatchInfo:
     endpoint_mses: np.ndarray  # (B, K)
 
 
-def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None):
+def wta_loss(model, x0, x1, t, cfg, lam=None):
     """Masked winner-take-all loss over a batch, with exact gradients.
 
     Gradient routing: the winning expert's (S, R), the shared projector
@@ -104,8 +90,9 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None):
     current head and treated as a constant, so the global head gets no
     WTA gradient.
 
-    Returns (loss, grads, WtaBatchInfo).
+    Returns (loss, grads, WtaBatchInfo). `cfg` is the training config.
     """
+    cfg.validate()
     trunk = trunk_forward(model, x0, x1, t)
     v_global, _ = mlp_apply(model.head, trunk.h)  # value only
     probs, router_tape = route(model, trunk.tf, trunk.h)
@@ -116,16 +103,16 @@ def wta_loss(model, x0, x1, t, cfg: WtaConfig, lam=None):
     return loss, grads, info
 
 
-def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
-             grads: Params, lam=None, scale: float = 1.0):
+def wta_core(model, trunk, probs, router_tape, v_global, cfg, grads: Params,
+             lam=None, scale: float = 1.0):
     """Winner-take-all term on a trunk pass and its routing.
 
     The decoder runs forward once on K blocks of the B rows, block k by
     expert k, and backward once on the B winner rows of that tape. `scale`
     weights every gradient this term adds to `grads` and the returned
-    trunk-feature gradient dh. Returns (loss, dh, WtaBatchInfo).
+    trunk-feature gradient dh. The caller has validated the training
+    config `cfg`. Returns (loss, dh, WtaBatchInfo).
     """
-    cfg.validate()
     b, sd = trunk.xt.shape
     t = trunk.t
     lam = np.ones(b) if lam is None else np.asarray(lam, dtype=np.float64)
@@ -170,7 +157,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg: WtaConfig,
 
     # confidence term: only the winner's -beta*log(prob + eps) is live
     p_win = probs[rows, winners]
-    dprob_win = -cfg.beta * w / (p_win + cfg.eps)
+    dprob_win = -cfg.beta * w / (p_win + cfg.wta_eps)
     coef = dprob_win * p_win
     onehot = np.zeros_like(probs)
     onehot[rows, winners] = 1.0
@@ -198,7 +185,7 @@ def balance_loss(probs, prob_floor: float = 1e-8) -> float:
     return float(np.sum(u * (np.log(u) - np.log(pibar))))
 
 
-def balance_loss_and_grads(model, x0, x1, t, cfg: WtaConfig):
+def balance_loss_and_grads(model, x0, x1, t, cfg):
     """Balance regularizer with gradients to the router body only.
 
     The trunk features feeding the router are treated as constants here;
@@ -211,11 +198,11 @@ def balance_loss_and_grads(model, x0, x1, t, cfg: WtaConfig):
     return loss, grads, probs
 
 
-def balance_core(model, probs, router_tape, cfg: WtaConfig, grads: Params,
+def balance_core(model, probs, router_tape, cfg, grads: Params,
                  scale: float = 1.0) -> float:
-    """Balance term of one routing pass: adds `scale` times its router
-    gradient to `grads` and returns the loss. Nothing flows back to the
-    router input."""
+    """Balance term of one routing pass, clamped at the training config's
+    `prob_floor`: adds `scale` times its router gradient to `grads` and
+    returns the loss. Nothing flows back to the router input."""
     loss = balance_loss(probs, cfg.prob_floor)
     b, kk = probs.shape
     pibar = probs.mean(axis=0)

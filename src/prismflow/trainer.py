@@ -15,7 +15,7 @@ from .errors import ConfigError, ContractViolation, NumericError
 from .flowpath import cfm_core, encoder_backward, trunk_forward
 from .model import ModelConfig, PrismFlowModel
 from .numcore import AdamState, RngStream, adam_update
-from .router import WtaConfig, balance_core, route, wta_core
+from .router import balance_core, route, wta_core
 
 LAMBDA_KINDS = ("constant", "linear-ramp", "late-gate")
 
@@ -49,11 +49,10 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.lambda_kind not in LAMBDA_KINDS:
             raise ConfigError(f"unknown lambda schedule {self.lambda_kind!r}")
-        self.wta().validate()
-
-    def wta(self) -> WtaConfig:
-        return WtaConfig(beta=self.beta, eps=self.wta_eps,
-                         prob_floor=self.prob_floor)
+        if self.beta < 0:
+            raise ConfigError("beta must be >= 0")
+        if self.wta_eps <= 0:
+            raise ConfigError("wta_eps must be > 0")
 
 
 def lambda_schedule(kind: str, t):
@@ -81,7 +80,6 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig):
     Returns (value, grads, parts, wta_info).
     """
     cfg.validate()
-    wcfg = cfg.wta()
     trunk = trunk_forward(model, x0, x1, t)
     lam = lambda_schedule(cfg.lambda_kind, trunk.t)
     grads = model.zero_grads()
@@ -89,8 +87,8 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig):
     c_val, dh, v_global = cfm_core(model, trunk, grads)
     probs, router_tape = route(model, trunk.tf, trunk.h)
     w_val, w_dh, info = wta_core(model, trunk, probs, router_tape, v_global,
-                                 wcfg, grads, lam=lam, scale=cfg.alpha_w)
-    b_val = balance_core(model, probs, router_tape, wcfg, grads,
+                                 cfg, grads, lam=lam, scale=cfg.alpha_w)
+    b_val = balance_core(model, probs, router_tape, cfg, grads,
                          scale=cfg.alpha_b)
     encoder_backward(model, trunk, dh + w_dh, grads)
 

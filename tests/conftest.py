@@ -18,7 +18,7 @@ from prismflow.trainer import lambda_schedule
 from oracles import (FrozenObjective,  # noqa: F401
                      finite_difference_check, frozen_total_loss_fn,
                      frozen_wta_loss_fn, global_velocity, reference_exact_dmd,
-                     reference_velocity)
+                     reference_operators, reference_velocity)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -52,11 +52,10 @@ def reference_total_loss(model, x0, x1, t, cfg):
     """Reference objective: the three public per-objective losses, each
     with its own trunk pass, summed with their weights."""
     cfg.validate()
-    wcfg = cfg.wta()
     lam = lambda_schedule(cfg.lambda_kind, t)
     c_val, grads = cfm_loss(model, x0, x1, t)
-    w_val, w_grads, info = wta_loss(model, x0, x1, t, wcfg, lam=lam)
-    b_val, b_grads, _ = balance_loss_and_grads(model, x0, x1, t, wcfg)
+    w_val, w_grads, info = wta_loss(model, x0, x1, t, cfg, lam=lam)
+    b_val, b_grads, _ = balance_loss_and_grads(model, x0, x1, t, cfg)
     for name in grads:
         grads[name] += cfg.alpha_w * w_grads[name] + cfg.alpha_b * b_grads[name]
     value = c_val + cfg.alpha_w * w_val + cfg.alpha_b * b_val

@@ -1,4 +1,5 @@
-"""Test-only oracles: a central-difference gradient check, the frozen
+"""Test-only oracles: a central-difference gradient check (two-point
+or five-point), the operator bank built one expert at a time, the frozen
 training objective whose value it differences, the global velocity
 field evaluated on its own, the sampler's velocity as computed
 before its per-call time-feature table, and exact DMD from the SVD of
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 
 from prismflow.errors import ContractViolation, NumericError, ShapeError
-from prismflow.experts import decode_experts
+from prismflow.experts import assemble_operator, decode_experts
 from prismflow.flowpath import encode, interpolate_state, time_features
 from prismflow.numcore import mlp_apply
 from prismflow.router import (balance_loss, estimate_endpoint, route,
@@ -19,14 +20,20 @@ from prismflow.trainer import TrainConfig, lambda_schedule, total_loss
 
 
 def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,
-                            blocks=None) -> float:
+                            blocks=None, points: int = 2) -> float:
     """Central-difference gradient oracle.
 
     `loss_and_grad_fn(params) -> (value, grads)` must be deterministic.
     Returns the max over checked entries of
     |analytic - central| / (|central| + 1e-12). `blocks` restricts the
-    check to a subset of parameter names.
+    check to a subset of parameter names. `points` picks the stencil:
+    2, (f(h) - f(-h)) / 2h; or 5, the fourth-order
+    [(f(-2h) - f(2h)) + 8 (f(h) - f(-h))] / 12h (Fornberg, Math. Comp.
+    51, 1988), each f taken as a difference from f(0) to keep its
+    rounding small.
     """
+    if points not in (2, 5):
+        raise ContractViolation(f"no {points}-point stencil")
     v0, grads = loss_and_grad_fn(params)
     v1, _ = loss_and_grad_fn(params)
     if v0 != v1:
@@ -39,15 +46,28 @@ def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,
         gflat = grads[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
-            plus, _ = loss_and_grad_fn(params)
-            flat[i] = orig - step
-            minus, _ = loss_and_grad_fn(params)
+
+            def at(k):
+                flat[i] = orig + k * step
+                return loss_and_grad_fn(params)[0]
+
+            if points == 2:
+                central = (at(1) - at(-1)) / (2.0 * step)
+            else:
+                f = {k: at(k) - v0 for k in (-2, -1, 1, 2)}
+                central = ((f[-2] - f[2]) + 8.0 * (f[1] - f[-1])) / (12.0 * step)
             flat[i] = orig
-            central = (plus - minus) / (2.0 * step)
             rel = abs(gflat[i] - central) / (abs(central) + 1e-12)
             worst = max(worst, rel)
     return worst
+
+
+def reference_operators(model) -> np.ndarray:
+    """The (K, d_z, d_z) operator bank assembled one expert at a time, in
+    expert order, as `PrismFlowModel.operators` built it before it took
+    the whole stack in one `assemble_operator` call."""
+    return np.stack([assemble_operator(s, r, model.cfg.delta)
+                     for s, r in zip(model.expert_s, model.expert_r)])
 
 
 class FrozenObjective:
@@ -62,7 +82,7 @@ class FrozenObjective:
     """
 
     def __init__(self, model, x0, x1, t, cfg: TrainConfig):
-        self.model, self.cfg, self.wcfg = model, cfg, cfg.wta()
+        self.model, self.cfg = model, cfg
         b = np.asarray(x0).shape[0]
         self.x0 = np.asarray(x0, dtype=np.float64).reshape(b, -1)
         self.x1 = np.asarray(x1, dtype=np.float64).reshape(b, -1)
@@ -86,7 +106,7 @@ class FrozenObjective:
                                    np.repeat(np.arange(kk), b))
         resids = resids.reshape(kk, b, -1)
         errs = estimate_endpoint(self.xt, self.t, self.v0 + resids) - self.x1
-        return wta_scores(np.mean(errs * errs, axis=2).T, probs, self.wcfg)
+        return wta_scores(np.mean(errs * errs, axis=2).T, probs, self.cfg)
 
     def wta(self) -> float:
         """The WTA term on the frozen winners."""
@@ -103,7 +123,7 @@ class FrozenObjective:
         resid = v - (self.x1 - self.x0)
         cfm = float(np.mean(resid * resid))
         probs, _ = route(model, self.tf, self.h0)
-        bal = balance_loss(probs, self.wcfg.prob_floor)
+        bal = balance_loss(probs, cfg.prob_floor)
         return cfm + cfg.alpha_w * self.wta() + cfg.alpha_b * bal
 
 
@@ -119,7 +139,7 @@ def frozen_total_loss_fn(model, x0, x1, t, cfg: TrainConfig):
 def frozen_wta_loss_fn(model, x0, x1, t, cfg: TrainConfig):
     """As `frozen_total_loss_fn`, for the WTA term and `wta_loss`."""
     frozen = FrozenObjective(model, x0, x1, t, cfg)
-    _, grads, _ = wta_loss(model, x0, x1, t, cfg.wta(), lam=frozen.lam)
+    _, grads, _ = wta_loss(model, x0, x1, t, cfg, lam=frozen.lam)
     return lambda _params: (frozen.wta(), grads)
 
 

@@ -19,7 +19,7 @@ from prismflow.flowpath import (cfm_loss, encode, interpolate_state,
 from prismflow.metrics import correlational_score, discriminative_score
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream
-from prismflow.router import (WtaConfig, balance_loss, balance_loss_and_grads,
+from prismflow.router import (balance_loss, balance_loss_and_grads,
                               wta_loss)
 from prismflow.sampler import (ConditionMask, SamplerConfig, generate,
                                generate_conditional)
@@ -136,7 +136,7 @@ def test_analytic_gradients_match_central_differences():
     model.router.biases[-1][:] = [0.9, -0.9]
     model.router.bump_version()
     err = finite_difference_check(
-        lambda p: balance_loss_and_grads(model, x0, x1, t, WtaConfig())[:2],
+        lambda p: balance_loss_and_grads(model, x0, x1, t, TrainConfig())[:2],
         model.params(), 1e-5,
         blocks=[n for n in model.params() if n.startswith("router")])
     assert err < 1e-4
@@ -160,7 +160,7 @@ def test_non_winning_experts_are_exactly_inert():
             break
         model = small_model(seed)
         x0, x1, t = small_batch(seed + 100)
-        cfg = WtaConfig()
+        cfg = TrainConfig()
         loss, grads, info = wta_loss(model, x0, x1, t, cfg)
         losers = [k for k in range(model.n_experts)
                   if k not in info.winners]

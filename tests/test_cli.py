@@ -9,9 +9,10 @@ import prismflow.cli as cli_module
 from conftest import traced_peak
 from prismflow.checkpoint import load_checkpoint, save_checkpoint
 from prismflow.cli import run_command
-from prismflow.datasets import load_csv_windows, save_csv_windows
+from prismflow.datasets import LOAD_MODES, load_csv_windows, save_csv_windows
 from prismflow.model import ModelConfig, PrismFlowModel, param_layout
 from prismflow.numcore import RngStream
+from prismflow.trainer import LAMBDA_KINDS
 from prismflow.sampler import (ConditionMask, SamplerConfig,
                                generate_conditional)
 
@@ -78,6 +79,22 @@ class TestGenData:
 
     def test_unknown_verb(self):
         assert run("frobnicate") == 1
+
+
+@pytest.mark.parametrize("argv,choices", [
+    (["train", "--data", "d.csv", "--seed", "0", "--out", "m",
+      "--lambda-kind", "cosine"], LAMBDA_KINDS),
+    (["train", "--data", "d.csv", "--seed", "0", "--out", "m",
+      "--load-mode", "rows"], LOAD_MODES),
+    (["eval", "--real", "r.csv", "--gen", "g.csv", "--load-mode", "rows"],
+     LOAD_MODES)], ids=["train-lambda-kind", "train-load-mode",
+                        "eval-load-mode"])
+def test_choices_are_the_checked_names(capsys, argv, choices):
+    """A flag's choices are the names its setting is checked against;
+    any other value is a usage error that lists them."""
+    assert run(*argv) == 1
+    assert f"(choose from {', '.join(map(repr, choices))})" in \
+        capsys.readouterr().err
 
 
 class TestTrainSampleEval:

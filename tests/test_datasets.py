@@ -372,6 +372,10 @@ class TestNumericCsv:
 
 
 class TestCsvContract:
+    def test_unknown_load_mode_is_refused_before_reading(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown load mode 'rows'"):
+            load_csv_windows(str(tmp_path / "missing.csv"), mode="rows")
+
     def test_invalid_utf8_names_file_and_byte(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"c0\n0.5\n\xff\xfe\n")

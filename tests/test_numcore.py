@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_check
-from prismflow.errors import ContractViolation, NumericError, ShapeError
+from prismflow.errors import (ConfigError, ContractViolation, NumericError,
+                              ShapeError)
 from prismflow.numcore import (AdamState, Mlp, Params, RngStream,
                                adam_update, mlp_apply, mlp_blocks,
                                mlp_gradients, mlp_input_gradient,
@@ -167,6 +168,33 @@ class TestMlpGradients:
         for got, want in zip(dws + dbs + [dx], ref_ws + ref_bs + [ref_dx]):
             np.testing.assert_array_equal(got, want)
 
+    def test_softplus_derivative_from_tape_is_bitwise(self):
+        """The softplus derivative is the logistic function of the stored
+        pre-activations, bit for bit."""
+        net = make_net([3, 5, 4, 2], seed=3, activation="softplus")
+        gen = RngStream(4).generator()
+        _, tape = mlp_apply(net, gen.standard_normal((6, 3)))
+        upstream = gen.standard_normal((6, 2))
+        dws, dbs, dx = mlp_gradients(net, tape, upstream)
+        delta = upstream
+        last = len(net.weights) - 1
+        for i in range(last, -1, -1):
+            if i != last:
+                delta = delta * (1.0 / (1.0 + np.exp(-tape.preacts[i])))
+            np.testing.assert_array_equal(dws[i], tape.inputs[i].T @ delta)
+            np.testing.assert_array_equal(dbs[i], delta.sum(axis=0))
+            delta = delta @ net.weights[i].T
+        np.testing.assert_array_equal(dx, delta)
+
+    def test_unknown_activation_is_config_error(self):
+        net = make_net([3, 4, 2])
+        _, tape = mlp_apply(net, np.zeros((1, 3)))
+        net.activation = "relu"
+        with pytest.raises(ConfigError, match="relu"):
+            mlp_apply(net, np.zeros((1, 3)))
+        with pytest.raises(ConfigError, match="relu"):
+            mlp_gradients(net, tape, np.zeros((1, 2)))
+
     def test_stale_tape_rejected(self):
         net = make_net([2, 2])
         _, tape = mlp_apply(net, np.zeros((1, 2)))
@@ -305,6 +333,22 @@ class TestFiniteDifferenceCheck:
 
         with pytest.raises(ContractViolation):
             finite_difference_check(loss, params, 1e-5)
+
+    def test_five_point_stencil_is_fourth_order(self):
+        """On a cubic the two-point stencil is off by h^2 f'''/6 and the
+        five-point one is exact up to rounding."""
+        params = {"p": np.array([0.5, -1.2, 3.0])}
+
+        def loss(ps):
+            return float(np.sum(ps["p"] ** 3)), {"p": 3.0 * ps["p"] ** 2}
+
+        assert finite_difference_check(loss, params, 1e-2) > 1e-5
+        assert finite_difference_check(loss, params, 1e-2, points=5) < 1e-10
+
+    def test_unknown_stencil_rejected(self):
+        params = {"p": np.zeros(1)}
+        with pytest.raises(ContractViolation):
+            finite_difference_check(lambda ps: (0.0, ps), params, points=3)
 
 
 class TestRngStream:

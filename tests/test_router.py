@@ -7,7 +7,7 @@ import prismflow.model as model_module
 from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.experts import assemble_operator
 from prismflow.flowpath import encode, time_features
-from prismflow.router import (WtaConfig, balance_loss, balance_loss_and_grads,
+from prismflow.router import (balance_loss, balance_loss_and_grads,
                               estimate_endpoint, route, select_winner, softmax,
                               wta_loss, wta_scores)
 from prismflow.trainer import TrainConfig
@@ -79,7 +79,7 @@ class TestEstimateEndpoint:
 
 class TestWtaScores:
     def test_hand_computed(self):
-        cfg = WtaConfig(beta=0.5, eps=1e-12)
+        cfg = TrainConfig(beta=0.5, wta_eps=1e-12)
         # endpoint MSEs of ones and zeros against a zero target
         mses = np.array([[1.0, 0.0]])
         probs = np.array([[0.25, 0.75]])
@@ -88,13 +88,13 @@ class TestWtaScores:
             s, [[1.0 - 0.5 * np.log(0.25), -0.5 * np.log(0.75)]], atol=1e-10)
 
     def test_beta_zero_is_pure_mse(self):
-        cfg = WtaConfig(beta=0.0)
+        cfg = TrainConfig(beta=0.0)
         s = wta_scores(np.array([[4.0, 0.0]]), np.array([[0.9, 0.1]]), cfg)
         np.testing.assert_allclose(s, [[4.0, 0.0]], atol=1e-12)
 
     def test_negative_prob_rejected(self):
         with pytest.raises(ContractViolation):
-            wta_scores(np.zeros((1, 1)), np.array([[-0.1]]), WtaConfig())
+            wta_scores(np.zeros((1, 1)), np.array([[-0.1]]), TrainConfig())
 
 
 class TestSelectWinner:
@@ -122,7 +122,7 @@ class TestWtaLoss:
             w[:] = 0.0
         for b in tiny_model.decoder.biases:
             b[:] = 0.0
-        _, _, info = wta_loss(tiny_model, x0, x1, t, WtaConfig(beta=0.1))
+        _, _, info = wta_loss(tiny_model, x0, x1, t, TrainConfig(beta=0.1))
         np.testing.assert_array_equal(info.winners,
                                       np.argmax(info.probs, axis=1))
 
@@ -130,7 +130,7 @@ class TestWtaLoss:
                                                     tiny_batch):
         model = four_expert_model
         x0, x1, t = tiny_batch
-        _, grads, info = wta_loss(model, x0, x1, t, WtaConfig())
+        _, grads, info = wta_loss(model, x0, x1, t, TrainConfig())
         losers = [k for k in range(model.n_experts) if k not in info.winners]
         assert losers
         for k in losers:
@@ -142,7 +142,7 @@ class TestWtaLoss:
                                                          tiny_batch):
         model = four_expert_model
         x0, x1, t = tiny_batch
-        cfg = WtaConfig()
+        cfg = TrainConfig()
         loss, _, info = wta_loss(model, x0, x1, t, cfg)
         losers = [k for k in range(model.n_experts) if k not in info.winners]
         assert losers
@@ -155,25 +155,26 @@ class TestWtaLoss:
 
     def test_lambda_weighting_scales_loss(self, tiny_model, tiny_batch):
         x0, x1, t = tiny_batch
-        cfg = WtaConfig()
+        cfg = TrainConfig()
         base, _, info = wta_loss(tiny_model, x0, x1, t, cfg)
         doubled, _, info2 = wta_loss(tiny_model, x0, x1, t, cfg,
                                      lam=2.0 * np.ones(4))
         np.testing.assert_array_equal(info2.winners, info.winners)
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
-    def test_assembles_each_operator_once(self, four_expert_model, tiny_batch,
-                                          monkeypatch):
-        calls = []
+    def test_one_call_returns_the_operator_bank(self, four_expert_model,
+                                                tiny_batch, monkeypatch):
+        shapes = []
 
         def counted(*args):
-            calls.append(1)
-            return assemble_operator(*args)
+            bank = assemble_operator(*args)
+            shapes.append(bank.shape)
+            return bank
 
         monkeypatch.setattr(model_module, "assemble_operator", counted)
         x0, x1, t = tiny_batch
-        wta_loss(four_expert_model, x0, x1, t, WtaConfig())
-        assert len(calls) == 4
+        wta_loss(four_expert_model, x0, x1, t, TrainConfig())
+        assert shapes == [(4, 4, 4)]  # (K, d_z, d_z)
 
     def test_gradients_match_finite_differences(self, tiny_model, tiny_batch):
         x0, x1, t = tiny_batch
@@ -216,7 +217,7 @@ class TestBalanceLoss:
     def test_gradients_touch_router_only(self, tiny_model, tiny_batch):
         x0, x1, t = tiny_batch
         _, grads, _ = balance_loss_and_grads(tiny_model, x0, x1, t,
-                                             WtaConfig())
+                                             TrainConfig())
         for name, g in grads.items():
             if name.startswith("router"):
                 continue
@@ -227,7 +228,7 @@ class TestBalanceLoss:
     def test_router_gradients_match_finite_differences(self, tiny_model,
                                                        tiny_batch):
         x0, x1, t = tiny_batch
-        cfg = WtaConfig()
+        cfg = TrainConfig()
         # skew the routing away from uniform so the KL gradient is not
         # vanishingly small relative to finite-difference roundoff
         tiny_model.router.biases[-1][:] = [0.8, -0.8]

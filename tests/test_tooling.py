@@ -1,6 +1,6 @@
 """The benchmark traces prismflow functions by name; a rename must fail
 here rather than inside a benchmark run. The package's modules import
-nothing they do not use."""
+nothing they do not use, and define nothing that no code uses."""
 
 import ast
 import importlib
@@ -112,3 +112,52 @@ def test_unread_parameters_are_found():
 def test_every_parameter_is_read():
     for path in sorted(SRC.glob("*.py")):
         assert unread_parameters(path.read_text()) == [], path.name
+
+
+def top_level_names(source: str) -> list:
+    """Names a module defines at its top level: functions, classes and
+    assigned names, dunders aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def names_in_code(source: str) -> set:
+    """Names that code reads or calls: identifiers not being assigned,
+    and attribute names. A definition or an import is not a use."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_unused_top_level_names_are_found():
+    source = ("from .errors import ShapeError\nLIMIT = 3\nclass Old:\n"
+              "    pass\ndef f(x):\n    return x.g\ndef g():\n    pass\n"
+              "f(LIMIT)\n")
+    names = top_level_names(source)
+    assert names == ["LIMIT", "Old", "f", "g"]
+    used = names_in_code(source)
+    assert [n for n in names if n not in used] == ["Old"]
+
+
+def test_every_top_level_name_is_used_somewhere():
+    used = set()
+    for folder in (SRC, ROOT / "tests", BENCH):
+        for path in sorted(folder.glob("*.py")):
+            used |= names_in_code(path.read_text())
+    for path in sorted(SRC.glob("*.py")):
+        unused = [n for n in top_level_names(path.read_text())
+                  if n not in used]
+        assert unused == [], path.name

@@ -7,6 +7,7 @@ from conftest import (FrozenObjective, ReferenceAdam,
                       reference_total_loss)
 
 import prismflow.flowpath as flowpath_module
+import prismflow.model as model_module
 import prismflow.router as router_module
 import prismflow.trainer as trainer_module
 from prismflow.errors import ConfigError, ContractViolation, NumericError
@@ -87,6 +88,28 @@ class TestTotalLoss:
         err = finite_difference_check(fn, tiny_model.params(), 1e-5)
         assert err < 1e-4
 
+    # the two-point stencil (step 1e-5) reads 2.25e-4 and 1.48e-3 here
+    @pytest.mark.parametrize("variant", [dict(activation="softplus"),
+                                         dict(channels=1)],
+                             ids=["softplus", "D1"])
+    def test_five_point_gradients_match(self, variant):
+        kw = dict(seq_len=8, channels=2, n_experts=2, latent_dim=4,
+                  hidden_dim=8, dec_hidden=8, router_hidden=8)
+        model = PrismFlowModel.init(ModelConfig(**{**kw, **variant}),
+                                    RngStream(0))
+        gen = RngStream(1).generator()
+        shape = (4, 8, model.cfg.channels)
+        x1, x0 = gen.standard_normal(shape), gen.standard_normal(shape)
+        t = gen.uniform(size=4)
+        cfg = TrainConfig(alpha_w=1.0, alpha_b=1.0, beta=0.5)
+        _, grads, _, info = total_loss(model, x0, x1, t, cfg)
+        for k in set(range(model.n_experts)) - set(info.winners):
+            assert not grads[f"expert{k}.S"].any()
+            assert not grads[f"expert{k}.R"].any()
+        fn = frozen_total_loss_fn(model, x0, x1, t, cfg)
+        err = finite_difference_check(fn, model.params(), 1e-3, points=5)
+        assert err < 1e-4
+
 
 class TestFrozenObjective:
     """The finite-difference oracle differences the objective it checks:
@@ -105,7 +128,7 @@ class TestFrozenObjective:
                            lambda_kind=kind)
         frozen = FrozenObjective(model, x0, x1, t, tcfg)
         value, _, _, _ = total_loss(model, x0, x1, t, tcfg)
-        wta, _, _ = wta_loss(model, x0, x1, t, tcfg.wta(),
+        wta, _, _ = wta_loss(model, x0, x1, t, tcfg,
                              lam=lambda_schedule(kind, t))
         assert frozen.total() == pytest.approx(value, rel=1e-12)
         assert frozen.wta() == pytest.approx(wta, rel=1e-12)
@@ -168,6 +191,30 @@ class TestFusedTotalLoss:
         total_loss(model, x0, x1, t, TrainConfig())
         assert rows == [x0.shape[0]]
 
+    def test_one_config_check_and_one_bank_per_call(self, four_expert_model,
+                                                    tiny_batch, monkeypatch):
+        """Counts the `validate` calls of every config class the trainer
+        and the router hold, and the operator assemblies."""
+        calls = {"validate": 0, "assemble_operator": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        classes = {cls for module in (router_module, trainer_module)
+                   for cls in vars(module).values()
+                   if isinstance(cls, type) and "validate" in vars(cls)}
+        for cls in classes:
+            monkeypatch.setattr(cls, "validate",
+                                counted("validate", cls.validate))
+        monkeypatch.setattr(model_module, "assemble_operator", counted(
+            "assemble_operator", model_module.assemble_operator))
+        x0, x1, t = tiny_batch
+        total_loss(four_expert_model, x0, x1, t, TrainConfig())
+        assert calls == {"validate": 1, "assemble_operator": 1}
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("key", ["lr", "alpha_w", "alpha_b", "beta",
@@ -181,6 +228,15 @@ class TestTrainConfig:
     def test_negative_lr_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr=-1e-3).validate()
+
+    def test_negative_beta_rejected(self):
+        TrainConfig(beta=0.0).validate()
+        with pytest.raises(ConfigError, match="^beta must be >= 0$"):
+            TrainConfig(beta=-1e-3).validate()
+
+    def test_zero_wta_eps_rejected(self):
+        with pytest.raises(ConfigError, match="^wta_eps must be > 0$"):
+            TrainConfig(wta_eps=0.0).validate()
 
     def test_negative_epochs_rejected(self):
         TrainConfig(epochs=0).validate()
