@@ -3,7 +3,9 @@
 CSV contract: UTF-8, comma-separated, first row = channel names, one
 timestep per row. Multi-window files separate windows with a blank line
 ("blocks" mode); alternatively a single long record is cut into sliding
-windows ("sliding" mode).
+windows ("sliding" mode). A file is read in pieces of whole lines: a
+numeric body by numpy's C reader, every other row by one `csv.reader`
+over the decoded pieces.
 """
 
 from __future__ import annotations
@@ -139,13 +141,12 @@ def velocity_energy_gap(x0, x1):
     return mean_sq, sq_mean
 
 
-# rows of a quoted file read, or CSV lines written, per slice: bounds the
-# cell lists held at once, so memory does not grow with a per-line list of
-# cells.
+# CSV rows parsed, or lines written, per slice: bounds the row and cell
+# lists held at once, so memory does not grow with the file
 _SLICE_LINES = 8192
-# bytes read at a time from a file: a file with no quote character is
-# parsed a piece of about this size at a time, so reading it holds neither
-# the whole file nor a list of its lines
+# bytes read at a time from a file: every file is checked and parsed a
+# piece of about this size at a time, so reading it holds neither the whole
+# file nor a list of its lines
 _SLICE_BYTES = 1 << 16
 # the bytes that the body of a numeric file may hold (see `_scan`)
 _NUMERIC = b"0123456789+-.eE,\n"
@@ -191,25 +192,20 @@ def _solid_lines(body: bytes) -> np.ndarray:
 
 
 def _scan(fh, path: str):
-    """Size in bytes, line count (newlines after translation, plus one),
-    whether a quote character occurs, and the line flags of a numeric
-    body, of a binary file read to its end; a ParseError at its first byte
-    that is not UTF-8.
+    """Size in bytes, line count (newlines after translation, plus one) and
+    the line flags of a numeric body, of a binary file read to its end; a
+    ParseError at its first byte that is not UTF-8.
 
     The body (the lines after the header) is numeric when the file holds no
-    quote and no carriage return, every body byte is a digit, a sign, '.',
-    'e', 'E', a comma or a newline, some body line is not empty, and the
-    body is longer than one piece. Its flags are then one bool per body
-    line, True where the line is not empty (`_solid_lines`); else None."""
+    quote (a quoted header cell may span lines that look numeric) and no
+    carriage return, every body byte is a digit, a sign, '.', 'e', 'E', a
+    comma or a newline, and some body line is not empty. Its flags are then
+    one bool per body line, True where the line is not empty
+    (`_solid_lines`); else None."""
     size, lines, quoted, solid = 0, 1, False, []
-    total = os.fstat(fh.fileno()).st_size
     for piece in _pieces(fh):
         text = _decode(piece, path, size)
-        body = piece
-        if not size:
-            head, more, body = piece.partition(b"\n")
-            if not more or total - len(head) - 1 <= _SLICE_BYTES:
-                solid = None  # no body, or one no longer than a piece
+        body = piece if size else piece.partition(b"\n")[2]
         size += len(piece)
         lines += text.count("\n")
         quoted = quoted or '"' in text
@@ -218,19 +214,9 @@ def _scan(fh, path: str):
             solid.append(_solid_lines(body))
         else:
             solid = None
-    if solid is not None:
-        solid = np.concatenate(solid)
-        if solid.any():
-            return size, lines, quoted, solid
-    return size, lines, quoted, None
-
-
-def _header(head: bytes, path: str) -> list:
-    """Channel names from a header line with no quote character."""
-    try:
-        return [name.strip() for name in next(csv.reader([head.decode()]))]
-    except csv.Error as exc:
-        raise ParseError(f"{path}:1: {exc}") from None
+    if solid is not None and (solid := np.concatenate(solid)).any():
+        return size, lines, solid
+    return size, lines, None
 
 
 def _numeric_values(path: str, rows: int, d: int):
@@ -249,50 +235,18 @@ def _numeric_values(path: str, rows: int, d: int):
     return values if values.shape == (rows, d) else None
 
 
-def _plain_slices(fh, path: str):
-    """Channel names and per-piece (cells, counts, rows) of a binary file
-    with no quote character, where a row is its line split at commas."""
-
-    def body(piece):
-        # the piece's lines joined by "\n", with no line end after the last
-        data = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        return data[:-1] if piece.endswith(b"\n") else data
-
-    pieces = map(body, _pieces(fh))
-    head, more, first = next(pieces).partition(b"\n")
-    header = _header(head, path)
-
-    def slices():
-        for data in chain([first] if more else [], pieces):
-            # cells per line = commas before each line end + 1
-            raw = np.frombuffer(data, np.uint8)
-            ends = np.append(np.flatnonzero(raw == 10), raw.size)
-            counts = np.diff(np.searchsorted(np.flatnonzero(raw == 44), ends),
-                             prepend=0) + 1
-            text = data.decode()
-            yield (text.replace("\n", ",").split(","), counts,
-                   lambda t=text: [ln.split(",") for ln in t.split("\n")])
-
-    return header, slices()
-
-
-def _quoted_slices(text: str, path: str):
-    """Channel names and per-slice (cells, counts, rows) of a file with
-    quoted cells, split by `csv.reader`."""
-    reader = csv.reader(io.StringIO(text))
-
-    def read(n):
-        try:
-            return list(islice(reader, n))
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-
-    def slices():
-        while rows := read(_SLICE_LINES):
-            counts = np.fromiter(map(len, rows), np.intp, len(rows))
-            yield list(chain.from_iterable(rows)), counts, lambda rows=rows: rows
-
-    return [name.strip() for name in read(1)[0]], slices()
+def _csv_rows(fh, path: str):
+    """The channel names, then lists of up to _SLICE_LINES rows, of a
+    binary file split by one `csv.reader` over its decoded pieces. Pieces
+    end at newlines, so a quoted cell that spans pieces still parses."""
+    reader = csv.reader(chain.from_iterable(
+        io.StringIO(_decode(piece, path)) for piece in _pieces(fh)))
+    try:
+        yield [name.strip() for name in next(reader)]
+        while rows := list(islice(reader, _SLICE_LINES)):
+            yield rows
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _raise_first_error(rows, first_lineno: int, d: int, path: str):
@@ -323,29 +277,27 @@ def _parse_rows(path: str):
     """Parse a block CSV file. Returns the channel names, the values of the
     non-blank rows as one (rows, D) array, and the length of each block
     (run of non-blank rows between blank lines). The file is read twice:
-    to check its text and count its lines, then to parse it. A numeric
-    file (see `_scan`) is parsed by numpy's C reader; any other file, and
-    a numeric one that reader cannot take, cell by cell in Python."""
+    to check its text and count its lines, then to parse it. The header is
+    read by `csv.reader`. A numeric body (see `_scan`) is parsed by numpy's
+    C reader; any other body, and a numeric one that reader cannot take,
+    by the same `csv.reader`, cell by cell in Python."""
     with open(path, "rb") as fh:
-        size, lines, quoted, solid = _scan(fh, path)
+        size, lines, solid = _scan(fh, path)
         if not size:
             raise ParseError(f"{path}: empty file")
         fh.seek(0)
+        slices = _csv_rows(fh, path)
+        channels = next(slices)
+        d = len(channels)
         if solid is not None:
-            channels = _header(fh.readline()[:-1], path)
-            values = _numeric_values(path, int(np.count_nonzero(solid)),
-                                     len(channels))
+            values = _numeric_values(path, int(np.count_nonzero(solid)), d)
             if values is not None:
                 return channels, values, _block_lengths([solid])
-            fh.seek(0)
-        if quoted:
-            channels, slices = _quoted_slices(_decode(fh.read(), path), path)
-        else:
-            channels, slices = _plain_slices(fh, path)
-        d = len(channels)
         values = np.empty((lines, d))  # at most one row a line
         solids, filled, lineno = [], 0, 2
-        for cells, counts, rows in slices:
+        for rows in slices:
+            cells = list(chain.from_iterable(rows))
+            counts = np.fromiter(map(len, rows), np.intp, len(rows))
             # a row is blank when every cell is whitespace (a csv [] row too)
             full = np.fromiter(map(bool, map(str.strip, cells)), bool,
                                len(cells))
@@ -354,13 +306,13 @@ def _parse_rows(path: str):
             solid = seen[ends] != seen[ends - counts]
             k = int(np.count_nonzero(solid))
             if np.any(counts[solid] != d):
-                _raise_first_error(rows(), lineno, d, path)
+                _raise_first_error(rows, lineno, d, path)
             kept = compress(cells, np.repeat(solid, counts).tolist())
             try:
                 values[filled:filled + k] = np.fromiter(
                     map(float, kept), np.float64, k * d).reshape(k, d)
             except ValueError:
-                _raise_first_error(rows(), lineno, d, path)
+                _raise_first_error(rows, lineno, d, path)
             solids.append(solid)
             filled += k
             lineno += len(counts)

@@ -145,6 +145,12 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
                         channels=windows.shape[2])
     root = RngStream(cfg.seed)
     model = PrismFlowModel.init(model_cfg, root)
+    # the balance term clamps each batch-mean probability at prob_floor; at
+    # 1/K or above the clamp holds the least-used expert's, which is the one
+    # the term exists to lift, and at 0 or below log(0) can be taken
+    if not 0 < cfg.prob_floor < 1 / model.n_experts:
+        raise ConfigError(f"prob_floor must be > 0 and < 1/n_experts = "
+                          f"{1 / model.n_experts:g}, got {cfg.prob_floor}")
     if norm_shift is not None:
         model.norm_shift = np.asarray(norm_shift, dtype=np.float64)
         model.norm_scale = np.asarray(norm_scale, dtype=np.float64)

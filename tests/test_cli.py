@@ -184,6 +184,33 @@ class TestTrainSampleEval:
         assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("floor", ["-1", "0", "0.25", "0.9"])
+    def test_prob_floor_outside_zero_to_one_over_k_fails_before_training(
+            self, tmp_path, data_csv, capsys, floor):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[train]\nprob_floor = {floor}\n")
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", data_csv, "--config", str(cfg),
+                   "--seed", "0", "--epochs", "1", "--k", "4",
+                   "--quiet", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: prob_floor must be ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "[train]\nprob_floor = 0.1\n"],
+                             ids=["default", "0.1"])
+    def test_prob_floor_below_one_over_k_trains(self, tmp_path, data_csv,
+                                                text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", data_csv, "--config", str(cfg),
+                   "--seed", "0", "--epochs", "1", "--k", "4",
+                   "--hidden-dim", "16", "--latent-dim", "4", "--quiet",
+                   "--out", str(out)) == 0
+        assert PrismFlowModel.load(str(out)).n_experts == 4
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         assert run("sample", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--n", "2", "--steps", "2", "--seed", "0",

@@ -163,10 +163,12 @@ SEPARATORS = st.sampled_from(["", ",", " ", " , ,", ",,", "\t"])
 @st.composite
 def csv_texts(draw):
     """A header and blocks of rows, some ragged or with a bad cell, with
-    blank-ish separator lines; half of the files quote some cells."""
+    blank-ish separator lines; half of the files quote some cells, and
+    their channel names may hold a comma or a newline (a quoted field
+    over two lines, and so over two pieces at a slice of a few bytes)."""
     quoted = draw(st.booleans())
     d = draw(st.integers(1, 3))
-    choices = ["a", "b c", "\u00e9"] + (["x,y"] if quoted else [])
+    choices = ["a", "b c", "\u00e9"] + (["x,y", "l1\nl2"] if quoted else [])
     names = draw(st.lists(st.sampled_from(choices),
                           min_size=d, max_size=d))
     head = io.StringIO()
@@ -327,10 +329,16 @@ class TestNumericCsv:
                 pytest.raises(AssertionError, match="cell by cell"):
             load_csv_windows(path, mode="blocks")
 
-    def test_file_within_one_piece_stays_on_the_python_path(self, tmp_path):
+    def test_file_within_one_piece_takes_the_c_reader(self, tmp_path):
         path = str(tmp_path / "small.csv")
-        save_csv_windows(np.arange(64.0).reshape(4, 16, 1), path)
+        windows = np.arange(64.0).reshape(4, 16, 1)
+        save_csv_windows(windows, path)
         assert os.path.getsize(path) < datasets._SLICE_BYTES
+        with self.python_float_raises():
+            ds = load_csv_windows(path, mode="blocks")
+        assert ds.windows.tobytes() == windows.tobytes()
+        windows[2, 5, 0] = np.nan
+        save_csv_windows(windows, path)
         with self.python_float_raises(), \
                 pytest.raises(AssertionError, match="cell by cell"):
             load_csv_windows(path, mode="blocks")
@@ -411,8 +419,10 @@ class TestCsvContract:
                                       [[[0.5, 1], [2, 3]], [[4, 5], [6, 7]]])
 
     @pytest.mark.parametrize("text,line", [("a" * 200_000 + "\n1\n", 1),
-                                           ('"a"\n' + "1" * 200_000, 2)],
-                             ids=["header", "quoted_cell"])
+                                           ('"a"\n' + "1" * 200_000, 2),
+                                           ("a\r\n" + "1" * 200_000 + "\r\n",
+                                            2)],
+                             ids=["header", "quoted_cell", "crlf_cell"])
     def test_cell_over_csv_field_limit_is_parse_error(self, tmp_path, text,
                                                       line):
         path = tmp_path / "long_cell.csv"
@@ -436,6 +446,23 @@ class TestCsvContract:
         ds, peak = traced_peak(load_csv_windows, path, mode="blocks")
         assert ds.windows.tobytes() == windows.tobytes()
         assert peak < windows.nbytes + 2 * 2**20
+
+    @pytest.mark.parametrize("cell", ['"{}"', " {} "],
+                             ids=["quoted", "padded"])
+    def test_row_path_holds_the_values_and_a_few_slices(self, tmp_path,
+                                                         cell):
+        """A file of 128,000 lines that numpy's C reader does not take:
+        the row path holds the values and a slice of rows or a piece or two
+        of the file at a time, not the whole text."""
+        path = tmp_path / "big.csv"
+        windows = RngStream(18).generator().standard_normal((2000, 64, 1))
+        rows = ("\n".join(cell.format(repr(v)) for v in w.ravel().tolist())
+                for w in windows)
+        path.write_text("c0\n" + "\n\n".join(rows) + "\n")
+        ds, peak = traced_peak(load_csv_windows, str(path), mode="blocks")
+        want = reference_load_csv_windows(str(path), mode="blocks").windows
+        assert ds.windows.tobytes() == want.tobytes()
+        assert peak < windows.nbytes + 4 * 2**20
 
     @pytest.mark.parametrize("seq_len,stride", [(0, 1), (2, 0), (2, -1)])
     def test_sliding_needs_positive_length_and_stride(self, tmp_path,
