@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -36,9 +37,9 @@ from .trainer import LAMBDA_KINDS, TrainConfig, fit, load_config_file
 CONFIG_ENV = "PRISMFLOW_CONFIG"
 
 
-def _resolved(args) -> dict:
+def _resolved(args, omit=("func",)) -> dict:
     return {k: v for k, v in sorted(vars(args).items())
-            if k != "func" and v is not None}
+            if k not in omit and v is not None}
 
 
 def _write_meta(out_path: str, args) -> None:
@@ -48,52 +49,46 @@ def _write_meta(out_path: str, args) -> None:
                                  indent=2, default=str) + "\n")
 
 
-# Config-file keys and their types, by section. K is a model setting
-# that the file sets under [train], as `--k` is a train flag.
-FILE_KEYS = {
-    "train": {"alpha_w": float, "alpha_b": float, "lambda_kind": str,
-              "epochs": int, "batch_size": int, "lr": float, "beta": float,
-              "wta_eps": float, "prob_floor": float,
-              "divergence_guard": float, "n_experts": int},
-    "model": {"latent_dim": int, "hidden_dim": int, "head_hidden": int,
-              "dec_hidden": int, "router_hidden": int, "enc_layers": int,
-              "delta": float},
+# Config-file settings by section, each with its `train` flag or None; a
+# setting's type is that of its default. K is a model setting that the
+# file sets under [train], as `--k` is a train flag.
+SETTINGS = {
+    "train": {"alpha_w": "--alpha-w", "alpha_b": "--alpha-b",
+              "lambda_kind": "--lambda-kind", "epochs": "--epochs",
+              "batch_size": "--batch-size", "lr": "--lr", "beta": "--beta",
+              "wta_eps": None, "prob_floor": None, "divergence_guard": None,
+              "n_experts": "--k"},
+    "model": {"latent_dim": "--latent-dim", "hidden_dim": "--hidden-dim",
+              "head_hidden": "--head-hidden", "dec_hidden": None,
+              "router_hidden": None, "enc_layers": None, "delta": "--delta"},
 }
 
 
-def _file_settings(args) -> dict:
-    """Read the config file once and return its [train] and [model]
-    settings as one dict of typed values; unknown keys and values that
-    do not parse are ConfigErrors."""
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    sections = load_config_file(path)
-    settings = {}
-    for section, casts in FILE_KEYS.items():
-        for key, text in sections.get(section, {}).items():
-            if key not in casts:
-                raise ConfigError(f"{path}: unknown key {key!r} in "
-                                  f"[{section}]")
-            try:
-                settings[key] = casts[key](text)
-            except ValueError:
-                raise ConfigError(f"{path}: [{section}] {key} = {text!r} is "
-                                  f"not a valid {casts[key].__name__}") from None
-    return settings
+def _owner(key, tcfg=TrainConfig, mcfg=ModelConfig):
+    """The config that holds a setting: the model's or the training's."""
+    return mcfg if hasattr(mcfg, key) else tcfg
 
 
 def _configs(args) -> tuple[TrainConfig, ModelConfig]:
-    """Training and model configs: defaults, then the config file, then
+    """Training and model configs: defaults, then the config file (where an
+    unknown key or a value that does not parse is a ConfigError), then
     command-line flags."""
-    settings = _file_settings(args)
+    path = args.config or os.environ.get(CONFIG_ENV)
+    sections = load_config_file(path) if path else {}
     tcfg, mcfg = TrainConfig(seed=args.seed), ModelConfig()
-    for casts in FILE_KEYS.values():
-        for key in casts:
-            flag = getattr(args, key, None)
-            value = settings.get(key) if flag is None else flag
-            if value is not None:
-                setattr(mcfg if hasattr(mcfg, key) else tcfg, key, value)
+    for section, flags in SETTINGS.items():
+        for key, text in sections.get(section, {}).items():
+            if key not in flags:
+                raise ConfigError(f"{path}: unknown key {key!r} in "
+                                  f"[{section}]")
+            kind = type(getattr(_owner(key), key))
+            try:
+                setattr(_owner(key, tcfg, mcfg), key, kind(text))
+            except ValueError:
+                raise ConfigError(f"{path}: [{section}] {key} = {text!r} is "
+                                  f"not a valid {kind.__name__}") from None
+        for key in flags.keys() & _resolved(args).keys():  # flags given
+            setattr(_owner(key, tcfg, mcfg), key, getattr(args, key))
     return tcfg, mcfg
 
 
@@ -114,11 +109,9 @@ def cmd_gen_data(args):
     rng = RngStream(args.seed)
     if args.kind == "sines":
         ds = gen_sines(args.n, args.seq_len, args.channels, rng=rng)
-    elif args.kind == "bimodal":
+    else:
         ds = gen_bimodal_frequency(args.n, args.seq_len, args.channels,
                                    args.f_low, args.f_high, rng=rng)
-    else:
-        raise PrismFlowError(f"unknown dataset kind {args.kind!r}")
     save_csv_windows(ds.windows, args.out)
     _write_meta(args.out, args)
     if ds.labels is not None:
@@ -177,14 +170,6 @@ def _conditional(args, mode):
     print(f"wrote {len(batch)} conditional samples to {args.out}")
 
 
-def cmd_impute(args):
-    _conditional(args, "imputation")
-
-
-def cmd_forecast(args):
-    _conditional(args, "forecasting")
-
-
 def cmd_eval(args):
     rng = RngStream(args.seed)
     scores = {  # each reads the windows loaded below when it runs
@@ -202,9 +187,8 @@ def cmd_eval(args):
             raise PrismFlowError(f"metric {name!r} requested twice")
         if name not in scores:
             raise PrismFlowError(f"unknown metric {name!r}")
-    real = _load_windows(args.real, seq_len=args.seq_len,
-                         mode=args.load_mode)
-    gen = _load_windows(args.gen, seq_len=args.seq_len, mode=args.load_mode)
+    real, gen = (_load_windows(path, seq_len=args.seq_len, mode=args.load_mode)
+                 for path in (args.real, args.gen))
     for name in wanted:  # and what the windows cannot serve
         if name == "spectral":
             for ds in (real, gen):
@@ -212,9 +196,11 @@ def cmd_eval(args):
         else:
             window_pair(real, gen, name)
     rows = [{"resolved_config": _resolved(args)}]
+    # the hash names the settings, not where the files are
+    config = _resolved(args, omit=("func", "real", "gen", "out"))
     for name in wanted:
         value = scores[name]()
-        report = MetricReport.build(name, value, args.seed, _resolved(args))
+        report = MetricReport.build(name, value, args.seed, config)
         rows.append(report.__dict__)
         print(f"{name}: {value:.6f}")
     if args.out:
@@ -292,19 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--load-mode", dest="load_mode", default="blocks",
                    choices=LOAD_MODES)
     t.add_argument("--seed", type=int, required=True)
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--k", dest="n_experts", type=int, default=None)
-    t.add_argument("--alpha-w", dest="alpha_w", type=float, default=None)
-    t.add_argument("--alpha-b", dest="alpha_b", type=float, default=None)
-    t.add_argument("--beta", type=float, default=None)
-    t.add_argument("--lambda-kind", dest="lambda_kind", default=None,
-                   choices=LAMBDA_KINDS)
-    t.add_argument("--latent-dim", dest="latent_dim", type=int, default=None)
-    t.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    t.add_argument("--head-hidden", dest="head_hidden", type=int, default=None)
-    t.add_argument("--delta", type=float, default=None)
+    for flags in SETTINGS.values():
+        for key in filter(flags.get, flags):
+            kind = type(getattr(_owner(key), key))
+            t.add_argument(flags[key], dest=key, default=None,
+                           **({"choices": LAMBDA_KINDS} if kind is str
+                              else {"type": kind}))
     t.add_argument("--normalize", action=argparse.BooleanOptionalAction,
                    default=True)
     t.add_argument("--quiet", action="store_true")
@@ -312,26 +291,25 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--report", default=None)
     t.set_defaults(func=cmd_train)
 
-    s = sub.add_parser("sample", help="generate unconditional samples")
-    s.add_argument("--checkpoint", required=True)
+    sampling = argparse.ArgumentParser(add_help=False)  # flags of all three
+    sampling.add_argument("--checkpoint", required=True)
+    sampling.add_argument("--steps", type=int, default=100)
+    sampling.add_argument("--gamma", type=float, default=1.0)
+    sampling.add_argument("--seed", type=int, required=True)
+    sampling.add_argument("--out", required=True)
+
+    s = sub.add_parser("sample", parents=[sampling],
+                       help="generate unconditional samples")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--steps", type=int, default=100)
-    s.add_argument("--gamma", type=float, default=1.0)
-    s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sample)
 
-    for verb, func in (("impute", cmd_impute), ("forecast", cmd_forecast)):
-        c = sub.add_parser(verb, help=f"{verb} with guidance sampling")
-        c.add_argument("--checkpoint", required=True)
+    for verb, mode in (("impute", "imputation"), ("forecast", "forecasting")):
+        c = sub.add_parser(verb, parents=[sampling],
+                           help=f"{verb} with guidance sampling")
         c.add_argument("--observed", required=True)
         c.add_argument("--mask", required=True)
         c.add_argument("--eta-g", dest="eta_g", type=float, default=1.0)
-        c.add_argument("--steps", type=int, default=100)
-        c.add_argument("--gamma", type=float, default=1.0)
-        c.add_argument("--seed", type=int, required=True)
-        c.add_argument("--out", required=True)
-        c.set_defaults(func=func)
+        c.set_defaults(func=partial(_conditional, mode=mode))
 
     e = sub.add_parser("eval", help="compare real vs generated CSVs")
     e.add_argument("--real", required=True)

@@ -236,23 +236,28 @@ def _numeric_values(path: str, rows: int, d: int):
 
 
 def _csv_rows(fh, path: str):
-    """The channel names, then lists of up to _SLICE_LINES rows, of a
-    binary file split by one `csv.reader` over its decoded pieces. Pieces
-    end at newlines, so a quoted cell that spans pieces still parses."""
+    """The channel names, then lists of up to _SLICE_LINES rows, each with
+    the line its first row starts on, of a binary file split by one
+    `csv.reader` over its decoded pieces. Pieces end at newlines, so a
+    quoted cell that spans pieces still parses."""
     reader = csv.reader(chain.from_iterable(
         io.StringIO(_decode(piece, path)) for piece in _pieces(fh)))
     try:
         yield [name.strip() for name in next(reader)]
+        lineno = reader.line_num + 1
         while rows := list(islice(reader, _SLICE_LINES)):
-            yield rows
+            yield lineno, rows
+            lineno = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _raise_first_error(rows, first_lineno: int, d: int, path: str):
     """Walk a slice that failed the bulk checks cell by cell and raise the
-    error of its first bad row."""
-    for lineno, row in enumerate(rows, start=first_lineno):
+    error of its first bad row, named by the line that row starts on."""
+    next_line = first_lineno
+    for row in rows:
+        lineno, next_line = next_line, next_line + 1 + "".join(row).count("\n")
         if all(cell.strip() == "" for cell in row):
             continue
         if len(row) != d:
@@ -279,8 +284,9 @@ def _parse_rows(path: str):
     (run of non-blank rows between blank lines). The file is read twice:
     to check its text and count its lines, then to parse it. The header is
     read by `csv.reader`. A numeric body (see `_scan`) is parsed by numpy's
-    C reader; any other body, and a numeric one that reader cannot take,
-    by the same `csv.reader`, cell by cell in Python."""
+    C reader; any other body by the same `csv.reader`, cell by cell in
+    Python, and a numeric one that numpy cannot take by a new one, after
+    the header again."""
     with open(path, "rb") as fh:
         size, lines, solid = _scan(fh, path)
         if not size:
@@ -290,12 +296,16 @@ def _parse_rows(path: str):
         channels = next(slices)
         d = len(channels)
         if solid is not None:
+            slices.close()  # no decoded piece is held while numpy reads
             values = _numeric_values(path, int(np.count_nonzero(solid)), d)
             if values is not None:
                 return channels, values, _block_lengths([solid])
+            fh.seek(0)
+            slices = _csv_rows(fh, path)
+            next(slices)
         values = np.empty((lines, d))  # at most one row a line
-        solids, filled, lineno = [], 0, 2
-        for rows in slices:
+        solids, filled = [], 0
+        for lineno, rows in slices:
             cells = list(chain.from_iterable(rows))
             counts = np.fromiter(map(len, rows), np.intp, len(rows))
             # a row is blank when every cell is whitespace (a csv [] row too)
@@ -315,7 +325,6 @@ def _parse_rows(path: str):
                 _raise_first_error(rows, lineno, d, path)
             solids.append(solid)
             filled += k
-            lineno += len(counts)
     return channels, values[:filled], _block_lengths(solids)
 
 

@@ -88,7 +88,8 @@ class ReferenceAdam:
 
 
 def _reference_parse_rows(text: str, path: str):
-    """Reference CSV parser: csv.reader row by row, one float() per cell."""
+    """Reference CSV parser: csv.reader row by row, one float() per cell;
+    an error names the line that its row starts on."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -96,7 +97,9 @@ def _reference_parse_rows(text: str, path: str):
         raise ParseError(f"{path}: empty file") from None
     channels = [name.strip() for name in header]
     blocks, current = [], []
-    for lineno, row in enumerate(reader, start=2):
+    next_line = reader.line_num + 1
+    for row in reader:
+        lineno, next_line = next_line, reader.line_num + 1
         if not row or all(cell.strip() == "" for cell in row):
             if current:
                 blocks.append(current)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import warnings
@@ -12,7 +13,7 @@ from prismflow.cli import run_command
 from prismflow.datasets import LOAD_MODES, load_csv_windows, save_csv_windows
 from prismflow.model import ModelConfig, PrismFlowModel, param_layout
 from prismflow.numcore import RngStream
-from prismflow.trainer import LAMBDA_KINDS
+from prismflow.trainer import LAMBDA_KINDS, TrainConfig
 from prismflow.sampler import (ConditionMask, SamplerConfig,
                                generate_conditional)
 
@@ -97,6 +98,134 @@ def test_choices_are_the_checked_names(capsys, argv, choices):
         capsys.readouterr().err
 
 
+# every option of the train and sampling verbs but --help:
+# dest -> (option strings, type, default, choices, required)
+OPTIONS = {
+    "train": {
+        "alpha_b": (("--alpha-b",), float, None, None, False),
+        "alpha_w": (("--alpha-w",), float, None, None, False),
+        "batch_size": (("--batch-size",), int, None, None, False),
+        "beta": (("--beta",), float, None, None, False),
+        "config": (("--config",), None, None, None, False),
+        "data": (("--data",), None, None, None, True),
+        "delta": (("--delta",), float, None, None, False),
+        "epochs": (("--epochs",), int, None, None, False),
+        "head_hidden": (("--head-hidden",), int, None, None, False),
+        "hidden_dim": (("--hidden-dim",), int, None, None, False),
+        "lambda_kind": (("--lambda-kind",), None, None,
+                        ("constant", "linear-ramp", "late-gate"), False),
+        "latent_dim": (("--latent-dim",), int, None, None, False),
+        "load_mode": (("--load-mode",), None, "blocks",
+                      ("blocks", "sliding"), False),
+        "lr": (("--lr",), float, None, None, False),
+        "n_experts": (("--k",), int, None, None, False),
+        "normalize": (("--normalize", "--no-normalize"), None, True, None,
+                      False),
+        "out": (("--out",), None, None, None, True),
+        "quiet": (("--quiet",), None, False, None, False),
+        "report": (("--report",), None, None, None, False),
+        "seed": (("--seed",), int, None, None, True),
+        "seq_len": (("--seq-len",), int, None, None, False),
+        "stride": (("--stride",), int, 1, None, False),
+    },
+    "sample": {
+        "checkpoint": (("--checkpoint",), None, None, None, True),
+        "gamma": (("--gamma",), float, 1.0, None, False),
+        "n": (("--n",), int, None, None, True),
+        "out": (("--out",), None, None, None, True),
+        "seed": (("--seed",), int, None, None, True),
+        "steps": (("--steps",), int, 100, None, False),
+    },
+}
+OPTIONS["impute"] = OPTIONS["forecast"] = {
+    "checkpoint": (("--checkpoint",), None, None, None, True),
+    "eta_g": (("--eta-g",), float, 1.0, None, False),
+    "gamma": (("--gamma",), float, 1.0, None, False),
+    "mask": (("--mask",), None, None, None, True),
+    "observed": (("--observed",), None, None, None, True),
+    "out": (("--out",), None, None, None, True),
+    "seed": (("--seed",), int, None, None, True),
+    "steps": (("--steps",), int, 100, None, False),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(OPTIONS))
+def test_options_are_unchanged(verb):
+    """Every option string, dest, type, default, choice list and required
+    setting of the verbs whose flags come from shared declarations."""
+    sub = next(a for a in cli_module.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {a.dest: (tuple(a.option_strings), a.type, a.default,
+                    a.choices and tuple(a.choices), a.required)
+           for a in sub.choices[verb]._actions if a.dest != "help"}
+    assert got == OPTIONS[verb]
+
+
+# a value for each config-file setting, none of them its default, and
+# another for each setting that has a train flag
+FILE_VALUES = {
+    "train": {"alpha_w": 0.25, "alpha_b": 0.125, "lambda_kind": "late-gate",
+              "epochs": 7, "batch_size": 9, "lr": 0.5, "beta": 0.75,
+              "wta_eps": 1e-05, "prob_floor": 0.001,
+              "divergence_guard": 123.0, "n_experts": 3},
+    "model": {"latent_dim": 5, "hidden_dim": 11, "head_hidden": 13,
+              "dec_hidden": 17, "router_hidden": 19, "enc_layers": 3,
+              "delta": 0.2},
+}
+FLAG_VALUES = {"--alpha-w": ("alpha_w", "0.5"),
+               "--alpha-b": ("alpha_b", "0.0625"),
+               "--lambda-kind": ("lambda_kind", "linear-ramp"),
+               "--epochs": ("epochs", "2"),
+               "--batch-size": ("batch_size", "3"),
+               "--lr": ("lr", "0.25"), "--beta": ("beta", "0.5"),
+               "--k": ("n_experts", "2"), "--latent-dim": ("latent_dim", "6"),
+               "--hidden-dim": ("hidden_dim", "12"),
+               "--head-hidden": ("head_hidden", "14"),
+               "--delta": ("delta", "0.3")}
+
+
+class TestSettingsTable:
+    """Each config-file setting reaches its config field with the type of
+    its default, and each train flag overrides the file."""
+
+    def configs(self, tmp_path, *flags):
+        ini = tmp_path / "run.ini"
+        ini.write_text("".join(
+            f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for section, keys in FILE_VALUES.items()))
+        args = cli_module.build_parser().parse_args(
+            ["train", "--data", "d.csv", "--seed", "0", "--out", "m",
+             "--config", str(ini), *flags])
+        tcfg, mcfg = cli_module._configs(args)
+        return {**vars(tcfg), **vars(mcfg)}
+
+    def test_the_table_holds_every_setting_and_flag(self):
+        assert {s: set(k) for s, k in cli_module.SETTINGS.items()} == \
+            {s: set(k) for s, k in FILE_VALUES.items()}
+        assert {(f, k) for keys in cli_module.SETTINGS.values()
+                for k, f in keys.items() if f} == \
+            {(f, k) for f, (k, _) in FLAG_VALUES.items()}
+
+    @pytest.mark.parametrize("section,key", [
+        (s, k) for s, keys in FILE_VALUES.items() for k in keys])
+    def test_file_value_reaches_its_field(self, tmp_path, section, key):
+        defaults = {**vars(TrainConfig()), **vars(ModelConfig())}
+        got = self.configs(tmp_path)[key]
+        assert got == FILE_VALUES[section][key] != defaults[key]
+        assert type(got) is type(defaults[key])
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    def test_flag_overrides_the_file(self, tmp_path, flag):
+        key, text = FLAG_VALUES[flag]
+        values = self.configs(tmp_path, flag, text)
+        assert str(values[key]) == text
+        # and no other setting moves from its file value
+        file_values = {k: v for keys in FILE_VALUES.values()
+                       for k, v in keys.items()}
+        assert {k: values[k] for k in file_values if k != key} == \
+            {k: v for k, v in file_values.items() if k != key}
+
+
 class TestTrainSampleEval:
     def test_train_produces_loadable_checkpoint(self, checkpoint):
         from prismflow.model import PrismFlowModel
@@ -123,6 +252,23 @@ class TestTrainSampleEval:
         rows = [json.loads(line) for line in open(report)]
         names = {r.get("name") for r in rows}
         assert {"disc", "corr"} <= names
+
+    def test_eval_hash_names_settings_not_paths(self, tmp_path, data_csv):
+        """Byte-identical files in two directories give one config_hash; the
+        first row still records the paths, and another seed another hash."""
+        def hashes(where, *flags):
+            where.mkdir(exist_ok=True)
+            real, out = where / "real.csv", where / f"eval{len(flags)}.jsonl"
+            real.write_bytes(open(data_csv, "rb").read())
+            assert run("eval", "--real", str(real), "--gen", str(real),
+                       "--metrics", "corr", "--out", str(out), *flags) == 0
+            rows = [json.loads(line) for line in open(out)]
+            assert rows[0]["resolved_config"]["real"] == str(real)
+            return rows[1]["config_hash"]
+
+        first = hashes(tmp_path / "a")
+        assert hashes(tmp_path / "b") == first
+        assert hashes(tmp_path / "b", "--seed", "1") != first
 
     def test_non_finite_lr_is_runtime_error(self, tmp_path, data_csv):
         out = tmp_path / "nan.ckpt"

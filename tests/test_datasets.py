@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -101,6 +102,13 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1.0,2.0\n3.0,oops\n")
         with pytest.raises(ParseError, match=r"3: column 2"):
             load_csv_windows(str(path), seq_len=2, mode="blocks")
+        # a quoted cell over two lines, in the header or in a data row,
+        # moves every later row down a line
+        for text, where in [('"a\nb"\n1\nx\n', ":4: column 1"),
+                            ('a,b\n"1\n",2\n3,4\n5,x\n', ":5: column 2")]:
+            path.write_text(text)
+            with pytest.raises(ParseError, match=where):
+                load_csv_windows(str(path), mode="blocks")
 
     def test_ragged_cells_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -164,8 +172,9 @@ SEPARATORS = st.sampled_from(["", ",", " ", " , ,", ",,", "\t"])
 def csv_texts(draw):
     """A header and blocks of rows, some ragged or with a bad cell, with
     blank-ish separator lines; half of the files quote some cells, and
-    their channel names may hold a comma or a newline (a quoted field
-    over two lines, and so over two pieces at a slice of a few bytes)."""
+    their channel names and quoted cells may hold a comma or a newline (a
+    quoted field over two lines, and so over two pieces at a slice of a
+    few bytes)."""
     quoted = draw(st.booleans())
     d = draw(st.integers(1, 3))
     choices = ["a", "b c", "\u00e9"] + (["x,y", "l1\nl2"] if quoted else [])
@@ -183,8 +192,9 @@ def csv_texts(draw):
                 cells = cells + ["1.0"] if draw(st.booleans()) else cells[:-1]
             elif fault == "cell":
                 cells[draw(st.integers(0, d - 1))] = draw(BAD_CELLS)
-            if quoted:
-                cells = [f'"{c}"' if draw(st.booleans()) else c for c in cells]
+            if quoted:  # a quoted cell may end in a newline: two lines
+                cells = [draw(st.sampled_from(['{}', '"{}"', '"{}\n"']))
+                         .format(c) for c in cells]
             lines.append(",".join(cells))
         lines.extend(draw(st.lists(SEPARATORS, min_size=1, max_size=2)))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
@@ -446,6 +456,26 @@ class TestCsvContract:
         ds, peak = traced_peak(load_csv_windows, path, mode="blocks")
         assert ds.windows.tobytes() == windows.tobytes()
         assert peak < windows.nbytes + 2 * 2**20
+
+    def test_c_read_holds_no_decoded_piece(self, tmp_path):
+        """While numpy's C reader runs, the loader holds the line flags of
+        the body (one byte a line) and less than a piece of the file more:
+        the row reader that took the header, and its decoded piece, are
+        gone (they held about 400 KiB more)."""
+        path = str(tmp_path / "big.csv")
+        windows = RngStream(15).generator().standard_normal((2000, 64, 1))
+        save_csv_windows(windows, path)
+        held, read = [], datasets._numeric_values
+
+        def spy(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return read(*args)
+
+        with mock.patch.object(datasets, "_numeric_values", spy):
+            ds, _ = traced_peak(load_csv_windows, path, mode="blocks")
+        assert ds.windows.tobytes() == windows.tobytes()
+        lines = 2000 * 65  # 64 rows a window and a blank line between
+        assert len(held) == 1 and held[0] < lines + datasets._SLICE_BYTES
 
     @pytest.mark.parametrize("cell", ['"{}"', " {} "],
                              ids=["quoted", "padded"])
