@@ -71,10 +71,13 @@ def _owner(key, tcfg=TrainConfig, mcfg=ModelConfig):
 
 def _configs(args) -> tuple[TrainConfig, ModelConfig]:
     """Training and model configs: defaults, then the config file (where an
-    unknown key or a value that does not parse is a ConfigError), then
-    command-line flags."""
+    unknown section or key, or a value that does not parse, is a
+    ConfigError), then command-line flags."""
     path = args.config or os.environ.get(CONFIG_ENV)
     sections = load_config_file(path) if path else {}
+    unknown = [section for section in sections if section not in SETTINGS]
+    if unknown:
+        raise ConfigError(f"{path}: unknown section [{unknown[0]}]")
     tcfg, mcfg = TrainConfig(seed=args.seed), ModelConfig()
     for section, flags in SETTINGS.items():
         for key, text in sections.get(section, {}).items():

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ShapeError
-from .numcore import (Params, Tape, mlp_apply, mlp_gradients,
+from .numcore import (Params, Tape, mlp_gradients, mlp_layers,
                       mlp_param_gradients)
 
 DEFAULT_TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
@@ -46,13 +46,13 @@ def target_velocity(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     return x1 - x0
 
 
-def encode(model, x, tf):
+def encode(model, x, tf, taped=True):
     """Shared trunk features h_t for a batch of states x (B, ...) with
-    time features tf (B, 2F): the encoder on [flattened x, tf].
-    Returns (h, tape)."""
+    time features tf (B, 2F): the encoder on [flattened x, tf], unchecked.
+    Returns (h, tape), the tape None unless `taped`."""
     x = np.asarray(x, dtype=np.float64)
-    return mlp_apply(model.encoder,
-                     np.concatenate([x.reshape(x.shape[0], -1), tf], axis=1))
+    return mlp_layers(model.encoder, np.concatenate(
+        [x.reshape(x.shape[0], -1), tf], axis=1), taped)
 
 
 @dataclass
@@ -81,6 +81,9 @@ def trunk_forward(model, x0, x1, t) -> Trunk:
     if b == 0:
         raise ContractViolation("empty batch")
     x0, x1 = x0.reshape(b, -1), x1.reshape(b, -1)
+    if x0.shape[1] != model.cfg.seq_len * model.cfg.channels:
+        raise ShapeError(f"windows of {x0.shape[1]} values, the model's "
+                         f"have {model.cfg.seq_len * model.cfg.channels}")
     t = np.asarray(t, dtype=np.float64).reshape(b)
     xt = interpolate_state(x0, x1, t)
     tf = time_features(t, model.cfg.time_freqs)
@@ -99,7 +102,7 @@ def cfm_core(model, trunk: Trunk, grads: Params):
     `grads` and returns (loss, dh, v) with dh the trunk-feature gradient
     and v the (B, S*D) global velocity."""
     u = target_velocity(trunk.x0, trunk.x1)
-    v, head_tape = mlp_apply(model.head, trunk.h)
+    v, head_tape = mlp_layers(model.head, trunk.h, taped=True)
     resid = v - u
     loss = float(np.mean(resid * resid))
     dv = 2.0 * resid / resid.size

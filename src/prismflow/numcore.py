@@ -87,9 +87,11 @@ class Mlp:
     def view(cls, params: "Params", prefix: str, layer_dims,
              activation: str = "tanh") -> "Mlp":
         """The net whose weights and biases are the blocks of `params`
-        that `mlp_shapes(prefix, layer_dims)` names: views, not copies."""
+        that `mlp_shapes(prefix, layer_dims)` names: views, not copies,
+        each bias a (1, d) row (a batch-1 add then needs no broadcast)."""
         blocks = [params[name] for name in mlp_shapes(prefix, layer_dims)]
-        return cls(list(layer_dims), blocks[::2], blocks[1::2], activation)
+        return cls(list(layer_dims), blocks[::2],
+                   [b.reshape(1, -1) for b in blocks[1::2]], activation)
 
     def draw(self, rng: RngStream) -> None:
         """Xavier-uniform weights in place (a fresh store's biases are 0)."""

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ContractViolation, NumericError, ShapeError
 from .experts import decode_experts, operator_grads
 from .flowpath import encoder_backward, trunk_forward
-from .numcore import (Params, mlp_apply, mlp_gradients, mlp_param_gradients,
+from .numcore import (Params, mlp_gradients, mlp_layers, mlp_param_gradients,
                       tape_rows)
 
 
@@ -23,14 +23,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def route(model, tf, h):
+def route(model, tf, h, taped=True):
     """Categorical expert probabilities for a batch of trunk features h
     with time features tf (B, 2F).
 
     Returns (probs, tape); probs rows are strictly positive and sum to 1,
-    and tape.inputs[0] is the router input [tf, h].
+    and tape.inputs[0] is the router input [tf, h]. The tape is None
+    unless `taped`.
     """
-    logits, tape = mlp_apply(model.router, np.concatenate([tf, h], axis=-1))
+    logits, tape = mlp_layers(model.router, np.concatenate([tf, h], axis=-1),
+                              taped)
     return softmax(logits), tape
 
 
@@ -94,7 +96,7 @@ def wta_loss(model, x0, x1, t, cfg, lam=None):
     """
     cfg.validate()
     trunk = trunk_forward(model, x0, x1, t)
-    v_global, _ = mlp_apply(model.head, trunk.h)  # value only
+    v_global, _ = mlp_layers(model.head, trunk.h)  # value only
     probs, router_tape = route(model, trunk.tf, trunk.h)
     grads = model.zero_grads()
     loss, dh, info = wta_core(model, trunk, probs, router_tape, v_global,
@@ -120,7 +122,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, grads: Params,
         raise ContractViolation("lambda weights must be >= 0")
     v_g = np.asarray(v_global, dtype=np.float64).reshape(b, sd)
 
-    z, proj_tape = mlp_apply(model.projector, trunk.h)
+    z, proj_tape = mlp_layers(model.projector, trunk.h, taped=True)
     ops = model.operators()
     resids, dec_tape = decode_experts(model, ops, np.tile(z, (len(ops), 1)),
                                       np.repeat(np.arange(len(ops)), b), True)

@@ -11,9 +11,9 @@ import numpy as np
 from .datasets import save_csv_windows
 from .errors import ConfigError, ContractViolation, NumericError, ShapeError
 from .experts import decode_experts
-from .flowpath import time_features
-from .numcore import Mlp, RngStream, mlp_input_gradient, mlp_layers
-from .router import estimate_endpoint, softmax
+from .flowpath import encode, time_features
+from .numcore import RngStream, mlp_input_gradient, mlp_layers
+from .router import estimate_endpoint, route
 
 MODES = ("unconditional", "imputation", "forecasting")
 
@@ -76,40 +76,23 @@ def step_time_features(model, steps: int, n: int) -> np.ndarray:
     return np.broadcast_to(table[:, np.newaxis], (steps, n, table.shape[1]))
 
 
-class _StepPlan:
-    """What the steps of a call on n rows read: the nets with (1, d) bias
-    rows (no batch-1 broadcast; the plan is the model of `decode_experts`
-    and `_global_vjp`), operator bank, buffers; tapes only if `taped`."""
-
-    def __init__(self, model, cfg: SamplerConfig, n, ops=None, taped=False):
-        for name in ("encoder", "head", "router", "projector", "decoder"):
-            net = getattr(model, name)
-            setattr(self, name, Mlp(net.layer_dims, net.weights, [
-                b.reshape(1, -1) for b in net.biases], net.activation))
-        self.gamma, self.taped = cfg.gamma, taped
-        self.ops = model.operators() if cfg.gamma and ops is None else ops
-        self.enc_in = np.empty((n, self.encoder.layer_dims[0]))
-        self.router_in = np.empty((n, self.router.layer_dims[0]))
-
-    def velocity(self, x, tf):
-        """Total velocity (n, S*D) of states x (n, S*D) at time features
-        tf; every row decodes in one call, by its argmax expert."""
-        sd, f2 = x.shape[1], tf.shape[-1]
-        self.enc_in[:, :sd], self.enc_in[:, sd:] = x, tf
-        h, self.enc_tape = mlp_layers(self.encoder, self.enc_in, self.taped)
-        v, self.head_tape = mlp_layers(self.head, h, self.taped)
-        if self.gamma == 0.0:
-            return v
-        self.router_in[:, :f2], self.router_in[:, f2:] = tf, h
-        probs = softmax(mlp_layers(self.router, self.router_in)[0])
-        resid, _ = decode_experts(self, self.ops, mlp_layers(
-            self.projector, h)[0], probs.argmax(axis=1))
-        return v + self.gamma * resid
+def _velocity(model, x, tf, cfg: SamplerConfig, ops, taped=False):
+    """Total velocity (n, S*D) of states x (n, ...) at time features tf
+    (n, 2F), every row decoded in one call by its argmax expert, with the
+    encoder and head tapes (None unless `taped`)."""
+    h, enc_tape = encode(model, x, tf, taped)
+    v, head_tape = mlp_layers(model.head, h, taped)
+    if cfg.gamma != 0.0:
+        probs, _ = route(model, tf, h, taped=False)
+        z, _ = mlp_layers(model.projector, h)
+        resid, _ = decode_experts(model, ops, z, probs.argmax(axis=1))
+        v = v + cfg.gamma * resid
+    return v, enc_tape, head_tape
 
 
 def _global_vjp(model, enc_tape, head_tape, upstream):
     """u^T dv_global/dx for upstream u (B, S*D) on one velocity pass: the
-    input gradient alone, through head and encoder of `model` or a plan."""
+    input gradient alone, through the model's head and encoder."""
     dh = mlp_input_gradient(model.head, head_tape, upstream)
     din = mlp_input_gradient(model.encoder, enc_tape, dh)
     return din[:, : upstream.shape[1]]
@@ -118,18 +101,18 @@ def _global_vjp(model, enc_tape, head_tape, upstream):
 # A finite but huge gamma or eta_g may overflow a step's arithmetic: the
 # state check after each step raises NumericError, with no numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
-def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops, plan=None):
+def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops,
+                           checked=False):
     """One Euler update x + (v_global + gamma*v_expert) * dt at the flow
     time whose time features are tf (B, 2F), with the dominant expert
     chosen per sample by argmax routing probability. gamma=0 reduces
     exactly to the plain Euler update. `ops` are the experts' operators,
-    assembled once by the caller; at gamma 0 none are read. Without the
-    `plan` of its caller's call, a step checks `cfg` and makes one."""
+    assembled once by the caller; at gamma 0 none are read. A step checks
+    `cfg` unless its caller has already (`checked`)."""
     x = np.asarray(x, dtype=np.float64)
-    if plan is None:
+    if not checked:
         cfg.validate()
-        plan = _StepPlan(model, cfg, len(x), ops)
-    v = plan.velocity(x.reshape(len(x), -1), tf).reshape(x.shape)
+    v = _velocity(model, x, tf, cfg, ops)[0].reshape(x.shape)
     xn = x + v * (1.0 / cfg.steps)
     if not np.isfinite(xn).all():
         raise NumericError("non-finite state after a sampler step")
@@ -145,9 +128,9 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     x = rng.generator().standard_normal((n, s, d))
     if n == 0:
         return x
-    plan = _StepPlan(model, cfg, n)
+    ops = model.operators() if cfg.gamma else None
     for tf in step_time_features(model, cfg.steps, n):
-        x = residual_velocity_step(model, x, tf, cfg, None, plan)
+        x = residual_velocity_step(model, x, tf, cfg, ops, checked=True)
     return x
 
 
@@ -183,15 +166,15 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     for i in range(n):
         x[i] = rng.child(rng.stream + i).generator().standard_normal(s * d)
     dt = 1.0 / cfg.steps
-    plan = _StepPlan(model, cfg, n, taped=cfg.exact_guidance)
+    ops = model.operators() if cfg.gamma else None
     for i, tf in enumerate(step_time_features(model, cfg.steps, n)):
         t = i / cfg.steps
-        v = plan.velocity(x, tf)
+        v, enc_tape, head_tape = _velocity(model, x, tf, cfg, ops,
+                                           cfg.exact_guidance)
         g = m2 * (estimate_endpoint(x, t, v) - y)
         if cfg.exact_guidance:
             # add the global-field term of the endpoint Jacobian
-            g = g + _global_vjp(plan, plan.enc_tape, plan.head_tape,
-                                (1.0 - t) * g)
+            g = g + _global_vjp(model, enc_tape, head_tape, (1.0 - t) * g)
         x = x + (v - cfg.eta_g * g) * dt
         if not np.isfinite(x).all():
             raise NumericError(f"non-finite state at guidance step {i}")

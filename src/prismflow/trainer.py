@@ -189,9 +189,10 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a key = value config file with [train]/[model]/[sampler]
-    sections into a dict of string dicts."""
-    parser = configparser.ConfigParser()
+    """Parse a key = value config file into a dict of string dicts, one
+    per section, each value as written (no `%` interpolation) and
+    [DEFAULT] a plain section; `cli` refuses all but [train] and [model]."""
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:

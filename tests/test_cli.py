@@ -378,6 +378,7 @@ class TestTrainSampleEval:
         "[model]\nn_experts = 3\n",
         "[train]\nepochs = 1\nwta_updates_encoder = true\n",
         "epochs = 1\n",
+        "[train]\nlr = 1%\n",
     ])
     def test_bad_config_file_is_runtime_error(self, tmp_path, data_csv,
                                               capsys, text):
@@ -387,6 +388,26 @@ class TestTrainSampleEval:
         assert run("train", "--data", data_csv, "--config", str(cfg),
                    "--seed", "0", "--quiet", "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,section", [
+        ("[trian]\nepochs = abc\n[sampler]\nsteps = x\n", "trian"),
+        ("[train]\nepochs = 1\n[sampler]\nsteps = 3\n", "sampler"),
+        ("[model]\ndelta = 0.1\n[Train]\nepochs = 1\n", "Train"),
+        ("[DEFAULT]\nepochs = abc\n", "DEFAULT")],
+        ids=["misspelled", "sampler", "case", "default"])
+    def test_unknown_config_section_is_runtime_error(self, tmp_path, data_csv,
+                                                     capsys, text, section):
+        """A section other than [train] and [model] would drop every
+        setting under it; it is refused, by name, before training."""
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", data_csv, "--config", str(cfg),
+                   "--seed", "0", "--epochs", "1", "--quiet",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}: unknown section "
+                                           f"[{section}]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["drop", "reshape", "extra", "dims"])

@@ -33,7 +33,11 @@ def assert_one_flat_vector(model, order):
     for net in ("encoder", "head", "projector", "decoder", "router"):
         mlp = getattr(model, net)
         for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-            assert w is params[f"{net}.W{i}"] and b is params[f"{net}.b{i}"]
+            # each bias a (1, d) row view of its block's memory
+            block = params[f"{net}.b{i}"]
+            assert w is params[f"{net}.W{i}"] and b.shape == (1, block.size)
+            assert np.shares_memory(b, flat)
+            assert offset(b, flat) == offset(block, flat), f"{net}.b{i}"
     for k in range(model.n_experts):
         assert model.expert_s[k] is params[f"expert{k}.S"]
         assert model.expert_r[k] is params[f"expert{k}.R"]

@@ -13,7 +13,7 @@ from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream, Tape
 from prismflow.router import estimate_endpoint, route
 from prismflow.sampler import (ConditionMask, SamplerConfig, _global_vjp,
-                               _StepPlan, export_samples, generate,
+                               _velocity, export_samples, generate,
                                generate_conditional, residual_velocity_step,
                                step_time_features)
 
@@ -215,17 +215,18 @@ class TestGenerateConditional:
 
 
 def check_global_vjp(model):
-    """The step plan's VJP against central differences of the global
-    field, and bit for bit against the reference VJP on checked tapes."""
+    """The sampler's VJP against central differences of the global field,
+    and bit for bit against the VJP on the reference velocity's tapes."""
     s, d = model.cfg.seq_len, model.cfg.channels
     gen = RngStream(13).generator()
     x = gen.standard_normal((3, s, d))
     u = gen.standard_normal((3, s * d))
     t, step = 0.3, 1e-6
-    plan = _StepPlan(model, SamplerConfig(gamma=0.0), 3, taped=True)
-    plan.velocity(x.reshape(3, -1), time_features(t, model.cfg.time_freqs))
-    got = _global_vjp(plan, plan.enc_tape, plan.head_tape, u)
-    # bit for bit the VJP on the tapes of checked mlp_apply passes
+    tf = np.tile(time_features(t, model.cfg.time_freqs), (3, 1))
+    _, enc_tape, head_tape = _velocity(model, x, tf, SamplerConfig(gamma=0.0),
+                                       None, taped=True)
+    got = _global_vjp(model, enc_tape, head_tape, u)
+    # bit for bit the VJP on the tapes of the reference velocity
     _, tapes = reference_velocity(model, x, t, SamplerConfig(gamma=0.0), None)
     assert got.tobytes() == _global_vjp(model, *tapes, u).tobytes()
 
@@ -246,7 +247,7 @@ def route_everything_to(model, k):
     """Constant router logits that expert k wins on every row."""
     model.router.weights[-1][:] = 0.0
     model.router.biases[-1][:] = 0.0
-    model.router.biases[-1][k] = 5.0
+    model.router.biases[-1][..., k] = 5.0
     model.bump_versions()
 
 
@@ -405,7 +406,7 @@ class TestLeanStep:
     @pytest.mark.parametrize("case", ["one_expert", "mixed"])
     def test_nan_router_logit_raises(self, four_expert_model, case):
         model = self.model_for(four_expert_model, case)
-        model.router.biases[-1][1] = np.nan
+        model.router.biases[-1][..., 1] = np.nan
         model.bump_versions()
         with pytest.raises(NumericError, match="router"):
             generate(model, STEP_CASES[case][0], SamplerConfig(steps=3),
@@ -534,7 +535,7 @@ class TestStepPlan:
 
     def test_state_check_names_the_guidance_step(self, tiny_model):
         cond = ConditionMask(np.ones((8, 2), bool), np.zeros((8, 2)))
-        tiny_model.head.biases[-1][3] = 1e308
+        tiny_model.head.biases[-1][..., 3] = 1e308
         tiny_model.bump_versions()
         cfg = SamplerConfig(steps=5, mode="imputation", gamma=0.0)
         with pytest.raises(NumericError, match="guidance step 0"):
@@ -576,7 +577,7 @@ def assert_matches_reference(got, want, lone):
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 class TestStepVariants:
-    """The step plan over the model's configuration space, against the
+    """The sampler over the model's configuration space, against the
     reference loops: `generate` at gamma 1 and 0, and guided imputation
     with and without exact guidance at batch 1 and 6."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -10,11 +11,12 @@ import prismflow.flowpath as flowpath_module
 import prismflow.model as model_module
 import prismflow.router as router_module
 import prismflow.trainer as trainer_module
-from prismflow.errors import ConfigError, ContractViolation, NumericError
-from prismflow.flowpath import encode
+from prismflow.errors import (ConfigError, ContractViolation, NumericError,
+                              ShapeError)
+from prismflow.flowpath import cfm_loss, encode
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import AdamState, Params, RngStream, adam_update
-from prismflow.router import wta_loss
+from prismflow.router import balance_loss_and_grads, wta_loss
 from prismflow.trainer import (LAMBDA_KINDS, TrainConfig, fit,
                                lambda_schedule, load_config_file, total_loss,
                                train_step)
@@ -346,6 +348,57 @@ class TestFit:
         mc = ModelConfig(seq_len=8, channels=2)
         with pytest.raises(ContractViolation):
             fit(np.zeros((4, 8)), mc, TrainConfig(epochs=1))
+
+
+class TestWindowWidth:
+    """Every training objective refuses windows whose S*D differs from the
+    model's with a ShapeError, before any net runs."""
+
+    @pytest.mark.parametrize("shape", [(4, 9, 2), (4, 8, 3)],
+                             ids=["longer", "wider"])
+    @pytest.mark.parametrize("objective", [
+        total_loss, wta_loss, balance_loss_and_grads,
+        lambda model, x0, x1, t, cfg: cfm_loss(model, x0, x1, t)],
+        ids=["total_loss", "wta_loss", "balance_loss_and_grads",
+             "cfm_loss"])
+    def test_other_window_widths_are_refused(self, tiny_model, objective,
+                                             shape):
+        gen = RngStream(3).generator()
+        x0, x1 = gen.standard_normal((2,) + shape)
+        with pytest.raises(ShapeError):
+            objective(tiny_model, x0, x1, gen.uniform(size=4), TrainConfig())
+
+
+# model variants of the seeded-fit pin, each the four-expert model with one
+# setting changed, and the SHA-256 of the parameter vector after `fit`
+FIT_PINS = {
+    "tanh": ({}, "51d36ac1b642432df42e95ce8d765270"
+                 "a5cb1398054af888ea8952aed7ca1e33"),
+    "softplus": (dict(activation="softplus"),
+                 "6718d9bee5acda84cb4d47365fae3c6e"
+                 "8315d3b75fa014598f1231f784d57866"),
+    "k1": (dict(n_experts=1), "5f7f6be2ed2603279cd0d8ede76fcbe8"
+                              "be62cbeb4da78dad70bcc5c64b08ec8c"),
+    "head_hidden_none": (dict(head_hidden=None),
+                         "214146b184601ff925a02cd2cd4e458f"
+                         "42870e6cb39bba463eb5f6e4894c6932"),
+    "spread": (dict(expert_init="spread"),
+               "e9d11065ca380eb7f6ba9b907301e787"
+               "c27d7c8a9ec08184582c0c1d64d254f8"),
+}
+
+
+@pytest.mark.parametrize("variant", list(FIT_PINS))
+def test_seeded_fit_is_pinned_bit_for_bit(variant):
+    """Nine steps of `fit`, the last batch a short one, give the same
+    parameter bytes as the code the literals were captured from."""
+    settings, want = FIT_PINS[variant]
+    mc = ModelConfig(**{**dict(seq_len=8, channels=2, n_experts=4,
+                               latent_dim=4, hidden_dim=8, dec_hidden=8,
+                               router_hidden=8), **settings})
+    windows = RngStream(9).generator().standard_normal((20, 8, 2)) * 0.5
+    model, _ = fit(windows, mc, TrainConfig(epochs=3, batch_size=8, seed=7))
+    assert hashlib.sha256(model.params().flat.tobytes()).hexdigest() == want
 
 
 class TestConfigFile:
