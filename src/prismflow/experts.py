@@ -29,13 +29,12 @@ def assemble_operator(s: np.ndarray, r: np.ndarray, delta: float) -> np.ndarray:
 
 
 def operator_grads(r: np.ndarray, da: np.ndarray):
-    """Chain dL/dA back to the raw parameters of assemble_operator.
+    """Chain dL/dA back to assemble_operator's raw parameters (or stacks):
 
     dS = G - G^T,  dR = -R (G + G^T)  for G = dL/dA.
     """
-    ds = da - da.T
-    dr = -r @ (da + da.T)
-    return ds, dr
+    dat = np.swapaxes(da, -1, -2)
+    return da - dat, -r @ (da + dat)
 
 
 def operator_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -63,8 +62,14 @@ def decode_experts(model, ops, z: np.ndarray, experts, taped: bool = False):
     """
     n, bank = z.shape[0], np.asarray(ops)
     az = np.dot(z, bank.reshape(-1, z.shape[1]).T).reshape(n, len(bank), -1)
-    resid, dec_tape = mlp_layers(model.decoder, np.concatenate(
-        [z, az[np.arange(n), experts]], axis=1), taped)
+    return decode(model, np.concatenate([z, az[np.arange(n), experts]],
+                                        axis=1), experts, taped)
+
+
+def decode(model, zaz: np.ndarray, experts, taped: bool = False, ws=None):
+    """The decoder on rows [z, A^k z] of experts k = experts[i], in the
+    arrays of workspace `ws` if given: (residuals, tape or None)."""
+    resid, dec_tape = mlp_layers(model.decoder, zaz, taped, ws)
     if not np.isfinite(resid).all():
         k = experts[np.argmin(np.isfinite(resid).all(axis=1))]
         raise NumericError(f"expert {k} produced non-finite residual velocity")

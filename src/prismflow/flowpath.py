@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ShapeError
-from .numcore import (Params, Tape, mlp_gradients, mlp_layers,
+from .numcore import (Params, Tape, Workspace, mlp_gradients, mlp_layers,
                       mlp_param_gradients)
 
 DEFAULT_TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
@@ -46,13 +46,15 @@ def target_velocity(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     return x1 - x0
 
 
-def encode(model, x, tf, taped=True):
+def encode(model, x, tf, taped=True, ws=None):
     """Shared trunk features h_t for a batch of states x (B, ...) with
-    time features tf (B, 2F): the encoder on [flattened x, tf], unchecked.
-    Returns (h, tape), the tape None unless `taped`."""
-    x = np.asarray(x, dtype=np.float64)
+    time features tf (B, 2F): the encoder on [flattened x, tf], unchecked,
+    in workspace `ws` if given. Returns (h, tape), the tape None unless
+    `taped`."""
+    x = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
     return mlp_layers(model.encoder, np.concatenate(
-        [x.reshape(x.shape[0], -1), tf], axis=1), taped)
+        [x, tf], axis=1, out=None if ws is None else ws[
+            "enc", (len(x), x.shape[1] + tf.shape[1])]), taped, ws)
 
 
 @dataclass
@@ -72,7 +74,7 @@ class Trunk:
     tape: Tape  # encoder tape
 
 
-def trunk_forward(model, x0, x1, t) -> Trunk:
+def trunk_forward(model, x0, x1, t, ws: Workspace) -> Trunk:
     x0 = np.asarray(x0, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
     if x0.shape != x1.shape:
@@ -87,7 +89,7 @@ def trunk_forward(model, x0, x1, t) -> Trunk:
     t = np.asarray(t, dtype=np.float64).reshape(b)
     xt = interpolate_state(x0, x1, t)
     tf = time_features(t, model.cfg.time_freqs)
-    h, tape = encode(model, xt, tf)
+    h, tape = encode(model, xt, tf, True, ws)
     return Trunk(x0, x1, t, tf, xt, h, tape)
 
 
@@ -97,17 +99,17 @@ def encoder_backward(model, trunk: Trunk, dh, grads: Params) -> None:
     grads.add_mlp("encoder.", ew, eb)
 
 
-def cfm_core(model, trunk: Trunk, grads: Params):
+def cfm_core(model, trunk: Trunk, ws: Workspace):
     """Flow-matching term on a trunk pass: adds the head gradient to
-    `grads` and returns (loss, dh, v) with dh the trunk-feature gradient
-    and v the (B, S*D) global velocity."""
+    `ws.grads` and returns (loss, dh, v) with dh the trunk-feature
+    gradient and v the (B, S*D) global velocity."""
     u = target_velocity(trunk.x0, trunk.x1)
-    v, head_tape = mlp_layers(model.head, trunk.h, taped=True)
+    v, head_tape = mlp_layers(model.head, trunk.h, True, ws)
     resid = v - u
-    loss = float(np.mean(resid * resid))
+    loss = float(np.add.reduce(resid * resid, axis=None) / resid.size)
     dv = 2.0 * resid / resid.size
     hw, hb, dh = mlp_gradients(model.head, head_tape, dv)
-    grads.add_mlp("head.", hw, hb)
+    ws.grads.add_mlp("head.", hw, hb)
     return loss, dh, v
 
 
@@ -119,8 +121,8 @@ def cfm_loss(model, x0, x1, t):
     error, so its scale is independent of sequence length and channels.
     Returns (loss, grads) with grads keyed like model.params().
     """
-    trunk = trunk_forward(model, x0, x1, t)
-    grads = model.zero_grads()
-    loss, dh, _ = cfm_core(model, trunk, grads)
-    encoder_backward(model, trunk, dh, grads)
-    return loss, grads
+    ws = Workspace(model.params())
+    trunk = trunk_forward(model, x0, x1, t, ws)
+    loss, dh, _ = cfm_core(model, trunk, ws)
+    encoder_backward(model, trunk, dh, ws.grads)
+    return loss, ws.grads

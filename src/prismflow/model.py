@@ -114,6 +114,9 @@ class PrismFlowModel:
                     Mlp.view(params, f"{name}.", widths, cfg.activation))
         self.expert_s = [params[f"expert{k}.S"] for k in range(cfg.n_experts)]
         self.expert_r = [params[f"expert{k}.R"] for k in range(cfg.n_experts)]
+        # the same blocks, last in the layout: one (K, 2, d_z, d_z) view
+        k, d = cfg.n_experts, cfg.latent_dim
+        self.expert_pairs = params.flat[-2 * k * d * d:].reshape(k, 2, d, d)
         self.norm_shift = norm_shift  # per-channel, set when trained on
         self.norm_scale = norm_scale  # normalized data
 
@@ -147,10 +150,10 @@ class PrismFlowModel:
         order, that one training step or one sampling call assembles once.
         An overflow is a NumericError naming the first expert it hits."""
         with np.errstate(over="ignore", invalid="ignore"):
-            bank = assemble_operator(np.stack(self.expert_s),
-                                     np.stack(self.expert_r), self.cfg.delta)
-        bad = ~np.isfinite(bank).all(axis=(1, 2))
-        if bad.any():
+            bank = assemble_operator(self.expert_pairs[:, 0],
+                                     self.expert_pairs[:, 1], self.cfg.delta)
+        if not np.isfinite(bank).all():
+            bad = ~np.isfinite(bank).all(axis=(1, 2))
             raise NumericError(f"expert {np.argmax(bad)} has a non-finite "
                                f"operator")
         return bank
@@ -160,10 +163,6 @@ class PrismFlowModel:
     def params(self) -> Params:
         """Every parameter block by name, in layout order, over `.flat`."""
         return self._params
-
-    def zero_grads(self) -> Params:
-        """A fresh zeroed gradient store with the parameters' layout."""
-        return self._params.zeros_like()
 
     def bump_versions(self) -> None:
         for name in _MLP_STREAMS:

@@ -47,8 +47,13 @@ class RngStream:
                 raise ConfigError(f"{key} must be in [-2**63, 2**63), "
                                   f"got {value}")
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+    def generator(self, bits: np.random.Philox | None = None):
+        """On `bits` re-keyed if given, sparing a new Philox's entropy draw."""
+        key = np.array([self.seed, self.stream], np.int64).view(np.uint64)
+        if bits is not None:
+            bits.state = dict(bits.state, buffer_pos=4, has_uint32=0, state={
+                "counter": np.zeros(4, np.uint64), "key": key})
+        return np.random.Generator(bits or np.random.Philox(key=key))
 
     def child(self, stream: int) -> "RngStream":
         return RngStream(self.seed, stream)
@@ -147,18 +152,36 @@ class Params(dict):
             self[name] += g
 
 
-def mlp_layers(net: Mlp, a: np.ndarray, taped: bool = False):
+class Workspace(dict):
+    """What each training objective evaluation overwrites, so a steady-state
+    `fit` step allocates almost nothing: arrays `ws[key, shape]`, made on
+    first use (one set per batch size), the gradient store `grads` and a
+    Philox `bits`."""
+
+    def __init__(self, params: Params):
+        super().__init__()
+        self.grads, self.bits = params.zeros_like(), np.random.Philox(0)
+
+    def __missing__(self, key_shape) -> np.ndarray:
+        return self.setdefault(key_shape, np.empty(key_shape[1]))
+
+
+def mlp_layers(net: Mlp, a: np.ndarray, taped: bool = False, ws=None):
     """Every forward pass's layer loop, unchecked: (output, tape or None).
-    Untaped, each activation overwrites its pre-activation."""
+    Untaped, activations overwrite pre-activations; a workspace holds all."""
     act = _activation(net.activation)[0]
     inputs, preacts = [], []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(a)
-        pre = np.dot(a, w)
+        if ws is None:
+            pre, post = np.dot(a, w), None
+        else:  # the layer's pre-activation and activation arrays
+            pre, post = ws[(id(net), i), (2, a.shape[0], w.shape[1])]
+            np.dot(a, w, pre)
         pre += b
         preacts.append(pre)
-        a = pre if i == last else act(pre, out=None if taped else pre)
+        a = pre if i == last else act(pre, post if taped else pre)
     return a, Tape(inputs, preacts, id(net), net.version) if taped else None
 
 
@@ -200,7 +223,7 @@ def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool,
             delta *= act_grad(tape, i)
         if with_params:
             wgrads[i] = np.dot(tape.inputs[i].T, delta)
-            bgrads[i] = delta.sum(axis=0)
+            bgrads[i] = np.add.reduce(delta, axis=0)
         if i or with_input:
             delta = np.dot(delta, net.weights[i].T)
     return wgrads, bgrads, delta

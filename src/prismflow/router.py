@@ -9,10 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ShapeError
-from .experts import decode_experts, operator_grads
+from .experts import decode, operator_grads
 from .flowpath import encoder_backward, trunk_forward
-from .numcore import (Params, mlp_gradients, mlp_layers, mlp_param_gradients,
-                      tape_rows)
+from .numcore import (Workspace, mlp_gradients, mlp_layers,
+                      mlp_param_gradients, tape_rows)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -23,30 +23,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def route(model, tf, h, taped=True):
+def route(model, tf, h, taped=True, ws=None):
     """Categorical expert probabilities for a batch of trunk features h
-    with time features tf (B, 2F).
+    with time features tf (B, 2F), in workspace `ws` if given.
 
     Returns (probs, tape); probs rows are strictly positive and sum to 1,
     and tape.inputs[0] is the router input [tf, h]. The tape is None
     unless `taped`.
     """
-    logits, tape = mlp_layers(model.router, np.concatenate([tf, h], axis=-1),
-                              taped)
+    logits, tape = mlp_layers(model.router, np.concatenate(
+        [tf, h], axis=-1, out=None if ws is None else ws[
+            "rin", (len(h), tf.shape[1] + h.shape[1])]), taped, ws)
     return softmax(logits), tape
 
 
-def estimate_endpoint(x_t, t, v):
-    """Linear extrapolation to t=1 along the constant-velocity path:
-    x_t + (1 - t) * v, for flow times t (B,) or one scalar t. `v` has the
-    shape of x_t, or one leading axis more (one velocity per expert)."""
+def estimate_endpoint(x_t, t, v, out=None):
+    """Linear extrapolation x_t + (1 - t) * v to t=1, into `out` if given,
+    for flow times t (B,) or one scalar t. `v` has the shape of x_t, or one
+    leading axis more (one velocity per expert)."""
     x_t = np.asarray(x_t, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if v.shape[v.ndim - x_t.ndim:] != x_t.shape or v.ndim > x_t.ndim + 1:
         raise ShapeError("velocity shape does not match state shape")
     t = np.asarray(t, dtype=np.float64)  # one t: float arithmetic, same bits
     t = t.reshape((-1,) + (1,) * (x_t.ndim - 1)) if t.ndim else float(t)
-    return x_t + (1.0 - t) * v
+    return np.add(x_t, np.multiply(1.0 - t, v, out=out), out=out)
 
 
 def wta_scores(mses, probs, cfg) -> np.ndarray:
@@ -57,7 +58,7 @@ def wta_scores(mses, probs, cfg) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     if mses.shape != probs.shape:
         raise ShapeError(f"mse shape {mses.shape} != prob shape {probs.shape}")
-    if np.any(probs < 0):
+    if (probs < 0).any():
         raise ContractViolation("routing probabilities must be nonnegative")
     return mses - cfg.beta * np.log(probs + cfg.wta_eps)
 
@@ -67,9 +68,9 @@ def select_winner(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] < 1:
         raise ContractViolation("need a (B, K) score array with K >= 1")
-    if np.any(np.isnan(scores)):
+    if np.isnan(scores).any():
         raise NumericError("NaN score in winner selection")
-    return np.argmin(scores, axis=1)
+    return scores.argmin(axis=1)
 
 
 @dataclass
@@ -95,77 +96,90 @@ def wta_loss(model, x0, x1, t, cfg, lam=None):
     Returns (loss, grads, WtaBatchInfo). `cfg` is the training config.
     """
     cfg.validate()
-    trunk = trunk_forward(model, x0, x1, t)
+    ws = Workspace(model.params())
+    trunk = trunk_forward(model, x0, x1, t, ws)
     v_global, _ = mlp_layers(model.head, trunk.h)  # value only
-    probs, router_tape = route(model, trunk.tf, trunk.h)
-    grads = model.zero_grads()
+    probs, router_tape = route(model, trunk.tf, trunk.h, True, ws)
     loss, dh, info = wta_core(model, trunk, probs, router_tape, v_global,
-                              cfg, grads, lam=lam)
-    encoder_backward(model, trunk, dh, grads)
-    return loss, grads, info
+                              cfg, ws, lam=lam)
+    encoder_backward(model, trunk, dh, ws.grads)
+    return loss, ws.grads, info
 
 
-def wta_core(model, trunk, probs, router_tape, v_global, cfg, grads: Params,
+def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
              lam=None, scale: float = 1.0):
     """Winner-take-all term on a trunk pass and its routing.
 
     The decoder runs forward once on K blocks of the B rows, block k by
     expert k, and backward once on the B winner rows of that tape. `scale`
-    weights every gradient this term adds to `grads` and the returned
+    weights every gradient this term adds to `ws.grads` and the returned
     trunk-feature gradient dh. The caller has validated the training
     config `cfg`. Returns (loss, dh, WtaBatchInfo).
     """
     b, sd = trunk.xt.shape
-    t = trunk.t
     lam = np.ones(b) if lam is None else np.asarray(lam, dtype=np.float64)
-    if np.any(lam < 0):
+    if (lam < 0).any():
         raise ContractViolation("lambda weights must be >= 0")
-    v_g = np.asarray(v_global, dtype=np.float64).reshape(b, sd)
 
-    z, proj_tape = mlp_layers(model.projector, trunk.h, taped=True)
+    z, proj_tape = mlp_layers(model.projector, trunk.h, True, ws)
     ops = model.operators()
-    resids, dec_tape = decode_experts(model, ops, np.tile(z, (len(ops), 1)),
-                                      np.repeat(np.arange(len(ops)), b), True)
-    resids = resids.reshape(len(ops), b, sd)
+    kk, dz = ops.shape[:2]
+    # [z, A^k z] for every k from one product of z with the bank; one row
+    # is tiled to K, since BLAS's one-row product rounds differently
+    zz = z if b > 1 else np.tile(z, (kk, 1))
+    az = np.dot(zz, ops.reshape(-1, dz).T).reshape(len(zz), kk, dz)
+    dec_in = ws["dec", (kk, b, 2 * dz)]
+    dec_in[..., :dz] = z
+    dec_in[..., dz:] = az.swapaxes(0, 1) if b > 1 else az.diagonal().T[:, None]
+    resids, dec_tape = decode(model, dec_in.reshape(kk * b, -1),
+                              np.arange(kk).repeat(b), True, ws)
     # endpoint errors (K, B, S*D): one estimate per expert's total velocity
-    errs = estimate_endpoint(trunk.xt, t, v_g + resids) - trunk.x1
-    mses = np.mean(errs * errs, axis=2).T  # (B, K)
+    errs = np.add(v_global, resids.reshape(kk, b, sd),
+                  out=ws["errs", (kk, b, sd)])
+    errs = estimate_endpoint(trunk.xt, trunk.t, errs, out=errs)
+    errs -= trunk.x1
+    sq = np.multiply(errs, errs, out=ws["sq", errs.shape])
+    mses = (np.add.reduce(sq, axis=2) / sd).T  # (B, K)
     scores = wta_scores(mses, probs, cfg)
     winners = select_winner(scores)
     rows = np.arange(b)
-    loss = float(np.mean(lam * scores[rows, winners]))
+    win = winners * b + rows  # the winner rows of the K-stacked pass
+    loss = float(np.add.reduce(lam * scores[rows, winners]) / b)
 
     # backward; per-sample weight of its winning score in the batch mean
     w = scale * lam / b
-    derr = (2.0 / sd) * w[:, None] * errs[winners, rows]
-    dresid = (1.0 - t)[:, None] * derr
-    win_tape = tape_rows(dec_tape, winners * b + rows)
+    derr = (2.0 / sd) * w[:, None] * errs.reshape(-1, sd).take(win, axis=0)
+    dresid = (1.0 - trunk.t)[:, None] * derr
+    win_tape = tape_rows(dec_tape, win)
     dw, db, din = mlp_gradients(model.decoder, win_tape, dresid)
-    grads.add_mlp("decoder.", dw, db)
-    dz = din[:, : model.cfg.latent_dim].copy()
-    da = din[:, model.cfg.latent_dim:]
-    for k, a in enumerate(ops):
-        mine = np.flatnonzero(winners == k)
-        if mine.size == 0:
-            continue  # masked expert: exactly zero gradient
-        dz[mine] += da[mine] @ a
-        d_op = da[mine].T @ z[mine]  # dL/dA^k from expert k's rows only
-        ds, dr = operator_grads(model.expert_r[k], d_op)
-        grads[f"expert{k}.S"] += ds
-        grads[f"expert{k}.R"] += dr
+    ws.grads.add_mlp("decoder.", dw, db)
+    order = winners.argsort(kind="stable")  # each expert's rows: one run
+    counts = np.bincount(winners, minlength=kk)
+    da, zw = din[order, dz:], z[order]
+    dzw, d_ops = np.empty_like(da), np.empty_like(ops)
+    for k, end in enumerate(counts.cumsum()):  # a loser's d_op is 0
+        run = slice(end - counts[k], end)
+        np.matmul(da[run], ops[k], out=dzw[run])
+        np.matmul(da[run].T, zw[run], out=d_ops[k])  # dL/dA^k, k's rows only
+    dzs = din[:, :dz].copy()
+    dzs[order] += dzw
+    ds, dr = operator_grads(model.expert_pairs[:, 1], d_ops)
+    for k in np.flatnonzero(counts):
+        ws.grads[f"expert{k}.S"] += ds[k]
+        ws.grads[f"expert{k}.R"] += dr[k]
 
-    pw, pb, dh = mlp_gradients(model.projector, proj_tape, dz)
-    grads.add_mlp("projector.", pw, pb)
+    pw, pb, dh = mlp_gradients(model.projector, proj_tape, dzs)
+    ws.grads.add_mlp("projector.", pw, pb)
 
     # confidence term: only the winner's -beta*log(prob + eps) is live
     p_win = probs[rows, winners]
     dprob_win = -cfg.beta * w / (p_win + cfg.wta_eps)
     coef = dprob_win * p_win
-    onehot = np.zeros_like(probs)
+    onehot = np.zeros(probs.shape)
     onehot[rows, winners] = 1.0
     dlogits = coef[:, None] * (onehot - probs)
     rw, rb, drin = mlp_gradients(model.router, router_tape, dlogits)
-    grads.add_mlp("router.", rw, rb)
+    ws.grads.add_mlp("router.", rw, rb)
     dh += drin[:, 2 * len(model.cfg.time_freqs):]
 
     info = WtaBatchInfo(winners=winners, scores=scores, probs=probs,
@@ -181,10 +195,10 @@ def balance_loss(probs, prob_floor: float = 1e-8) -> float:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[0] < 1:
         raise ContractViolation("balance_loss expects a (B, K) batch of simplices")
-    kk = probs.shape[1]
-    pibar = np.maximum(probs.mean(axis=0), prob_floor)
+    b, kk = probs.shape
+    pibar = np.maximum(np.add.reduce(probs, axis=0) / b, prob_floor)
     u = 1.0 / kk
-    return float(np.sum(u * (np.log(u) - np.log(pibar))))
+    return float(np.add.reduce(u * (np.log(u) - np.log(pibar))))
 
 
 def balance_loss_and_grads(model, x0, x1, t, cfg):
@@ -193,26 +207,26 @@ def balance_loss_and_grads(model, x0, x1, t, cfg):
     The trunk features feeding the router are treated as constants here;
     the balance term regularizes routing, not the representation.
     """
-    trunk = trunk_forward(model, x0, x1, t)
-    probs, tape = route(model, trunk.tf, trunk.h)
-    grads = model.zero_grads()
-    loss = balance_core(model, probs, tape, cfg, grads)
-    return loss, grads, probs
+    ws = Workspace(model.params())
+    trunk = trunk_forward(model, x0, x1, t, ws)
+    probs, tape = route(model, trunk.tf, trunk.h, True, ws)
+    loss = balance_core(model, probs, tape, cfg, ws)
+    return loss, ws.grads, probs
 
 
-def balance_core(model, probs, router_tape, cfg, grads: Params,
+def balance_core(model, probs, router_tape, cfg, ws: Workspace,
                  scale: float = 1.0) -> float:
     """Balance term of one routing pass, clamped at the training config's
-    `prob_floor`: adds `scale` times its router gradient to `grads` and
-    returns the loss. Nothing flows back to the router input."""
+    `prob_floor`: adds `scale` times its router gradient to `ws.grads`
+    and returns the loss. Nothing flows back to the router input."""
     loss = balance_loss(probs, cfg.prob_floor)
     b, kk = probs.shape
-    pibar = probs.mean(axis=0)
+    pibar = np.add.reduce(probs, axis=0) / b
     live = pibar > cfg.prob_floor
     dpibar = np.where(live, -(1.0 / kk) / np.maximum(pibar, cfg.prob_floor), 0.0)
-    dprobs = np.tile(scale * dpibar / b, (b, 1))
-    inner = (dprobs * probs).sum(axis=1, keepdims=True)
+    dprobs = scale * dpibar / b  # every row's, broadcast
+    inner = np.add.reduce(dprobs * probs, axis=1, keepdims=True)
     dlogits = probs * (dprobs - inner)
     rw, rb = mlp_param_gradients(model.router, router_tape, dlogits)
-    grads.add_mlp("router.", rw, rb)
+    ws.grads.add_mlp("router.", rw, rb)
     return loss

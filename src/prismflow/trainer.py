@@ -14,7 +14,7 @@ from .checkpoint import atomic_write_text
 from .errors import ConfigError, ContractViolation, NumericError
 from .flowpath import cfm_core, encoder_backward, trunk_forward
 from .model import ModelConfig, PrismFlowModel
-from .numcore import AdamState, RngStream, adam_update
+from .numcore import AdamState, RngStream, Workspace, adam_update
 from .router import balance_core, route, wta_core
 
 LAMBDA_KINDS = ("constant", "linear-ramp", "late-gate")
@@ -53,6 +53,8 @@ class TrainConfig:
             raise ConfigError("beta must be >= 0")
         if self.wta_eps <= 0:
             raise ConfigError("wta_eps must be > 0")
+        if self.divergence_guard <= 0:  # every loss would exceed it
+            raise ConfigError("divergence_guard must be > 0")
 
 
 def lambda_schedule(kind: str, t):
@@ -61,7 +63,7 @@ def lambda_schedule(kind: str, t):
     path, where the interpolant already resembles the data."""
     t = np.asarray(t, dtype=np.float64)
     if kind == "constant":
-        return np.ones_like(t)
+        return np.ones(t.shape)
     if kind == "linear-ramp":
         return t.copy()
     if kind == "late-gate":
@@ -69,7 +71,7 @@ def lambda_schedule(kind: str, t):
     raise ConfigError(f"unknown lambda schedule {kind!r}")
 
 
-def total_loss(model, x0, x1, t, cfg: TrainConfig):
+def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
     """Weighted sum of the three objectives with routed gradients.
 
     Routing: global head <- CFM only; trunk encoder <- CFM + WTA;
@@ -77,34 +79,38 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig):
     term + balance. The trunk, head, router and projector run forward
     once, and the summed trunk-feature gradient goes through one encoder
     backward.
+    Without a workspace it checks `cfg` and returns fresh arrays; `fit`
+    checks once and passes its `ws`, whose arrays each call overwrites.
     Returns (value, grads, parts, wta_info).
     """
-    cfg.validate()
-    trunk = trunk_forward(model, x0, x1, t)
+    if ws is None:
+        cfg.validate()
+        ws = Workspace(model.params())
+    trunk = trunk_forward(model, x0, x1, t, ws)
     lam = lambda_schedule(cfg.lambda_kind, trunk.t)
-    grads = model.zero_grads()
+    ws.grads.flat.fill(0.0)
 
-    c_val, dh, v_global = cfm_core(model, trunk, grads)
-    probs, router_tape = route(model, trunk.tf, trunk.h)
+    c_val, dh, v_global = cfm_core(model, trunk, ws)
+    probs, router_tape = route(model, trunk.tf, trunk.h, True, ws)
     w_val, w_dh, info = wta_core(model, trunk, probs, router_tape, v_global,
-                                 cfg, grads, lam=lam, scale=cfg.alpha_w)
-    b_val = balance_core(model, probs, router_tape, cfg, grads,
+                                 cfg, ws, lam=lam, scale=cfg.alpha_w)
+    b_val = balance_core(model, probs, router_tape, cfg, ws,
                          scale=cfg.alpha_b)
-    encoder_backward(model, trunk, dh + w_dh, grads)
+    encoder_backward(model, trunk, dh + w_dh, ws.grads)
 
     value = c_val + cfg.alpha_w * w_val + cfg.alpha_b * b_val
     parts = {"cfm": c_val, "wta": w_val, "bal": b_val}
-    return value, grads, parts, info
+    return value, ws.grads, parts, info
 
 
 def train_step(model, opt: AdamState, x1_batch, rng: RngStream,
-               cfg: TrainConfig):
+               cfg: TrainConfig, ws: Workspace = None):
     """One optimizer step: draw (x0, t), evaluate the objective, update."""
-    gen = rng.generator()
+    gen = rng.generator(None if ws is None else ws.bits)
     b = x1_batch.shape[0]
     x0 = gen.standard_normal(x1_batch.shape)
     t = gen.uniform(0.0, 1.0, size=b)
-    value, grads, parts, info = total_loss(model, x0, x1_batch, t, cfg)
+    value, grads, parts, info = total_loss(model, x0, x1_batch, t, cfg, ws)
     if not np.isfinite(value):
         worst = int(np.argmax(~np.isfinite(info.scores).all(axis=1)))
         raise NumericError(f"non-finite loss at sample index {worst}")
@@ -155,6 +161,7 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
         model.norm_shift = np.asarray(norm_shift, dtype=np.float64)
         model.norm_scale = np.asarray(norm_scale, dtype=np.float64)
     opt = AdamState.create(model.params(), lr=cfg.lr)
+    ws = Workspace(model.params())
 
     n = windows.shape[0]
     report = TrainReport(epochs=[])
@@ -168,7 +175,7 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
         for start in range(0, n, cfg.batch_size):
             batch = windows[order[start:start + cfg.batch_size]]
             m = train_step(model, opt, batch,
-                           root.child(1_000_000 + step_id), cfg)
+                           root.child(1_000_000 + step_id), cfg, ws)
             step_id += 1
             nb += 1
             for key in sums:

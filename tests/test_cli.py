@@ -330,6 +330,21 @@ class TestTrainSampleEval:
         assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("guard", ["0", "-5"])
+    def test_non_positive_divergence_guard_fails_before_training(
+            self, tmp_path, data_csv, capsys, guard):
+        """Refused up front, so even a run of no epochs saves nothing."""
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[train]\ndivergence_guard = {guard}\n")
+        out = tmp_path / "m.ckpt"
+        for epochs in ("0", "1"):
+            assert run("train", "--data", data_csv, "--config", str(cfg),
+                       "--seed", "0", "--epochs", epochs, "--quiet",
+                       "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err == "error: divergence_guard must be > 0\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("floor", ["-1", "0", "0.25", "0.9"])
     def test_prob_floor_outside_zero_to_one_over_k_fails_before_training(
             self, tmp_path, data_csv, capsys, floor):

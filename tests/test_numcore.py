@@ -361,3 +361,19 @@ class TestRngStream:
         a = RngStream(42, 0).generator().standard_normal(8)
         b = RngStream(42, 1).generator().standard_normal(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed,stream", [
+        (-2**63, 0), (-1, 5), (0, -3), (7, 1_000_000), (2**63 - 1, 2**63 - 1)])
+    def test_rekeyed_bits_draw_as_a_new_generator(self, seed, stream):
+        """A Philox re-keyed for a stream, after drawing for another one,
+        draws what a new generator of that stream draws, bit for bit."""
+        bits = np.random.Philox(0)
+        RngStream(3, 9).generator(bits).standard_normal(5)
+        rng = RngStream(seed, stream)
+        got = rng.generator(bits)
+        want = rng.generator()
+        for draw in ("standard_normal", "uniform", "random"):
+            np.testing.assert_array_equal(getattr(got, draw)(size=7),
+                                          getattr(want, draw)(size=7))
+        assert got.integers(2**32, size=3).tolist() == \
+            want.integers(2**32, size=3).tolist()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import (FrozenObjective, ReferenceAdam,
                       finite_difference_check, frozen_total_loss_fn,
-                      reference_total_loss)
+                      reference_total_loss, traced_peak)
 
 import prismflow.flowpath as flowpath_module
 import prismflow.model as model_module
@@ -240,6 +240,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="^wta_eps must be > 0$"):
             TrainConfig(wta_eps=0.0).validate()
 
+    @pytest.mark.parametrize("guard", [0.0, -5.0])
+    def test_non_positive_divergence_guard_rejected(self, guard):
+        TrainConfig(divergence_guard=1e-12).validate()
+        with pytest.raises(ConfigError,
+                           match="^divergence_guard must be > 0$"):
+            TrainConfig(divergence_guard=guard).validate()
+
     def test_negative_epochs_rejected(self):
         TrainConfig(epochs=0).validate()
         with pytest.raises(ConfigError, match="epochs"):
@@ -399,6 +406,76 @@ def test_seeded_fit_is_pinned_bit_for_bit(variant):
     windows = RngStream(9).generator().standard_normal((20, 8, 2)) * 0.5
     model, _ = fit(windows, mc, TrainConfig(epochs=3, batch_size=8, seed=7))
     assert hashlib.sha256(model.params().flat.tobytes()).hexdigest() == want
+
+
+# the acceptance shape (S=64, D=1, hidden 48, B=128), one epoch, the last
+# batch 44 rows or 1 (a one-row product takes BLAS's matrix-vector path),
+# and the SHA-256 of the parameter vector after `fit`
+ACCEPTANCE_PINS = {
+    (4, 300): "c10c597e6aa36cb3ca3a4d91cd1c34db"
+              "0e40108edc40b6d995c458f931b236f8",
+    (4, 257): "f2602d1e77995506c1a1b5bdde526d12"
+              "43f8dd1255edf92ab2864467267e6991",
+    (1, 300): "d11633845ee94e9171d789d6716cac18"
+              "6e7ff3ac2bc198157a04ad0cdea76896",
+    (1, 257): "ed646d5c4f2b421a0f72a7c51cf9b427"
+              "f1d432678689d54052bb8ef1f2013594",
+}
+
+
+@pytest.mark.parametrize("n_experts,n", list(ACCEPTANCE_PINS),
+                         ids=lambda v: str(v))
+def test_acceptance_shape_fit_is_pinned_bit_for_bit(n_experts, n):
+    windows = RngStream(9).generator().standard_normal((n, 64, 1)) * 0.5
+    model, _ = fit(windows, ModelConfig(seq_len=64, channels=1, hidden_dim=48,
+                                        n_experts=n_experts),
+                   TrainConfig(epochs=1, batch_size=128, seed=7))
+    assert hashlib.sha256(model.params().flat.tobytes()).hexdigest() == \
+        ACCEPTANCE_PINS[n_experts, n]
+
+
+def test_fit_checks_its_config_once(monkeypatch):
+    """The nine steps of the FIT_PINS set-up check the training config
+    once, up front, and assemble the operator bank once a step."""
+    calls = {"validate": 0, "assemble_operator": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(TrainConfig, "validate",
+                        counted("validate", TrainConfig.validate))
+    monkeypatch.setattr(model_module, "assemble_operator", counted(
+        "assemble_operator", model_module.assemble_operator))
+    mc = ModelConfig(seq_len=8, channels=2, n_experts=4, latent_dim=4,
+                     hidden_dim=8, dec_hidden=8, router_hidden=8)
+    windows = RngStream(9).generator().standard_normal((20, 8, 2)) * 0.5
+    fit(windows, mc, TrainConfig(epochs=3, batch_size=8, seed=7))
+    assert calls == {"validate": 1, "assemble_operator": 9}
+
+
+def test_steady_state_step_allocates_little(monkeypatch):
+    """Inside `fit` at the acceptance shape, every step after the first of
+    its batch size reuses the fit's arrays: its traced peak stays under
+    half of the 2.75 MiB of a step that allocates them afresh."""
+    step, seen, peaks = trainer_module.train_step, set(), []
+
+    def traced(model, opt, batch, *rest):
+        if batch.shape[0] not in seen:
+            seen.add(batch.shape[0])
+            return step(model, opt, batch, *rest)
+        out, peak = traced_peak(step, model, opt, batch, *rest)
+        peaks.append(peak)
+        return out
+
+    monkeypatch.setattr(trainer_module, "train_step", traced)
+    windows = RngStream(9).generator().standard_normal((300, 64, 1)) * 0.5
+    fit(windows, ModelConfig(seq_len=64, channels=1, hidden_dim=48),
+        TrainConfig(epochs=2, batch_size=128, seed=7))
+    assert len(peaks) == 4
+    assert max(peaks) < 2.75 * 2**20 / 2
 
 
 class TestConfigFile:
