@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ShapeError
-from .numcore import (Params, Tape, Workspace, mlp_gradients, mlp_layers,
-                      mlp_param_gradients)
+from .numcore import Tape, Workspace, mlp_gradients, mlp_layers
 
 DEFAULT_TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
 
@@ -62,7 +61,7 @@ class Trunk:
     """One batch's shared trunk forward, with states flattened to (B, S*D).
 
     Every training objective reads it; the summed trunk-feature gradient
-    goes back through `encoder_backward` once.
+    goes back through the encoder once.
     """
 
     x0: np.ndarray  # source samples
@@ -93,23 +92,16 @@ def trunk_forward(model, x0, x1, t, ws: Workspace) -> Trunk:
     return Trunk(x0, x1, t, tf, xt, h, tape)
 
 
-def encoder_backward(model, trunk: Trunk, dh, grads: Params) -> None:
-    """Add the encoder gradient of upstream `dh` on the trunk features."""
-    ew, eb = mlp_param_gradients(model.encoder, trunk.tape, dh)
-    grads.add_mlp("encoder.", ew, eb)
-
-
 def cfm_core(model, trunk: Trunk, ws: Workspace):
     """Flow-matching term on a trunk pass: adds the head gradient to
-    `ws.grads` and returns (loss, dh, v) with dh the trunk-feature
+    `ws.grad` and returns (loss, dh, v) with dh the trunk-feature
     gradient and v the (B, S*D) global velocity."""
     u = target_velocity(trunk.x0, trunk.x1)
     v, head_tape = mlp_layers(model.head, trunk.h, True, ws)
     resid = v - u
     loss = float(np.add.reduce(resid * resid, axis=None) / resid.size)
     dv = 2.0 * resid / resid.size
-    hw, hb, dh = mlp_gradients(model.head, head_tape, dv)
-    ws.grads.add_mlp("head.", hw, hb)
+    dh = mlp_gradients(model.head, head_tape, dv, ws.grad.head)
     return loss, dh, v
 
 
@@ -121,8 +113,8 @@ def cfm_loss(model, x0, x1, t):
     error, so its scale is independent of sequence length and channels.
     Returns (loss, grads) with grads keyed like model.params().
     """
-    ws = Workspace(model.params())
+    ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
     loss, dh, _ = cfm_core(model, trunk, ws)
-    encoder_backward(model, trunk, dh, ws.grads)
+    mlp_gradients(model.encoder, trunk.tape, dh, ws.grad.encoder, False)
     return loss, ws.grads

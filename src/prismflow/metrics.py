@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .numcore import (AdamState, Mlp, Params, RngStream, adam_update,
-                      mlp_apply, mlp_blocks, mlp_param_gradients, mlp_shapes)
+                      mlp_apply, mlp_gradients, mlp_shapes)
 
 HIDDEN = 32
 TRAIN_STEPS = 500
@@ -86,6 +86,7 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
     gen = rng.child(2).generator()
     n = x.shape[0]
     grads = params.zeros_like()
+    grad = Mlp.view(grads, "", dims)
     for _ in range(TRAIN_STEPS):
         idx = gen.integers(0, n, size=min(BATCH, n))
         out, tape = mlp_apply(net, x[idx])
@@ -94,9 +95,8 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
             upstream = (p - y[idx]) / idx.size
         else:
             upstream = 2.0 * (out - y[idx]) / out.size
-        wg, bg = mlp_param_gradients(net, tape, upstream)
-        for name, g in mlp_blocks("", wg, bg).items():
-            grads[name][...] = g
+        grads.flat.fill(0.0)
+        mlp_gradients(net, tape, upstream, grad, False)
         adam_update(opt, params, grads)
         net.bump_version()
     return net

@@ -112,9 +112,8 @@ class PrismFlowModel:
         for name, widths in param_layout(cfg)[0].items():
             setattr(self, name,
                     Mlp.view(params, f"{name}.", widths, cfg.activation))
-        self.expert_s = [params[f"expert{k}.S"] for k in range(cfg.n_experts)]
-        self.expert_r = [params[f"expert{k}.R"] for k in range(cfg.n_experts)]
-        # the same blocks, last in the layout: one (K, 2, d_z, d_z) view
+        # the expert blocks, last in the layout: one (K, 2, d_z, d_z) view,
+        # [k, 0] expert k's S and [k, 1] its R
         k, d = cfg.n_experts, cfg.latent_dim
         self.expert_pairs = params.flat[-2 * k * d * d:].reshape(k, 2, d, d)
         self.norm_shift = norm_shift  # per-channel, set when trained on
@@ -128,14 +127,14 @@ class PrismFlowModel:
             getattr(model, name).draw(rng.child(stream))
         gen = rng.child(_STREAM_EXPERTS).generator()
         scale = cfg.expert_init_scale / np.sqrt(cfg.latent_dim)
-        for block in model.expert_s + model.expert_r:
+        for block in model.expert_pairs.swapaxes(0, 1):  # each S, then R
             block[...] = gen.normal(0.0, scale, block.shape)
         if cfg.expert_init == "spread":
             rot = np.zeros((cfg.latent_dim, cfg.latent_dim))
             for i in range(0, cfg.latent_dim - 1, 2):
                 rot[i, i + 1] = 1.0
                 rot[i + 1, i] = -1.0
-            for k, s in enumerate(model.expert_s):
+            for k, s in enumerate(model.expert_pairs[:, 0]):
                 s += cfg.expert_spread_base * (2.0 ** k) * rot
         return model
 

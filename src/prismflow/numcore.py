@@ -109,20 +109,13 @@ class Mlp:
         self.version += 1
 
 
-def mlp_blocks(prefix: str, weights, biases) -> dict:
-    """Name an Mlp's per-layer arrays (or their gradients) in checkpoint
-    order: {prefix}W0, {prefix}b0, {prefix}W1, ..."""
-    out = {}
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        out[f"{prefix}W{i}"] = w
-        out[f"{prefix}b{i}"] = b
-    return out
-
-
 def mlp_shapes(prefix: str, layer_dims) -> dict:
-    """Block names and shapes of an Mlp with these layer widths."""
-    pairs = list(zip(layer_dims[:-1], layer_dims[1:]))
-    return mlp_blocks(prefix, pairs, [(dout,) for _, dout in pairs])
+    """Block names and shapes of an Mlp with these layer widths, in
+    checkpoint order: {prefix}W0, {prefix}b0, {prefix}W1, ..."""
+    out = {}
+    for i, (din, dout) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+        out[f"{prefix}W{i}"], out[f"{prefix}b{i}"] = (din, dout), (dout,)
+    return out
 
 
 class Params(dict):
@@ -146,21 +139,17 @@ class Params(dict):
         return next((name for name, p in self.items()
                      if not np.isfinite(p).all()), None)
 
-    def add_mlp(self, prefix: str, wgrads, bgrads) -> None:
-        """Add an Mlp's gradients to its blocks {prefix}W{i}, {prefix}b{i}."""
-        for name, g in mlp_blocks(prefix, wgrads, bgrads).items():
-            self[name] += g
-
 
 class Workspace(dict):
     """What each training objective evaluation overwrites, so a steady-state
     `fit` step allocates almost nothing: arrays `ws[key, shape]`, made on
-    first use (one set per batch size), the gradient store `grads` and a
-    Philox `bits`."""
+    first use (one set per batch size), the gradient store `grads`, `grad`,
+    the model whose nets and experts are views of it, and a Philox `bits`."""
 
-    def __init__(self, params: Params):
+    def __init__(self, model):
         super().__init__()
-        self.grads, self.bits = params.zeros_like(), np.random.Philox(0)
+        self.grads, self.bits = model.params().zeros_like(), np.random.Philox(0)
+        self.grad = type(model)(model.cfg, self.grads)
 
     def __missing__(self, key_shape) -> np.ndarray:
         return self.setdefault(key_shape, np.empty(key_shape[1]))
@@ -201,11 +190,12 @@ def mlp_apply(net: Mlp, x: np.ndarray):
     return mlp_layers(net, a, taped=True)
 
 
-def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool,
-              with_input: bool):
-    """The delta recurrence of every backward entry; the parameter
-    gradients are computed only `with_params`, the input gradient only
-    `with_input`."""
+def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray,
+                  grad: Mlp | None = None, with_input: bool = True):
+    """Exact reverse-mode gradients of <upstream, output>: adds each
+    layer's parameter gradient, summed over the batch, into `grad` (the
+    net's layout over a gradient store) if given, and returns the input
+    gradient, or None unless `with_input`."""
     if tape.net_id != id(net) or tape.net_version != net.version:
         raise ContractViolation("tape is stale: network mutated since forward pass")
     delta = np.asarray(upstream, dtype=np.float64)
@@ -215,37 +205,16 @@ def _backward(net: Mlp, tape: Tape, upstream: np.ndarray, with_params: bool,
         )
     act_grad = _activation(net.activation)[1]
     last = len(net.weights) - 1
-    wgrads = [None] * (last + 1)
-    bgrads = [None] * (last + 1)
     for i in range(last, -1, -1):
         if i != last:
             # delta is a product of this backward, never the caller's array
             delta *= act_grad(tape, i)
-        if with_params:
-            wgrads[i] = np.dot(tape.inputs[i].T, delta)
-            bgrads[i] = np.add.reduce(delta, axis=0)
+        if grad is not None:
+            grad.weights[i] += np.dot(tape.inputs[i].T, delta)
+            grad.biases[i] += np.add.reduce(delta, axis=0)
         if i or with_input:
             delta = np.dot(delta, net.weights[i].T)
-    return wgrads, bgrads, delta
-
-
-def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray):
-    """Exact reverse-mode gradients of <upstream, output>: returns
-    (weight_grads, bias_grads, input_grad), parameter gradients summed
-    over the batch."""
-    return _backward(net, tape, upstream, True, True)
-
-
-def mlp_input_gradient(net: Mlp, tape: Tape, upstream: np.ndarray):
-    """The input gradient of mlp_gradients alone, bit for bit, without
-    computing any parameter gradient."""
-    return _backward(net, tape, upstream, False, True)[2]
-
-
-def mlp_param_gradients(net: Mlp, tape: Tape, upstream: np.ndarray):
-    """The (weight_grads, bias_grads) of mlp_gradients alone, bit for bit,
-    without computing the input gradient."""
-    return _backward(net, tape, upstream, True, False)[:2]
+    return delta if with_input else None
 
 
 def tape_rows(tape: Tape, rows) -> Tape:

@@ -10,9 +10,8 @@ import numpy as np
 
 from .errors import ContractViolation, NumericError, ShapeError
 from .experts import decode, operator_grads
-from .flowpath import encoder_backward, trunk_forward
-from .numcore import (Workspace, mlp_gradients, mlp_layers,
-                      mlp_param_gradients, tape_rows)
+from .flowpath import trunk_forward
+from .numcore import Workspace, mlp_gradients, mlp_layers, tape_rows
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -96,13 +95,13 @@ def wta_loss(model, x0, x1, t, cfg, lam=None):
     Returns (loss, grads, WtaBatchInfo). `cfg` is the training config.
     """
     cfg.validate()
-    ws = Workspace(model.params())
+    ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
     v_global, _ = mlp_layers(model.head, trunk.h)  # value only
     probs, router_tape = route(model, trunk.tf, trunk.h, True, ws)
     loss, dh, info = wta_core(model, trunk, probs, router_tape, v_global,
                               cfg, ws, lam=lam)
-    encoder_backward(model, trunk, dh, ws.grads)
+    mlp_gradients(model.encoder, trunk.tape, dh, ws.grad.encoder, False)
     return loss, ws.grads, info
 
 
@@ -112,7 +111,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
 
     The decoder runs forward once on K blocks of the B rows, block k by
     expert k, and backward once on the B winner rows of that tape. `scale`
-    weights every gradient this term adds to `ws.grads` and the returned
+    weights every gradient this term adds to `ws.grad` and the returned
     trunk-feature gradient dh. The caller has validated the training
     config `cfg`. Returns (loss, dh, WtaBatchInfo).
     """
@@ -151,8 +150,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
     derr = (2.0 / sd) * w[:, None] * errs.reshape(-1, sd).take(win, axis=0)
     dresid = (1.0 - trunk.t)[:, None] * derr
     win_tape = tape_rows(dec_tape, win)
-    dw, db, din = mlp_gradients(model.decoder, win_tape, dresid)
-    ws.grads.add_mlp("decoder.", dw, db)
+    din = mlp_gradients(model.decoder, win_tape, dresid, ws.grad.decoder)
     order = winners.argsort(kind="stable")  # each expert's rows: one run
     counts = np.bincount(winners, minlength=kk)
     da, zw = din[order, dz:], z[order]
@@ -164,12 +162,10 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
     dzs = din[:, :dz].copy()
     dzs[order] += dzw
     ds, dr = operator_grads(model.expert_pairs[:, 1], d_ops)
-    for k in np.flatnonzero(counts):
-        ws.grads[f"expert{k}.S"] += ds[k]
-        ws.grads[f"expert{k}.R"] += dr[k]
+    live = np.flatnonzero(counts)
+    ws.grad.expert_pairs[live] += np.stack([ds, dr], 1)[live]
 
-    pw, pb, dh = mlp_gradients(model.projector, proj_tape, dzs)
-    ws.grads.add_mlp("projector.", pw, pb)
+    dh = mlp_gradients(model.projector, proj_tape, dzs, ws.grad.projector)
 
     # confidence term: only the winner's -beta*log(prob + eps) is live
     p_win = probs[rows, winners]
@@ -178,8 +174,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
     onehot = np.zeros(probs.shape)
     onehot[rows, winners] = 1.0
     dlogits = coef[:, None] * (onehot - probs)
-    rw, rb, drin = mlp_gradients(model.router, router_tape, dlogits)
-    ws.grads.add_mlp("router.", rw, rb)
+    drin = mlp_gradients(model.router, router_tape, dlogits, ws.grad.router)
     dh += drin[:, 2 * len(model.cfg.time_freqs):]
 
     info = WtaBatchInfo(winners=winners, scores=scores, probs=probs,
@@ -207,7 +202,7 @@ def balance_loss_and_grads(model, x0, x1, t, cfg):
     The trunk features feeding the router are treated as constants here;
     the balance term regularizes routing, not the representation.
     """
-    ws = Workspace(model.params())
+    ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
     probs, tape = route(model, trunk.tf, trunk.h, True, ws)
     loss = balance_core(model, probs, tape, cfg, ws)
@@ -217,7 +212,7 @@ def balance_loss_and_grads(model, x0, x1, t, cfg):
 def balance_core(model, probs, router_tape, cfg, ws: Workspace,
                  scale: float = 1.0) -> float:
     """Balance term of one routing pass, clamped at the training config's
-    `prob_floor`: adds `scale` times its router gradient to `ws.grads`
+    `prob_floor`: adds `scale` times its router gradient to `ws.grad`
     and returns the loss. Nothing flows back to the router input."""
     loss = balance_loss(probs, cfg.prob_floor)
     b, kk = probs.shape
@@ -227,6 +222,5 @@ def balance_core(model, probs, router_tape, cfg, ws: Workspace,
     dprobs = scale * dpibar / b  # every row's, broadcast
     inner = np.add.reduce(dprobs * probs, axis=1, keepdims=True)
     dlogits = probs * (dprobs - inner)
-    rw, rb = mlp_param_gradients(model.router, router_tape, dlogits)
-    ws.grads.add_mlp("router.", rw, rb)
+    mlp_gradients(model.router, router_tape, dlogits, ws.grad.router, False)
     return loss

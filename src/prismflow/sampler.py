@@ -12,7 +12,7 @@ from .datasets import save_csv_windows
 from .errors import ConfigError, ContractViolation, NumericError, ShapeError
 from .experts import decode_experts
 from .flowpath import encode, time_features
-from .numcore import RngStream, mlp_input_gradient, mlp_layers
+from .numcore import RngStream, mlp_gradients, mlp_layers
 from .router import estimate_endpoint, route
 
 MODES = ("unconditional", "imputation", "forecasting")
@@ -93,8 +93,8 @@ def _velocity(model, x, tf, cfg: SamplerConfig, ops, taped=False):
 def _global_vjp(model, enc_tape, head_tape, upstream):
     """u^T dv_global/dx for upstream u (B, S*D) on one velocity pass: the
     input gradient alone, through the model's head and encoder."""
-    dh = mlp_input_gradient(model.head, head_tape, upstream)
-    din = mlp_input_gradient(model.encoder, enc_tape, dh)
+    dh = mlp_gradients(model.head, head_tape, upstream)
+    din = mlp_gradients(model.encoder, enc_tape, dh)
     return din[:, : upstream.shape[1]]
 
 

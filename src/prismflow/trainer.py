@@ -12,9 +12,10 @@ import numpy as np
 
 from .checkpoint import atomic_write_text
 from .errors import ConfigError, ContractViolation, NumericError
-from .flowpath import cfm_core, encoder_backward, trunk_forward
+from .flowpath import cfm_core, trunk_forward
 from .model import ModelConfig, PrismFlowModel
-from .numcore import AdamState, RngStream, Workspace, adam_update
+from .numcore import (AdamState, RngStream, Workspace, adam_update,
+                      mlp_gradients)
 from .router import balance_core, route, wta_core
 
 LAMBDA_KINDS = ("constant", "linear-ramp", "late-gate")
@@ -85,7 +86,7 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
     """
     if ws is None:
         cfg.validate()
-        ws = Workspace(model.params())
+        ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
     lam = lambda_schedule(cfg.lambda_kind, trunk.t)
     ws.grads.flat.fill(0.0)
@@ -96,7 +97,8 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
                                  cfg, ws, lam=lam, scale=cfg.alpha_w)
     b_val = balance_core(model, probs, router_tape, cfg, ws,
                          scale=cfg.alpha_b)
-    encoder_backward(model, trunk, dh + w_dh, ws.grads)
+    mlp_gradients(model.encoder, trunk.tape, dh + w_dh, ws.grad.encoder,
+                  False)
 
     value = c_val + cfg.alpha_w * w_val + cfg.alpha_b * b_val
     parts = {"cfm": c_val, "wta": w_val, "bal": b_val}
@@ -161,7 +163,7 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
         model.norm_shift = np.asarray(norm_shift, dtype=np.float64)
         model.norm_scale = np.asarray(norm_scale, dtype=np.float64)
     opt = AdamState.create(model.params(), lr=cfg.lr)
-    ws = Workspace(model.params())
+    ws = Workspace(model)
 
     n = windows.shape[0]
     report = TrainReport(epochs=[])

@@ -67,7 +67,7 @@ def reference_operators(model) -> np.ndarray:
     expert order, as `PrismFlowModel.operators` built it before it took
     the whole stack in one `assemble_operator` call."""
     return np.stack([assemble_operator(s, r, model.cfg.delta)
-                     for s, r in zip(model.expert_s, model.expert_r)])
+                     for s, r in model.expert_pairs])
 
 
 class FrozenObjective:

@@ -167,13 +167,11 @@ def test_non_winning_experts_are_exactly_inert():
         for k in losers:
             assert np.all(grads[f"expert{k}.S"] == 0.0)
             assert np.all(grads[f"expert{k}.R"] == 0.0)
-            model.expert_s[k] += 1e-3
-            model.expert_r[k] += 1e-3
+            model.expert_pairs[k] += 1e-3  # its S and its R
             loss2, _, info2 = wta_loss(model, x0, x1, t, cfg)
             np.testing.assert_array_equal(info2.winners, info.winners)
             assert abs(loss2 - loss) <= 1e-12
-            model.expert_s[k] -= 1e-3
-            model.expert_r[k] -= 1e-3
+            model.expert_pairs[k] -= 1e-3
         checked += len(losers) * x0.shape[0]
     assert checked >= 100
 

@@ -112,7 +112,8 @@ class TestOperatorBank:
     def test_bitwise_equal_on_a_perturbed_store(self, four_expert_model):
         model = four_expert_model
         gen = np.random.default_rng(17)
-        for block in model.expert_s + model.expert_r:
+        pairs = model.expert_pairs
+        for block in [*pairs[:, 0], *pairs[:, 1]]:  # each S, then each R
             block += gen.standard_normal(block.shape) * 10.0 ** gen.integers(
                 -3, 3)
         assert model.operators().tobytes() == \
@@ -120,8 +121,8 @@ class TestOperatorBank:
 
     def test_overflow_names_the_first_expert(self, four_expert_model):
         model = four_expert_model
-        model.expert_r[1][0, 0] = 1e300
-        model.expert_r[3][1, 1] = 1e300
+        model.expert_pairs[1, 1, 0, 0] = 1e300  # expert 1's R
+        model.expert_pairs[3, 1, 1, 1] = 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError,
@@ -137,8 +138,8 @@ class TestLatentVelocity:
         assert np.all(np.zeros(4) @ tiny_model.operators()[0].T == 0.0)
 
     def test_negative_identity(self, tiny_model):
-        tiny_model.expert_s[0][:] = 0.0
-        tiny_model.expert_r[0][:] = np.eye(4)
+        tiny_model.expert_pairs[0, 0] = 0.0
+        tiny_model.expert_pairs[0, 1] = np.eye(4)
         tiny_model.cfg.delta = 0.0
         v = np.array([1.0, -2.0, 0.5, 3.0])
         np.testing.assert_allclose(v @ tiny_model.operators()[0].T, -v)

@@ -9,7 +9,7 @@ import pytest
 from prismflow.checkpoint import load_checkpoint
 from prismflow.errors import ConfigError
 from prismflow.model import ModelConfig, PrismFlowModel, param_layout
-from prismflow.numcore import RngStream
+from prismflow.numcore import RngStream, Workspace
 from prismflow.trainer import TrainConfig, fit, total_loss
 
 
@@ -39,8 +39,11 @@ def assert_one_flat_vector(model, order):
             assert np.shares_memory(b, flat)
             assert offset(b, flat) == offset(block, flat), f"{net}.b{i}"
     for k in range(model.n_experts):
-        assert model.expert_s[k] is params[f"expert{k}.S"]
-        assert model.expert_r[k] is params[f"expert{k}.R"]
+        for half, part in enumerate("SR"):  # [k, 0] its S, [k, 1] its R
+            view = model.expert_pairs[k, half]
+            block = params[f"expert{k}.{part}"]
+            assert view.shape == block.shape and np.shares_memory(view, flat)
+            assert offset(view, flat) == offset(block, flat), (k, part)
 
 
 def block_order(model, path) -> list:
@@ -98,6 +101,16 @@ class TestGradientBuffers:
             for name, block in g.items():
                 assert np.shares_memory(block, g.flat), name
                 assert block.shape == tiny_model.params()[name].shape
+
+    def test_workspace_grad_is_the_model_over_its_store(self, tiny_model,
+                                                        tmp_path):
+        """`ws.grad` has the model's nets and expert bank, each a view of
+        the gradient store `ws.grads` at the offsets of the parameters."""
+        ws = Workspace(tiny_model)
+        assert ws.grad.params() is ws.grads
+        assert not np.shares_memory(ws.grads.flat, tiny_model.params().flat)
+        assert_one_flat_vector(ws.grad,
+                               block_order(tiny_model, str(tmp_path / "m")))
 
     def test_zero_grads_is_one_zeroed_vector(self, tiny_model):
         params = tiny_model.params()

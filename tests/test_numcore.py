@@ -5,10 +5,8 @@ from conftest import finite_difference_check
 from prismflow.errors import (ConfigError, ContractViolation, NumericError,
                               ShapeError)
 from prismflow.numcore import (AdamState, Mlp, Params, RngStream,
-                               adam_update, mlp_apply, mlp_blocks,
-                               mlp_gradients, mlp_input_gradient,
-                               mlp_param_gradients, mlp_shapes,
-                               tape_rows)
+                               Workspace, adam_update, mlp_apply,
+                               mlp_gradients, mlp_shapes, tape_rows)
 
 
 def make_net(dims, seed=0, activation="tanh"):
@@ -100,8 +98,16 @@ class TestLayerLoopProducts:
         out, tape = mlp_apply(net, x)
         want_out, want_grad = at_loop(net, x, upstream)
         assert out.tobytes() == want_out.tobytes()
-        grad = mlp_input_gradient(net, tape, upstream)
+        grad = mlp_gradients(net, tape, upstream)
         assert grad.tobytes() == want_grad.tobytes()
+
+
+def gradients(net, tape, upstream, with_input=True):
+    """One mlp_gradients call into a zeroed store of the net's layout:
+    (the store, by block name, and the input gradient or None)."""
+    store = Params(mlp_shapes("", net.layer_dims))
+    grad = Mlp.view(store, "", net.layer_dims)
+    return store, mlp_gradients(net, tape, upstream, grad, with_input)
 
 
 class TestMlpGradients:
@@ -111,29 +117,30 @@ class TestMlpGradients:
         x = np.array([[1.0, -0.5, 2.0]])
         g = np.array([[0.3, -1.1]])
         _, tape = mlp_apply(net, x)
-        (dw,), (db,), dx = mlp_gradients(net, tape, g)
-        np.testing.assert_allclose(dw, np.outer(x, g))
-        np.testing.assert_allclose(db, g[0])
+        store, dx = gradients(net, tape, g)
+        np.testing.assert_allclose(store["W0"], np.outer(x, g))
+        np.testing.assert_allclose(store["b0"], g[0])
         np.testing.assert_allclose(dx[0], w @ g[0])
 
     def test_zero_upstream(self):
         net = make_net([3, 4, 2])
         _, tape = mlp_apply(net, np.zeros((1, 3)))
-        dws, dbs, dx = mlp_gradients(net, tape, np.zeros((1, 2)))
-        assert all(np.all(d == 0) for d in dws + dbs)
+        store, dx = gradients(net, tape, np.zeros((1, 2)))
+        assert np.all(store.flat == 0)
         assert np.all(dx == 0)
 
     def test_matches_finite_differences(self):
-        net = make_net([3, 5, 2], seed=7)
+        params = Params(mlp_shapes("", [3, 5, 2]))
+        net = Mlp.view(params, "", [3, 5, 2])
+        net.draw(RngStream(7))
         x = RngStream(8).generator().standard_normal((1, 3))
         upstream = np.array([[1.0, -0.7]])
 
         def loss(params):
             out, tape = mlp_apply(net, x)
-            dws, dbs, _ = mlp_gradients(net, tape, upstream)
-            return float(np.sum(upstream * out)), mlp_blocks("", dws, dbs)
+            return (float(np.sum(upstream * out)),
+                    gradients(net, tape, upstream)[0])
 
-        params = mlp_blocks("", net.weights, net.biases)
         assert finite_difference_check(loss, params, 1e-6) < 1e-6
 
     def test_tanh_derivative_from_tape_is_bitwise(self):
@@ -143,15 +150,16 @@ class TestMlpGradients:
         gen = RngStream(4).generator()
         _, tape = mlp_apply(net, gen.standard_normal((6, 3)))
         upstream = gen.standard_normal((6, 2))
-        dws, dbs, dx = mlp_gradients(net, tape, upstream)
+        store, dx = gradients(net, tape, upstream)
         delta = upstream
         last = len(net.weights) - 1
         for i in range(last, -1, -1):
             if i != last:
                 th = np.tanh(tape.preacts[i])
                 delta = delta * (1.0 - th * th)
-            np.testing.assert_array_equal(dws[i], tape.inputs[i].T @ delta)
-            np.testing.assert_array_equal(dbs[i], delta.sum(axis=0))
+            np.testing.assert_array_equal(store[f"W{i}"],
+                                          tape.inputs[i].T @ delta)
+            np.testing.assert_array_equal(store[f"b{i}"], delta.sum(axis=0))
             delta = delta @ net.weights[i].T
         np.testing.assert_array_equal(dx, delta)
 
@@ -162,11 +170,11 @@ class TestMlpGradients:
         _, tape = mlp_apply(net, gen.standard_normal((6, 3)))
         rows = np.array([4, 1, 1])
         upstream = gen.standard_normal((3, 2))
-        dws, dbs, dx = mlp_gradients(net, tape_rows(tape, rows), upstream)
+        store, dx = gradients(net, tape_rows(tape, rows), upstream)
         _, sub_tape = mlp_apply(net, tape.inputs[0][rows])
-        ref_ws, ref_bs, ref_dx = mlp_gradients(net, sub_tape, upstream)
-        for got, want in zip(dws + dbs + [dx], ref_ws + ref_bs + [ref_dx]):
-            np.testing.assert_array_equal(got, want)
+        ref_store, ref_dx = gradients(net, sub_tape, upstream)
+        np.testing.assert_array_equal(store.flat, ref_store.flat)
+        np.testing.assert_array_equal(dx, ref_dx)
 
     def test_softplus_derivative_from_tape_is_bitwise(self):
         """The softplus derivative is the logistic function of the stored
@@ -175,14 +183,15 @@ class TestMlpGradients:
         gen = RngStream(4).generator()
         _, tape = mlp_apply(net, gen.standard_normal((6, 3)))
         upstream = gen.standard_normal((6, 2))
-        dws, dbs, dx = mlp_gradients(net, tape, upstream)
+        store, dx = gradients(net, tape, upstream)
         delta = upstream
         last = len(net.weights) - 1
         for i in range(last, -1, -1):
             if i != last:
                 delta = delta * (1.0 / (1.0 + np.exp(-tape.preacts[i])))
-            np.testing.assert_array_equal(dws[i], tape.inputs[i].T @ delta)
-            np.testing.assert_array_equal(dbs[i], delta.sum(axis=0))
+            np.testing.assert_array_equal(store[f"W{i}"],
+                                          tape.inputs[i].T @ delta)
+            np.testing.assert_array_equal(store[f"b{i}"], delta.sum(axis=0))
             delta = delta @ net.weights[i].T
         np.testing.assert_array_equal(dx, delta)
 
@@ -200,62 +209,108 @@ class TestMlpGradients:
         _, tape = mlp_apply(net, np.zeros((1, 2)))
         net.bump_version()
         with pytest.raises(ContractViolation):
-            mlp_gradients(net, tape, np.zeros((1, 2)))
+            gradients(net, tape, np.zeros((1, 2)))
 
 
 class TestMlpInputGradient:
+    """The input gradient alone: no gradient store (`grad=None`)."""
+
     @pytest.mark.parametrize("activation", ["tanh", "softplus"])
     @pytest.mark.parametrize("rows", [None, [4, 1, 1, 0]])
     def test_bitwise_equal_to_mlp_gradients(self, activation, rows):
+        """... to the input gradient of a call that adds into a store."""
         net = make_net([3, 5, 4, 2], seed=9, activation=activation)
         gen = RngStream(10).generator()
         _, tape = mlp_apply(net, 3.0 * gen.standard_normal((6, 3)))
         if rows is not None:
             tape = tape_rows(tape, np.array(rows))
         upstream = gen.standard_normal((tape.inputs[0].shape[0], 2))
-        _, _, want = mlp_gradients(net, tape, upstream)
-        np.testing.assert_array_equal(mlp_input_gradient(net, tape, upstream),
-                                      want)
+        _, want = gradients(net, tape, upstream)
+        assert mlp_gradients(net, tape, upstream).tobytes() == want.tobytes()
 
     def test_stale_tape_rejected(self):
         net = make_net([2, 3, 2])
         _, tape = mlp_apply(net, np.zeros((1, 2)))
         net.bump_version()
         with pytest.raises(ContractViolation):
-            mlp_input_gradient(net, tape, np.zeros((1, 2)))
+            mlp_gradients(net, tape, np.zeros((1, 2)))
 
     def test_upstream_shape_checked(self):
         net = make_net([2, 3, 2])
         _, tape = mlp_apply(net, np.zeros((2, 2)))
         with pytest.raises(ShapeError):
-            mlp_input_gradient(net, tape, np.zeros((1, 2)))
+            mlp_gradients(net, tape, np.zeros((1, 2)))
 
 
 class TestMlpParamGradients:
+    """The parameter gradients alone: `with_input=False`."""
+
     @pytest.mark.parametrize("activation", ["tanh", "softplus"])
     @pytest.mark.parametrize("dims", [[3, 2], [3, 5, 4, 2]])
     def test_bitwise_equal_to_mlp_gradients(self, activation, dims):
+        """... to the parameter gradients of a call that also returns the
+        input gradient."""
         net = make_net(dims, seed=11, activation=activation)
         gen = RngStream(12).generator()
         _, tape = mlp_apply(net, 3.0 * gen.standard_normal((6, 3)))
         upstream = gen.standard_normal((6, 2))
-        want_ws, want_bs, _ = mlp_gradients(net, tape, upstream)
-        got_ws, got_bs = mlp_param_gradients(net, tape, upstream)
-        for got, want in zip(got_ws + got_bs, want_ws + want_bs):
-            assert got.tobytes() == want.tobytes()
+        want, _ = gradients(net, tape, upstream)
+        got, dx = gradients(net, tape, upstream, with_input=False)
+        assert dx is None
+        assert got.flat.tobytes() == want.flat.tobytes()
 
     def test_stale_tape_rejected(self):
         net = make_net([2, 3, 2])
         _, tape = mlp_apply(net, np.zeros((1, 2)))
         net.bump_version()
+        store = Params(mlp_shapes("", net.layer_dims))
         with pytest.raises(ContractViolation):
-            mlp_param_gradients(net, tape, np.zeros((1, 2)))
+            mlp_gradients(net, tape, np.ones((1, 2)),
+                          Mlp.view(store, "", net.layer_dims), False)
+        assert not store.flat.any()  # refused before any add
 
     def test_upstream_shape_checked(self):
         net = make_net([2, 3, 2])
         _, tape = mlp_apply(net, np.zeros((2, 2)))
+        store = Params(mlp_shapes("", net.layer_dims))
         with pytest.raises(ShapeError):
-            mlp_param_gradients(net, tape, np.zeros((1, 2)))
+            mlp_gradients(net, tape, np.ones((1, 2)),
+                          Mlp.view(store, "", net.layer_dims), False)
+        assert not store.flat.any()
+
+
+class TestGradientStore:
+    """mlp_gradients adds into the model's own views of a gradient store."""
+
+    @pytest.mark.parametrize("name", ["encoder", "head", "projector",
+                                      "decoder", "router"])
+    def test_touches_its_own_blocks_only(self, four_expert_model, name):
+        model = four_expert_model
+        ws = Workspace(model)
+        net = getattr(model, name)
+        gen = RngStream(15).generator()
+        _, tape = mlp_apply(net, gen.standard_normal((5, net.layer_dims[0])))
+        mlp_gradients(net, tape, gen.standard_normal((5, net.layer_dims[-1])),
+                      getattr(ws.grad, name))
+        for block, g in ws.grads.items():
+            if block.startswith(f"{name}."):
+                assert g.any(), block
+            else:  # every other net's and every expert's: bitwise +0.0
+                assert g.tobytes() == bytes(g.nbytes), block
+
+    def test_two_calls_accumulate(self):
+        net = make_net([3, 5, 4, 2], seed=13)
+        gen = RngStream(14).generator()
+        _, tape = mlp_apply(net, gen.standard_normal((6, 3)))
+        u1, u2 = gen.standard_normal((2, 6, 2))
+        store = Params(mlp_shapes("", net.layer_dims))
+        grad = Mlp.view(store, "", net.layer_dims)
+        mlp_gradients(net, tape, u1, grad, False)
+        mlp_gradients(net, tape, u2, grad)
+        want = np.zeros(store.flat.shape)
+        want += gradients(net, tape, u1)[0].flat
+        want += gradients(net, tape, u2)[0].flat
+        assert store.flat.tobytes() == want.tobytes()
 
 
 class TestAdam:

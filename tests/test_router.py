@@ -133,9 +133,10 @@ class TestWtaLoss:
         _, grads, info = wta_loss(model, x0, x1, t, TrainConfig())
         losers = [k for k in range(model.n_experts) if k not in info.winners]
         assert losers
-        for k in losers:
-            assert np.all(grads[f"expert{k}.S"] == 0.0)
-            assert np.all(grads[f"expert{k}.R"] == 0.0)
+        for k in losers:  # never written: +0.0, not -0.0
+            for part in "SR":
+                g = grads[f"expert{k}.{part}"]
+                assert g.tobytes() == bytes(g.nbytes), (k, part)
 
     def test_perturbing_masked_expert_does_not_move_loss(self,
                                                          four_expert_model,
@@ -147,8 +148,7 @@ class TestWtaLoss:
         losers = [k for k in range(model.n_experts) if k not in info.winners]
         assert losers
         for k in losers:
-            model.expert_s[k] += 1e-3
-            model.expert_r[k] += 1e-3
+            model.expert_pairs[k] += 1e-3  # its S and its R
         loss2, _, info2 = wta_loss(model, x0, x1, t, cfg)
         np.testing.assert_array_equal(info2.winners, info.winners)
         assert abs(loss2 - loss) <= 1e-12

@@ -1,10 +1,12 @@
 """The benchmark traces prismflow functions by name; a rename must fail
 here rather than inside a benchmark run. The package's modules import
-nothing they do not use, and define nothing that no code uses."""
+nothing they do not use, and define nothing that no code uses, and only
+the model and the numerics core spell a parameter block's name."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,3 +163,57 @@ def test_every_top_level_name_is_used_somewhere():
         unused = [n for n in top_level_names(path.read_text())
                   if n not in used]
         assert unused == [], path.name
+
+
+# a parameter block's name in a string, `{}` standing for each f-string
+# placeholder: a net's prefix alone, a net's layer block, or an expert's
+_NET = r"(?:encoder|head|projector|decoder|router)\."
+BLOCK_NAME = re.compile("^" + _NET + "$|\\b" + _NET + r"[Wb](?:\d|\{\})"
+                        r"|\bexpert(?:\d+|\{\})\.")
+
+
+def block_name_strings(source: str) -> list:
+    """Strings and f-strings of a module, docstrings aside, that spell a
+    parameter block's name."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)):
+            skip.add(id(body[0].value))  # a docstring
+        if isinstance(node, ast.JoinedStr):
+            skip |= {id(v) for v in node.values}  # read with the f-string
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                           for v in node.values)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            text = node.value
+        else:
+            continue
+        if BLOCK_NAME.search(text):
+            found.append(f"{text!r} (line {node.lineno})")
+    return found
+
+
+def test_block_name_strings_are_found():
+    source = ('def f(k, i):\n    """Adds into decoder.W0 and expert{k}.S."""\n'
+              '    g["head."], g[f"expert{k}.R"], g[f"router.W{i}"]\n'
+              '    g["encoder.b1"], g[f"expert{k}.{i}"]\n'
+              '    raise E(f"expert {k} in the head.", "router.balance")\n'
+              '    return f"expert{k},{i}", "decoder"\n')
+    assert block_name_strings(source) == [
+        "'head.' (line 3)", "'expert{}.R' (line 3)", "'router.W{}' (line 3)",
+        "'encoder.b1' (line 4)", "'expert{}.{}' (line 4)"]
+
+
+def test_only_the_model_and_the_core_spell_block_names():
+    """The parameter layout is decided in `model.param_layout` and
+    `numcore.mlp_shapes`; every other module reaches a block through the
+    model's views, or through `Workspace.grad` for its gradient."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in ("model.py", "numcore.py"):
+            assert block_name_strings(path.read_text()) == [], path.name

@@ -183,10 +183,10 @@ class TestFusedTotalLoss:
         rows = []
         original = router_module.mlp_gradients
 
-        def recorded(net, tape, upstream):
+        def recorded(net, tape, upstream, *rest):
             if net is model.decoder:
                 rows.append(upstream.shape[0])
-            return original(net, tape, upstream)
+            return original(net, tape, upstream, *rest)
 
         monkeypatch.setattr(router_module, "mlp_gradients", recorded)
         x0, x1, t = tiny_batch
@@ -432,6 +432,36 @@ def test_acceptance_shape_fit_is_pinned_bit_for_bit(n_experts, n):
                    TrainConfig(epochs=1, batch_size=128, seed=7))
     assert hashlib.sha256(model.params().flat.tobytes()).hexdigest() == \
         ACCEPTANCE_PINS[n_experts, n]
+
+
+# the gradient store of one `total_loss` at the acceptance shape on a fresh
+# model, and its SHA-256: any change to the bytes the backward adds, the
+# sign of a zero included, shows here, while the fit pins see it only
+# through Adam
+GRADIENT_PINS = {
+    "k4": (4, {}, "5fa6649ca6115c1cf55e8f30286edf6c"
+                  "330d4cc301f5c96adbae6f84e927e01d"),
+    "k1": (1, {}, "7eab31564a2455546c232a56eeb6e2b1"
+                  "9f8d252d6441bcbe4ebc9fd78cc58de9"),
+    "late_gate": (4, dict(beta=0.5, lambda_kind="late-gate"),
+                  "12b3200268f1aaed0b2a71ae705be82a"
+                  "818c43c0449254d217cfbf8f20d9f4e4"),
+}
+
+
+@pytest.mark.parametrize("variant", list(GRADIENT_PINS))
+def test_acceptance_shape_gradients_are_pinned_bit_for_bit(variant):
+    n_experts, settings, want = GRADIENT_PINS[variant]
+    model = PrismFlowModel.init(ModelConfig(seq_len=64, channels=1,
+                                            hidden_dim=48,
+                                            n_experts=n_experts),
+                                RngStream(7))
+    gen = RngStream(9).generator()
+    x1 = gen.standard_normal((128, 64, 1)) * 0.5
+    x0 = gen.standard_normal(x1.shape)
+    t = gen.uniform(size=128)
+    _, grads, _, _ = total_loss(model, x0, x1, t, TrainConfig(**settings))
+    assert hashlib.sha256(grads.flat.tobytes()).hexdigest() == want
 
 
 def test_fit_checks_its_config_once(monkeypatch):
