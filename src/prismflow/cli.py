@@ -64,21 +64,21 @@ SETTINGS = {
 }
 
 
-def _owner(key, tcfg=TrainConfig, mcfg=ModelConfig):
-    """The config that holds a setting: the model's or the training's."""
-    return mcfg if hasattr(mcfg, key) else tcfg
+def _owner(key):
+    """The config class that holds a setting: the model's or the training's."""
+    return ModelConfig if hasattr(ModelConfig, key) else TrainConfig
 
 
 def _configs(args) -> tuple[TrainConfig, ModelConfig]:
-    """Training and model configs: defaults, then the config file (where an
-    unknown section or key, or a value that does not parse, is a
-    ConfigError), then command-line flags."""
+    """Training and model configs, each made once from its defaults, then
+    the config file (where an unknown section or key, or a value that does
+    not parse, is a ConfigError), then command-line flags."""
     path = args.config or os.environ.get(CONFIG_ENV)
     sections = load_config_file(path) if path else {}
     unknown = [section for section in sections if section not in SETTINGS]
     if unknown:
         raise ConfigError(f"{path}: unknown section [{unknown[0]}]")
-    tcfg, mcfg = TrainConfig(seed=args.seed), ModelConfig()
+    values = {TrainConfig: {"seed": args.seed}, ModelConfig: {}}
     for section, flags in SETTINGS.items():
         for key, text in sections.get(section, {}).items():
             if key not in flags:
@@ -86,13 +86,14 @@ def _configs(args) -> tuple[TrainConfig, ModelConfig]:
                                   f"[{section}]")
             kind = type(getattr(_owner(key), key))
             try:
-                setattr(_owner(key, tcfg, mcfg), key, kind(text))
+                values[_owner(key)][key] = kind(text)
             except ValueError:
                 raise ConfigError(f"{path}: [{section}] {key} = {text!r} is "
                                   f"not a valid {kind.__name__}") from None
         for key in flags.keys() & _resolved(args).keys():  # flags given
-            setattr(_owner(key, tcfg, mcfg), key, getattr(args, key))
-    return tcfg, mcfg
+            values[_owner(key)][key] = getattr(args, key)
+    return (TrainConfig(**values[TrainConfig]),
+            ModelConfig(**values[ModelConfig]))
 
 
 def _load_windows(path, **kwargs):

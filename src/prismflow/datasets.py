@@ -89,7 +89,7 @@ def gen_bimodal_frequency(n, seq_len, channels, f_low, f_high,
     return Dataset(windows, labels=labels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagnosticSpec:
     """Two-mode velocity diagnostic: the target velocity is exactly
     +separation or -separation on every element, by mixture weight."""
@@ -100,7 +100,7 @@ class DiagnosticSpec:
     seq_len: int = 16
     channels: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if (len(self.weights) != 2 or abs(sum(self.weights) - 1.0) > 1e-12
                 or not all(0.0 <= w <= 1.0 for w in self.weights)):
             raise ConfigError("weights must be a 2-way simplex")
@@ -122,7 +122,6 @@ def gen_velocity_mixture_diagnostic(spec: DiagnosticSpec,
     """Paired (x0, x1) draws whose target velocity x1 - x0 is a two-mode
     distribution (+c or -c on all elements) at every intermediate state.
     Returns (x0, x1, signs)."""
-    spec.validate()
     gen = rng.generator()
     x0 = gen.standard_normal((spec.n, spec.seq_len, spec.channels))
     signs = np.where(gen.uniform(size=spec.n) < spec.weights[0], 1.0, -1.0)

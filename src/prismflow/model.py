@@ -29,7 +29,7 @@ def _finite_real(x) -> bool:
     return isinstance(x, numbers.Real) and abs(x) <= sys.float_info.max
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     seq_len: int = 24
     channels: int = 5
@@ -54,7 +54,7 @@ class ModelConfig:
     expert_init: str = "random"
     expert_spread_base: float = 0.25
 
-    def validate(self) -> None:
+    def __post_init__(self):
         sizes = {key: getattr(self, key) for key in _SIZES}
         if self.head_hidden is not None:
             sizes["head_hidden"] = self.head_hidden
@@ -121,7 +121,6 @@ class PrismFlowModel:
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: RngStream) -> "PrismFlowModel":
-        cfg.validate()
         model = cls(cfg, Params(param_layout(cfg)[1]))
         for name, stream in _MLP_STREAMS.items():
             getattr(model, name).draw(rng.child(stream))
@@ -191,7 +190,6 @@ class PrismFlowModel:
             mc = dict(header["model_config"])
             mc["time_freqs"] = tuple(mc["time_freqs"])
             cfg = ModelConfig(**mc)
-            cfg.validate()
             norm = header["normalization"]
             shift = scale = None
             if norm:

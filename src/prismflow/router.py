@@ -94,7 +94,6 @@ def wta_loss(model, x0, x1, t, cfg, lam=None):
 
     Returns (loss, grads, WtaBatchInfo). `cfg` is the training config.
     """
-    cfg.validate()
     ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
     v_global, _ = mlp_layers(model.head, trunk.h)  # value only
@@ -112,8 +111,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
     The decoder runs forward once on K blocks of the B rows, block k by
     expert k, and backward once on the B winner rows of that tape. `scale`
     weights every gradient this term adds to `ws.grad` and the returned
-    trunk-feature gradient dh. The caller has validated the training
-    config `cfg`. Returns (loss, dh, WtaBatchInfo).
+    trunk-feature gradient dh. Returns (loss, dh, WtaBatchInfo).
     """
     b, sd = trunk.xt.shape
     lam = np.ones(b) if lam is None else np.asarray(lam, dtype=np.float64)

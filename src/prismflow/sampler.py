@@ -4,6 +4,7 @@ residual corrections, plus guidance-based conditional sampling."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .router import estimate_endpoint, route
 MODES = ("unconditional", "imputation", "forecasting")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
     steps: int = 100
     gamma: float = 1.0  # residual correction strength
@@ -27,7 +28,9 @@ class SamplerConfig:
     exact_guidance: bool = False  # backprop the endpoint map through the
     # global field instead of the identity approximation
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        if not isinstance(self.steps, numbers.Integral):
+            raise ConfigError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.mode not in MODES:
@@ -44,8 +47,9 @@ class ConditionMask:
     """Observed-value constraint: boolean mask plus values where observed.
 
     Either per-window arrays of shape (n, S, D), one constraint for each
-    of n generated windows, or one (S, D) constraint that every
-    generated window shares.
+    of n generated windows, or one (S, D) constraint for one generated
+    window. Its arrays can change after it is made, so a call that
+    reads it checks it then (`validate`).
     """
 
     mask: np.ndarray  # (n, S, D) or (S, D) bool
@@ -101,17 +105,13 @@ def _global_vjp(model, enc_tape, head_tape, upstream):
 # A finite but huge gamma or eta_g may overflow a step's arithmetic: the
 # state check after each step raises NumericError, with no numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
-def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops,
-                           checked=False):
+def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops):
     """One Euler update x + (v_global + gamma*v_expert) * dt at the flow
     time whose time features are tf (B, 2F), with the dominant expert
     chosen per sample by argmax routing probability. gamma=0 reduces
     exactly to the plain Euler update. `ops` are the experts' operators,
-    assembled once by the caller; at gamma 0 none are read. A step checks
-    `cfg` unless its caller has already (`checked`)."""
+    assembled once by the caller; at gamma 0 none are read."""
     x = np.asarray(x, dtype=np.float64)
-    if not checked:
-        cfg.validate()
     v = _velocity(model, x, tf, cfg, ops)[0].reshape(x.shape)
     xn = x + v * (1.0 / cfg.steps)
     if not np.isfinite(xn).all():
@@ -121,7 +121,6 @@ def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops,
 
 def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     """Draw n source samples and integrate the flow from t=0 to 1."""
-    cfg.validate()
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
     s, d = model.cfg.seq_len, model.cfg.channels
@@ -130,7 +129,7 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
         return x
     ops = model.operators() if cfg.gamma else None
     for tf in step_time_features(model, cfg.steps, n):
-        x = residual_velocity_step(model, x, tf, cfg, ops, checked=True)
+        x = residual_velocity_step(model, x, tf, cfg, ops)
     return x
 
 
@@ -150,7 +149,6 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     from the noise of stream (rng.seed, rng.stream + i), so it matches a
     one-window call with that stream up to rounding.
     """
-    cfg.validate()
     if cfg.mode == "unconditional":
         raise ContractViolation("conditional generation needs a conditional mode")
     cond.validate()

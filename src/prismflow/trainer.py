@@ -5,6 +5,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -21,7 +22,7 @@ from .router import balance_core, route, wta_core
 LAMBDA_KINDS = ("constant", "linear-ramp", "late-gate")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     alpha_w: float = 1.0
     alpha_b: float = 0.005
@@ -35,11 +36,15 @@ class TrainConfig:
     prob_floor: float = 1e-8
     divergence_guard: float = 1e6
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for key in ("lr", "alpha_w", "alpha_b", "beta", "wta_eps",
                     "prob_floor", "divergence_guard"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
+        for key in ("epochs", "batch_size"):  # range() counts by them
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
         if self.alpha_w < 0 or self.alpha_b < 0:
@@ -80,12 +85,11 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
     term + balance. The trunk, head, router and projector run forward
     once, and the summed trunk-feature gradient goes through one encoder
     backward.
-    Without a workspace it checks `cfg` and returns fresh arrays; `fit`
-    checks once and passes its `ws`, whose arrays each call overwrites.
+    Without a workspace it returns fresh arrays; `fit` passes its `ws`,
+    whose arrays each call overwrites.
     Returns (value, grads, parts, wta_info).
     """
     if ws is None:
-        cfg.validate()
         ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
     lam = lambda_schedule(cfg.lambda_kind, trunk.t)
@@ -145,7 +149,6 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
 
     Returns (model, TrainReport). Deterministic given (configs, seed).
     """
-    cfg.validate()
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[0] == 0:
         raise ContractViolation("fit expects a nonempty (n, S, D) window array")

@@ -51,7 +51,6 @@ def vanilla_euler_generate(model, n: int, steps: int,
 def reference_total_loss(model, x0, x1, t, cfg):
     """Reference objective: the three public per-objective losses, each
     with its own trunk pass, summed with their weights."""
-    cfg.validate()
     lam = lambda_schedule(cfg.lambda_kind, t)
     c_val, grads = cfm_loss(model, x0, x1, t)
     w_val, w_grads, info = wta_loss(model, x0, x1, t, cfg, lam=lam)

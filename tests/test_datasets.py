@@ -79,7 +79,7 @@ class TestVelocityDiagnostic:
 
     def test_bad_weights(self):
         with pytest.raises(ConfigError):
-            DiagnosticSpec(weights=(0.7, 0.7)).validate()
+            DiagnosticSpec(weights=(0.7, 0.7))
 
 
 class TestCsvRoundTrip:

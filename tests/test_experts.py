@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ class TestLatentVelocity:
     def test_negative_identity(self, tiny_model):
         tiny_model.expert_pairs[0, 0] = 0.0
         tiny_model.expert_pairs[0, 1] = np.eye(4)
-        tiny_model.cfg.delta = 0.0
+        tiny_model.cfg = replace(tiny_model.cfg, delta=0.0)
         v = np.array([1.0, -2.0, 0.5, 3.0])
         np.testing.assert_allclose(v @ tiny_model.operators()[0].T, -v)
 

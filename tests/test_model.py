@@ -127,12 +127,12 @@ class TestModelConfigValidate:
                                      "dec_hidden", "router_hidden"])
     @pytest.mark.parametrize("value", [0, -3, 2.0, "4"])
     def test_sizes_are_integers_of_at_least_one(self, key, value):
-        ModelConfig(**{key: 1}).validate()
+        ModelConfig(**{key: 1})
         with pytest.raises(ConfigError, match=key):
-            ModelConfig(**{key: value}).validate()
+            ModelConfig(**{key: value})
 
     def test_head_hidden_may_be_unset(self):
-        ModelConfig(head_hidden=None).validate()
+        ModelConfig(head_hidden=None)
 
     @pytest.mark.parametrize("key", ["delta", "expert_init_scale",
                                      "expert_spread_base"])
@@ -141,14 +141,14 @@ class TestModelConfigValidate:
                                        None])
     def test_reals_are_finite(self, key, value):
         with pytest.raises(ConfigError, match=key):
-            ModelConfig(**{key: value}).validate()
+            ModelConfig(**{key: value})
 
     @pytest.mark.parametrize("freqs", [(1.0, float("nan")), (float("inf"),),
                                        ("a",)])
     def test_time_freqs_are_finite(self, freqs):
         with pytest.raises(ConfigError, match="time_freqs"):
-            ModelConfig(time_freqs=freqs).validate()
+            ModelConfig(time_freqs=freqs)
 
     def test_unknown_activation(self):
         with pytest.raises(ConfigError, match="activation"):
-            ModelConfig(activation="relu").validate()
+            ModelConfig(activation="relu")

@@ -32,22 +32,27 @@ def constant_field(model, c):
 class TestSamplerConfig:
     def test_bad_steps(self):
         with pytest.raises(ConfigError):
-            SamplerConfig(steps=0).validate()
+            SamplerConfig(steps=0)
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
-            SamplerConfig(mode="extrapolation").validate()
+            SamplerConfig(mode="extrapolation")
 
     def test_negative_guidance(self):
         with pytest.raises(ConfigError):
-            SamplerConfig(eta_g=-0.5).validate()
+            SamplerConfig(eta_g=-0.5)
+
+    @pytest.mark.parametrize("steps", [2.5, 4.0, "4"])
+    def test_non_integer_steps(self, steps):
+        with pytest.raises(ConfigError, match="^steps must be an integer"):
+            SamplerConfig(steps=steps)
 
     @pytest.mark.parametrize("key", ["gamma", "eta_g"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
-            SamplerConfig(**{key: value}).validate()
+            SamplerConfig(**{key: value})
 
 
 class TestGenerate:
@@ -474,30 +479,37 @@ class TestStepPlan:
     counted rather than timed."""
 
     def count_calls(self, monkeypatch, model):
-        counts = {"validate": 0, "operators": 0}
-        validate, operators = SamplerConfig.validate, model.operators
+        """Counts, from here on, the config checks (`SamplerConfig`'s
+        `__post_init__`) and the operator bank assemblies."""
+        counts = {"config_checks": 0, "operators": 0}
+        check, operators = SamplerConfig.__post_init__, model.operators
 
-        def counted_validate(cfg):
-            counts["validate"] += 1
-            validate(cfg)
+        def counted_check(cfg):
+            counts["config_checks"] += 1
+            check(cfg)
 
         def counted_operators():
             counts["operators"] += 1
             return operators()
 
-        monkeypatch.setattr(SamplerConfig, "validate", counted_validate)
+        monkeypatch.setattr(SamplerConfig, "__post_init__", counted_check)
         monkeypatch.setattr(model, "operators", counted_operators)
         return counts
 
     @pytest.mark.parametrize("gamma", [1.0, 0.0])
     def test_generate_checks_and_assembles_once(self, four_expert_model,
                                                 gamma, monkeypatch):
+        """The config is checked once, when it is made, and not again
+        inside the call."""
+        with pytest.raises(ConfigError, match="steps must be >= 1"):
+            SamplerConfig(steps=0, gamma=gamma)
+        cfg = SamplerConfig(steps=7, gamma=gamma)
         counts = self.count_calls(monkeypatch, four_expert_model)
         rows = record_decodes(monkeypatch)
         tapes = record_tapes(monkeypatch)
-        generate(four_expert_model, 5, SamplerConfig(steps=7, gamma=gamma),
-                 RngStream(31))
-        assert counts == {"validate": 1, "operators": int(gamma != 0.0)}
+        generate(four_expert_model, 5, cfg, RngStream(31))
+        assert counts == {"config_checks": 0,
+                          "operators": int(gamma != 0.0)}
         assert rows == ([5] * 7 if gamma else [])
         assert tapes == []  # no pass of `generate` is back-propagated
 
@@ -507,17 +519,21 @@ class TestStepPlan:
                                                    gamma, exact,
                                                    monkeypatch):
         model = four_expert_model
+        with pytest.raises(ConfigError, match="eta_g must be >= 0"):
+            SamplerConfig(steps=7, gamma=gamma, eta_g=-1.0,
+                          mode="imputation", exact_guidance=exact)
+        cfg = SamplerConfig(steps=7, gamma=gamma, mode="imputation",
+                            exact_guidance=exact)
         counts = self.count_calls(monkeypatch, model)
         rows = record_decodes(monkeypatch)
         tapes = record_tapes(monkeypatch)
         mask = np.zeros((3, 8, 2), dtype=bool)
         mask[:, ::2] = True
-        cfg = SamplerConfig(steps=7, gamma=gamma, mode="imputation",
-                            exact_guidance=exact)
         generate_conditional(model, ConditionMask(mask, np.where(mask, 0.5,
                                                                  0.0)),
                              cfg, RngStream(32))
-        assert counts == {"validate": 1, "operators": int(gamma != 0.0)}
+        assert counts == {"config_checks": 0,
+                          "operators": int(gamma != 0.0)}
         assert rows == ([3] * 7 if gamma else [])
         # only the encoder and head passes are back-propagated, and only
         # by exact guidance: hidden 8 twice, then head hidden 32 and S*D
@@ -527,11 +543,14 @@ class TestStepPlan:
     def test_single_step_checks_once(self, four_expert_model, monkeypatch):
         model = four_expert_model
         ops = model.operators()
+        with pytest.raises(ConfigError, match="gamma must be finite"):
+            SamplerConfig(steps=7, gamma=float("nan"))
+        cfg = SamplerConfig(steps=7)
         counts = self.count_calls(monkeypatch, model)
         x = RngStream(33).generator().standard_normal((4, 8, 2))
         tf = step_time_features(model, 7, 4)[2]
-        residual_velocity_step(model, x, tf, SamplerConfig(steps=7), ops)
-        assert counts == {"validate": 1, "operators": 0}
+        residual_velocity_step(model, x, tf, cfg, ops)
+        assert counts == {"config_checks": 0, "operators": 0}
 
     def test_state_check_names_the_guidance_step(self, tiny_model):
         cond = ConditionMask(np.ones((8, 2), bool), np.zeros((8, 2)))

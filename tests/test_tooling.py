@@ -1,13 +1,17 @@
 """The benchmark traces prismflow functions by name; a rename must fail
 here rather than inside a benchmark run. The package's modules import
-nothing they do not use, and define nothing that no code uses, and only
-the model and the numerics core spell a parameter block's name."""
+nothing they do not use, and define nothing that no code uses, only
+the model and the numerics core spell a parameter block's name, and
+every config is checked once, when it is made."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -217,3 +221,47 @@ def test_only_the_model_and_the_core_spell_block_names():
     for path in sorted(SRC.glob("*.py")):
         if path.name not in ("model.py", "numcore.py"):
             assert block_name_strings(path.read_text()) == [], path.name
+
+
+def validate_calls(source: str) -> list:
+    """The receiver of every `.validate()` call of a module, as written."""
+    return [ast.unparse(node.func.value)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "validate"]
+
+
+def test_validate_calls_are_found():
+    source = ("def f(cfg, cond, m):\n    cfg.validate()\n"
+              "    cond.validate()\n    m.cfg.validate(1)\n"
+              "    return validate(cond)\n")
+    assert validate_calls(source) == ["cfg", "cond", "m.cfg"]
+
+
+def test_configs_are_checked_once_when_they_are_made():
+    """Every config dataclass is frozen and checks itself when it is made,
+    as `RngStream` does, so no call checks one again. Only a
+    `ConditionMask`, whose arrays can change after it is made, has a
+    `validate` that its caller runs."""
+    classes = {cls for path in sorted(SRC.glob("*.py"))
+               for cls in vars(importlib.import_module(
+                   f"prismflow.{path.stem}")).values()
+               if isinstance(cls, type)
+               and cls.__module__ == f"prismflow.{path.stem}"}
+    configs = {cls for cls in classes if dataclasses.is_dataclass(cls)
+               and cls.__name__.endswith(("Config", "Spec"))}
+    assert {cls.__name__ for cls in configs} >= {
+        "TrainConfig", "ModelConfig", "SamplerConfig", "DiagnosticSpec"}
+    for cls in configs:
+        assert cls.__dataclass_params__.frozen, cls.__name__
+        cfg = cls()
+        field = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, getattr(cfg, field))
+    assert [cls.__name__ for cls in classes
+            if "validate" in vars(cls)] == ["ConditionMask"]
+    calls = {path.name: validate_calls(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: c for name, c in calls.items() if c} == {
+        "sampler.py": ["cond"]}

@@ -195,9 +195,14 @@ class TestFusedTotalLoss:
 
     def test_one_config_check_and_one_bank_per_call(self, four_expert_model,
                                                     tiny_batch, monkeypatch):
-        """Counts the `validate` calls of every config class the trainer
-        and the router hold, and the operator assemblies."""
-        calls = {"validate": 0, "assemble_operator": 0}
+        """The training config is checked once, when it is made: counts
+        the self-checks (`__post_init__`) of every class the trainer and
+        the router hold that has one, and the operator assemblies, inside
+        the call."""
+        with pytest.raises(ConfigError, match="^wta_eps must be > 0$"):
+            TrainConfig(wta_eps=0.0)
+        cfg = TrainConfig()
+        calls = {"config_checks": 0, "assemble_operator": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -207,15 +212,16 @@ class TestFusedTotalLoss:
 
         classes = {cls for module in (router_module, trainer_module)
                    for cls in vars(module).values()
-                   if isinstance(cls, type) and "validate" in vars(cls)}
+                   if isinstance(cls, type) and "__post_init__" in vars(cls)}
+        assert TrainConfig in classes
         for cls in classes:
-            monkeypatch.setattr(cls, "validate",
-                                counted("validate", cls.validate))
+            monkeypatch.setattr(cls, "__post_init__",
+                                counted("config_checks", cls.__post_init__))
         monkeypatch.setattr(model_module, "assemble_operator", counted(
             "assemble_operator", model_module.assemble_operator))
         x0, x1, t = tiny_batch
-        total_loss(four_expert_model, x0, x1, t, TrainConfig())
-        assert calls == {"validate": 1, "assemble_operator": 1}
+        total_loss(four_expert_model, x0, x1, t, cfg)
+        assert calls == {"config_checks": 0, "assemble_operator": 1}
 
 
 class TestTrainConfig:
@@ -225,32 +231,41 @@ class TestTrainConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
-            TrainConfig(**{key: value}).validate()
+            TrainConfig(**{key: value})
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ConfigError):
-            TrainConfig(lr=-1e-3).validate()
+            TrainConfig(lr=-1e-3)
 
     def test_negative_beta_rejected(self):
-        TrainConfig(beta=0.0).validate()
+        TrainConfig(beta=0.0)
         with pytest.raises(ConfigError, match="^beta must be >= 0$"):
-            TrainConfig(beta=-1e-3).validate()
+            TrainConfig(beta=-1e-3)
 
     def test_zero_wta_eps_rejected(self):
         with pytest.raises(ConfigError, match="^wta_eps must be > 0$"):
-            TrainConfig(wta_eps=0.0).validate()
+            TrainConfig(wta_eps=0.0)
 
     @pytest.mark.parametrize("guard", [0.0, -5.0])
     def test_non_positive_divergence_guard_rejected(self, guard):
-        TrainConfig(divergence_guard=1e-12).validate()
+        TrainConfig(divergence_guard=1e-12)
         with pytest.raises(ConfigError,
                            match="^divergence_guard must be > 0$"):
-            TrainConfig(divergence_guard=guard).validate()
+            TrainConfig(divergence_guard=guard)
 
     def test_negative_epochs_rejected(self):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
         with pytest.raises(ConfigError, match="epochs"):
-            TrainConfig(epochs=-1).validate()
+            TrainConfig(epochs=-1)
+
+    @pytest.mark.parametrize("key,value", [("epochs", 2.5),
+                                           ("batch_size", 2.5),
+                                           ("batch_size", 4.0),
+                                           ("epochs", "3")])
+    def test_non_integer_counts_rejected(self, key, value):
+        TrainConfig(**{key: np.int64(3)})
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+            TrainConfig(**{key: value})
 
 
 class TestFlatAdam:
@@ -464,10 +479,70 @@ def test_acceptance_shape_gradients_are_pinned_bit_for_bit(variant):
     assert hashlib.sha256(grads.flat.tobytes()).hexdigest() == want
 
 
+# expert relabellings of the acceptance shape: expert j of the relabelled
+# model is expert perm[j] of the original, and so is router output j (K=2
+# has only these two)
+RELABELLINGS = [(2, (1, 0)), (2, (0, 1)), (4, (1, 0, 2, 3)),
+                (4, (1, 2, 3, 0)), (4, (3, 2, 1, 0))]
+# the router terms sum over the experts, and a relabelling reorders those
+# sums: a probe of these cases saw the router and encoder gradients move
+# by at most 3.5e-18
+RELABEL_ATOL = 1e-16
+
+
+def relabelled(cfg, flat, perm):
+    """A model over a copy of a parameter or gradient vector, with its
+    expert blocks and its router's last-layer columns in `perm` order."""
+    model = PrismFlowModel(cfg, Params(model_module.param_layout(cfg)[1],
+                                       flat.copy()))
+    perm = list(perm)
+    model.expert_pairs[...] = model.expert_pairs[perm]
+    for a in (model.router.weights[-1], model.router.biases[-1]):
+        a[...] = a[:, perm]
+    return model
+
+
+@pytest.mark.parametrize("n_experts,perm", RELABELLINGS,
+                         ids=[f"k{k}-" + "".join(map(str, p))
+                              for k, p in RELABELLINGS])
+def test_relabelling_the_experts_relabels_the_objective(n_experts, perm):
+    """The experts are exchangeable: relabelling them leaves the loss
+    bitwise equal and relabels the winners and every gradient block."""
+    cfg = ModelConfig(seq_len=64, channels=1, hidden_dim=48,
+                      n_experts=n_experts)
+    model = PrismFlowModel.init(cfg, RngStream(7))
+    other = relabelled(cfg, model.params().flat, perm)
+    gen = RngStream(9).generator()
+    x1 = gen.standard_normal((128, 64, 1)) * 0.5
+    x0 = gen.standard_normal(x1.shape)
+    t = gen.uniform(size=128)
+    # without the router terms every block is relabelled bitwise; with
+    # them, the router and encoder blocks within RELABEL_ATOL
+    for settings, loose in ((dict(beta=0.0, alpha_b=0.0), ()),
+                            ({}, ("router.", "encoder."))):
+        tc = TrainConfig(**settings)
+        value, grads, _, info = total_loss(model, x0, x1, t, tc)
+        value2, grads2, _, info2 = total_loss(other, x0, x1, t, tc)
+        assert value2 == value
+        np.testing.assert_array_equal(np.array(perm)[info2.winners],
+                                      info.winners)
+        want = relabelled(cfg, grads.flat, perm).params()
+        for name, block in grads2.items():
+            if name.startswith(loose):
+                np.testing.assert_allclose(block, want[name], rtol=0,
+                                           atol=RELABEL_ATOL, err_msg=name)
+            else:
+                np.testing.assert_array_equal(block, want[name], name)
+
+
 def test_fit_checks_its_config_once(monkeypatch):
-    """The nine steps of the FIT_PINS set-up check the training config
-    once, up front, and assemble the operator bank once a step."""
-    calls = {"validate": 0, "assemble_operator": 0}
+    """The training config is checked once, when it is made, and not in
+    the nine steps of the FIT_PINS set-up, which assemble the operator
+    bank once a step."""
+    with pytest.raises(ConfigError, match="^batch_size must be >= 1$"):
+        TrainConfig(epochs=3, batch_size=0, seed=7)
+    cfg = TrainConfig(epochs=3, batch_size=8, seed=7)
+    calls = {"config_checks": 0, "assemble_operator": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -475,15 +550,15 @@ def test_fit_checks_its_config_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(TrainConfig, "validate",
-                        counted("validate", TrainConfig.validate))
+    monkeypatch.setattr(TrainConfig, "__post_init__",
+                        counted("config_checks", TrainConfig.__post_init__))
     monkeypatch.setattr(model_module, "assemble_operator", counted(
         "assemble_operator", model_module.assemble_operator))
     mc = ModelConfig(seq_len=8, channels=2, n_experts=4, latent_dim=4,
                      hidden_dim=8, dec_hidden=8, router_hidden=8)
     windows = RngStream(9).generator().standard_normal((20, 8, 2)) * 0.5
-    fit(windows, mc, TrainConfig(epochs=3, batch_size=8, seed=7))
-    assert calls == {"validate": 1, "assemble_operator": 9}
+    fit(windows, mc, cfg)
+    assert calls == {"config_checks": 0, "assemble_operator": 9}
 
 
 def test_steady_state_step_allocates_little(monkeypatch):
