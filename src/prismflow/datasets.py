@@ -21,7 +21,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import atomic_write_text
-from .errors import ConfigError, ContractViolation, ParseError
+from .errors import (ConfigError, ContractViolation, ParseError, check_int,
+                     check_real)
 from .numcore import RngStream
 
 LOAD_MODES = ("blocks", "sliding")
@@ -47,18 +48,12 @@ class Dataset:
         return self.windows.shape[2]
 
 
-def _check_sizes(**sizes) -> None:
-    """Window count and shape of a generated set: each at least 1."""
-    for key, value in sizes.items():
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value}")
-
-
 def gen_sines(n, seq_len, channels, rng: RngStream = RngStream(0)):
     """Sines protocol: channel i of each window is
     sin(2*pi*eta*s/seq_len + theta) with eta ~ U(0, 1) and
     theta ~ U(-pi, pi) drawn per window and channel."""
-    _check_sizes(n=n, seq_len=seq_len, channels=channels)
+    for key, value in (("n", n), ("seq_len", seq_len), ("channels", channels)):
+        check_int(key, value, 1)
     gen = rng.generator()
     eta = gen.uniform(0.0, 1.0, size=(n, 1, channels))
     theta = gen.uniform(-np.pi, np.pi, size=(n, 1, channels))
@@ -72,10 +67,10 @@ def gen_bimodal_frequency(n, seq_len, channels, f_low, f_high,
     """Two-regime stress set: each window is a pure sinusoid at f_low or
     f_high cycles per window (equal probability), random phase. Regime
     labels are kept on the dataset."""
-    _check_sizes(n=n, seq_len=seq_len, channels=channels)
+    for key, value in (("n", n), ("seq_len", seq_len), ("channels", channels)):
+        check_int(key, value, 1)
     for key, f in (("f_low", f_low), ("f_high", f_high)):
-        if not math.isfinite(f):
-            raise ConfigError(f"frequency {key} must be finite, got {f}")
+        check_real(f"frequency {key}", f)
         if not 0 < f < seq_len / 2:
             raise ConfigError(f"frequency {f} aliased for seq_len {seq_len}")
     if f_low == f_high:
@@ -104,11 +99,9 @@ class DiagnosticSpec:
         if (len(self.weights) != 2 or abs(sum(self.weights) - 1.0) > 1e-12
                 or not all(0.0 <= w <= 1.0 for w in self.weights)):
             raise ConfigError("weights must be a 2-way simplex")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if not math.isfinite(self.separation):
-            raise ConfigError(f"separation must be finite, got "
-                              f"{self.separation}")
+        for key in ("n", "seq_len", "channels"):
+            check_int(key, getattr(self, key), 1)
+        check_real("separation", self.separation)
         # the velocity statistics sum n*S*D squared velocities of about
         # c^2; 4c^2 bounds each of them wherever the sum could overflow
         c, elements = self.separation, self.n * self.seq_len * self.channels
@@ -336,6 +329,12 @@ def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
     """
     if mode not in LOAD_MODES:
         raise ConfigError(f"unknown load mode {mode!r}")
+    if seq_len is not None:
+        check_int("seq_len", seq_len, 1)
+    if mode == "sliding":
+        if seq_len is None:
+            raise ConfigError("sliding mode needs seq_len")
+        check_int("stride", stride, 1)
     if not os.path.exists(path):
         raise ContractViolation(f"no such file: {path}")
     channels, rows, lengths = _parse_rows(path)
@@ -350,11 +349,6 @@ def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
             raise ContractViolation(
                 f"{path}: blocks have length {sizes[0]}, expected {seq_len}")
         return Dataset(rows.reshape(lengths.size, sizes[0], len(channels)))
-    if seq_len is None:
-        raise ConfigError("sliding mode needs seq_len")
-    if seq_len < 1 or stride < 1:
-        raise ConfigError(f"sliding mode needs seq_len >= 1 and stride >= 1, "
-                          f"got {seq_len} and {stride}")
     if rows.shape[0] < seq_len:
         raise ContractViolation(
             f"{path}: {rows.shape[0]} rows < window length {seq_len}")

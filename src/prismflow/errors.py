@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two value rules
+that every config, seed and generator checks its settings by."""
+
+import numbers
+import sys
 
 
 class PrismFlowError(Exception):
@@ -23,3 +27,25 @@ class ConfigError(PrismFlowError):
 
 class ParseError(PrismFlowError):
     """An input file is malformed; message carries line/column context."""
+
+
+def check_int(key, value, least=None) -> None:
+    """A ConfigError naming `key` unless `value` is an integer, and at
+    least `least` if given."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}")
+
+
+def check_real(key, value, least=None, above=None) -> None:
+    """A ConfigError naming `key` unless `value` is a real number that
+    converts to a finite float, at least `least` and above `above` if
+    given."""
+    if not (isinstance(value, numbers.Real)
+            and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}")
+    if above is not None and value <= above:
+        raise ConfigError(f"{key} must be > {above}")

@@ -4,14 +4,13 @@ vector (laid out by `param_layout`) that optimizer and checkpoint share."""
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import ConfigError, NumericError, ParseError
+from .errors import (ConfigError, NumericError, ParseError, check_int,
+                     check_real)
 from .flowpath import DEFAULT_TIME_FREQS
 from .experts import assemble_operator
 from .numcore import ACTIVATIONS, Mlp, Params, RngStream, mlp_shapes
@@ -22,11 +21,6 @@ _STREAM_EXPERTS = 6
 
 _SIZES = ("seq_len", "channels", "n_experts", "latent_dim", "hidden_dim",
           "enc_layers", "dec_hidden", "router_hidden")
-
-
-def _finite_real(x) -> bool:
-    """A real number that converts to a finite float."""
-    return isinstance(x, numbers.Real) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -59,16 +53,12 @@ class ModelConfig:
         if self.head_hidden is not None:
             sizes["head_hidden"] = self.head_hidden
         for key, value in sizes.items():
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ConfigError(f"{key} must be an integer >= 1, "
-                                  f"got {value!r}")
-        for key in ("delta", "expert_init_scale", "expert_spread_base"):
-            if not _finite_real(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite")
-        if self.delta < 0:
-            raise ConfigError("delta must be >= 0")
-        if not all(_finite_real(f) for f in self.time_freqs):
-            raise ConfigError("time_freqs must be finite")
+            check_int(key, value, 1)
+        check_real("delta", self.delta, least=0)
+        for key in ("expert_init_scale", "expert_spread_base"):
+            check_real(key, getattr(self, key))
+        for f in self.time_freqs:
+            check_real("time_freqs", f)
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.expert_init not in ("random", "spread"):

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, NumericError, ShapeError
+from .errors import (ConfigError, ContractViolation, NumericError, ShapeError,
+                     check_int)
 
 # hidden activations by name: (activation, derivative), the derivative
 # at hidden layer i of a tape, from its pre-activation tape.preacts[i] or
@@ -43,6 +44,7 @@ class RngStream:
         # rounds a larger value through a float or fails to cast it
         for key in ("seed", "stream"):
             value = getattr(self, key)
+            check_int(key, value)
             if not -2**63 <= value < 2**63:
                 raise ConfigError(f"{key} must be in [-2**63, 2**63), "
                                   f"got {value}")

@@ -3,14 +3,13 @@ residual corrections, plus guidance-based conditional sampling."""
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import save_csv_windows
-from .errors import ConfigError, ContractViolation, NumericError, ShapeError
+from .errors import (ConfigError, ContractViolation, NumericError, ShapeError,
+                     check_int, check_real)
 from .experts import decode_experts
 from .flowpath import encode, time_features
 from .numcore import RngStream, mlp_gradients, mlp_layers
@@ -29,17 +28,11 @@ class SamplerConfig:
     # global field instead of the identity approximation
 
     def __post_init__(self):
-        if not isinstance(self.steps, numbers.Integral):
-            raise ConfigError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
+        check_int("steps", self.steps, 1)
         if self.mode not in MODES:
             raise ConfigError(f"unknown sampler mode {self.mode!r}")
-        for key in ("gamma", "eta_g"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite")
-        if self.eta_g < 0:
-            raise ConfigError("eta_g must be >= 0")
+        check_real("gamma", self.gamma)
+        check_real("eta_g", self.eta_g, least=0)
 
 
 @dataclass
@@ -121,8 +114,7 @@ def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops):
 
 def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     """Draw n source samples and integrate the flow from t=0 to 1."""
-    if n < 0:
-        raise ConfigError(f"sample count must be >= 0, got {n}")
+    check_int("n", n, 0)
     s, d = model.cfg.seq_len, model.cfg.channels
     x = rng.generator().standard_normal((n, s, d))
     if n == 0:

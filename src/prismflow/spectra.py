@@ -36,8 +36,8 @@ def check_dmd(seq_len: int, rank: int, delay: int) -> None:
     if rank < 1 or delay < 1:
         raise ContractViolation(f"DMD needs rank >= 1 and delay >= 1, got "
                                 f"rank={rank}, delay={delay}")
-    if seq_len < delay + 1:
-        raise ContractViolation(f"need S >= delay+1, got S={seq_len}, "
+    if seq_len < delay + 2:  # at least one snapshot pair per window
+        raise ContractViolation(f"need S >= delay+2, got S={seq_len}, "
                                 f"delay={delay}")
 
 

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import configparser
 import json
-import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .checkpoint import atomic_write_text
-from .errors import ConfigError, ContractViolation, NumericError
+from .errors import (ConfigError, ContractViolation, NumericError,
+                     check_int, check_real)
 from .flowpath import cfm_core, trunk_forward
 from .model import ModelConfig, PrismFlowModel
 from .numcore import (AdamState, RngStream, Workspace, adam_update,
@@ -37,30 +36,16 @@ class TrainConfig:
     divergence_guard: float = 1e6
 
     def __post_init__(self):
-        for key in ("lr", "alpha_w", "alpha_b", "beta", "wta_eps",
-                    "prob_floor", "divergence_guard"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite")
-        for key in ("epochs", "batch_size"):  # range() counts by them
-            value = getattr(self, key)
-            if not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
-        if self.alpha_w < 0 or self.alpha_b < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        for key in ("alpha_w", "alpha_b", "lr", "beta"):
+            check_real(key, getattr(self, key), least=0)
+        check_real("prob_floor", self.prob_floor)  # fit bounds it by 1/K
+        check_real("wta_eps", self.wta_eps, above=0)
+        # at 0 or below every loss would exceed the guard
+        check_real("divergence_guard", self.divergence_guard, above=0)
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
         if self.lambda_kind not in LAMBDA_KINDS:
             raise ConfigError(f"unknown lambda schedule {self.lambda_kind!r}")
-        if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
-        if self.wta_eps <= 0:
-            raise ConfigError("wta_eps must be > 0")
-        if self.divergence_guard <= 0:  # every loss would exceed it
-            raise ConfigError("divergence_guard must be > 0")
 
 
 def lambda_schedule(kind: str, t):

@@ -459,7 +459,7 @@ class TestRefusedBeforeWork:
     @pytest.mark.parametrize("metrics,flags,gen,err", [
         ("corr,bogus", [], (80, 24), "unknown metric 'bogus'"),
         ("corr,spectral", ["--rank", "0"], (80, 24), "DMD needs rank >= 1"),
-        ("corr,spectral", ["--delay", "30"], (80, 24), "need S >= delay+1"),
+        ("corr,spectral", ["--delay", "30"], (80, 24), "need S >= delay+2"),
         ("corr,pred,disc", [], (80, 24),
          "disc needs real and generated windows"),
         ("corr,disc", [], (10, 32), "disc needs at least 64 windows"),
@@ -542,7 +542,30 @@ class TestRefusedBeforeWork:
             self.check_refused(capsys, [
                 "dmd", "--real", paths["real"], "--gen", paths["gen"],
                 "--rank", "10", "--delay", "8", "--out", str(out)], out,
-                "need S >= delay+1, got S=8, delay=8")
+                "need S >= delay+2, got S=8, delay=8")
+        assert calls == []
+
+    def test_dmd_needs_a_snapshot_pair(self, tmp_path, capsys, monkeypatch):
+        """At S = delay+1 a window holds no snapshot pair: `eval` refuses
+        before the disc net trains, and `dmd` before either DMD runs."""
+        data = str(tmp_path / "data.csv")
+        assert run("gen-data", "--kind", "sines", "--n", "80", "--seq-len",
+                   "9", "--channels", "1", "--seed", "0", "--out", data) == 0
+        capsys.readouterr()
+        calls = []
+        for name in ("discriminative_score", "exact_dmd"):
+            monkeypatch.setattr(cli_module, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        err = "need S >= delay+2, got S=9, delay=8"
+        report = tmp_path / "report.jsonl"
+        self.check_refused(capsys, [
+            "eval", "--real", data, "--gen", data, "--metrics",
+            "disc,spectral", "--delay", "8", "--out", str(report)], report,
+            err)
+        out = tmp_path / "dmd.csv"
+        self.check_refused(capsys, [
+            "dmd", "--real", data, "--gen", data, "--delay", "8",
+            "--out", str(out)], out, err)
         assert calls == []
 
     @pytest.mark.parametrize("inputs", [("--real",), ("--gen",),

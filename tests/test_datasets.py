@@ -494,13 +494,20 @@ class TestCsvContract:
         assert ds.windows.tobytes() == want.tobytes()
         assert peak < windows.nbytes + 4 * 2**20
 
-    @pytest.mark.parametrize("seq_len,stride", [(0, 1), (2, 0), (2, -1)])
+    @pytest.mark.parametrize("seq_len,stride", [(0, 1), (2, 0), (2, -1),
+                                                (2.5, 1), (2, 2.5)])
     def test_sliding_needs_positive_length_and_stride(self, tmp_path,
                                                       seq_len, stride):
+        """Both are checked before the file is read, so a malformed file
+        reports the setting."""
+        key = "stride" if seq_len == 2 else "seq_len"
         path = str(tmp_path / "long.csv")
         save_csv_windows(np.arange(10.0).reshape(1, 10, 1), path)
-        with pytest.raises(ConfigError):
-            load_csv_windows(path, seq_len=seq_len, stride=stride)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("c0\n1.0\nx\n")
+        for p in (path, str(bad)):
+            with pytest.raises(ConfigError, match=f"^{key} must be "):
+                load_csv_windows(p, seq_len=seq_len, stride=stride)
 
 
 class TestNormalization:

@@ -1,8 +1,9 @@
 """The benchmark traces prismflow functions by name; a rename must fail
 here rather than inside a benchmark run. The package's modules import
 nothing they do not use, and define nothing that no code uses, only
-the model and the numerics core spell a parameter block's name, and
-every config is checked once, when it is made."""
+the model and the numerics core spell a parameter block's name, only
+`errors.py` spells the integer and finite-real rules, and every config
+is checked once, when it is made."""
 
 import ast
 import dataclasses
@@ -221,6 +222,42 @@ def test_only_the_model_and_the_core_spell_block_names():
     for path in sorted(SRC.glob("*.py")):
         if path.name not in ("model.py", "numcore.py"):
             assert block_name_strings(path.read_text()) == [], path.name
+
+
+def value_rule_spellings(source: str) -> list:
+    """Imports of `numbers` and reads of `float_info` in a module: the
+    integer and finite-real rules, spelled where they are decided."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] + [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name in ("numbers", "float_info")]
+    return found
+
+
+def test_value_rule_spellings_are_found():
+    source = ("import math, numbers\nfrom sys import float_info\n"
+              "from numbers import Real\nimport sys\n"
+              "big = sys.float_info.max\nok = math.isfinite(big)\n")
+    assert value_rule_spellings(source) == [
+        "numbers (line 1)", "float_info (line 2)", "numbers (line 3)",
+        "float_info (line 5)"]
+
+
+def test_only_errors_spells_the_value_rules():
+    """`errors.check_int` and `errors.check_real` decide what an integer
+    and a finite real setting are; every config, seed and generator
+    calls them."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "errors.py":
+            assert value_rule_spellings(path.read_text()) == [], path.name
 
 
 def validate_calls(source: str) -> list:
