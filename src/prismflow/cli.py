@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .trainer import LAMBDA_KINDS, TrainConfig, fit, load_config_file
 CONFIG_ENV = "PRISMFLOW_CONFIG"
 
 
-def _resolved(args, omit=("func",)) -> dict:
+def _resolved(args, omit=()) -> dict:
     return {k: v for k, v in sorted(vars(args).items())
             if k not in omit and v is not None}
 
@@ -152,7 +152,7 @@ def cmd_sample(args):
     print(f"wrote {args.n} samples to {args.out}")
 
 
-def _conditional(args, mode):
+def cmd_impute(args, mode="imputation"):
     model = PrismFlowModel.load(args.checkpoint)
     observed = load_csv_windows(args.observed, mode="blocks")
     mask = load_csv_windows(args.mask, mode="blocks").windows
@@ -172,6 +172,9 @@ def _conditional(args, mode):
     export_samples(batch, args.out, model.norm_shift, model.norm_scale)
     _write_meta(args.out, args)
     print(f"wrote {len(batch)} conditional samples to {args.out}")
+
+
+cmd_forecast = partial(cmd_impute, mode="forecasting")
 
 
 def cmd_eval(args):
@@ -201,7 +204,7 @@ def cmd_eval(args):
             window_pair(real, gen, name)
     rows = [{"resolved_config": _resolved(args)}]
     # the hash names the settings, not where the files are
-    config = _resolved(args, omit=("func", "real", "gen", "out"))
+    config = _resolved(args, omit=("real", "gen", "out"))
     for name in wanted:
         value = scores[name]()
         report = MetricReport.build(name, value, args.seed, config)
@@ -272,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--f-high", dest="f_high", type=float, default=8.0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model on a CSV dataset")
     t.add_argument("--data", required=True)
@@ -293,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--quiet", action="store_true")
     t.add_argument("--out", required=True)
     t.add_argument("--report", default=None)
-    t.set_defaults(func=cmd_train)
 
     sampling = argparse.ArgumentParser(add_help=False)  # flags of all three
     sampling.add_argument("--checkpoint", required=True)
@@ -305,15 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", parents=[sampling],
                        help="generate unconditional samples")
     s.add_argument("--n", type=int, required=True)
-    s.set_defaults(func=cmd_sample)
 
-    for verb, mode in (("impute", "imputation"), ("forecast", "forecasting")):
+    for verb in ("impute", "forecast"):
         c = sub.add_parser(verb, parents=[sampling],
                            help=f"{verb} with guidance sampling")
         c.add_argument("--observed", required=True)
         c.add_argument("--mask", required=True)
         c.add_argument("--eta-g", dest="eta_g", type=float, default=1.0)
-        c.set_defaults(func=partial(_conditional, mode=mode))
 
     e = sub.add_parser("eval", help="compare real vs generated CSVs")
     e.add_argument("--real", required=True)
@@ -326,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--delay", type=int, default=1)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_eval)
 
     d = sub.add_parser("dmd", help="DMD spectra of data or trained experts")
     d.add_argument("--real", default=None)
@@ -336,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--rank", type=int, default=10)
     d.add_argument("--delay", type=int, default=1)
     d.add_argument("--out", required=True)
-    d.set_defaults(func=cmd_dmd)
 
     di = sub.add_parser("diagnose",
                         help="two-mode velocity averaging diagnostic")
@@ -344,23 +341,29 @@ def build_parser() -> argparse.ArgumentParser:
     di.add_argument("--w", type=float, default=0.5)
     di.add_argument("--n", type=int, default=5000)
     di.add_argument("--seed", type=int, default=0)
-    di.set_defaults(func=cmd_diagnose)
     return p
 
 
+# the parser of every run_command in this process, built on the first
+_parser = cache(build_parser)
+
+
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    # read at each call, so a verb function replaced on the module runs
+    run = {"gen-data": cmd_gen_data, "train": cmd_train, "sample": cmd_sample,
+           "impute": cmd_impute, "forecast": cmd_forecast, "eval": cmd_eval,
+           "dmd": cmd_dmd, "diagnose": cmd_diagnose}[args.verb]
     # each warning of the verb is one `warning:` line, also under -W error
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = lambda *w: print(f"warning: {w[0]}",
                                                 file=sys.stderr)
         try:
-            args.func(args)
+            run(args)
         except PrismFlowError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

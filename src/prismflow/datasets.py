@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import atomic_write_text
 from .errors import (ConfigError, ContractViolation, ParseError, check_int,
-                     check_real)
+                     check_real, shown)
 from .numcore import RngStream
 
 LOAD_MODES = ("blocks", "sliding")
@@ -102,9 +102,14 @@ class DiagnosticSpec:
         for key in ("n", "seq_len", "channels"):
             check_int(key, getattr(self, key), 1)
         check_real("separation", self.separation)
+        elements = math.prod(map(int, (self.n, self.seq_len, self.channels)))
+        if elements >= 2**60:  # 8-byte floats: past numpy's 2**63 bytes
+            raise ConfigError(f"n * seq_len * channels must be < 2**60, got "
+                              f"{shown(elements)}")
         # the velocity statistics sum n*S*D squared velocities of about
-        # c^2; 4c^2 bounds each of them wherever the sum could overflow
-        c, elements = self.separation, self.n * self.seq_len * self.channels
+        # c^2; 4c^2 bounds each of them wherever the sum could overflow.
+        # A Python float overflows to inf without a numpy warning
+        c = float(self.separation)
         if not math.isfinite(4.0 * c * c * elements):
             raise ConfigError(f"separation {c} overflows the squared "
                               f"velocities of {elements} elements")

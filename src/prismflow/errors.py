@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the two value rules
 that every config, seed and generator checks its settings by."""
 
+import math
 import numbers
 import sys
 
@@ -29,11 +30,23 @@ class ParseError(PrismFlowError):
     """An input file is malformed; message carries line/column context."""
 
 
+def shown(value) -> str:
+    """`value` for a message: its repr, but an integer past float range by
+    its digit count, as Python prints no integer of over 4,300 digits."""
+    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        digits = round(math.log10(abs(value)))  # the count, or one less
+        return f"an integer of {digits + (abs(value) >= 10**digits)} digits"
+    try:
+        return repr(value)
+    except ValueError:  # a value holding such an integer, as a Fraction
+        return f"a {type(value).__name__} too long to print"
+
+
 def check_int(key, value, least=None) -> None:
     """A ConfigError naming `key` unless `value` is an integer, and at
     least `least` if given."""
     if not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {shown(value)}")
     if least is not None and value < least:
         raise ConfigError(f"{key} must be >= {least}")
 
@@ -44,7 +57,7 @@ def check_real(key, value, least=None, above=None) -> None:
     given."""
     if not (isinstance(value, numbers.Real)
             and abs(value) <= sys.float_info.max):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
+        raise ConfigError(f"{key} must be finite, got {shown(value)}")
     if least is not None and value < least:
         raise ConfigError(f"{key} must be >= {least}")
     if above is not None and value <= above:

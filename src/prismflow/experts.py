@@ -50,20 +50,27 @@ def operator_eigenvalues(a: np.ndarray) -> np.ndarray:
     return eig[order]
 
 
-def decode_experts(model, ops, z: np.ndarray, experts, taped: bool = False):
+def expert_gather(ops, n: int):
+    """What `decode_experts` reads of the (K, d_z, d_z) bank `ops` for n
+    rows: [A_1^T ... A_K^T] as one (d_z, K*d_z) view, and the row index."""
+    return ops.reshape(-1, ops.shape[-1]).T, np.arange(n)
+
+
+def decode_experts(model, ops, z, experts, taped=False, gather=None):
     """Residual velocities (n, S*D) of latent codes z (n, d_z), row i
     decoded by expert k = experts[i] with generator A^k = ops[k], from the
     (K, d_z, d_z) bank assembled once per training step or sampling call.
     One product of z with [A_1^T ... A_K^T] gives every expert's latent
     map; each row takes its own expert's block, and the decoder runs once
-    on concat(z, A^k z).
+    on concat(z, A^k z). A caller that decodes n rows at every step passes
+    `gather`, `expert_gather(ops, n)` made once.
 
     Returns (residuals, dec_tape), the tape None unless `taped`.
     """
-    n, bank = z.shape[0], np.asarray(ops)
-    az = np.dot(z, bank.reshape(-1, z.shape[1]).T).reshape(n, len(bank), -1)
-    return decode(model, np.concatenate([z, az[np.arange(n), experts]],
-                                        axis=1), experts, taped)
+    bank, rows = gather or expert_gather(ops, len(z))
+    az = np.dot(z, bank).reshape(len(z), -1, z.shape[1])
+    return decode(model, np.concatenate([z, az[rows, experts]], axis=1),
+                  experts, taped)
 
 
 def decode(model, zaz: np.ndarray, experts, taped: bool = False, ws=None):

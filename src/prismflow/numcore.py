@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, ContractViolation, NumericError, ShapeError,
-                     check_int)
+                     check_int, shown)
 
 # hidden activations by name: (activation, derivative), the derivative
 # at hidden layer i of a tape, from its pre-activation tape.preacts[i] or
@@ -47,7 +47,7 @@ class RngStream:
             check_int(key, value)
             if not -2**63 <= value < 2**63:
                 raise ConfigError(f"{key} must be in [-2**63, 2**63), "
-                                  f"got {value}")
+                                  f"got {shown(value)}")
 
     def generator(self, bits: np.random.Philox | None = None):
         """On `bits` re-keyed if given, sparing a new Philox's entropy draw."""
@@ -159,21 +159,22 @@ class Workspace(dict):
 
 def mlp_layers(net: Mlp, a: np.ndarray, taped: bool = False, ws=None):
     """Every forward pass's layer loop, unchecked: (output, tape or None).
-    Untaped, activations overwrite pre-activations; a workspace holds all."""
+    Untaped, activations overwrite pre-activations and no layer is kept."""
     act = _activation(net.activation)[0]
-    inputs, preacts = [], []
+    tape = Tape([], [], id(net), net.version) if taped else None
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        inputs.append(a)
         if ws is None:
             pre, post = np.dot(a, w), None
         else:  # the layer's pre-activation and activation arrays
             pre, post = ws[(id(net), i), (2, a.shape[0], w.shape[1])]
             np.dot(a, w, pre)
         pre += b
-        preacts.append(pre)
+        if taped:
+            tape.inputs.append(a)
+            tape.preacts.append(pre)
         a = pre if i == last else act(pre, post if taped else pre)
-    return a, Tape(inputs, preacts, id(net), net.version) if taped else None
+    return a, tape
 
 
 def mlp_apply(net: Mlp, x: np.ndarray):

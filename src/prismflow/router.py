@@ -46,6 +46,11 @@ def estimate_endpoint(x_t, t, v, out=None):
         raise ShapeError("velocity shape does not match state shape")
     t = np.asarray(t, dtype=np.float64)  # one t: float arithmetic, same bits
     t = t.reshape((-1,) + (1,) * (x_t.ndim - 1)) if t.ndim else float(t)
+    return endpoint(x_t, t, v, out)
+
+
+def endpoint(x_t, t, v, out=None):
+    """estimate_endpoint's arithmetic, unchecked: t a float or a column."""
     return np.add(x_t, np.multiply(1.0 - t, v, out=out), out=out)
 
 

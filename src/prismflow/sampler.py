@@ -10,10 +10,10 @@ import numpy as np
 from .datasets import save_csv_windows
 from .errors import (ConfigError, ContractViolation, NumericError, ShapeError,
                      check_int, check_real)
-from .experts import decode_experts
+from .experts import decode_experts, expert_gather
 from .flowpath import encode, time_features
 from .numcore import RngStream, mlp_gradients, mlp_layers
-from .router import estimate_endpoint, route
+from .router import endpoint, route
 
 MODES = ("unconditional", "imputation", "forecasting")
 
@@ -73,16 +73,17 @@ def step_time_features(model, steps: int, n: int) -> np.ndarray:
     return np.broadcast_to(table[:, np.newaxis], (steps, n, table.shape[1]))
 
 
-def _velocity(model, x, tf, cfg: SamplerConfig, ops, taped=False):
+def _velocity(model, x, tf, cfg, ops, gather, taped=False):
     """Total velocity (n, S*D) of states x (n, ...) at time features tf
-    (n, 2F), every row decoded in one call by its argmax expert, with the
-    encoder and head tapes (None unless `taped`)."""
+    (n, 2F), each row decoded by its argmax expert in one call through the
+    bank `gather`, with encoder and head tapes (None unless `taped`)."""
     h, enc_tape = encode(model, x, tf, taped)
     v, head_tape = mlp_layers(model.head, h, taped)
     if cfg.gamma != 0.0:
         probs, _ = route(model, tf, h, taped=False)
         z, _ = mlp_layers(model.projector, h)
-        resid, _ = decode_experts(model, ops, z, probs.argmax(axis=1))
+        resid, _ = decode_experts(model, ops, z, probs.argmax(axis=1),
+                                  gather=gather)
         v = v + cfg.gamma * resid
     return v, enc_tape, head_tape
 
@@ -98,14 +99,15 @@ def _global_vjp(model, enc_tape, head_tape, upstream):
 # A finite but huge gamma or eta_g may overflow a step's arithmetic: the
 # state check after each step raises NumericError, with no numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
-def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops):
+def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops, gather):
     """One Euler update x + (v_global + gamma*v_expert) * dt at the flow
     time whose time features are tf (B, 2F), with the dominant expert
     chosen per sample by argmax routing probability. gamma=0 reduces
-    exactly to the plain Euler update. `ops` are the experts' operators,
-    assembled once by the caller; at gamma 0 none are read."""
+    exactly to the plain Euler update. `ops` are the experts' operators
+    and `gather` their `expert_gather`, both made once by the caller; at
+    gamma 0 neither is read."""
     x = np.asarray(x, dtype=np.float64)
-    v = _velocity(model, x, tf, cfg, ops)[0].reshape(x.shape)
+    v = _velocity(model, x, tf, cfg, ops, gather)[0].reshape(x.shape)
     xn = x + v * (1.0 / cfg.steps)
     if not np.isfinite(xn).all():
         raise NumericError("non-finite state after a sampler step")
@@ -120,8 +122,9 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     if n == 0:
         return x
     ops = model.operators() if cfg.gamma else None
+    gather = expert_gather(ops, n) if cfg.gamma else None
     for tf in step_time_features(model, cfg.steps, n):
-        x = residual_velocity_step(model, x, tf, cfg, ops)
+        x = residual_velocity_step(model, x, tf, cfg, ops, gather)
     return x
 
 
@@ -152,16 +155,17 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     n = mask.shape[0]
     m2 = 2.0 * mask.astype(np.float64)
     y = np.where(mask, cond.values.reshape(-1, s * d), 0.0)
-    x = np.empty((n, s * d))
-    for i in range(n):
-        x[i] = rng.child(rng.stream + i).generator().standard_normal(s * d)
+    x, bits = np.empty((n, s * d)), np.random.Philox(0)
+    for i in range(n):  # one Philox, re-keyed per window
+        x[i] = rng.child(rng.stream + i).generator(bits).standard_normal(s * d)
     dt = 1.0 / cfg.steps
     ops = model.operators() if cfg.gamma else None
+    gather = expert_gather(ops, n) if cfg.gamma else None
     for i, tf in enumerate(step_time_features(model, cfg.steps, n)):
         t = i / cfg.steps
-        v, enc_tape, head_tape = _velocity(model, x, tf, cfg, ops,
+        v, enc_tape, head_tape = _velocity(model, x, tf, cfg, ops, gather,
                                            cfg.exact_guidance)
-        g = m2 * (estimate_endpoint(x, t, v) - y)
+        g = m2 * (endpoint(x, t, v) - y)
         if cfg.exact_guidance:
             # add the global-field term of the endpoint Jacobian
             g = g + _global_vjp(model, enc_tape, head_tape, (1.0 - t) * g)

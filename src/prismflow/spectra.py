@@ -1,5 +1,5 @@
-"""Spectral diagnostics: exact dynamic mode decomposition, batch power
-spectra, and an eigenvalue-cloud overlap score."""
+"""Spectral diagnostics: exact dynamic mode decomposition and an
+eigenvalue-cloud overlap score."""
 
 from __future__ import annotations
 
@@ -16,18 +16,6 @@ class DmdSpectrum:
     eigenvalues: np.ndarray  # complex
     amplitudes: np.ndarray  # real, per mode
     rank: int
-
-
-@dataclass
-class PowerSpectrum:
-    power: np.ndarray  # (S//2 + 1, D), batch-averaged |DFT|^2 / S
-    seq_len: int
-
-    def band_fraction(self, bin_index: int, channel: int = 0) -> float:
-        """Energy fraction of one frequency bin (conjugate bins folded in)."""
-        w = _parseval_weights(self.seq_len)
-        e = w * self.power[:, channel]
-        return float(e[bin_index] / e.sum())
 
 
 def check_dmd(seq_len: int, rank: int, delay: int) -> None:
@@ -94,28 +82,6 @@ def exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
         modes = (yv / sig[:r]) @ wvec
     b, *_ = np.linalg.lstsq(modes, first, rcond=None)
     return DmdSpectrum(eigenvalues=eig, amplitudes=np.abs(b), rank=r)
-
-
-def power_spectrum(batch) -> PowerSpectrum:
-    """Per-channel |DFT|^2 / S averaged over the batch.
-
-    With these units, sum_k w_k * P_k = sum_s x_s^2 per window, where
-    w_k doubles the interior bins of the half spectrum (Parseval).
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 3:
-        raise ShapeError("expected (n, S, D) batch")
-    s = batch.shape[1]
-    spec = np.abs(np.fft.rfft(batch, axis=1)) ** 2 / s
-    return PowerSpectrum(power=spec.mean(axis=0), seq_len=s)
-
-
-def _parseval_weights(s: int) -> np.ndarray:
-    w = np.full(s // 2 + 1, 2.0)
-    w[0] = 1.0
-    if s % 2 == 0:
-        w[-1] = 1.0
-    return w
 
 
 def spectral_overlap(real: DmdSpectrum, gen: DmdSpectrum) -> float:

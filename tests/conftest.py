@@ -17,8 +17,9 @@ from prismflow.trainer import lambda_schedule
 # test-only oracles, importable from here like the reference code below
 from oracles import (FrozenObjective,  # noqa: F401
                      finite_difference_check, frozen_total_loss_fn,
-                     frozen_wta_loss_fn, global_velocity, reference_exact_dmd,
-                     reference_operators, reference_velocity)
+                     frozen_wta_loss_fn, global_velocity, power_spectrum,
+                     reference_exact_dmd, reference_operators,
+                     reference_velocity)
 
 
 def traced_peak(fn, *args, **kwargs):

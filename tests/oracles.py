@@ -2,10 +2,12 @@
 or five-point), the operator bank built one expert at a time, the frozen
 training objective whose value it differences, the global velocity
 field evaluated on its own, the sampler's velocity as computed
-before its per-call time-feature table, and exact DMD from the SVD of
-the wide snapshot matrix. `conftest` re-exports them."""
+before its per-call time-feature table, exact DMD from the SVD of
+the wide snapshot matrix, and batch power spectra. `conftest` re-exports
+them."""
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,3 +227,37 @@ def reference_exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
         modes = (y @ v / sig) @ wvec
     b, *_ = np.linalg.lstsq(modes, first, rcond=None)
     return DmdSpectrum(eigenvalues=eig, amplitudes=np.abs(b), rank=r)
+
+
+@dataclass
+class PowerSpectrum:
+    power: np.ndarray  # (S//2 + 1, D), batch-averaged |DFT|^2 / S
+    seq_len: int
+
+    def band_fraction(self, bin_index: int, channel: int = 0) -> float:
+        """Energy fraction of one frequency bin (conjugate bins folded in)."""
+        w = _parseval_weights(self.seq_len)
+        e = w * self.power[:, channel]
+        return float(e[bin_index] / e.sum())
+
+
+def power_spectrum(batch) -> PowerSpectrum:
+    """Per-channel |DFT|^2 / S averaged over the batch.
+
+    With these units, sum_k w_k * P_k = sum_s x_s^2 per window, where
+    w_k doubles the interior bins of the half spectrum (Parseval).
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 3:
+        raise ShapeError("expected (n, S, D) batch")
+    s = batch.shape[1]
+    spec = np.abs(np.fft.rfft(batch, axis=1)) ** 2 / s
+    return PowerSpectrum(power=spec.mean(axis=0), seq_len=s)
+
+
+def _parseval_weights(s: int) -> np.ndarray:
+    w = np.full(s // 2 + 1, 2.0)
+    w[0] = 1.0
+    if s % 2 == 0:
+        w[-1] = 1.0
+    return w

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import (finite_difference_check, frozen_total_loss_fn,
-                      frozen_wta_loss_fn, vanilla_euler_generate)
+                      frozen_wta_loss_fn, power_spectrum,
+                      vanilla_euler_generate)
 from prismflow.datasets import (gen_bimodal_frequency, gen_sines,
                                 gen_velocity_mixture_diagnostic, normalize,
                                 DiagnosticSpec, velocity_energy_gap)
@@ -23,7 +24,7 @@ from prismflow.router import (balance_loss, balance_loss_and_grads,
                               wta_loss)
 from prismflow.sampler import (ConditionMask, SamplerConfig, generate,
                                generate_conditional)
-from prismflow.spectra import exact_dmd, power_spectrum, spectral_overlap
+from prismflow.spectra import exact_dmd, spectral_overlap
 from prismflow.trainer import TrainConfig, fit
 
 # shared experiment configuration for the bimodal-frequency runs

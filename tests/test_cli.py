@@ -834,6 +834,70 @@ class TestWarningLines:
         assert (code, err) == (2, ["warning: first", "error: then this"])
 
 
+class TestParserPerProcess:
+    """`run_command` builds its parser on its first call in a process and
+    reuses it, and looks each verb's function up on the module at call
+    time; `build_parser` still makes a fresh parser."""
+
+    def test_repeated_calls_build_no_parser(self, tmp_path, monkeypatch,
+                                            capsys):
+        run("diagnose", "--n", "10")  # builds the process's parser if need be
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run("diagnose", "--n", "10") == 0
+        assert run("gen-data", "--kind", "sines", "--n", "2", "--out",
+                   str(tmp_path / "d.csv")) == 0
+        assert run("bogus") == 1
+        assert built == []
+        first, second = cli_module.build_parser(), cli_module.build_parser()
+        assert first is not second and {first, second} <= set(built)
+
+    @pytest.mark.parametrize("verb", ["diagnose", "impute", "forecast"])
+    def test_a_verb_patched_after_the_first_call_runs(self, monkeypatch,
+                                                      capsys, verb):
+        assert run("diagnose", "--n", "10") == 0
+        calls = []
+        monkeypatch.setattr(cli_module, f"cmd_{verb}", calls.append)
+        argv = {"diagnose": ["--n", "3"]}.get(verb, [
+            "--checkpoint", "c", "--observed", "o", "--mask", "m",
+            "--seed", "0", "--out", "x"])
+        assert run(verb, *argv) == 0
+        assert [args.verb for args in calls] == [verb]
+
+    def test_a_verb_patched_before_the_parser_is_built_runs(self, capsys):
+        """Dispatch reads the verb's name, not the function the parser was
+        built with, so a patch in place when the parser is built does not
+        outlive itself."""
+        cli_module._parser.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_module, "cmd_diagnose", lambda args: print("stub"))
+            assert run("diagnose", "--n", "3") == 0
+            assert capsys.readouterr().out == "stub\n"
+        assert run("diagnose", "--n", "10") == 0
+        assert "energy gap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0),
+                                           (["sample", "--help"], 0),
+                                           (["train"], 1), (["bogus"], 1),
+                                           (["diagnose", "--n", "x"], 1)])
+    def test_usage_outcomes_hold_on_a_second_call(self, capsys, argv, code):
+        outcomes = []
+        for _ in range(2):
+            outcomes.append((run(*argv), capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code
+        captured = outcomes[0][1]
+        assert "usage: prismflow" in (captured.out if code == 0
+                                      else captured.err)
+        assert "Traceback" not in captured.err
+
+
 class TestSeedRange:
     """A seed is one signed 64-bit Philox key word: one outside
     [-2**63, 2**63) is refused with one error line and no numpy warning,
@@ -1082,6 +1146,27 @@ class TestDiagnoseVerb:
         assert captured.err.startswith(f"error: separation {float(c)} "
                                        f"overflows")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("c", ["2", "0"])
+    def test_a_count_past_float_range_is_refused(self, capsys, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("diagnose", "--c", c, "--n", "1" + "0" * 400) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            "error: n * seq_len * channels must be < 2**60, got an integer "
+            "of 402 digits\n"))
+
+    def test_a_count_past_numpy_array_size_is_refused(self, capsys):
+        """1e17 windows of 16 floats are 2**63 bytes or more, which numpy
+        refuses to allocate at all."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("diagnose", "--n", "100000000000000000") == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            "error: n * seq_len * channels must be < 2**60, got "
+            "1600000000000000000\n"))
 
     @pytest.mark.parametrize("flags", [("--n", "0"), ("--w", "2"),
                                        ("--c", "nan"), ("--c", "inf")])

@@ -4,6 +4,8 @@ sizes and frequencies, `generate`'s count and the sliding load's length
 and stride. A bad value raises a `ConfigError` that names its key, with
 no other exception and no warning."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,7 @@ def refused(call, key, value):
     with pytest.raises(ConfigError) as exc:
         call(**{key: value})
     assert key in str(exc.value)
+    return str(exc.value)
 
 
 @pytest.mark.parametrize("value", [2.5, 4.0, "3"])
@@ -120,3 +123,58 @@ def test_reals_out_of_bounds_are_refused(sites, site, key, least, above):
     else:
         refused(sites[site], key, above)
         refused(sites[site], key, above - 0.5)
+
+
+@pytest.mark.parametrize("site,key,least", INTEGERS, ids=ids(INTEGERS))
+def test_a_huge_non_integer_gets_a_short_message(sites, site, key, least):
+    """Python prints no integer of over 4,300 digits, nor a value that
+    holds one: the message names the value's type instead."""
+    message = refused(sites[site], key, Fraction(10**5000, 3))
+    assert message.endswith("got a Fraction too long to print")
+
+
+@pytest.mark.parametrize("value,digits", [(10**5000, 5001),
+                                          (-10**5000 + 1, 5000),
+                                          (10**400 - 1, 400)],
+                         ids=["10**5000", "-10**5000+1", "10**400-1"])
+@pytest.mark.parametrize("site,key,least,above", REALS, ids=ids(REALS))
+def test_a_huge_integer_real_is_shown_by_its_digits(sites, site, key, least,
+                                                    above, value, digits):
+    message = refused(sites[site], key, value)
+    assert message.endswith(f"got an integer of {digits} digits")
+
+
+@pytest.mark.parametrize("key", ["seed", "stream"])
+@pytest.mark.parametrize("value", [10**5000, -10**5000],
+                         ids=["10**5000", "-10**5000"])
+def test_a_huge_seed_is_shown_by_its_digits(sites, key, value):
+    message = refused(sites["RngStream"], key, value)
+    assert message == (f"{key} must be in [-2**63, 2**63), got an integer "
+                       f"of 5001 digits")
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(n=10**400), "n * seq_len * channels must be < 2**60, got an "
+                      "integer of 402 digits"),
+    (dict(n=10**400, separation=0.0), "n * seq_len * channels must be < "
+                                      "2**60, got an integer of 402 digits"),
+    (dict(n=2**56), "n * seq_len * channels must be < 2**60, got "
+                    f"{2**60}"),
+    (dict(separation=np.float64(1e200)), "separation 1e+200 overflows the "
+                                         "squared velocities of 80000 "
+                                         "elements"),
+    (dict(separation=-1e154), "separation -1e+154 overflows the squared "
+                              "velocities of 80000 elements"),
+], ids=["n=10**400", "n=10**400,c=0", "n=2**56", "c=np.float64(1e200)",
+        "c=-1e154"])
+def test_diagnostic_bounds_are_computed_without_overflow(kwargs, message):
+    """The diagnostic's size and overflow bounds hold for any count and
+    any finite separation, with no OverflowError and no numpy warning."""
+    with pytest.raises(ConfigError) as exc:
+        DiagnosticSpec(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_diagnostic_bounds_admit_the_largest_counts():
+    DiagnosticSpec(n=2**56 - 1, separation=1e140)
+    DiagnosticSpec(separation=np.float64(1e150))

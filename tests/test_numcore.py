@@ -4,9 +4,11 @@ import pytest
 from conftest import finite_difference_check
 from prismflow.errors import (ConfigError, ContractViolation, NumericError,
                               ShapeError)
-from prismflow.numcore import (AdamState, Mlp, Params, RngStream,
+from prismflow.model import ModelConfig, PrismFlowModel
+from prismflow.numcore import (AdamState, Mlp, Params, RngStream, Tape,
                                Workspace, adam_update, mlp_apply,
-                               mlp_gradients, mlp_shapes, tape_rows)
+                               mlp_gradients, mlp_layers, mlp_shapes,
+                               tape_rows)
 
 
 def make_net(dims, seed=0, activation="tanh"):
@@ -100,6 +102,44 @@ class TestLayerLoopProducts:
         assert out.tobytes() == want_out.tobytes()
         grad = mlp_gradients(net, tape, upstream)
         assert grad.tobytes() == want_grad.tobytes()
+
+
+NETS = ("encoder", "head", "projector", "decoder", "router")
+
+
+class TestUntapedPass:
+    """An untaped pass of the one layer loop runs the taped pass's
+    operations in the same order, so its output has the same bits, and it
+    records no tape."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "softplus"])
+    @pytest.mark.parametrize("rows", [1, 16, 512])
+    def test_output_equals_the_taped_pass_bitwise(self, activation, rows,
+                                                   monkeypatch):
+        model = PrismFlowModel.init(ModelConfig(seq_len=64, channels=1,
+                                                activation=activation),
+                                    RngStream(5))
+        tapes = []
+        init = Tape.__init__
+
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            tapes.append(self)
+
+        monkeypatch.setattr(Tape, "__init__", recorded)
+        for name in NETS:
+            net = getattr(model, name)
+            x = RngStream(rows).generator().standard_normal(
+                (rows, net.layer_dims[0]))
+            want, tape = mlp_layers(net, x, taped=True)
+            assert len(tapes) == 1 and tape is tapes.pop()
+            got, none = mlp_layers(net, x)
+            assert none is None and tapes == []
+            assert got.tobytes() == want.tobytes()
+            in_ws, tape = mlp_layers(net, x, True, Workspace(model))
+            assert in_ws.tobytes() == want.tobytes()
+            assert tapes == [tape]
+            tapes.clear()
 
 
 def gradients(net, tape, upstream, with_input=True):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import oracles
+import prismflow.experts as experts_module
 import prismflow.sampler as sampler_module
 from conftest import (global_velocity, reference_velocity,
                       vanilla_euler_generate)
 from prismflow.datasets import load_csv_windows
 from prismflow.errors import (ConfigError, ContractViolation, NumericError,
                               ShapeError)
+from prismflow.experts import expert_gather
 from prismflow.flowpath import encode, time_features
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream, Tape
@@ -96,9 +98,10 @@ class TestGenerate:
         x = RngStream(12).generator().standard_normal((5, 8, 2))
         for i in range(cfg.steps):
             ops = tiny_model.operators() if gamma else None
+            gather = expert_gather(ops, 5) if gamma else None
             tf = time_features(np.full(5, i / cfg.steps),
                                tiny_model.cfg.time_freqs)
-            x = residual_velocity_step(tiny_model, x, tf, cfg, ops)
+            x = residual_velocity_step(tiny_model, x, tf, cfg, ops, gather)
         assert np.array_equal(generate(tiny_model, 5, cfg, RngStream(12)), x)
 
 
@@ -107,9 +110,10 @@ class TestResidualVelocityStep:
         constant_field(tiny_model, -0.5)
         x = np.ones((1, 8, 2))
         tf = time_features(np.zeros(1), tiny_model.cfg.time_freqs)
+        ops = tiny_model.operators()
         out = residual_velocity_step(tiny_model, x, tf,
-                                     SamplerConfig(steps=4),
-                                     tiny_model.operators())
+                                     SamplerConfig(steps=4), ops,
+                                     expert_gather(ops, 1))
         np.testing.assert_allclose(out, x - 0.5 / 4.0, atol=1e-15)
 
 
@@ -200,6 +204,27 @@ class TestGenerateConditional:
                                        cfg, RngStream(2, 10 + i))
             np.testing.assert_allclose(out[i], one[0], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("stream", [0, 7, 2**63 - 4])
+    def test_starting_noise_is_each_windows_fresh_stream(self, tiny_model,
+                                                         stream,
+                                                         monkeypatch):
+        """The windows' starting noise, drawn on one re-keyed Philox, is
+        bit for bit what a new generator of each window's stream draws:
+        with no steps to take, the call returns it where nothing is
+        observed."""
+        monkeypatch.setattr(sampler_module, "step_time_features",
+                            lambda model, steps, n: np.empty((0, n, 8)))
+        mask = np.zeros((4, 8, 2), dtype=bool)
+        mask[:, 0, 0] = True
+        out = generate_conditional(
+            tiny_model, ConditionMask(mask, np.where(mask, 0.5, 0.0)),
+            SamplerConfig(steps=3, mode="imputation"), RngStream(11, stream))
+        for i in range(4):
+            want = RngStream(11, stream + i).generator().standard_normal(16)
+            free = ~mask[i]
+            assert out[i][free].tobytes() == \
+                want.reshape(8, 2)[free].tobytes()
+
     def test_window_shape_must_match_model(self, tiny_model):
         cond = ConditionMask(np.ones((2, 4, 2), bool), np.zeros((2, 4, 2)))
         with pytest.raises(ShapeError):
@@ -229,7 +254,7 @@ def check_global_vjp(model):
     t, step = 0.3, 1e-6
     tf = np.tile(time_features(t, model.cfg.time_freqs), (3, 1))
     _, enc_tape, head_tape = _velocity(model, x, tf, SamplerConfig(gamma=0.0),
-                                       None, taped=True)
+                                       None, None, taped=True)
     got = _global_vjp(model, enc_tape, head_tape, u)
     # bit for bit the VJP on the tapes of the reference velocity
     _, tapes = reference_velocity(model, x, t, SamplerConfig(gamma=0.0), None)
@@ -296,9 +321,9 @@ def record_decodes(monkeypatch):
     rows = []
     original = sampler_module.decode_experts
 
-    def counted(model, ops, z, experts):
+    def counted(model, ops, z, experts, **kwargs):
         rows.append(z.shape[0])
-        return original(model, ops, z, experts)
+        return original(model, ops, z, experts, **kwargs)
 
     monkeypatch.setattr(sampler_module, "decode_experts", counted)
     return rows
@@ -394,8 +419,10 @@ class TestLeanStep:
         counts = np.bincount(winners)[winners]
         rows = [np.flatnonzero(counts == 1)[0], np.flatnonzero(counts > 1)[0]]
         ops = model.operators()
-        full = residual_velocity_step(model, x, tf, cfg, ops)
-        sub = residual_velocity_step(model, x[rows], tf[rows], cfg, ops)
+        full = residual_velocity_step(model, x, tf, cfg, ops,
+                                      expert_gather(ops, n))
+        sub = residual_velocity_step(model, x[rows], tf[rows], cfg, ops,
+                                     expert_gather(ops, len(rows)))
         assert sub.tobytes() == full[rows].tobytes()
 
     @pytest.mark.parametrize("steps", [1, 3, 7, 100])
@@ -549,7 +576,7 @@ class TestStepPlan:
         counts = self.count_calls(monkeypatch, model)
         x = RngStream(33).generator().standard_normal((4, 8, 2))
         tf = step_time_features(model, 7, 4)[2]
-        residual_velocity_step(model, x, tf, cfg, ops)
+        residual_velocity_step(model, x, tf, cfg, ops, expert_gather(ops, 4))
         assert counts == {"config_checks": 0, "operators": 0}
 
     def test_state_check_names_the_guidance_step(self, tiny_model):
@@ -559,6 +586,32 @@ class TestStepPlan:
         cfg = SamplerConfig(steps=5, mode="imputation", gamma=0.0)
         with pytest.raises(NumericError, match="guidance step 0"):
             generate_conditional(tiny_model, cond, cfg, RngStream(34))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.0])
+def test_expert_gather_is_made_once_per_call(four_expert_model, gamma,
+                                             monkeypatch):
+    """The bank view and row index of the winner gather are made once per
+    sampling call, never by a step's decode."""
+    made = []
+    original = experts_module.expert_gather
+
+    def counted(ops, n):
+        made.append(n)
+        return original(ops, n)
+
+    for module in (sampler_module, experts_module):
+        monkeypatch.setattr(module, "expert_gather", counted)
+    model = four_expert_model
+    generate(model, 5, SamplerConfig(steps=7, gamma=gamma), RngStream(51))
+    mask = np.zeros((3, 8, 2), dtype=bool)
+    mask[:, ::2] = True
+    for exact in (False, True):
+        generate_conditional(
+            model, ConditionMask(mask, np.where(mask, 0.5, 0.0)),
+            SamplerConfig(steps=7, gamma=gamma, mode="imputation",
+                          exact_guidance=exact), RngStream(52))
+    assert made == ([5, 3, 3] if gamma else [])
 
 
 # model variants of the sweep: the four-expert model with one setting

@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import reference_exact_dmd, traced_peak
+from conftest import power_spectrum, reference_exact_dmd, traced_peak
 from prismflow.errors import ContractViolation, ShapeError
 from prismflow.numcore import RngStream
 from prismflow.spectra import (DmdSpectrum, _snapshots, exact_dmd,
-                               power_spectrum, spectral_overlap)
+                               spectral_overlap)
 
 
 def reference_snapshots(batch, delay):
