@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import atomic_write_text
 from .errors import (ConfigError, ContractViolation, ParseError, check_int,
-                     check_real, shown)
+                     check_real, check_size)
 from .numcore import RngStream
 
 LOAD_MODES = ("blocks", "sliding")
@@ -54,6 +54,7 @@ def gen_sines(n, seq_len, channels, rng: RngStream = RngStream(0)):
     theta ~ U(-pi, pi) drawn per window and channel."""
     for key, value in (("n", n), ("seq_len", seq_len), ("channels", channels)):
         check_int(key, value, 1)
+    check_size("n * seq_len * channels", n, seq_len, channels)
     gen = rng.generator()
     eta = gen.uniform(0.0, 1.0, size=(n, 1, channels))
     theta = gen.uniform(-np.pi, np.pi, size=(n, 1, channels))
@@ -69,6 +70,7 @@ def gen_bimodal_frequency(n, seq_len, channels, f_low, f_high,
     labels are kept on the dataset."""
     for key, value in (("n", n), ("seq_len", seq_len), ("channels", channels)):
         check_int(key, value, 1)
+    check_size("n * seq_len * channels", n, seq_len, channels)
     for key, f in (("f_low", f_low), ("f_high", f_high)):
         check_real(f"frequency {key}", f)
         if not 0 < f < seq_len / 2:
@@ -102,10 +104,8 @@ class DiagnosticSpec:
         for key in ("n", "seq_len", "channels"):
             check_int(key, getattr(self, key), 1)
         check_real("separation", self.separation)
-        elements = math.prod(map(int, (self.n, self.seq_len, self.channels)))
-        if elements >= 2**60:  # 8-byte floats: past numpy's 2**63 bytes
-            raise ConfigError(f"n * seq_len * channels must be < 2**60, got "
-                              f"{shown(elements)}")
+        elements = check_size("n * seq_len * channels", self.n,
+                              self.seq_len, self.channels)
         # the velocity statistics sum n*S*D squared velocities of about
         # c^2; 4c^2 bounds each of them wherever the sum could overflow.
         # A Python float overflows to inf without a numpy warning

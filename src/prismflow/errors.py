@@ -51,6 +51,15 @@ def check_int(key, value, least=None) -> None:
         raise ConfigError(f"{key} must be >= {least}")
 
 
+def check_size(key, *dims) -> int:
+    """The element count of shape `dims`, or a ConfigError naming `key` at
+    2**60 or more, where numpy cannot size an array of 8-byte floats."""
+    elements = math.prod(map(int, dims))
+    if elements >= 2**60:
+        raise ConfigError(f"{key} must be < 2**60, got {shown(elements)}")
+    return elements
+
+
 def check_real(key, value, least=None, above=None) -> None:
     """A ConfigError naming `key` unless `value` is a real number that
     converts to a finite float, at least `least` and above `above` if

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .numcore import (AdamState, Mlp, Params, RngStream, adam_update,
-                      mlp_apply, mlp_gradients, mlp_shapes)
+                      mlp_apply, mlp_gradients, mlp_shapes, row_blocks)
 
 HIDDEN = 32
 TRAIN_STEPS = 500
@@ -64,16 +64,11 @@ def window_pair(real, gen, metric: str):
 
 
 def _forward(net, x):
-    """The trained net on every row of x, FORWARD_ROWS rows a call into one
-    output. A short last slice (at most half a slice) joins the one before
-    it, so no call takes a single row: a 1-row product takes BLAS's
-    matrix-vector path and can differ in the last bit from the same row of
-    a multi-row product."""
-    n = x.shape[0]
-    out = np.empty((n, net.layer_dims[-1]))
-    starts = range(0, max(n - FORWARD_ROWS // 2, 1), FORWARD_ROWS)
-    for start, stop in zip(starts, [*starts[1:], n]):
-        out[start:stop], _ = mlp_apply(net, x[start:stop])
+    """The trained net on every row of x, in the `row_blocks` of
+    FORWARD_ROWS rows, into one output."""
+    out = np.empty((x.shape[0], net.layer_dims[-1]))
+    for rows in row_blocks(x.shape[0], FORWARD_ROWS):
+        out[rows], _ = mlp_apply(net, x[rows])
     return out
 
 

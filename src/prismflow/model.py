@@ -96,12 +96,12 @@ class PrismFlowModel:
     """
 
     def __init__(self, cfg: ModelConfig, params: Params, norm_shift=None,
-                 norm_scale=None):
+                 norm_scale=None, rows: int = 1):
         """`params` holds the blocks of `param_layout(cfg)`, in order."""
         self.cfg, self._params = cfg, params
         for name, widths in param_layout(cfg)[0].items():
-            setattr(self, name,
-                    Mlp.view(params, f"{name}.", widths, cfg.activation))
+            setattr(self, name, Mlp.view(params, f"{name}.", widths,
+                                         cfg.activation, rows))
         # the expert blocks, last in the layout: one (K, 2, d_z, d_z) view,
         # [k, 0] expert k's S and [k, 1] its R
         k, d = cfg.n_experts, cfg.latent_dim
@@ -145,6 +145,12 @@ class PrismFlowModel:
             raise NumericError(f"expert {np.argmax(bad)} has a non-finite "
                                f"operator")
         return bank
+
+    def batch_view(self, rows: int) -> "PrismFlowModel":
+        """This model over the same store, each net's biases repeated to
+        `rows` rows, so a batch of `rows` adds them at its own shape."""
+        return type(self)(self.cfg, self._params, self.norm_shift,
+                          self.norm_scale, rows)
 
     # -- flat parameter store --------------------------------------------
 

@@ -92,13 +92,15 @@ class Mlp:
 
     @classmethod
     def view(cls, params: "Params", prefix: str, layer_dims,
-             activation: str = "tanh") -> "Mlp":
+             activation: str = "tanh", rows: int = 1) -> "Mlp":
         """The net whose weights and biases are the blocks of `params`
         that `mlp_shapes(prefix, layer_dims)` names: views, not copies,
-        each bias a (1, d) row (a batch-1 add then needs no broadcast)."""
+        each bias a (1, d) row, or for `rows` > 1 a (rows, d) copy: a bias
+        of a batch's shape adds at about half the cost of a broadcast."""
         blocks = [params[name] for name in mlp_shapes(prefix, layer_dims)]
         return cls(list(layer_dims), blocks[::2],
-                   [b.reshape(1, -1) for b in blocks[1::2]], activation)
+                   [np.tile(b, (rows, 1)) if rows > 1 else b.reshape(1, -1)
+                    for b in blocks[1::2]], activation)
 
     def draw(self, rng: RngStream) -> None:
         """Xavier-uniform weights in place (a fresh store's biases are 0)."""
@@ -175,6 +177,14 @@ def mlp_layers(net: Mlp, a: np.ndarray, taped: bool = False, ws=None):
             tape.preacts.append(pre)
         a = pre if i == last else act(pre, post if taped else pre)
     return a, tape
+
+
+def row_blocks(n: int, size: int):
+    """Slices of 0..n in order, of `size` rows but the last, which takes a
+    lone last row too: a 1-row product takes BLAS's matrix-vector path and
+    can differ in the last bit from the same row of a multi-row product."""
+    starts = range(0, max(n - 1, 1), size)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
 def mlp_apply(net: Mlp, x: np.ndarray):

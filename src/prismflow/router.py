@@ -15,24 +15,27 @@ from .numcore import Workspace, mlp_gradients, mlp_layers, tape_rows
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    if not np.isfinite(logits).all():
-        raise NumericError("router produced non-finite logits")
     z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def route(model, tf, h, taped=True, ws=None):
-    """Categorical expert probabilities for a batch of trunk features h
-    with time features tf (B, 2F), in workspace `ws` if given.
-
-    Returns (probs, tape); probs rows are strictly positive and sum to 1,
-    and tape.inputs[0] is the router input [tf, h]. The tape is None
-    unless `taped`.
-    """
+def router_logits(model, tf, h, taped=True, ws=None):
+    """Finite expert logits (B, K) of trunk features h with time features
+    tf (B, 2F), in workspace `ws` if given, and the tape (None unless
+    `taped`), whose inputs[0] is the router input [tf, h]."""
     logits, tape = mlp_layers(model.router, np.concatenate(
         [tf, h], axis=-1, out=None if ws is None else ws[
             "rin", (len(h), tf.shape[1] + h.shape[1])]), taped, ws)
+    if not np.isfinite(logits).all():
+        raise NumericError("router produced non-finite logits")
+    return logits, tape
+
+
+def route(model, tf, h, taped=True, ws=None):
+    """`router_logits` as categorical expert probabilities: (probs, tape),
+    probs rows strictly positive and summing to 1."""
+    logits, tape = router_logits(model, tf, h, taped, ws)
     return softmax(logits), tape
 
 

@@ -9,13 +9,14 @@ import numpy as np
 
 from .datasets import save_csv_windows
 from .errors import (ConfigError, ContractViolation, NumericError, ShapeError,
-                     check_int, check_real)
+                     check_int, check_real, check_size)
 from .experts import decode_experts, expert_gather
 from .flowpath import encode, time_features
-from .numcore import RngStream, mlp_gradients, mlp_layers
-from .router import endpoint, route
+from .numcore import RngStream, mlp_gradients, mlp_layers, row_blocks
+from .router import endpoint, router_logits
 
 MODES = ("unconditional", "imputation", "forecasting")
+BLOCK_ROWS = 1024  # rows per block of a sampling call: bounds what it holds
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         check_int("steps", self.steps, 1)
+        check_size("steps", self.steps)
         if self.mode not in MODES:
             raise ConfigError(f"unknown sampler mode {self.mode!r}")
         check_real("gamma", self.gamma)
@@ -76,13 +78,16 @@ def step_time_features(model, steps: int, n: int) -> np.ndarray:
 def _velocity(model, x, tf, cfg, ops, gather, taped=False):
     """Total velocity (n, S*D) of states x (n, ...) at time features tf
     (n, 2F), each row decoded by its argmax expert in one call through the
-    bank `gather`, with encoder and head tapes (None unless `taped`)."""
+    bank `gather`, with encoder and head tapes (None unless `taped`). The
+    expert is the argmax of the logits, as of their softmax, which keeps
+    their order; where rounding makes two different logits' probabilities
+    equal, the larger logit, the exact winner, wins over a lower index."""
     h, enc_tape = encode(model, x, tf, taped)
     v, head_tape = mlp_layers(model.head, h, taped)
     if cfg.gamma != 0.0:
-        probs, _ = route(model, tf, h, taped=False)
+        logits, _ = router_logits(model, tf, h, taped=False)
         z, _ = mlp_layers(model.projector, h)
-        resid, _ = decode_experts(model, ops, z, probs.argmax(axis=1),
+        resid, _ = decode_experts(model, ops, z, logits.argmax(axis=1),
                                   gather=gather)
         v = v + cfg.gamma * resid
     return v, enc_tape, head_tape
@@ -115,16 +120,23 @@ def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops, gather):
 
 
 def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
-    """Draw n source samples and integrate the flow from t=0 to 1."""
+    """Draw n source samples and integrate the flow from t=0 to 1, in
+    `row_blocks`: a row of a multi-row product is bitwise independent of
+    the others, so blocks give the whole batch's bits."""
     check_int("n", n, 0)
     s, d = model.cfg.seq_len, model.cfg.channels
+    check_size("n * seq_len * channels", n, s, d)
     x = rng.generator().standard_normal((n, s, d))
     if n == 0:
         return x
     ops = model.operators() if cfg.gamma else None
-    gather = expert_gather(ops, n) if cfg.gamma else None
-    for tf in step_time_features(model, cfg.steps, n):
-        x = residual_velocity_step(model, x, tf, cfg, ops, gather)
+    for rows in row_blocks(n, BLOCK_ROWS):
+        b = rows.stop - rows.start
+        block, xb = model.batch_view(b), x[rows]
+        gather = expert_gather(ops, b) if cfg.gamma else None
+        for tf in step_time_features(model, cfg.steps, b):
+            xb = residual_velocity_step(block, xb, tf, cfg, ops, gather)
+        x[rows] = xb
     return x
 
 
@@ -140,9 +152,10 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     exact_guidance backpropagates through the global field.
 
     A per-window (n, S, D) condition generates its n windows as one
-    batch; an (S, D) condition generates one window. Window i starts
-    from the noise of stream (rng.seed, rng.stream + i), so it matches a
-    one-window call with that stream up to rounding.
+    batch (in `generate`'s blocks); an (S, D) condition generates one
+    window. Window i starts from the noise of stream (rng.seed,
+    rng.stream + i), so it matches a one-window call with that stream up
+    to rounding.
     """
     if cfg.mode == "unconditional":
         raise ContractViolation("conditional generation needs a conditional mode")
@@ -160,18 +173,23 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
         x[i] = rng.child(rng.stream + i).generator(bits).standard_normal(s * d)
     dt = 1.0 / cfg.steps
     ops = model.operators() if cfg.gamma else None
-    gather = expert_gather(ops, n) if cfg.gamma else None
-    for i, tf in enumerate(step_time_features(model, cfg.steps, n)):
-        t = i / cfg.steps
-        v, enc_tape, head_tape = _velocity(model, x, tf, cfg, ops, gather,
-                                           cfg.exact_guidance)
-        g = m2 * (endpoint(x, t, v) - y)
-        if cfg.exact_guidance:
-            # add the global-field term of the endpoint Jacobian
-            g = g + _global_vjp(model, enc_tape, head_tape, (1.0 - t) * g)
-        x = x + (v - cfg.eta_g * g) * dt
-        if not np.isfinite(x).all():
-            raise NumericError(f"non-finite state at guidance step {i}")
+    for rows in row_blocks(n, BLOCK_ROWS):
+        b = rows.stop - rows.start
+        block, xb, m2b, yb = model.batch_view(b), x[rows], m2[rows], y[rows]
+        gather = expert_gather(ops, b) if cfg.gamma else None
+        for i, tf in enumerate(step_time_features(model, cfg.steps, b)):
+            t = i / cfg.steps
+            v, enc_tape, head_tape = _velocity(block, xb, tf, cfg, ops,
+                                               gather, cfg.exact_guidance)
+            g = m2b * (endpoint(xb, t, v) - yb)
+            if cfg.exact_guidance:
+                # add the global-field term of the endpoint Jacobian
+                g = g + _global_vjp(block, enc_tape, head_tape,
+                                    (1.0 - t) * g)
+            xb = xb + (v - cfg.eta_g * g) * dt
+            if not np.isfinite(xb).all():
+                raise NumericError(f"non-finite state at guidance step {i}")
+        x[rows] = xb
     return np.where(mask, y, x).reshape(n, s, d)
 
 

@@ -1,6 +1,8 @@
 import csv
 import io
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,6 +34,25 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def child_peak_rss_mb(snippet: str) -> float:
+    """Peak resident set size (ru_maxrss), in MB, of a fresh Python process
+    with one BLAS thread that runs `snippet` with the package importable.
+    Unlike `traced_peak`, it also sees what a refused or failed allocation
+    left behind. Each call runs one child and waits for it."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    code = (snippet + "\nimport resource\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    return int(done.stdout.split()[-1]) / 1024  # Linux reports KiB
 
 
 def vanilla_euler_generate(model, n: int, steps: int,

@@ -1130,6 +1130,36 @@ class TestOutOfMemory:
         assert not out.exists()
 
 
+class TestUnsizableCounts:
+    """A count whose arrays numpy could not size at all (2**60 or more
+    8-byte elements) exits 2 with one error line naming its flag, before
+    anything is allocated."""
+
+    @pytest.mark.parametrize("argv,key", [
+        (("sample", "--n", str(10 ** 20)), "n * seq_len * channels"),
+        (("sample", "--n", "2", "--steps", str(10 ** 20)), "steps"),
+        (("gen-data", "--kind", "sines", "--n", str(10 ** 20)),
+         "n * seq_len * channels"),
+        (("gen-data", "--kind", "bimodal", "--n", str(10 ** 20)),
+         "n * seq_len * channels")],
+        ids=["sample-n", "sample-steps", "gen-sines", "gen-bimodal"])
+    def test_exits_2_naming_the_flag(self, tmp_path, request, capsys, argv,
+                                     key):
+        out = tmp_path / "out.csv"
+        argv += ("--seed", "0", "--out", str(out))
+        if argv[0] == "sample":
+            argv += ("--checkpoint", request.getfixturevalue("checkpoint"))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be < 2**60, got ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestDiagnoseVerb:
     def test_prints_energy_gap(self, capsys):
         assert run("diagnose", "--n", "2000", "--seed", "0") == 0

@@ -8,7 +8,7 @@ from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import (AdamState, Mlp, Params, RngStream, Tape,
                                Workspace, adam_update, mlp_apply,
                                mlp_gradients, mlp_layers, mlp_shapes,
-                               tape_rows)
+                               row_blocks, tape_rows)
 
 
 def make_net(dims, seed=0, activation="tanh"):
@@ -62,6 +62,16 @@ class TestMlpApply:
         for i, x in enumerate(xs):
             single, _ = mlp_apply(net, x[None, :])
             np.testing.assert_allclose(batch[i], single[0], atol=1e-15)
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_row_blocks_cover_every_row_once_and_none_alone(size):
+    for n in range(1, 41):
+        blocks = row_blocks(n, size)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        lengths = [len(range(n)[b]) for b in blocks]
+        assert (1 in lengths) == (n == 1)
+        assert max(lengths) <= size + 1
 
 
 def at_loop(net, x, upstream):

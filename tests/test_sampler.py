@@ -1,23 +1,27 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
 import prismflow.experts as experts_module
 import prismflow.sampler as sampler_module
-from conftest import (global_velocity, reference_velocity,
+from conftest import (child_peak_rss_mb, global_velocity, reference_velocity,
                       vanilla_euler_generate)
-from prismflow.datasets import load_csv_windows
+from prismflow.datasets import (gen_bimodal_frequency, load_csv_windows,
+                                normalize)
 from prismflow.errors import (ConfigError, ContractViolation, NumericError,
                               ShapeError)
 from prismflow.experts import expert_gather
 from prismflow.flowpath import encode, time_features
 from prismflow.model import ModelConfig, PrismFlowModel
-from prismflow.numcore import RngStream, Tape
-from prismflow.router import estimate_endpoint, route
+from prismflow.numcore import Params, RngStream, Tape
+from prismflow.router import estimate_endpoint, route, router_logits
 from prismflow.sampler import (ConditionMask, SamplerConfig, _global_vjp,
                                _velocity, export_samples, generate,
                                generate_conditional, residual_velocity_step,
                                step_time_features)
+from prismflow.trainer import TrainConfig, fit
 
 
 def constant_field(model, c):
@@ -444,6 +448,23 @@ class TestLeanStep:
             generate(model, STEP_CASES[case][0], SamplerConfig(steps=3),
                      RngStream(24))
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("case", ["one_expert", "mixed"])
+    def test_nan_router_logit_raises_in_conditional(self, four_expert_model,
+                                                    case, exact):
+        model = self.model_for(four_expert_model, case)
+        model.router.biases[-1][..., 1] = np.nan
+        model.bump_versions()
+        mask = np.zeros((STEP_CASES[case][0], 8, 2), dtype=bool)
+        mask[:, ::2] = True
+        cfg = SamplerConfig(steps=3, mode="imputation", exact_guidance=exact)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="router"):
+                generate_conditional(
+                    model, ConditionMask(mask, np.where(mask, 0.5, 0.0)),
+                    cfg, RngStream(24))
+
     @pytest.mark.parametrize("case", ["one_expert", "mixed"])
     def test_non_finite_residual_names_its_expert(self, four_expert_model,
                                                   case, monkeypatch):
@@ -688,3 +709,116 @@ class TestStepVariants:
 
     def test_exact_guidance_vjp_matches_central_differences(self, variant):
         check_global_vjp(variant_model(variant))
+
+
+def sampling_calls(model, n):
+    """Every kind of sampling call on n windows, by name: `generate` at
+    gamma 1 and 0, and guided imputation and forecasting with and without
+    exact guidance."""
+    s, d = model.cfg.seq_len, model.cfg.channels
+    gen = RngStream(60).generator()
+    masks = {"imputation": gen.uniform(size=(n, s, d)) < 0.5,
+             "forecasting": np.zeros((n, s, d), dtype=bool)}
+    masks["imputation"][:, 0, 0] = True
+    masks["forecasting"][:, : s - 2] = True
+    values = gen.standard_normal((n, s, d))
+    calls = {f"gamma{g}": (lambda g=g: generate(
+        model, n, SamplerConfig(steps=5, gamma=g), RngStream(61)))
+        for g in (1.0, 0.0)}
+    for mode, mask in masks.items():
+        for exact in (False, True):
+            cfg = SamplerConfig(steps=5, mode=mode, eta_g=2.0,
+                                exact_guidance=exact)
+            cond = ConditionMask(mask, np.where(mask, values, 0.0))
+            calls[f"{mode}_exact{exact}"] = (
+                lambda cfg=cfg, cond=cond: generate_conditional(
+                    model, cond, cfg, RngStream(62)))
+    return calls
+
+
+class TestRowBlocks:
+    """Sampling calls run their rows in blocks, each on a view of the model
+    whose biases are repeated to the block's rows."""
+
+    @pytest.mark.parametrize("n,blocks", [(9, [4, 5]), (10, [4, 4, 2])])
+    def test_blocks_of_four_match_one_block_bitwise(self, four_expert_model,
+                                                    n, blocks, monkeypatch):
+        """At 4 rows a block, 9 rows would leave a one-row tail, which joins
+        the block before it."""
+        calls = sampling_calls(four_expert_model, n)
+        want = {name: call().tobytes() for name, call in calls.items()}
+        monkeypatch.setattr(sampler_module, "BLOCK_ROWS", 4)
+        rows = record_decodes(monkeypatch)
+        got = {name: call().tobytes() for name, call in calls.items()}
+        assert got == want
+        # gamma 1 and the four guided calls decode, each block per step
+        assert rows == [b for b in blocks for _ in range(5)] * 5
+
+    def test_block_view_shares_weights_and_repeats_biases(self,
+                                                          four_expert_model):
+        model = four_expert_model
+        view = model.batch_view(3)
+        for name in ("encoder", "head", "projector", "decoder", "router"):
+            net, block = getattr(model, name), getattr(view, name)
+            assert all(a is b for a, b in zip(net.weights, block.weights))
+            for b, rows in zip(net.biases, block.biases):
+                assert rows.shape == (3, b.shape[1])
+                assert (rows == b).all()
+        assert view.expert_pairs.base is model.params().flat
+
+    def test_peak_memory_does_not_grow_with_the_windows(self):
+        """Only the windows themselves (10 MB at n = 20,000) grow with n;
+        one batch of every row held about 67 MB more."""
+        snippet = ("from prismflow.model import ModelConfig, PrismFlowModel\n"
+                   "from prismflow.numcore import RngStream\n"
+                   "from prismflow.sampler import SamplerConfig, generate\n"
+                   "model = PrismFlowModel.init(ModelConfig(seq_len=64, "
+                   "channels=1), RngStream(0))\n"
+                   "generate(model, {n}, SamplerConfig(steps=3), "
+                   "RngStream(1))")
+        small = child_peak_rss_mb(snippet.format(n=1024))
+        large = child_peak_rss_mb(snippet.format(n=20000))
+        assert large - small < 25.0
+
+
+@pytest.fixture(scope="module")
+def bimodal_k4():
+    """A seeded K=4 model trained a few epochs on the bimodal set."""
+    ds = normalize(gen_bimodal_frequency(256, 16, 1, 2, 5, RngStream(3, 50)))
+    model, _ = fit(ds.windows, ModelConfig(n_experts=4, latent_dim=4,
+                                           hidden_dim=16, dec_hidden=16,
+                                           router_hidden=16),
+                   TrainConfig(seed=3, epochs=4, batch_size=32))
+    return model
+
+
+def relabelled(model, perm):
+    """The model whose expert j is the given model's expert perm[j]: the
+    expert pairs, the router's last-layer weight columns and its last
+    bias entries permuted together."""
+    out = PrismFlowModel(model.cfg, Params(
+        {name: p.shape for name, p in model.params().items()},
+        model.params().flat.copy()))
+    out.expert_pairs[:] = model.expert_pairs[perm]
+    out.router.weights[-1][:] = model.router.weights[-1][:, perm]
+    out.router.biases[-1][:] = model.router.biases[-1][:, perm]
+    return out
+
+
+@pytest.mark.parametrize("perm", [[1, 0, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]])
+def test_relabelling_the_experts_leaves_sampling_bitwise(bimodal_k4, perm):
+    model, n = bimodal_k4, 12
+    x = RngStream(70).generator().standard_normal((n, 16, 1))
+    tf = step_time_features(model, 10, n)[5]
+    winners = router_logits(model, tf, encode(model, x, tf)[0])[0].argmax(1)
+    assert np.unique(winners).size > 1  # the labels decide something
+    other = relabelled(model, perm)
+    cfg = SamplerConfig(steps=10)
+    assert generate(other, n, cfg, RngStream(71)).tobytes() == \
+        generate(model, n, cfg, RngStream(71)).tobytes()
+    mask = RngStream(72).generator().uniform(size=(n, 16, 1)) < 0.5
+    mask[:, 0, 0] = True
+    cond = ConditionMask(mask, np.where(mask, 0.5, 0.0))
+    cfg = SamplerConfig(steps=10, mode="imputation", exact_guidance=True)
+    assert generate_conditional(other, cond, cfg, RngStream(73)).tobytes() \
+        == generate_conditional(model, cond, cfg, RngStream(73)).tobytes()
