@@ -15,7 +15,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -138,8 +138,8 @@ def velocity_energy_gap(x0, x1):
     return mean_sq, sq_mean
 
 
-# CSV rows parsed, or lines written, per slice: bounds the row and cell
-# lists held at once, so memory does not grow with the file
+# CSV lines written per slice: bounds the text the writer formats at once,
+# so its memory does not grow with the file
 _SLICE_LINES = 8192
 # bytes read at a time from a file: every file is checked and parsed a
 # piece of about this size at a time, so reading it holds neither the whole
@@ -233,45 +233,25 @@ def _numeric_values(path: str, rows: int, d: int):
 
 
 def _csv_rows(fh, path: str):
-    """The channel names, then lists of up to _SLICE_LINES rows, each with
-    the line its first row starts on, of a binary file split by one
-    `csv.reader` over its decoded pieces. Pieces end at newlines, so a
-    quoted cell that spans pieces still parses."""
+    """The channel names, then each row with the line it starts on, of a
+    binary file split by one `csv.reader` over its decoded pieces. Pieces
+    end at newlines, so a quoted cell that spans pieces still parses."""
     reader = csv.reader(chain.from_iterable(
         io.StringIO(_decode(piece, path)) for piece in _pieces(fh)))
     try:
         yield [name.strip() for name in next(reader)]
-        lineno = reader.line_num + 1
-        while rows := list(islice(reader, _SLICE_LINES)):
-            yield lineno, rows
-            lineno = reader.line_num + 1
+        line = reader.line_num + 1
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _raise_first_error(rows, first_lineno: int, d: int, path: str):
-    """Walk a slice that failed the bulk checks cell by cell and raise the
-    error of its first bad row, named by the line that row starts on."""
-    next_line = first_lineno
-    for row in rows:
-        lineno, next_line = next_line, next_line + 1 + "".join(row).count("\n")
-        if all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != d:
-            raise ParseError(f"{path}:{lineno}: expected {d} cells, "
-                             f"got {len(row)}")
-        for col, cell in enumerate(row, start=1):
-            try:
-                float(cell)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: column {col}: "
-                                 f"non-numeric cell {cell!r}") from None
-    raise ParseError(f"{path}:{first_lineno}: unreadable rows")
-
-
-def _block_lengths(solids) -> np.ndarray:
-    """Lengths of the runs of non-blank rows, from per-line flags."""
-    edges = np.diff(np.concatenate([[False], *solids, [False]]).view(np.int8))
+def _block_lengths(solid) -> np.ndarray:
+    """Lengths of the runs of non-blank rows, from one flag per line or row,
+    True where it is not blank."""
+    edges = np.diff(np.concatenate([[False], solid, [False]]).view(np.int8))
     return np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
 
 
@@ -289,40 +269,37 @@ def _parse_rows(path: str):
         if not size:
             raise ParseError(f"{path}: empty file")
         fh.seek(0)
-        slices = _csv_rows(fh, path)
-        channels = next(slices)
+        rows = _csv_rows(fh, path)
+        channels = next(rows)
         d = len(channels)
         if solid is not None:
-            slices.close()  # no decoded piece is held while numpy reads
+            rows.close()  # no decoded piece is held while numpy reads
             values = _numeric_values(path, int(np.count_nonzero(solid)), d)
             if values is not None:
-                return channels, values, _block_lengths([solid])
+                return channels, values, _block_lengths(solid)
             fh.seek(0)
-            slices = _csv_rows(fh, path)
-            next(slices)
+            rows = _csv_rows(fh, path)
+            next(rows)
         values = np.empty((lines, d))  # at most one row a line
-        solids, filled = [], 0
-        for lineno, rows in slices:
-            cells = list(chain.from_iterable(rows))
-            counts = np.fromiter(map(len, rows), np.intp, len(rows))
+        flat = values.reshape(-1)  # written cell by cell, row after row
+        solid = np.zeros(lines, bool)  # True where a row is not blank
+        filled = 0  # cells written
+        for i, (line, row) in enumerate(rows):
             # a row is blank when every cell is whitespace (a csv [] row too)
-            full = np.fromiter(map(bool, map(str.strip, cells)), bool,
-                               len(cells))
-            ends = np.cumsum(counts)
-            seen = np.concatenate(([0], np.cumsum(full)))
-            solid = seen[ends] != seen[ends - counts]
-            k = int(np.count_nonzero(solid))
-            if np.any(counts[solid] != d):
-                _raise_first_error(rows, lineno, d, path)
-            kept = compress(cells, np.repeat(solid, counts).tolist())
-            try:
-                values[filled:filled + k] = np.fromiter(
-                    map(float, kept), np.float64, k * d).reshape(k, d)
-            except ValueError:
-                _raise_first_error(rows, lineno, d, path)
-            solids.append(solid)
-            filled += k
-    return channels, values[:filled], _block_lengths(solids)
+            if not "".join(row).strip():
+                continue
+            if len(row) != d:
+                raise ParseError(f"{path}:{line}: expected {d} cells, "
+                                 f"got {len(row)}")
+            for col, cell in enumerate(row, start=1):
+                try:
+                    flat[filled] = float(cell)
+                except ValueError:
+                    raise ParseError(f"{path}:{line}: column {col}: "
+                                     f"non-numeric cell {cell!r}") from None
+                filled += 1
+            solid[i] = True
+    return channels, values[:np.count_nonzero(solid)], _block_lengths(solid)
 
 
 def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):

@@ -56,21 +56,19 @@ def expert_gather(ops, n: int):
     return ops.reshape(-1, ops.shape[-1]).T, np.arange(n)
 
 
-def decode_experts(model, ops, z, experts, taped=False, gather=None):
+def decode_experts(model, ops, z, experts, gather=None):
     """Residual velocities (n, S*D) of latent codes z (n, d_z), row i
     decoded by expert k = experts[i] with generator A^k = ops[k], from the
-    (K, d_z, d_z) bank assembled once per training step or sampling call.
+    (K, d_z, d_z) bank assembled once per sampling call.
     One product of z with [A_1^T ... A_K^T] gives every expert's latent
     map; each row takes its own expert's block, and the decoder runs once
     on concat(z, A^k z). A caller that decodes n rows at every step passes
     `gather`, `expert_gather(ops, n)` made once.
-
-    Returns (residuals, dec_tape), the tape None unless `taped`.
     """
     bank, rows = gather or expert_gather(ops, len(z))
     az = np.dot(z, bank).reshape(len(z), -1, z.shape[1])
     return decode(model, np.concatenate([z, az[rows, experts]], axis=1),
-                  experts, taped)
+                  experts)[0]
 
 
 def decode(model, zaz: np.ndarray, experts, taped: bool = False, ws=None):

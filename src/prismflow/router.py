@@ -32,10 +32,10 @@ def router_logits(model, tf, h, taped=True, ws=None):
     return logits, tape
 
 
-def route(model, tf, h, taped=True, ws=None):
+def route(model, tf, h, ws=None):
     """`router_logits` as categorical expert probabilities: (probs, tape),
     probs rows strictly positive and summing to 1."""
-    logits, tape = router_logits(model, tf, h, taped, ws)
+    logits, tape = router_logits(model, tf, h, True, ws)
     return softmax(logits), tape
 
 
@@ -105,7 +105,7 @@ def wta_loss(model, x0, x1, t, cfg, lam=None):
     ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
     v_global, _ = mlp_layers(model.head, trunk.h)  # value only
-    probs, router_tape = route(model, trunk.tf, trunk.h, True, ws)
+    probs, router_tape = route(model, trunk.tf, trunk.h, ws)
     loss, dh, info = wta_core(model, trunk, probs, router_tape, v_global,
                               cfg, ws, lam=lam)
     mlp_gradients(model.encoder, trunk.tape, dh, ws.grad.encoder, False)
@@ -210,7 +210,7 @@ def balance_loss_and_grads(model, x0, x1, t, cfg):
     """
     ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
-    probs, tape = route(model, trunk.tf, trunk.h, True, ws)
+    probs, tape = route(model, trunk.tf, trunk.h, ws)
     loss = balance_core(model, probs, tape, cfg, ws)
     return loss, ws.grads, probs
 

@@ -87,8 +87,8 @@ def _velocity(model, x, tf, cfg, ops, gather, taped=False):
     if cfg.gamma != 0.0:
         logits, _ = router_logits(model, tf, h, taped=False)
         z, _ = mlp_layers(model.projector, h)
-        resid, _ = decode_experts(model, ops, z, logits.argmax(axis=1),
-                                  gather=gather)
+        resid = decode_experts(model, ops, z, logits.argmax(axis=1),
+                               gather=gather)
         v = v + cfg.gamma * resid
     return v, enc_tape, head_tape
 

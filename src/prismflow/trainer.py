@@ -81,7 +81,7 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
     ws.grads.flat.fill(0.0)
 
     c_val, dh, v_global = cfm_core(model, trunk, ws)
-    probs, router_tape = route(model, trunk.tf, trunk.h, True, ws)
+    probs, router_tape = route(model, trunk.tf, trunk.h, ws)
     w_val, w_dh, info = wta_core(model, trunk, probs, router_tape, v_global,
                                  cfg, ws, lam=lam, scale=cfg.alpha_w)
     b_val = balance_core(model, probs, router_tape, cfg, ws,

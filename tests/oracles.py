@@ -103,9 +103,9 @@ class FrozenObjective:
         probs, _ = route(model, self.tf, h)
         z, _ = mlp_apply(model.projector, h)
         kk, b = model.n_experts, z.shape[0]
-        resids, _ = decode_experts(model, model.operators(),
-                                   np.tile(z, (kk, 1)),
-                                   np.repeat(np.arange(kk), b))
+        resids = decode_experts(model, model.operators(),
+                                np.tile(z, (kk, 1)),
+                                np.repeat(np.arange(kk), b))
         resids = resids.reshape(kk, b, -1)
         errs = estimate_endpoint(self.xt, self.t, self.v0 + resids) - self.x1
         return wta_scores(np.mean(errs * errs, axis=2).T, probs, self.cfg)
@@ -177,7 +177,7 @@ def reference_velocity(model, x, t, cfg, ops):
     for k in range(model.n_experts):
         mask = winners == k
         if mask.any():
-            resid[mask] = decode_experts(model, ops, z[mask], winners[mask])[0]
+            resid[mask] = decode_experts(model, ops, z[mask], winners[mask])
     total = v + cfg.gamma * resid
     return total.reshape(x.shape), (enc_tape, head_tape)
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import warnings
@@ -1205,3 +1206,83 @@ class TestDiagnoseVerb:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+
+
+def pipeline_digests(tmp_path, monkeypatch):
+    """SHA-256 of every file a tiny seeded pipeline writes, run in tmp_path
+    on relative paths so headers and sidecars name the same files on every
+    run; the training report without its wall times. Also checks that a
+    CRLF rendering of the data trains to the same parameter blocks."""
+    monkeypatch.chdir(tmp_path)
+    train = ("--seed", "0", "--epochs", "3", "--batch-size", "16",
+             "--hidden-dim", "16", "--latent-dim", "4", "--quiet")
+    sample = ("--checkpoint", "model.ckpt", "--steps", "4")
+    condition = (*sample, "--observed", "obs.csv", "--mask", "mask.csv")
+    assert run("gen-data", "--kind", "bimodal", "--n", "32", "--seq-len",
+               "32", "--channels", "2", "--seed", "0", "--out",
+               "data.csv") == 0
+    assert run("train", "--data", "data.csv", *train, "--out", "model.ckpt",
+               "--report", "train.jsonl") == 0
+    assert run("sample", *sample, "--n", "8", "--seed", "1", "--out",
+               "g1.csv") == 0
+    assert run("sample", *sample, "--n", "8", "--gamma", "0", "--seed", "1",
+               "--out", "g0.csv") == 0
+    save_csv_windows(load_csv_windows("data.csv", mode="blocks").windows[:3],
+                     "obs.csv")
+    mask = np.zeros((3, 32, 2))
+    mask[:, :16, 0] = 1.0
+    save_csv_windows(mask, "mask.csv")
+    assert run("impute", *condition, "--seed", "2", "--out", "imp.csv") == 0
+    assert run("forecast", *condition, "--seed", "3", "--out", "fc.csv") == 0
+    assert run("eval", "--real", "data.csv", "--gen", "g1.csv", "--metrics",
+               "corr,spectral", "--out", "eval.jsonl") == 0
+    assert run("dmd", "--real", "data.csv", "--gen", "g1.csv", "--out",
+               "spectra.csv") == 0
+    assert run("dmd", "--experts", "model.ckpt", "--out", "experts.csv") == 0
+    rows = [json.loads(line) for line in open("train.jsonl")]
+    for row in rows:
+        row.pop("wall_time", None)
+    with open("train.jsonl", "w") as fh:
+        fh.write("\n".join(map(json.dumps, rows)) + "\n")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+               .hexdigest() for name in sorted(os.listdir(tmp_path))}
+    with open("data.csv", "rb") as src, open("crlf.csv", "wb") as dst:
+        dst.write(src.read().replace(b"\n", b"\r\n"))
+    assert run("train", "--data", "crlf.csv", *train, "--out",
+               "crlf.ckpt") == 0
+    blocks = load_checkpoint("model.ckpt")[1]
+    crlf = load_checkpoint("crlf.ckpt")[1]
+    assert list(crlf) == list(blocks)
+    assert all(crlf[k].tobytes() == blocks[k].tobytes() for k in blocks)
+    return digests
+
+
+# SHA-256 of each file `pipeline_digests` writes; `pred` and `disc` are
+# left out, as their bits depend on the BLAS thread count (README)
+CLI_PINS = {
+    "data.csv": "3ecc858e894292381bc168ae99953eee2a26c69fd1318aa63b2afc0f87b300ab",
+    "data.csv.labels": "7a8dc6344bbd2679ad5cfc6218b77d5df403cc83acedd38d4f9248b59290585c",
+    "data.csv.meta.json": "22494e6c6ceb92dc0e8491b7f7a490b05075472d4044cc0765f32dc99b6c923d",
+    "eval.jsonl": "960d6fd0f13c5804087c5621d6052c77ac2b54cc0136f27107f81b64ca578e06",
+    "experts.csv": "80460d867b0eba935954fef63280dbb06c8c1d01df18be564f9cc214b4d52b05",
+    "experts.csv.meta.json": "b4d7603c9f23dfcb0b1513d75b0fe23f404e994ce86d7782b91b1e1d73b29511",
+    "fc.csv": "5ef61766b141484f2b0b60230a186e0a0ac6c3d142631d29fb3afbff53ff782f",
+    "fc.csv.meta.json": "370c3caa1d9bec5b8c2e7711aa1c9a2dbed6fe35f8142096e7668d84714b75c3",
+    "g0.csv": "eca61fa8b68f131913e9c5129f4afd279ff35f84c632c886ff97c2dec909e0bb",
+    "g0.csv.meta.json": "270966ef1ee7aa0053d1d6c870427edcc1548b48cccf95d408646448c167ba60",
+    "g1.csv": "a7bf32c42d726f046762c0368d0595c35dc3ba21667473a783459c318143a0c1",
+    "g1.csv.meta.json": "3722437b77cc4d37122f326c276f98de0a416c6e8f7e03e724d241b9f003d7d3",
+    "imp.csv": "67a083f9e3ab4039cad342dc74829dba4b1f9db6eaa76e4116ab4519c27371e3",
+    "imp.csv.meta.json": "1672d6bfb7b7cf6855bf1d2a3ecbe3b52f2772997962ee36d8799b7586bddb9d",
+    "mask.csv": "91edb4cb6f9a118960badf4f5c4789530b9622cada4802f3925b75cc32aa729b",
+    "model.ckpt": "d586cd0767c15d9509978631752621333a1c8f84b05159d72d2847360f0e32e6",
+    "obs.csv": "033eecc2495fc4048e78ff2fbacfece99016d89755cd5b72944a9e6fcf9fa680",
+    "spectra.csv": "9731456a6eefaf84da7423e373b78632f96a69216c8d9c2cd61a160230929e93",
+    "spectra.csv.meta.json": "6d28eac6f48f8568306c08fce6c1d4ff216273e3e2a2092f0de7039f52a10b7f",
+    "train.jsonl": "03fb191659b7da019d0c55f7b0670ca8fe098bdda9f3a3ad431f669754552e8e",
+}
+
+
+def test_pipeline_outputs_are_pinned(tmp_path, monkeypatch):
+    assert pipeline_digests(tmp_path, monkeypatch) == CLI_PINS

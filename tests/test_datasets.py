@@ -440,6 +440,19 @@ class TestCsvContract:
         with pytest.raises(ParseError, match=f"csv:{line}: field larger"):
             load_csv_windows(str(path), mode="blocks")
 
+    def test_first_bad_row_is_named_before_a_later_csv_error(self,
+                                                             tmp_path):
+        """Rows are checked as `csv.reader` yields them, so a bad cell on
+        line 3 is named, not the over-limit field on line 5."""
+        path = tmp_path / "order.csv"
+        path.write_text('a\r\n1.0\r\nx\r\n2.0\r\n"' + "1" * 200_000
+                        + '"\r\n', newline="")
+        for load in (load_csv_windows, reference_load_csv_windows):
+            with pytest.raises(ParseError,
+                               match=r"order\.csv:3: column 1: non-numeric "
+                                     r"cell 'x'$"):
+                load(str(path), mode="blocks")
+
     def test_long_unquoted_number_reads_as_float_does(self, tmp_path):
         path = tmp_path / "long_cell.csv"
         path.write_text("a\n" + "1" * 200_000 + "\n")
@@ -477,18 +490,19 @@ class TestCsvContract:
         lines = 2000 * 65  # 64 rows a window and a blank line between
         assert len(held) == 1 and held[0] < lines + datasets._SLICE_BYTES
 
-    @pytest.mark.parametrize("cell", ['"{}"', " {} "],
-                             ids=["quoted", "padded"])
+    @pytest.mark.parametrize("cell,eol", [('"{}"', "\n"), (" {} ", "\n"),
+                                          ("{}", "\r\n")],
+                             ids=["quoted", "padded", "crlf"])
     def test_row_path_holds_the_values_and_a_few_slices(self, tmp_path,
-                                                         cell):
+                                                         cell, eol):
         """A file of 128,000 lines that numpy's C reader does not take:
-        the row path holds the values and a slice of rows or a piece or two
-        of the file at a time, not the whole text."""
+        the row path holds the values and a row or a piece or two of the
+        file at a time, not the whole text."""
         path = tmp_path / "big.csv"
         windows = RngStream(18).generator().standard_normal((2000, 64, 1))
-        rows = ("\n".join(cell.format(repr(v)) for v in w.ravel().tolist())
+        rows = (eol.join(cell.format(repr(v)) for v in w.ravel().tolist())
                 for w in windows)
-        path.write_text("c0\n" + "\n\n".join(rows) + "\n")
+        path.write_bytes(("c0" + eol + (2 * eol).join(rows) + eol).encode())
         ds, peak = traced_peak(load_csv_windows, str(path), mode="blocks")
         want = reference_load_csv_windows(str(path), mode="blocks").windows
         assert ds.windows.tobytes() == want.tobytes()

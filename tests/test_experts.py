@@ -163,24 +163,24 @@ class TestDecodeExpertVelocity:
             b[:] = 0.0
         z = latent_codes(tiny_model, x0, t)
         for k in range(tiny_model.n_experts):
-            resid, _ = decode_experts(tiny_model, tiny_model.operators(), z,
-                                      np.full(len(z), k))
+            resid = decode_experts(tiny_model, tiny_model.operators(), z,
+                                   np.full(len(z), k))
             assert np.all(resid == 0.0)
 
     def test_output_shape(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
         z = latent_codes(tiny_model, x0, t)
         for k in range(tiny_model.n_experts):
-            resid, _ = decode_experts(tiny_model, tiny_model.operators(), z,
-                                      np.full(len(z), k))
+            resid = decode_experts(tiny_model, tiny_model.operators(), z,
+                                   np.full(len(z), k))
             assert resid.shape == (x0.shape[0], 16)
 
     def test_experts_generically_distinct(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
         z = latent_codes(tiny_model, x0, t)
         ops = tiny_model.operators()
-        r0, _ = decode_experts(tiny_model, ops, z, np.full(len(z), 0))
-        r1, _ = decode_experts(tiny_model, ops, z, np.full(len(z), 1))
+        r0 = decode_experts(tiny_model, ops, z, np.full(len(z), 0))
+        r1 = decode_experts(tiny_model, ops, z, np.full(len(z), 1))
         assert np.abs(r0 - r1).max() > 0.0
 
 
