@@ -298,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sampling = argparse.ArgumentParser(add_help=False)  # flags of all three
     sampling.add_argument("--checkpoint", required=True)
-    sampling.add_argument("--steps", type=int, default=100)
-    sampling.add_argument("--gamma", type=float, default=1.0)
+    sampling.add_argument("--steps", type=int, default=SamplerConfig.steps)
+    sampling.add_argument("--gamma", type=float, default=SamplerConfig.gamma)
     sampling.add_argument("--seed", type=int, required=True)
     sampling.add_argument("--out", required=True)
 
@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"{verb} with guidance sampling")
         c.add_argument("--observed", required=True)
         c.add_argument("--mask", required=True)
-        c.add_argument("--eta-g", dest="eta_g", type=float, default=1.0)
+        c.add_argument("--eta-g", dest="eta_g", type=float,
+                       default=SamplerConfig.eta_g)
 
     e = sub.add_parser("eval", help="compare real vs generated CSVs")
     e.add_argument("--real", required=True)
@@ -337,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     di = sub.add_parser("diagnose",
                         help="two-mode velocity averaging diagnostic")
-    di.add_argument("--c", type=float, default=2.0)
-    di.add_argument("--w", type=float, default=0.5)
-    di.add_argument("--n", type=int, default=5000)
+    di.add_argument("--c", type=float, default=DiagnosticSpec.separation)
+    di.add_argument("--w", type=float, default=DiagnosticSpec.weights[0])
+    di.add_argument("--n", type=int, default=DiagnosticSpec.n)
     di.add_argument("--seed", type=int, default=0)
     return p
 

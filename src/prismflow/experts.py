@@ -50,25 +50,21 @@ def operator_eigenvalues(a: np.ndarray) -> np.ndarray:
     return eig[order]
 
 
-def expert_gather(ops, n: int):
-    """What `decode_experts` reads of the (K, d_z, d_z) bank `ops` for n
-    rows: [A_1^T ... A_K^T] as one (d_z, K*d_z) view, and the row index."""
-    return ops.reshape(-1, ops.shape[-1]).T, np.arange(n)
+def expert_bank(ops):
+    """The (K, d_z, d_z) bank `ops` as [A_1^T ... A_K^T], one (d_z, K*d_z)
+    view: one product of latent codes with it gives every expert's map."""
+    return ops.reshape(-1, ops.shape[-1]).T
 
 
-def decode_experts(model, ops, z, experts, gather=None):
+def decode_experts(model, bank, z, experts):
     """Residual velocities (n, S*D) of latent codes z (n, d_z), row i
-    decoded by expert k = experts[i] with generator A^k = ops[k], from the
-    (K, d_z, d_z) bank assembled once per sampling call.
-    One product of z with [A_1^T ... A_K^T] gives every expert's latent
-    map; each row takes its own expert's block, and the decoder runs once
-    on concat(z, A^k z). A caller that decodes n rows at every step passes
-    `gather`, `expert_gather(ops, n)` made once.
-    """
-    bank, rows = gather or expert_gather(ops, len(z))
+    decoded by expert k = experts[i], through the `expert_bank` view of the
+    operators that a sampling call makes once. Each row takes its own
+    expert's block of the product of z with the bank, and the decoder runs
+    once on concat(z, A^k z)."""
     az = np.dot(z, bank).reshape(len(z), -1, z.shape[1])
-    return decode(model, np.concatenate([z, az[rows, experts]], axis=1),
-                  experts)[0]
+    return decode(model, np.concatenate(
+        [z, az[np.arange(len(z)), experts]], axis=1), experts)[0]
 
 
 def decode(model, zaz: np.ndarray, experts, taped: bool = False, ws=None):

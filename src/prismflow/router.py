@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ShapeError
-from .experts import decode, operator_grads
+from .experts import decode, expert_bank, operator_grads
 from .flowpath import trunk_forward
 from .numcore import Workspace, mlp_gradients, mlp_layers, tape_rows
 
@@ -39,21 +39,10 @@ def route(model, tf, h, ws=None):
     return softmax(logits), tape
 
 
-def estimate_endpoint(x_t, t, v, out=None):
-    """Linear extrapolation x_t + (1 - t) * v to t=1, into `out` if given,
-    for flow times t (B,) or one scalar t. `v` has the shape of x_t, or one
-    leading axis more (one velocity per expert)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[v.ndim - x_t.ndim:] != x_t.shape or v.ndim > x_t.ndim + 1:
-        raise ShapeError("velocity shape does not match state shape")
-    t = np.asarray(t, dtype=np.float64)  # one t: float arithmetic, same bits
-    t = t.reshape((-1,) + (1,) * (x_t.ndim - 1)) if t.ndim else float(t)
-    return endpoint(x_t, t, v, out)
-
-
 def endpoint(x_t, t, v, out=None):
-    """estimate_endpoint's arithmetic, unchecked: t a float or a column."""
+    """Linear extrapolation x_t + (1 - t) * v to t=1, into `out` if given,
+    for a float flow time t or a (B, 1) column of them. `v` has the shape
+    of x_t, or one leading axis more (one velocity per expert)."""
     return np.add(x_t, np.multiply(1.0 - t, v, out=out), out=out)
 
 
@@ -104,6 +93,9 @@ def wta_loss(model, x0, x1, t, cfg, lam=None):
     """
     ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
+    lam = np.ones(len(trunk.t)) if lam is None else np.asarray(lam, float)
+    if (lam < 0).any():
+        raise ContractViolation("lambda weights must be >= 0")
     v_global, _ = mlp_layers(model.head, trunk.h)  # value only
     probs, router_tape = route(model, trunk.tf, trunk.h, ws)
     loss, dh, info = wta_core(model, trunk, probs, router_tape, v_global,
@@ -113,8 +105,9 @@ def wta_loss(model, x0, x1, t, cfg, lam=None):
 
 
 def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
-             lam=None, scale: float = 1.0):
-    """Winner-take-all term on a trunk pass and its routing.
+             lam, scale: float = 1.0):
+    """Winner-take-all term on a trunk pass and its routing, each row's
+    score weighted by its entry of `lam` (B,), which is >= 0.
 
     The decoder runs forward once on K blocks of the B rows, block k by
     expert k, and backward once on the B winner rows of that tape. `scale`
@@ -122,17 +115,13 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
     trunk-feature gradient dh. Returns (loss, dh, WtaBatchInfo).
     """
     b, sd = trunk.xt.shape
-    lam = np.ones(b) if lam is None else np.asarray(lam, dtype=np.float64)
-    if (lam < 0).any():
-        raise ContractViolation("lambda weights must be >= 0")
-
     z, proj_tape = mlp_layers(model.projector, trunk.h, True, ws)
     ops = model.operators()
     kk, dz = ops.shape[:2]
     # [z, A^k z] for every k from one product of z with the bank; one row
     # is tiled to K, since BLAS's one-row product rounds differently
     zz = z if b > 1 else np.tile(z, (kk, 1))
-    az = np.dot(zz, ops.reshape(-1, dz).T).reshape(len(zz), kk, dz)
+    az = np.dot(zz, expert_bank(ops)).reshape(len(zz), kk, dz)
     dec_in = ws["dec", (kk, b, 2 * dz)]
     dec_in[..., :dz] = z
     dec_in[..., dz:] = az.swapaxes(0, 1) if b > 1 else az.diagonal().T[:, None]
@@ -141,7 +130,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
     # endpoint errors (K, B, S*D): one estimate per expert's total velocity
     errs = np.add(v_global, resids.reshape(kk, b, sd),
                   out=ws["errs", (kk, b, sd)])
-    errs = estimate_endpoint(trunk.xt, trunk.t, errs, out=errs)
+    errs = endpoint(trunk.xt, trunk.t[:, None], errs, out=errs)
     errs -= trunk.x1
     sq = np.multiply(errs, errs, out=ws["sq", errs.shape])
     mses = (np.add.reduce(sq, axis=2) / sd).T  # (B, K)
@@ -157,18 +146,15 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
     dresid = (1.0 - trunk.t)[:, None] * derr
     win_tape = tape_rows(dec_tape, win)
     din = mlp_gradients(model.decoder, win_tape, dresid, ws.grad.decoder)
-    order = winners.argsort(kind="stable")  # each expert's rows: one run
-    counts = np.bincount(winners, minlength=kk)
-    da, zw = din[order, dz:], z[order]
-    dzw, d_ops = np.empty_like(da), np.empty_like(ops)
-    for k, end in enumerate(counts.cumsum()):  # a loser's d_op is 0
-        run = slice(end - counts[k], end)
-        np.matmul(da[run], ops[k], out=dzw[run])
-        np.matmul(da[run].T, zw[run], out=d_ops[k])  # dL/dA^k, k's rows only
-    dzs = din[:, :dz].copy()
-    dzs[order] += dzw
+    dzs, d_ops = din[:, :dz].copy(), np.zeros_like(ops)
+    # the experts that won a row; np.unique's first call takes about 10 ms
+    live = sorted(set(winners.tolist()))
+    for k in live:  # a loser's d_op is 0
+        mine = np.flatnonzero(winners == k)
+        da = din[mine, dz:]
+        dzs[mine] += np.matmul(da, ops[k])
+        np.matmul(da.T, z[mine], out=d_ops[k])  # dL/dA^k, k's rows only
     ds, dr = operator_grads(model.expert_pairs[:, 1], d_ops)
-    live = np.flatnonzero(counts)
     ws.grad.expert_pairs[live] += np.stack([ds, dr], 1)[live]
 
     dh = mlp_gradients(model.projector, proj_tape, dzs, ws.grad.projector)

@@ -10,7 +10,7 @@ import numpy as np
 from .datasets import save_csv_windows
 from .errors import (ConfigError, ContractViolation, NumericError, ShapeError,
                      check_int, check_real, check_size)
-from .experts import decode_experts, expert_gather
+from .experts import decode_experts, expert_bank
 from .flowpath import encode, time_features
 from .numcore import RngStream, mlp_gradients, mlp_layers, row_blocks
 from .router import endpoint, router_logits
@@ -75,20 +75,20 @@ def step_time_features(model, steps: int, n: int) -> np.ndarray:
     return np.broadcast_to(table[:, np.newaxis], (steps, n, table.shape[1]))
 
 
-def _velocity(model, x, tf, cfg, ops, gather, taped=False):
+def _velocity(model, x, tf, cfg, bank, taped=False):
     """Total velocity (n, S*D) of states x (n, ...) at time features tf
     (n, 2F), each row decoded by its argmax expert in one call through the
-    bank `gather`, with encoder and head tapes (None unless `taped`). The
-    expert is the argmax of the logits, as of their softmax, which keeps
-    their order; where rounding makes two different logits' probabilities
-    equal, the larger logit, the exact winner, wins over a lower index."""
+    `expert_bank` view `bank`, with encoder and head tapes (None unless
+    `taped`). The expert is the argmax of the logits, as of their softmax,
+    which keeps their order; where rounding makes two different logits'
+    probabilities equal, the larger logit, the exact winner, wins over a
+    lower index."""
     h, enc_tape = encode(model, x, tf, taped)
     v, head_tape = mlp_layers(model.head, h, taped)
     if cfg.gamma != 0.0:
         logits, _ = router_logits(model, tf, h, taped=False)
         z, _ = mlp_layers(model.projector, h)
-        resid = decode_experts(model, ops, z, logits.argmax(axis=1),
-                               gather=gather)
+        resid = decode_experts(model, bank, z, logits.argmax(axis=1))
         v = v + cfg.gamma * resid
     return v, enc_tape, head_tape
 
@@ -104,15 +104,14 @@ def _global_vjp(model, enc_tape, head_tape, upstream):
 # A finite but huge gamma or eta_g may overflow a step's arithmetic: the
 # state check after each step raises NumericError, with no numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
-def residual_velocity_step(model, x, tf, cfg: SamplerConfig, ops, gather):
+def residual_velocity_step(model, x, tf, cfg: SamplerConfig, bank):
     """One Euler update x + (v_global + gamma*v_expert) * dt at the flow
     time whose time features are tf (B, 2F), with the dominant expert
     chosen per sample by argmax routing probability. gamma=0 reduces
-    exactly to the plain Euler update. `ops` are the experts' operators
-    and `gather` their `expert_gather`, both made once by the caller; at
-    gamma 0 neither is read."""
+    exactly to the plain Euler update. `bank` is the experts'
+    `expert_bank`, made once by the caller; at gamma 0 it is not read."""
     x = np.asarray(x, dtype=np.float64)
-    v = _velocity(model, x, tf, cfg, ops, gather)[0].reshape(x.shape)
+    v = _velocity(model, x, tf, cfg, bank)[0].reshape(x.shape)
     xn = x + v * (1.0 / cfg.steps)
     if not np.isfinite(xn).all():
         raise NumericError("non-finite state after a sampler step")
@@ -129,13 +128,12 @@ def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     x = rng.generator().standard_normal((n, s, d))
     if n == 0:
         return x
-    ops = model.operators() if cfg.gamma else None
+    bank = expert_bank(model.operators()) if cfg.gamma else None
     for rows in row_blocks(n, BLOCK_ROWS):
         b = rows.stop - rows.start
         block, xb = model.batch_view(b), x[rows]
-        gather = expert_gather(ops, b) if cfg.gamma else None
         for tf in step_time_features(model, cfg.steps, b):
-            xb = residual_velocity_step(block, xb, tf, cfg, ops, gather)
+            xb = residual_velocity_step(block, xb, tf, cfg, bank)
         x[rows] = xb
     return x
 
@@ -172,15 +170,14 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     for i in range(n):  # one Philox, re-keyed per window
         x[i] = rng.child(rng.stream + i).generator(bits).standard_normal(s * d)
     dt = 1.0 / cfg.steps
-    ops = model.operators() if cfg.gamma else None
+    bank = expert_bank(model.operators()) if cfg.gamma else None
     for rows in row_blocks(n, BLOCK_ROWS):
         b = rows.stop - rows.start
         block, xb, m2b, yb = model.batch_view(b), x[rows], m2[rows], y[rows]
-        gather = expert_gather(ops, b) if cfg.gamma else None
         for i, tf in enumerate(step_time_features(model, cfg.steps, b)):
             t = i / cfg.steps
-            v, enc_tape, head_tape = _velocity(block, xb, tf, cfg, ops,
-                                               gather, cfg.exact_guidance)
+            v, enc_tape, head_tape = _velocity(block, xb, tf, cfg, bank,
+                                               cfg.exact_guidance)
             g = m2b * (endpoint(xb, t, v) - yb)
             if cfg.exact_guidance:
                 # add the global-field term of the endpoint Jacobian

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from prismflow.errors import ContractViolation, NumericError, ShapeError
-from prismflow.experts import assemble_operator, decode_experts
+from prismflow.experts import assemble_operator, decode_experts, expert_bank
 from prismflow.flowpath import encode, interpolate_state, time_features
 from prismflow.numcore import mlp_apply
-from prismflow.router import (balance_loss, estimate_endpoint, route,
-                              select_winner, wta_loss, wta_scores)
+from prismflow.router import (balance_loss, endpoint, route, select_winner,
+                              wta_loss, wta_scores)
 from prismflow.spectra import DmdSpectrum, _snapshots, check_dmd
 from prismflow.trainer import TrainConfig, lambda_schedule, total_loss
 
@@ -103,11 +103,11 @@ class FrozenObjective:
         probs, _ = route(model, self.tf, h)
         z, _ = mlp_apply(model.projector, h)
         kk, b = model.n_experts, z.shape[0]
-        resids = decode_experts(model, model.operators(),
+        resids = decode_experts(model, expert_bank(model.operators()),
                                 np.tile(z, (kk, 1)),
                                 np.repeat(np.arange(kk), b))
         resids = resids.reshape(kk, b, -1)
-        errs = estimate_endpoint(self.xt, self.t, self.v0 + resids) - self.x1
+        errs = endpoint(self.xt, self.t[:, None], self.v0 + resids) - self.x1
         return wta_scores(np.mean(errs * errs, axis=2).T, probs, self.cfg)
 
     def wta(self) -> float:
@@ -177,7 +177,8 @@ def reference_velocity(model, x, t, cfg, ops):
     for k in range(model.n_experts):
         mask = winners == k
         if mask.any():
-            resid[mask] = decode_experts(model, ops, z[mask], winners[mask])
+            resid[mask] = decode_experts(model, expert_bank(ops), z[mask],
+                                         winners[mask])
     total = v + cfg.gamma * resid
     return total.reshape(x.shape), (enc_tape, head_tape)
 

@@ -25,7 +25,7 @@ from prismflow.router import (balance_loss, balance_loss_and_grads,
 from prismflow.sampler import (ConditionMask, SamplerConfig, generate,
                                generate_conditional)
 from prismflow.spectra import exact_dmd, spectral_overlap
-from prismflow.trainer import TrainConfig, fit
+from prismflow.trainer import TrainConfig, fit, total_loss
 
 # shared experiment configuration for the bimodal-frequency runs
 BIMODAL_SEEDS = (0, 1, 2, 3, 4)
@@ -304,6 +304,30 @@ def test_each_regime_routes_to_its_own_majority_expert(bimodal_runs):
         purity = hists.max(axis=1) / hists.sum(axis=1)
         passing += bool(np.all(purity >= 0.8))
     assert passing >= 4
+
+
+def test_router_names_the_winner_on_the_late_half_of_the_path(bimodal_runs):
+    """Sampling decodes each row with the router's argmax expert, and
+    training updates the WTA winner: on the late half of the path the two
+    agree. The early half's rate is reported, not bounded."""
+    rates = {}
+    for seed in BIMODAL_SEEDS:
+        ds, model, _ = bimodal_runs[seed]
+        win = ds.windows[:600]
+        cfg = TrainConfig(seed=seed, **BIMODAL_TRAIN)
+        gen = RngStream(777).generator()
+        agree, late = [], []
+        for _ in range(5):
+            x0 = gen.standard_normal(win.shape)
+            t = gen.uniform(size=win.shape[0])
+            info = total_loss(model, x0, win, t, cfg)[3]
+            agree.append(info.probs.argmax(axis=1) == info.winners)
+            late.append(t >= 0.5)
+        agree, late = np.concatenate(agree), np.concatenate(late)
+        rates[seed] = (round(agree[late].mean(), 3),
+                       round(agree[~late].mean(), 3))
+    passing = sum(rate >= 0.85 for rate, _ in rates.values())
+    assert passing >= 4, f"agreement at t >= 0.5 and t < 0.5 by seed: {rates}"
 
 
 # -- 10: metric self-consistency ----------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import reference_operators
 from prismflow.errors import NumericError, ShapeError
 from prismflow.experts import (assemble_operator, decode_experts,
-                               operator_eigenvalues)
+                               expert_bank, operator_eigenvalues)
 from prismflow.flowpath import encode, time_features
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream, mlp_apply
@@ -162,25 +162,25 @@ class TestDecodeExpertVelocity:
         for b in tiny_model.decoder.biases:
             b[:] = 0.0
         z = latent_codes(tiny_model, x0, t)
+        bank = expert_bank(tiny_model.operators())
         for k in range(tiny_model.n_experts):
-            resid = decode_experts(tiny_model, tiny_model.operators(), z,
-                                   np.full(len(z), k))
+            resid = decode_experts(tiny_model, bank, z, np.full(len(z), k))
             assert np.all(resid == 0.0)
 
     def test_output_shape(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
         z = latent_codes(tiny_model, x0, t)
+        bank = expert_bank(tiny_model.operators())
         for k in range(tiny_model.n_experts):
-            resid = decode_experts(tiny_model, tiny_model.operators(), z,
-                                   np.full(len(z), k))
+            resid = decode_experts(tiny_model, bank, z, np.full(len(z), k))
             assert resid.shape == (x0.shape[0], 16)
 
     def test_experts_generically_distinct(self, tiny_model, tiny_batch):
         x0, _, t = tiny_batch
         z = latent_codes(tiny_model, x0, t)
-        ops = tiny_model.operators()
-        r0 = decode_experts(tiny_model, ops, z, np.full(len(z), 0))
-        r1 = decode_experts(tiny_model, ops, z, np.full(len(z), 1))
+        bank = expert_bank(tiny_model.operators())
+        r0 = decode_experts(tiny_model, bank, z, np.full(len(z), 0))
+        r1 = decode_experts(tiny_model, bank, z, np.full(len(z), 1))
         assert np.abs(r0 - r1).max() > 0.0
 
 

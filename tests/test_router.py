@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference_check, frozen_wta_loss_fn
 import prismflow.model as model_module
-from prismflow.errors import ContractViolation, NumericError, ShapeError
+from prismflow.errors import ContractViolation, NumericError
 from prismflow.experts import assemble_operator
 from prismflow.flowpath import encode, time_features
 from prismflow.router import (balance_loss, balance_loss_and_grads,
-                              estimate_endpoint, route, select_winner, softmax,
+                              endpoint, route, select_winner, softmax,
                               wta_loss, wta_scores)
 from prismflow.trainer import TrainConfig
 
@@ -42,15 +42,17 @@ class TestRoute:
 
 
 class TestEstimateEndpoint:
+    """The endpoint estimate `router.endpoint`, for a float t or a
+    column of them."""
+
     def test_at_terminal_time(self):
         x = np.ones((2, 3))
-        out = estimate_endpoint(x, np.ones(2), 5.0 * x + -2.0 * x)
+        out = endpoint(x, np.ones((2, 1)), 5.0 * x + -2.0 * x)
         np.testing.assert_array_equal(out, x)
 
     def test_hand_case(self):
         x = np.zeros((1, 2))
-        out = estimate_endpoint(x, np.array([0.25]),
-                                np.full((1, 2), 2.0) + np.full((1, 2), -0.4))
+        out = endpoint(x, 0.25, np.full((1, 2), 2.0) + np.full((1, 2), -0.4))
         np.testing.assert_allclose(out, 0.75 * 1.6)
 
     def test_exact_velocity_recovers_target(self):
@@ -58,23 +60,18 @@ class TestEstimateEndpoint:
         x0, x1 = gen.standard_normal((2, 3, 4))
         t = np.array([0.3, 0.8, 0.5])[:, None]
         xt = (1 - t) * x0 + t * x1
-        out = estimate_endpoint(xt, t.ravel(), x1 - x0)
+        out = endpoint(xt, t, x1 - x0)
         np.testing.assert_allclose(out, x1, atol=1e-12)
 
     def test_expert_axis_gives_each_single_expert_endpoint(self):
         gen = np.random.default_rng(1)
         xt = gen.standard_normal((3, 4))
-        t = gen.uniform(size=3)
+        t = gen.uniform(size=(3, 1))
         v = gen.standard_normal((5, 3, 4))  # (K, B, S*D)
-        out = estimate_endpoint(xt, t, v)
+        out = endpoint(xt, t, v)
         assert out.shape == v.shape
         for k in range(5):
-            np.testing.assert_array_equal(out[k],
-                                          estimate_endpoint(xt, t, v[k]))
-
-    def test_mismatched_velocity_rejected(self):
-        with pytest.raises(ShapeError):
-            estimate_endpoint(np.zeros((3, 4)), 0.5, np.zeros((3, 5)))
+            np.testing.assert_array_equal(out[k], endpoint(xt, t, v[k]))
 
 
 class TestWtaScores:
@@ -161,6 +158,13 @@ class TestWtaLoss:
                                      lam=2.0 * np.ones(4))
         np.testing.assert_array_equal(info2.winners, info.winners)
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
+
+    def test_negative_lambda_rejected(self, tiny_model, tiny_batch):
+        x0, x1, t = tiny_batch
+        with pytest.raises(ContractViolation,
+                           match="^lambda weights must be >= 0$"):
+            wta_loss(tiny_model, x0, x1, t, TrainConfig(),
+                     lam=np.array([1.0, -0.5, 1.0, 1.0]))
 
     def test_one_call_returns_the_operator_bank(self, four_expert_model,
                                                 tiny_batch, monkeypatch):

@@ -12,11 +12,11 @@ from prismflow.datasets import (gen_bimodal_frequency, load_csv_windows,
                                 normalize)
 from prismflow.errors import (ConfigError, ContractViolation, NumericError,
                               ShapeError)
-from prismflow.experts import expert_gather
+from prismflow.experts import expert_bank
 from prismflow.flowpath import encode, time_features
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import Params, RngStream, Tape
-from prismflow.router import estimate_endpoint, route, router_logits
+from prismflow.router import endpoint, route, router_logits
 from prismflow.sampler import (ConditionMask, SamplerConfig, _global_vjp,
                                _velocity, export_samples, generate,
                                generate_conditional, residual_velocity_step,
@@ -101,11 +101,10 @@ class TestGenerate:
         cfg = SamplerConfig(steps=7, gamma=gamma)
         x = RngStream(12).generator().standard_normal((5, 8, 2))
         for i in range(cfg.steps):
-            ops = tiny_model.operators() if gamma else None
-            gather = expert_gather(ops, 5) if gamma else None
+            bank = expert_bank(tiny_model.operators()) if gamma else None
             tf = time_features(np.full(5, i / cfg.steps),
                                tiny_model.cfg.time_freqs)
-            x = residual_velocity_step(tiny_model, x, tf, cfg, ops, gather)
+            x = residual_velocity_step(tiny_model, x, tf, cfg, bank)
         assert np.array_equal(generate(tiny_model, 5, cfg, RngStream(12)), x)
 
 
@@ -114,10 +113,9 @@ class TestResidualVelocityStep:
         constant_field(tiny_model, -0.5)
         x = np.ones((1, 8, 2))
         tf = time_features(np.zeros(1), tiny_model.cfg.time_freqs)
-        ops = tiny_model.operators()
         out = residual_velocity_step(tiny_model, x, tf,
-                                     SamplerConfig(steps=4), ops,
-                                     expert_gather(ops, 1))
+                                     SamplerConfig(steps=4),
+                                     expert_bank(tiny_model.operators()))
         np.testing.assert_allclose(out, x - 0.5 / 4.0, atol=1e-15)
 
 
@@ -258,7 +256,7 @@ def check_global_vjp(model):
     t, step = 0.3, 1e-6
     tf = np.tile(time_features(t, model.cfg.time_freqs), (3, 1))
     _, enc_tape, head_tape = _velocity(model, x, tf, SamplerConfig(gamma=0.0),
-                                       None, None, taped=True)
+                                       None, taped=True)
     got = _global_vjp(model, enc_tape, head_tape, u)
     # bit for bit the VJP on the tapes of the reference velocity
     _, tapes = reference_velocity(model, x, t, SamplerConfig(gamma=0.0), None)
@@ -311,7 +309,7 @@ def reference_generate_conditional(model, mask, values, cfg, rng):
     for i in range(cfg.steps):
         t = i / cfg.steps
         v, tapes = reference_velocity(model, x, t, cfg, ops)
-        xhat = estimate_endpoint(x, t, v)
+        xhat = endpoint(x, t, v)
         g = 2.0 * m * (xhat - y)
         if cfg.exact_guidance:
             upstream = (1.0 - t) * g.reshape(n, -1)
@@ -325,9 +323,9 @@ def record_decodes(monkeypatch):
     rows = []
     original = sampler_module.decode_experts
 
-    def counted(model, ops, z, experts, **kwargs):
+    def counted(model, bank, z, experts):
         rows.append(z.shape[0])
-        return original(model, ops, z, experts, **kwargs)
+        return original(model, bank, z, experts)
 
     monkeypatch.setattr(sampler_module, "decode_experts", counted)
     return rows
@@ -422,11 +420,9 @@ class TestLeanStep:
                             axis=1)
         counts = np.bincount(winners)[winners]
         rows = [np.flatnonzero(counts == 1)[0], np.flatnonzero(counts > 1)[0]]
-        ops = model.operators()
-        full = residual_velocity_step(model, x, tf, cfg, ops,
-                                      expert_gather(ops, n))
-        sub = residual_velocity_step(model, x[rows], tf[rows], cfg, ops,
-                                     expert_gather(ops, len(rows)))
+        bank = expert_bank(model.operators())
+        full = residual_velocity_step(model, x, tf, cfg, bank)
+        sub = residual_velocity_step(model, x[rows], tf[rows], cfg, bank)
         assert sub.tobytes() == full[rows].tobytes()
 
     @pytest.mark.parametrize("steps", [1, 3, 7, 100])
@@ -597,7 +593,7 @@ class TestStepPlan:
         counts = self.count_calls(monkeypatch, model)
         x = RngStream(33).generator().standard_normal((4, 8, 2))
         tf = step_time_features(model, 7, 4)[2]
-        residual_velocity_step(model, x, tf, cfg, ops, expert_gather(ops, 4))
+        residual_velocity_step(model, x, tf, cfg, expert_bank(ops))
         assert counts == {"config_checks": 0, "operators": 0}
 
     def test_state_check_names_the_guidance_step(self, tiny_model):
@@ -610,29 +606,33 @@ class TestStepPlan:
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.0])
-def test_expert_gather_is_made_once_per_call(four_expert_model, gamma,
-                                             monkeypatch):
-    """The bank view and row index of the winner gather are made once per
-    sampling call, never by a step's decode."""
+def test_expert_bank_is_made_once_per_call(four_expert_model, gamma,
+                                           monkeypatch):
+    """The bank view of the operators is made once per sampling call, not
+    once per row block, and never by a step's decode."""
     made = []
-    original = experts_module.expert_gather
+    original = experts_module.expert_bank
 
-    def counted(ops, n):
-        made.append(n)
-        return original(ops, n)
+    def counted(ops):
+        made.append(len(ops))
+        return original(ops)
 
     for module in (sampler_module, experts_module):
-        monkeypatch.setattr(module, "expert_gather", counted)
+        monkeypatch.setattr(module, "expert_bank", counted)
+    monkeypatch.setattr(sampler_module, "BLOCK_ROWS", 2)
+    rows = record_decodes(monkeypatch)
     model = four_expert_model
     generate(model, 5, SamplerConfig(steps=7, gamma=gamma), RngStream(51))
-    mask = np.zeros((3, 8, 2), dtype=bool)
+    mask = np.zeros((5, 8, 2), dtype=bool)
     mask[:, ::2] = True
     for exact in (False, True):
         generate_conditional(
             model, ConditionMask(mask, np.where(mask, 0.5, 0.0)),
             SamplerConfig(steps=7, gamma=gamma, mode="imputation",
                           exact_guidance=exact), RngStream(52))
-    assert made == ([5, 3, 3] if gamma else [])
+    assert made == ([4] * 3 if gamma else [])
+    # each call decodes two blocks, of 2 and 3 rows, 7 steps each
+    assert rows == (([2] * 7 + [3] * 7) * 3 if gamma else [])
 
 
 # model variants of the sweep: the four-expert model with one setting

@@ -2,8 +2,10 @@
 here rather than inside a benchmark run. The package's modules import
 nothing they do not use, and define nothing that no code uses, only
 the model and the numerics core spell a parameter block's name, only
-`errors.py` spells the integer and finite-real rules, and every config
-is checked once, when it is made."""
+`errors.py` spells the integer and finite-real rules, only `experts.py`
+spells the operator bank's layout, the sampling and `diagnose` flags
+take their defaults from the configs, and every config is checked once,
+when it is made."""
 
 import ast
 import dataclasses
@@ -302,3 +304,88 @@ def test_configs_are_checked_once_when_they_are_made():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: c for name, c in calls.items() if c} == {
         "sampler.py": ["cond"]}
+
+
+def is_bank(node) -> bool:
+    """Whether an expression is the operator bank as written: a name
+    `ops`, or an `operators()` call."""
+    if isinstance(node, ast.Call):
+        fn = node.func
+        return getattr(fn, "attr", getattr(fn, "id", None)) == "operators"
+    return isinstance(node, ast.Name) and node.id == "ops"
+
+
+def bank_reshapes(source: str) -> list:
+    """Every `.reshape` call of a module on the operator bank."""
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "reshape" and is_bank(node.func.value)]
+
+
+def test_bank_reshapes_are_found():
+    source = ("def f(model, ops, x):\n    a = ops.reshape(-1, 4)\n"
+              "    b = model.operators().reshape(2, -1)\n"
+              "    c = x.reshape(3, 4)\n    d = model.ops.reshape(1)\n"
+              "    e = model.operators.reshape(1)\n"
+              "    return operators().reshape(4), a, b, c, d, e\n")
+    assert bank_reshapes(source) == [
+        "ops.reshape(-1, 4) (line 2)",
+        "model.operators().reshape(2, -1) (line 3)",
+        "operators().reshape(4) (line 7)"]
+
+
+def test_only_experts_spells_the_bank_layout():
+    """The layout [A_1^T ... A_K^T] of the operator bank is decided in
+    `experts.expert_bank`; training and sampling both take it from there."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "experts.py":
+            assert bank_reshapes(path.read_text()) == [], path.name
+
+
+# flags whose defaults are fields of `SamplerConfig` or `DiagnosticSpec`
+CONFIG_FLAGS = ("--steps", "--gamma", "--eta-g", "--c", "--w", "--n")
+
+
+def is_literal(node) -> bool:
+    """Whether an expression is a literal: a constant, a signed number or
+    a container of them."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def literal_flag_defaults(source: str) -> list:
+    """`add_argument` calls of a module for a flag of CONFIG_FLAGS whose
+    default is written as a literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument" and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value in CONFIG_FLAGS):
+            continue
+        found += [f"{node.args[0].value}={ast.unparse(k.value)} "
+                  f"(line {node.lineno})" for k in node.keywords
+                  if k.arg == "default" and is_literal(k.value)]
+    return found
+
+
+def test_literal_flag_defaults_are_found():
+    source = ('p.add_argument("--steps", type=int, default=100)\n'
+              'p.add_argument("--gamma", default=SamplerConfig.gamma)\n'
+              'p.add_argument("--n", type=int, required=True)\n'
+              'p.add_argument("--seed", type=int, default=0)\n'
+              'p.add_argument("--w", default=-0.5)\n')
+    assert literal_flag_defaults(source) == ["--steps=100 (line 1)",
+                                             "--w=-0.5 (line 5)"]
+
+
+def test_config_flags_take_their_defaults_from_the_configs():
+    """`SamplerConfig` and `DiagnosticSpec` hold the one copy of each
+    default that a sampling or `diagnose` flag shares with them."""
+    assert literal_flag_defaults((SRC / "cli.py").read_text()) == []
