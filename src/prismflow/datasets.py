@@ -324,7 +324,7 @@ def load_csv_windows(path, seq_len=None, stride=1, mode="sliding"):
         if not lengths.size:
             arr = np.zeros((0, seq_len or 0, len(channels)))
             return Dataset(arr)
-        sizes = np.unique(lengths).tolist()
+        sizes = sorted(set(lengths.tolist()))  # np.unique imports numpy.ma
         if len(sizes) != 1:
             raise ParseError(f"{path}: blocks have mixed lengths {sizes}")
         if seq_len is not None and sizes[0] != seq_len:

@@ -21,15 +21,21 @@ def time_features(t, freqs) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
+def sample_pair(x0, x1):
+    """A source and data sample as float64 arrays of one shape."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x0.shape != x1.shape:
+        raise ShapeError(f"shape mismatch {x0.shape} vs {x1.shape}")
+    return x0, x1
+
+
 def interpolate_state(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:
     """Linear path point (1-t)*x0 + t*x1.
 
     t may be a scalar or a per-sample vector broadcast over leading axis.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise ShapeError(f"shape mismatch {x0.shape} vs {x1.shape}")
+    x0, x1 = sample_pair(x0, x1)
     t = np.asarray(t, dtype=np.float64)
     if t.ndim == 1:
         t = t.reshape((-1,) + (1,) * (x0.ndim - 1))
@@ -38,22 +44,18 @@ def interpolate_state(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:
 
 def target_velocity(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     """Constant path velocity x1 - x0 (independent of t)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise ShapeError(f"shape mismatch {x0.shape} vs {x1.shape}")
+    x0, x1 = sample_pair(x0, x1)
     return x1 - x0
 
 
 def encode(model, x, tf, taped=True, ws=None):
     """Shared trunk features h_t for a batch of states x (B, ...) with
     time features tf (B, 2F): the encoder on [flattened x, tf], unchecked,
-    in workspace `ws` if given. Returns (h, tape), the tape None unless
-    `taped`."""
+    its layers in workspace `ws` if given. Returns (h, tape), the tape
+    None unless `taped`."""
     x = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
-    return mlp_layers(model.encoder, np.concatenate(
-        [x, tf], axis=1, out=None if ws is None else ws[
-            "enc", (len(x), x.shape[1] + tf.shape[1])]), taped, ws)
+    return mlp_layers(model.encoder, np.concatenate([x, tf], axis=1), taped,
+                      ws)
 
 
 @dataclass
@@ -74,10 +76,7 @@ class Trunk:
 
 
 def trunk_forward(model, x0, x1, t, ws: Workspace) -> Trunk:
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise ShapeError(f"shape mismatch {x0.shape} vs {x1.shape}")
+    x0, x1 = sample_pair(x0, x1)
     b = x0.shape[0]
     if b == 0:
         raise ContractViolation("empty batch")

@@ -182,7 +182,9 @@ def mlp_layers(net: Mlp, a: np.ndarray, taped: bool = False, ws=None):
 def row_blocks(n: int, size: int):
     """Slices of 0..n in order, of `size` rows but the last, which takes a
     lone last row too: a 1-row product takes BLAS's matrix-vector path and
-    can differ in the last bit from the same row of a multi-row product."""
+    can differ in the last bit from the same row of a multi-row product.
+    Rows of multi-row products agree bitwise only at output widths that
+    are multiples of 4 (OpenBLAS 0.3.31); elsewhere, to rounding."""
     starts = range(0, max(n - 1, 1), size)
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 

@@ -22,11 +22,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def router_logits(model, tf, h, taped=True, ws=None):
     """Finite expert logits (B, K) of trunk features h with time features
-    tf (B, 2F), in workspace `ws` if given, and the tape (None unless
-    `taped`), whose inputs[0] is the router input [tf, h]."""
-    logits, tape = mlp_layers(model.router, np.concatenate(
-        [tf, h], axis=-1, out=None if ws is None else ws[
-            "rin", (len(h), tf.shape[1] + h.shape[1])]), taped, ws)
+    tf (B, 2F), its layers in workspace `ws` if given, and the tape (None
+    unless `taped`), whose inputs[0] is the router input [tf, h]."""
+    logits, tape = mlp_layers(model.router, np.concatenate([tf, h], axis=-1),
+                              taped, ws)
     if not np.isfinite(logits).all():
         raise NumericError("router produced non-finite logits")
     return logits, tape
@@ -94,6 +93,9 @@ def wta_loss(model, x0, x1, t, cfg, lam=None):
     ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
     lam = np.ones(len(trunk.t)) if lam is None else np.asarray(lam, float)
+    if lam.shape != trunk.t.shape:
+        raise ShapeError(f"lambda weights of shape {lam.shape} for a batch "
+                         f"of shape {trunk.t.shape}")
     if (lam < 0).any():
         raise ContractViolation("lambda weights must be >= 0")
     v_global, _ = mlp_layers(model.head, trunk.h)  # value only
@@ -132,8 +134,7 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
                   out=ws["errs", (kk, b, sd)])
     errs = endpoint(trunk.xt, trunk.t[:, None], errs, out=errs)
     errs -= trunk.x1
-    sq = np.multiply(errs, errs, out=ws["sq", errs.shape])
-    mses = (np.add.reduce(sq, axis=2) / sd).T  # (B, K)
+    mses = (np.add.reduce(errs * errs, axis=2) / sd).T  # (B, K)
     scores = wta_scores(mses, probs, cfg)
     winners = select_winner(scores)
     rows = np.arange(b)

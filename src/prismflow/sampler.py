@@ -120,8 +120,10 @@ def residual_velocity_step(model, x, tf, cfg: SamplerConfig, bank):
 
 def generate(model, n: int, cfg: SamplerConfig, rng: RngStream) -> np.ndarray:
     """Draw n source samples and integrate the flow from t=0 to 1, in
-    `row_blocks`: a row of a multi-row product is bitwise independent of
-    the others, so blocks give the whole batch's bits."""
+    `row_blocks`. They give the whole batch's bits where every layer's
+    output width is a multiple of 4: there OpenBLAS 0.3.31 rounds a row of
+    a multi-row product independently of the other rows; at other widths
+    the blocks agree to rounding."""
     check_int("n", n, 0)
     s, d = model.cfg.seq_len, model.cfg.channels
     check_size("n * seq_len * channels", n, s, d)

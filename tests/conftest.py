@@ -1,9 +1,13 @@
 import csv
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,20 +43,47 @@ def traced_peak(fn, *args, **kwargs):
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
-def child_peak_rss_mb(snippet: str) -> float:
-    """Peak resident set size (ru_maxrss), in MB, of a fresh Python process
-    with one BLAS thread that runs `snippet` with the package importable.
-    Unlike `traced_peak`, it also sees what a refused or failed allocation
-    left behind. Each call runs one child and waits for it."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
+ONE_BLAS_THREAD = dict(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                       MKL_NUM_THREADS="1")
+
+
+def child_output(snippet: str) -> str:
+    """Standard output of a fresh Python process with one BLAS thread that
+    runs `snippet` with the package importable. Each call runs one child
+    and waits for it."""
+    env = dict(os.environ, **ONE_BLAS_THREAD,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    code = (snippet + "\nimport resource\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=300)
-    return int(done.stdout.split()[-1]) / 1024  # Linux reports KiB
+    return subprocess.run([sys.executable, "-c", snippet], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=300).stdout
+
+
+def child_peak_rss_mb(snippet: str) -> float:
+    """Peak resident set size (ru_maxrss), in MB, of a `child_output`
+    process that runs `snippet`. Unlike `traced_peak`, it also sees what a
+    refused or failed allocation left behind."""
+    out = child_output(snippet + "\nimport resource\n"
+                       "print(resource.getrusage(resource.RUSAGE_SELF)"
+                       ".ru_maxrss)")
+    return int(out.split()[-1]) / 1024  # Linux reports KiB
+
+
+def pooled(calls: list) -> list:
+    """`fn(*args)` of every `(fn, *args)` in `calls`, in order, run on
+    min(os.cpu_count(), len(calls)) spawned workers, each started with one
+    BLAS thread (its environment is read before it imports numpy); run
+    serially here if a worker cannot start. `fn` must be importable, and
+    its arguments and result picklable."""
+    workers = min(os.cpu_count() or 1, len(calls))
+    spawn = multiprocessing.get_context("spawn")
+    try:
+        with mock.patch.dict(os.environ, ONE_BLAS_THREAD), \
+                ProcessPoolExecutor(workers, spawn) as pool:
+            futures = [pool.submit(*call) for call in calls]
+            return [future.result() for future in futures]
+    except (OSError, BrokenProcessPool):
+        return [fn(*args) for fn, *args in calls]
 
 
 def vanilla_euler_generate(model, n: int, steps: int,

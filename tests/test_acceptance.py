@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+import prismflow.sampler as sampler_module
 from conftest import (finite_difference_check, frozen_total_loss_fn,
-                      frozen_wta_loss_fn, power_spectrum,
+                      frozen_wta_loss_fn, pooled, power_spectrum,
                       vanilla_euler_generate)
 from prismflow.datasets import (gen_bimodal_frequency, gen_sines,
                                 gen_velocity_mixture_diagnostic, normalize,
@@ -18,8 +19,8 @@ from prismflow.experts import assemble_operator, operator_eigenvalues
 from prismflow.flowpath import (cfm_loss, encode, interpolate_state,
                                 time_features)
 from prismflow.metrics import correlational_score, discriminative_score
-from prismflow.model import ModelConfig, PrismFlowModel
-from prismflow.numcore import RngStream
+from prismflow.model import ModelConfig, PrismFlowModel, param_layout
+from prismflow.numcore import Params, RngStream
 from prismflow.router import (balance_loss, balance_loss_and_grads,
                               wta_loss)
 from prismflow.sampler import (ConditionMask, SamplerConfig, generate,
@@ -49,48 +50,80 @@ def small_batch(seed=1, b=4):
 
 
 # -- trained-model fixtures (shared across the expensive checks) ---------
+# Their fits and generations run in `pooled` workers; a model goes to and
+# from a worker as its config and flat parameters, since pickling a model
+# would copy each of its views of the flat vector apart.
+
+def fitted(windows, model_cfg, cfg, norm_shift=None, norm_scale=None):
+    """A worker's `fit`: the model's (config, flat parameters, shift,
+    scale), which `rebuilt` makes back into the model."""
+    model, _ = fit(windows, model_cfg, cfg, norm_shift, norm_scale)
+    return model.cfg, model.params().flat, model.norm_shift, model.norm_scale
+
+
+def rebuilt(cfg, flat, norm_shift=None, norm_scale=None):
+    return PrismFlowModel(cfg, Params(param_layout(cfg)[1], flat),
+                          norm_shift, norm_scale)
+
+
+def sampled(state, cfg, rng):
+    """A worker's `generate` of 512 windows from the `fitted` state, and
+    each step's argmax expert per window, (steps, 512), recorded the way
+    `test_sampler.record_decodes` records decodes (empty at gamma 0)."""
+    experts, original = [], sampler_module.decode_experts
+
+    def recorded(model, bank, z, chosen):
+        experts.append(chosen)
+        return original(model, bank, z, chosen)
+
+    sampler_module.decode_experts = recorded
+    try:
+        return generate(rebuilt(*state), 512, cfg, rng), np.array(experts)
+    finally:
+        sampler_module.decode_experts = original
+
 
 @pytest.fixture(scope="session")
 def bimodal_runs():
     """Per seed: the normalized dataset, a trained default model (K=4),
     and a single-expert control trained identically."""
-    runs = {}
-    for seed in BIMODAL_SEEDS:
-        ds = normalize(gen_bimodal_frequency(2000, 64, 1, 2, 8,
-                                             RngStream(seed, 50)))
-        cfg = TrainConfig(seed=seed, **BIMODAL_TRAIN)
-        model, _ = fit(ds.windows, ModelConfig(**BIMODAL_MODEL), cfg)
-        control, _ = fit(ds.windows,
-                         ModelConfig(n_experts=1, **BIMODAL_MODEL), cfg)
-        runs[seed] = (ds, model, control)
-    return runs
+    sets = {seed: normalize(gen_bimodal_frequency(2000, 64, 1, 2, 8,
+                                                  RngStream(seed, 50)))
+            for seed in BIMODAL_SEEDS}
+    states = pooled([(fitted, sets[seed].windows,
+                      ModelConfig(n_experts=k, **BIMODAL_MODEL),
+                      TrainConfig(seed=seed, **BIMODAL_TRAIN))
+                     for seed in BIMODAL_SEEDS for k in (4, 1)])
+    return {seed: (sets[seed], rebuilt(*states[2 * i]),
+                   rebuilt(*states[2 * i + 1]))
+            for i, seed in enumerate(BIMODAL_SEEDS)}
 
 
 @pytest.fixture(scope="session")
 def bimodal_samples(bimodal_runs):
     """Per seed: generated batches for the full model, the residual-off
-    ablation, and the single-expert control, from identical noise."""
-    out = {}
-    for seed, (ds, model, control) in bimodal_runs.items():
-        full = generate(model, 512, SamplerConfig(steps=100),
-                        RngStream(seed, 901))
-        ablation = generate(model, 512, SamplerConfig(steps=100, gamma=0.0),
-                            RngStream(seed, 901))
-        single = generate(control, 512, SamplerConfig(steps=100),
-                          RngStream(seed, 901))
-        out[seed] = (full, ablation, single)
-    return out
+    ablation, and the single-expert control, from identical noise, and
+    the full model's argmax experts per step."""
+    runs = [(seed, net, gamma) for seed, (_, model, control)
+            in bimodal_runs.items()
+            for net, gamma in ((model, 1.0), (model, 0.0), (control, 1.0))]
+    out = pooled([(sampled, (net.cfg, net.params().flat),
+                   SamplerConfig(steps=100, gamma=gamma),
+                   RngStream(seed, 901)) for seed, net, gamma in runs])
+    return {seed: (out[3 * i][0], out[3 * i + 1][0], out[3 * i + 2][0],
+                   out[3 * i][1])
+            for i, seed in enumerate(bimodal_runs)}
 
 
 @pytest.fixture(scope="session")
 def sines_model():
     ds = gen_sines(1000, 24, 1, rng=RngStream(7, 50))
     cfg = TrainConfig(seed=7, epochs=800, batch_size=128)
-    model, _ = fit(ds.windows,
-                   ModelConfig(seq_len=24, channels=1, hidden_dim=128,
-                               head_hidden=128), cfg,
-                   norm_shift=np.zeros(1), norm_scale=np.ones(1))
-    return ds, model
+    [state] = pooled([(fitted, ds.windows,
+                       ModelConfig(seq_len=24, channels=1, hidden_dim=128,
+                                   head_hidden=128), cfg,
+                       np.zeros(1), np.ones(1))])
+    return ds, rebuilt(*state)
 
 
 # -- 1: operator stability ----------------------------------------------
@@ -255,7 +288,7 @@ def test_generated_spectrum_has_both_tone_peaks(bimodal_samples):
     start = time.perf_counter()
     wins = 0
     for seed in BIMODAL_SEEDS:
-        full, _, _ = bimodal_samples[seed]
+        full, _, _, _ = bimodal_samples[seed]
         ps = power_spectrum(full)
         wins += (ps.band_fraction(2) >= 0.25
                  and ps.band_fraction(8) >= 0.25)
@@ -268,7 +301,7 @@ def test_residual_correction_improves_spectral_overlap(bimodal_runs,
     wins = 0
     for seed in BIMODAL_SEEDS:
         ds, _, _ = bimodal_runs[seed]
-        full, ablation, _ = bimodal_samples[seed]
+        full, ablation, _, _ = bimodal_samples[seed]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             real = exact_dmd(ds.windows[:512], rank=DMD_RANK, delay=DMD_DELAY)
@@ -330,6 +363,24 @@ def test_router_names_the_winner_on_the_late_half_of_the_path(bimodal_runs):
     assert passing >= 4, f"agreement at t >= 0.5 and t < 0.5 by seed: {rates}"
 
 
+def test_sampled_rows_change_expert_less_on_the_late_half_of_the_path(
+        bimodal_samples):
+    """The router's argmax names the WTA winner on the late half of the
+    path and often not on the early half (the test above), so a sampled
+    row's expert changes from one step to the next less often after
+    t = 0.5 than before it."""
+    rates = {}
+    for seed in BIMODAL_SEEDS:
+        experts = bimodal_samples[seed][3]  # (steps, rows)
+        changed = experts[1:] != experts[:-1]  # into step i, at t = i/steps
+        t = np.arange(1, len(experts)) / len(experts)
+        rates[seed] = (round(changed[t < 0.5].mean(), 3),
+                       round(changed[t >= 0.5].mean(), 3))
+    passing = sum(late < early for early, late in rates.values())
+    assert passing >= 4, f"changes per row and step, t < 0.5 and t >= 0.5 " \
+        f"by seed: {rates}"
+
+
 # -- 10: metric self-consistency ----------------------------------------
 
 def test_real_versus_real_is_indistinguishable():
@@ -373,10 +424,11 @@ def test_default_expert_count_beats_single_expert(bimodal_runs,
     wins = 0
     for seed in BIMODAL_SEEDS:
         ds, _, _ = bimodal_runs[seed]
-        full, _, single = bimodal_samples[seed]
+        full, _, single, _ = bimodal_samples[seed]
         d_full = discriminative_score(ds.windows[:512], full,
                                       RngStream(seed, 33))
         d_single = discriminative_score(ds.windows[:512], single,
                                         RngStream(seed, 33))
         wins += d_full <= d_single
     assert wins >= 4
+

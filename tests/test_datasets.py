@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (reference_csv_text, reference_load_csv_windows,
-                      traced_peak)
+from conftest import (child_output, reference_csv_text,
+                      reference_load_csv_windows, traced_peak)
 from prismflow import datasets
 from prismflow.datasets import (Dataset, DiagnosticSpec,
                                 gen_bimodal_frequency, gen_sines,
@@ -89,6 +89,18 @@ class TestCsvRoundTrip:
         save_csv_windows(w, path)
         back = load_csv_windows(path, seq_len=6, mode="blocks")
         np.testing.assert_array_equal(back.windows, w)
+
+    def test_blocks_load_leaves_numpy_ma_unimported(self, tmp_path):
+        """`train`, `impute`, `forecast` and `eval` each load a blocks CSV
+        once per process; `np.unique`'s first call would import numpy.ma
+        there, about 10 ms."""
+        path = str(tmp_path / "w.csv")
+        save_csv_windows(np.zeros((3, 6, 2)), path)
+        out = child_output(
+            "import sys\nfrom prismflow.datasets import load_csv_windows\n"
+            f"load_csv_windows({path!r}, mode='blocks')\n"
+            "print('numpy.ma' in sys.modules)")
+        assert out.split() == ["False"]
 
     def test_sliding_window_count(self, tmp_path):
         path = str(tmp_path / "long.csv")

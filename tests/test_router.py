@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference_check, frozen_wta_loss_fn
 import prismflow.model as model_module
-from prismflow.errors import ContractViolation, NumericError
+from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.experts import assemble_operator
 from prismflow.flowpath import encode, time_features
 from prismflow.router import (balance_loss, balance_loss_and_grads,
@@ -165,6 +165,17 @@ class TestWtaLoss:
                            match="^lambda weights must be >= 0$"):
             wta_loss(tiny_model, x0, x1, t, TrainConfig(),
                      lam=np.array([1.0, -0.5, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_lambda_of_another_length_rejected(self, tiny_model, tiny_batch,
+                                               rows):
+        """One weight per row: a (1,) weight is not broadcast over the
+        4-row batch, and a (3,) one fails as a ShapeError, not numpy's."""
+        x0, x1, t = tiny_batch
+        with pytest.raises(ShapeError, match=rf"^lambda weights of shape "
+                           rf"\({rows},\) for a batch of shape \(4,\)$"):
+            wta_loss(tiny_model, x0, x1, t, TrainConfig(),
+                     lam=np.ones(rows))
 
     def test_one_call_returns_the_operator_bank(self, four_expert_model,
                                                 tiny_batch, monkeypatch):

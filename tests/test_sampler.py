@@ -754,6 +754,27 @@ class TestRowBlocks:
         # gamma 1 and the four guided calls decode, each block per step
         assert rows == [b for b in blocks for _ in range(5)] * 5
 
+    def test_blocks_at_odd_widths_match_one_block_within_rounding(
+            self, monkeypatch):
+        """At output widths that are not multiples of 4, OpenBLAS 0.3.31
+        rounded rows of a 1,030-row product differently from the same rows
+        of a smaller one (here up to 4.4e-16), so blocks of a call, and a
+        call on its first rows alone, agree with one block only to
+        rounding."""
+        cfg = ModelConfig(seq_len=16, channels=1, latent_dim=17,
+                          hidden_dim=33, dec_hidden=17, router_hidden=17,
+                          n_experts=3)
+        model = PrismFlowModel.init(cfg, RngStream(0))
+
+        def sample(n):
+            return generate(model, n, SamplerConfig(steps=5), RngStream(1))
+
+        blocks = sample(1030)  # 1,024 rows and 6
+        monkeypatch.setattr(sampler_module, "BLOCK_ROWS", 4096)
+        whole = sample(1030)
+        np.testing.assert_allclose(blocks, whole, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sample(7), whole[:7], rtol=0, atol=1e-12)
+
     def test_block_view_shares_weights_and_repeats_biases(self,
                                                           four_expert_model):
         model = four_expert_model

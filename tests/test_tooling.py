@@ -4,8 +4,8 @@ nothing they do not use, and define nothing that no code uses, only
 the model and the numerics core spell a parameter block's name, only
 `errors.py` spells the integer and finite-real rules, only `experts.py`
 spells the operator bank's layout, the sampling and `diagnose` flags
-take their defaults from the configs, and every config is checked once,
-when it is made."""
+take their defaults from the configs, every config is checked once,
+when it is made, and no module calls `np.unique`."""
 
 import ast
 import dataclasses
@@ -389,3 +389,32 @@ def test_config_flags_take_their_defaults_from_the_configs():
     """`SamplerConfig` and `DiagnosticSpec` hold the one copy of each
     default that a sampling or `diagnose` flag shares with them."""
     assert literal_flag_defaults((SRC / "cli.py").read_text()) == []
+
+
+def unique_calls(source: str) -> list:
+    """Every call of a module to numpy's `unique`, as `np.unique` or
+    `numpy.unique`."""
+    return [f"{ast.unparse(node.func)} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique"
+            and ast.unparse(node.func.value) in ("np", "numpy")]
+
+
+def test_unique_calls_are_found():
+    source = ("import numpy\nimport numpy as np\ndef f(x, s):\n"
+              "    a = np.unique(x)\n"
+              "    b = numpy.unique(x, return_counts=True)\n"
+              "    c, d = s.unique(), sorted(set(x.tolist()))\n"
+              "    return np.unique\n")
+    assert unique_calls(source) == ["np.unique (line 4)",
+                                    "numpy.unique (line 5)"]
+
+
+def test_no_module_calls_np_unique():
+    """`np.unique`'s first call in a process imports numpy.ma, about 10 ms
+    that every CLI process would pay once; `sorted(set(a.tolist()))`
+    gives the same list."""
+    for path in sorted(SRC.glob("*.py")):
+        assert unique_calls(path.read_text()) == [], path.name
