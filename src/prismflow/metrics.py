@@ -82,8 +82,8 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
     n = x.shape[0]
     grads = params.zeros_like()
     grad = Mlp.view(grads, "", dims)
-    for _ in range(TRAIN_STEPS):
-        idx = gen.integers(0, n, size=min(BATCH, n))
+    # one draw for all steps: the same values as one draw per step
+    for idx in gen.integers(0, n, size=(TRAIN_STEPS, min(BATCH, n))):
         out, tape = mlp_apply(net, x[idx])
         if kind == "logistic":
             p = 1.0 / (1.0 + np.exp(-out))

@@ -114,7 +114,9 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
     The decoder runs forward once on K blocks of the B rows, block k by
     expert k, and backward once on the B winner rows of that tape. `scale`
     weights every gradient this term adds to `ws.grad` and the returned
-    trunk-feature gradient dh. Returns (loss, dh, WtaBatchInfo).
+    trunk-feature gradient dh. A `router_tape` of None marks a constant
+    gate, which takes no confidence-term backward. Returns (loss, dh,
+    WtaBatchInfo).
     """
     b, sd = trunk.xt.shape
     z, proj_tape = mlp_layers(model.projector, trunk.h, True, ws)
@@ -161,14 +163,16 @@ def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
     dh = mlp_gradients(model.projector, proj_tape, dzs, ws.grad.projector)
 
     # confidence term: only the winner's -beta*log(prob + eps) is live
-    p_win = probs[rows, winners]
-    dprob_win = -cfg.beta * w / (p_win + cfg.wta_eps)
-    coef = dprob_win * p_win
-    onehot = np.zeros(probs.shape)
-    onehot[rows, winners] = 1.0
-    dlogits = coef[:, None] * (onehot - probs)
-    drin = mlp_gradients(model.router, router_tape, dlogits, ws.grad.router)
-    dh += drin[:, 2 * len(model.cfg.time_freqs):]
+    if router_tape is not None:
+        p_win = probs[rows, winners]
+        dprob_win = -cfg.beta * w / (p_win + cfg.wta_eps)
+        coef = dprob_win * p_win
+        onehot = np.zeros(probs.shape)
+        onehot[rows, winners] = 1.0
+        dlogits = coef[:, None] * (onehot - probs)
+        drin = mlp_gradients(model.router, router_tape, dlogits,
+                             ws.grad.router)
+        dh += drin[:, 2 * len(model.cfg.time_freqs):]
 
     info = WtaBatchInfo(winners=winners, scores=scores, probs=probs,
                         endpoint_mses=mses)
@@ -206,8 +210,11 @@ def balance_core(model, probs, router_tape, cfg, ws: Workspace,
                  scale: float = 1.0) -> float:
     """Balance term of one routing pass, clamped at the training config's
     `prob_floor`: adds `scale` times its router gradient to `ws.grad`
-    and returns the loss. Nothing flows back to the router input."""
+    and returns the loss; with a `router_tape` of None (a constant gate)
+    it adds nothing. Nothing flows back to the router input."""
     loss = balance_loss(probs, cfg.prob_floor)
+    if router_tape is None:
+        return loss
     b, kk = probs.shape
     pibar = np.add.reduce(probs, axis=0) / b
     live = pibar > cfg.prob_floor

@@ -69,7 +69,8 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
     projector/decoder/winning experts <- WTA; router <- WTA confidence
     term + balance. The trunk, head, router and projector run forward
     once, and the summed trunk-feature gradient goes through one encoder
-    backward.
+    backward. With one expert the router does not run: its gate is the
+    constant 1 and both of its gradients are exactly zero.
     Without a workspace it returns fresh arrays; `fit` passes its `ws`,
     whose arrays each call overwrites.
     Returns (value, grads, parts, wta_info).
@@ -81,7 +82,10 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
     ws.grads.flat.fill(0.0)
 
     c_val, dh, v_global = cfm_core(model, trunk, ws)
-    probs, router_tape = route(model, trunk.tf, trunk.h, ws)
+    if model.n_experts == 1:  # the softmax of one logit is exactly 1
+        probs, router_tape = np.ones((len(trunk.t), 1)), None
+    else:
+        probs, router_tape = route(model, trunk.tf, trunk.h, ws)
     w_val, w_dh, info = wta_core(model, trunk, probs, router_tape, v_global,
                                  cfg, ws, lam=lam, scale=cfg.alpha_w)
     b_val = balance_core(model, probs, router_tape, cfg, ws,

@@ -1224,6 +1224,8 @@ def pipeline_digests(tmp_path, monkeypatch):
                "data.csv") == 0
     assert run("train", "--data", "data.csv", *train, "--out", "model.ckpt",
                "--report", "train.jsonl") == 0
+    assert run("train", "--data", "data.csv", *train, "--k", "1", "--out",
+               "k1.ckpt", "--report", "k1.jsonl") == 0
     assert run("sample", *sample, "--n", "8", "--seed", "1", "--out",
                "g1.csv") == 0
     assert run("sample", *sample, "--n", "8", "--gamma", "0", "--seed", "1",
@@ -1240,11 +1242,12 @@ def pipeline_digests(tmp_path, monkeypatch):
     assert run("dmd", "--real", "data.csv", "--gen", "g1.csv", "--out",
                "spectra.csv") == 0
     assert run("dmd", "--experts", "model.ckpt", "--out", "experts.csv") == 0
-    rows = [json.loads(line) for line in open("train.jsonl")]
-    for row in rows:
-        row.pop("wall_time", None)
-    with open("train.jsonl", "w") as fh:
-        fh.write("\n".join(map(json.dumps, rows)) + "\n")
+    for report in ("train.jsonl", "k1.jsonl"):
+        rows = [json.loads(line) for line in open(report)]
+        for row in rows:
+            row.pop("wall_time", None)
+        with open(report, "w") as fh:
+            fh.write("\n".join(map(json.dumps, rows)) + "\n")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
                .hexdigest() for name in sorted(os.listdir(tmp_path))}
     with open("data.csv", "rb") as src, open("crlf.csv", "wb") as dst:
@@ -1275,6 +1278,8 @@ CLI_PINS = {
     "g1.csv.meta.json": "3722437b77cc4d37122f326c276f98de0a416c6e8f7e03e724d241b9f003d7d3",
     "imp.csv": "67a083f9e3ab4039cad342dc74829dba4b1f9db6eaa76e4116ab4519c27371e3",
     "imp.csv.meta.json": "1672d6bfb7b7cf6855bf1d2a3ecbe3b52f2772997962ee36d8799b7586bddb9d",
+    "k1.ckpt": "6b5eb7f33cc3097ce511319e2e4c5ff9bf1bdfa804b7bf628e9ceeeffeb93add",
+    "k1.jsonl": "efe5bde00d3c2121baf386d2bf1093c4c011b2d219cae93fb87141134828c263",
     "mask.csv": "91edb4cb6f9a118960badf4f5c4789530b9622cada4802f3925b75cc32aa729b",
     "model.ckpt": "d586cd0767c15d9509978631752621333a1c8f84b05159d72d2847360f0e32e6",
     "obs.csv": "033eecc2495fc4048e78ff2fbacfece99016d89755cd5b72944a9e6fcf9fa680",

@@ -6,7 +6,9 @@ from prismflow import metrics
 from prismflow.errors import ContractViolation
 from prismflow.metrics import (MetricReport, correlational_score,
                                discriminative_score, predictive_score)
-from prismflow.numcore import Mlp, Params, RngStream, mlp_apply, mlp_shapes
+from prismflow.numcore import (AdamState, Mlp, Params, RngStream,
+                               adam_update, mlp_apply, mlp_gradients,
+                               mlp_shapes)
 
 
 def noise(n, s=8, d=2, seed=0, scale=1.0, shift=0.0):
@@ -83,6 +85,49 @@ class TestForward:
         x = RngStream(14).generator().standard_normal((n, width))
         want, _ = mlp_apply(net, x)
         assert metrics._forward(net, x).tobytes() == want.tobytes()
+
+
+def per_step_train_net(dims, x, y, rng, kind):
+    """Reference `metrics._train_net`: each step draws its own batch
+    indices."""
+    params = Params(mlp_shapes("", dims))
+    net = Mlp.view(params, "", dims)
+    net.draw(rng.child(1))
+    opt = AdamState.create(params, lr=1e-3)
+    gen = rng.child(2).generator()
+    n = x.shape[0]
+    grads = params.zeros_like()
+    grad = Mlp.view(grads, "", dims)
+    for _ in range(metrics.TRAIN_STEPS):
+        idx = gen.integers(0, n, size=min(metrics.BATCH, n))
+        out, tape = mlp_apply(net, x[idx])
+        if kind == "logistic":
+            upstream = (1.0 / (1.0 + np.exp(-out)) - y[idx]) / idx.size
+        else:
+            upstream = 2.0 * (out - y[idx]) / out.size
+        grads.flat.fill(0.0)
+        mlp_gradients(net, tape, upstream, grad, False)
+        adam_update(opt, params, grads)
+        net.bump_version()
+    return net
+
+
+class TestTrainNet:
+    @pytest.mark.parametrize("n", [metrics.BATCH - 14, 3 * metrics.BATCH])
+    @pytest.mark.parametrize("kind", ["logistic", "l2"])
+    def test_one_index_draw_matches_a_draw_per_step(self, kind, n):
+        """The steps' batch indices, drawn in one call, are those of one
+        call per step, so the trained net is the same to the bit."""
+        gen = RngStream(15).generator()
+        x = gen.standard_normal((n, 6))
+        y = (gen.uniform(size=(n, 1)) < 0.5) * 1.0 if kind == "logistic" \
+            else gen.standard_normal((n, 1))
+        dims = [6, metrics.HIDDEN, 1]
+        net = metrics._train_net(dims, x, y, RngStream(16), kind)
+        want = per_step_train_net(dims, x, y, RngStream(16), kind)
+        for got, ref in zip(net.weights + net.biases,
+                            want.weights + want.biases):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestCorrelationalScore:

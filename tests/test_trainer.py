@@ -22,6 +22,13 @@ from prismflow.trainer import (LAMBDA_KINDS, TrainConfig, fit,
                                train_step)
 
 
+def tiny(n_experts):
+    """The `tiny_model` shapes with K = n_experts."""
+    return PrismFlowModel.init(ModelConfig(
+        seq_len=8, channels=2, n_experts=n_experts, latent_dim=4,
+        hidden_dim=8, dec_hidden=8, router_hidden=8), RngStream(0))
+
+
 class TestLambdaSchedule:
     def test_constant_is_one(self):
         np.testing.assert_array_equal(
@@ -92,8 +99,9 @@ class TestTotalLoss:
 
     # the two-point stencil (step 1e-5) reads 2.25e-4 and 1.48e-3 here
     @pytest.mark.parametrize("variant", [dict(activation="softplus"),
-                                         dict(channels=1)],
-                             ids=["softplus", "D1"])
+                                         dict(channels=1),
+                                         dict(n_experts=1)],
+                             ids=["softplus", "D1", "K1"])
     def test_five_point_gradients_match(self, variant):
         kw = dict(seq_len=8, channels=2, n_experts=2, latent_dim=4,
                   hidden_dim=8, dec_hidden=8, router_hidden=8)
@@ -141,12 +149,14 @@ class TestFusedTotalLoss:
     losses, each of which runs its own trunk."""
 
     # "live": the winners, the global velocity and the balance features
-    # all come from the current parameters
-    @pytest.mark.parametrize("kind", LAMBDA_KINDS,
-                             ids=lambda kind: f"live-{kind}")
-    def test_matches_sum_of_public_objectives(self, four_expert_model,
-                                              tiny_batch, kind):
-        model = four_expert_model
+    # all come from the current parameters; the reference runs the router
+    # at K = 1 too, where `total_loss` does not
+    @pytest.mark.parametrize("kind,n_experts", [
+        *((kind, 4) for kind in LAMBDA_KINDS), ("constant", 1)],
+        ids=[*(f"live-{kind}" for kind in LAMBDA_KINDS), "one-expert"])
+    def test_matches_sum_of_public_objectives(self, tiny_batch, kind,
+                                              n_experts):
+        model = tiny(n_experts)
         x0, x1, t = tiny_batch
         cfg = TrainConfig(alpha_w=0.7, alpha_b=0.3, beta=0.5,
                           lambda_kind=kind)
@@ -161,6 +171,34 @@ class TestFusedTotalLoss:
         for name, ref in ref_grads.items():
             np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-10,
                                        err_msg=name)
+            if n_experts == 1 and name.startswith("router."):
+                # +0.0 bit for bit, so Adam leaves the router where it is
+                assert not grads[name].any(), name
+                assert not np.signbit(grads[name]).any(), name
+
+    @pytest.mark.parametrize("n_experts,runs", [(1, 0), (4, 1)])
+    def test_router_runs_only_for_two_or_more_experts(self, tiny_batch,
+                                                      monkeypatch,
+                                                      n_experts, runs):
+        """One expert's gate is the constant 1: `total_loss` runs the
+        router forward once at K = 4 and not at all at K = 1."""
+        calls = {"route": 0, "router_logits": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # count the calls made through every module that holds each one
+        for name in calls:
+            fn = getattr(router_module, name)
+            for module in (router_module, trainer_module):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted(name, fn))
+        x0, x1, t = tiny_batch
+        total_loss(tiny(n_experts), x0, x1, t, TrainConfig())
+        assert calls == {"route": runs, "router_logits": runs}
 
     def test_one_trunk_forward(self, tiny_model, tiny_batch, monkeypatch):
         calls = []
@@ -370,6 +408,18 @@ class TestFit:
         mc = ModelConfig(seq_len=8, channels=2)
         with pytest.raises(ContractViolation):
             fit(np.zeros((4, 8)), mc, TrainConfig(epochs=1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_expert_takes_no_confidence_backward(self):
+        """At K = 1 the confidence term's router gradient is exactly zero
+        and is not formed. Formed, its weight beta * alpha_w / B is past
+        float range here, and -inf * (1 - 1) is NaN, which reached the
+        encoder's gradient and stopped `fit`."""
+        windows = RngStream(9).generator().standard_normal((40, 16, 1))
+        model, _ = fit(windows, ModelConfig(n_experts=1),
+                       TrainConfig(epochs=2, batch_size=8, beta=1e308,
+                                   alpha_w=1e3))
+        assert np.isfinite(model.params().flat).all()
 
 
 class TestWindowWidth:
