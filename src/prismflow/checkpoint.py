@@ -43,8 +43,11 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write_lines(path: str, lines) -> None:
+    """The one line-file rule: each item, then a newline, as UTF-8,
+    written atomically; `lines` that raise leave no file."""
+    atomic_write_bytes(path, "".join(f"{line}\n" for line in lines)
+                       .encode("utf-8"))
 
 
 def save_checkpoint(path: str, header: dict, blocks: dict) -> None:

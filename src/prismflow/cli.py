@@ -18,7 +18,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import __version__
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_lines
 from .datasets import (LOAD_MODES, DiagnosticSpec, gen_bimodal_frequency,
                        gen_sines, gen_velocity_mixture_diagnostic,
                        load_csv_windows, normalize, save_csv_windows,
@@ -43,10 +43,10 @@ def _resolved(args, omit=()) -> dict:
 
 
 def _write_meta(out_path: str, args) -> None:
-    atomic_write_text(out_path + ".meta.json",
-                      json.dumps({"tool_version": __version__,
-                                  "resolved_config": _resolved(args)},
-                                 indent=2, default=str) + "\n")
+    atomic_write_lines(out_path + ".meta.json",
+                       [json.dumps({"tool_version": __version__,
+                                    "resolved_config": _resolved(args)},
+                                   indent=2, default=str)])
 
 
 # Config-file settings by section, each with its `train` flag or None; a
@@ -119,8 +119,7 @@ def cmd_gen_data(args):
     save_csv_windows(ds.windows, args.out)
     _write_meta(args.out, args)
     if ds.labels is not None:
-        atomic_write_text(args.out + ".labels",
-                          "\n".join(str(int(x)) for x in ds.labels) + "\n")
+        atomic_write_lines(args.out + ".labels", ds.labels.tolist())
     print(f"wrote {ds.n} windows to {args.out}")
 
 
@@ -132,14 +131,13 @@ def cmd_train(args):
         ds = normalize(ds)
         shift, scale = ds.norm_shift, ds.norm_scale
     tcfg, mcfg = _configs(args)
-    model, report = fit(ds.windows, mcfg, tcfg, norm_shift=shift,
-                        norm_scale=scale,
-                        log=(None if args.quiet else print))
+    model, rows = fit(ds.windows, mcfg, tcfg, norm_shift=shift,
+                      norm_scale=scale, log=(None if args.quiet else print))
     model.save(args.out, extra_header={
         "train_config": _resolved(args), "tool_version": __version__})
     if args.report:
-        report.epochs.insert(0, {"resolved_config": _resolved(args)})
-        report.save(args.report)
+        atomic_write_lines(args.report, map(json.dumps, [
+            {"resolved_config": _resolved(args)}, *rows]))
     print(f"saved checkpoint to {args.out}")
 
 
@@ -211,9 +209,8 @@ def cmd_eval(args):
         rows.append(report.__dict__)
         print(f"{name}: {value:.6f}")
     if args.out:
-        atomic_write_text(args.out,
-                          "\n".join(json.dumps(r, default=str)
-                                    for r in rows) + "\n")
+        atomic_write_lines(args.out, (json.dumps(r, default=str)
+                                      for r in rows))
 
 
 def cmd_dmd(args):
@@ -227,27 +224,26 @@ def cmd_dmd(args):
             for ev in operator_eigenvalues(a):
                 lines.append(f"expert{k},{float(ev.real)!r},"
                              f"{float(ev.imag)!r},")
-        atomic_write_text(args.out, "\n".join(lines) + "\n")
-        _write_meta(args.out, args)
-        print(f"wrote expert spectra to {args.out}")
-        return
-    if not (args.real and args.gen):
+        done = f"wrote expert spectra to {args.out}"
+    elif not (args.real and args.gen):
         raise PrismFlowError("dmd needs --experts or both --real and --gen")
-    real = _load_windows(args.real, mode="blocks")
-    gen = _load_windows(args.gen, mode="blocks")
-    for ds in (real, gen):  # refuse either set before any DMD runs
-        check_dmd(ds.seq_len, args.rank, args.delay)
-    sr = exact_dmd(real.windows, rank=args.rank, delay=args.delay)
-    sg = exact_dmd(gen.windows, rank=args.rank, delay=args.delay)
-    for tag, spec in (("real", sr), ("gen", sg)):
-        for ev, amp in zip(spec.eigenvalues, spec.amplitudes):
-            lines.append(f"{tag},{float(ev.real)!r},{float(ev.imag)!r},"
-                         f"{float(amp)!r}")
-    overlap = spectral_overlap(sr, sg)
-    lines.append(f"overlap,{overlap!r},,")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    else:
+        real = _load_windows(args.real, mode="blocks")
+        gen = _load_windows(args.gen, mode="blocks")
+        for ds in (real, gen):  # refuse either set before any DMD runs
+            check_dmd(ds.seq_len, args.rank, args.delay)
+        sr = exact_dmd(real.windows, rank=args.rank, delay=args.delay)
+        sg = exact_dmd(gen.windows, rank=args.rank, delay=args.delay)
+        for tag, spec in (("real", sr), ("gen", sg)):
+            for ev, amp in zip(spec.eigenvalues, spec.amplitudes):
+                lines.append(f"{tag},{float(ev.real)!r},{float(ev.imag)!r},"
+                             f"{float(amp)!r}")
+        overlap = spectral_overlap(sr, sg)
+        lines.append(f"overlap,{overlap!r},,")
+        done = f"spectral overlap: {overlap:.6f}"
+    atomic_write_lines(args.out, lines)
     _write_meta(args.out, args)
-    print(f"spectral overlap: {overlap:.6f}")
+    print(done)
 
 
 def cmd_diagnose(args):

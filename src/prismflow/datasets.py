@@ -20,7 +20,7 @@ from itertools import chain, repeat
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_bytes
 from .errors import (ConfigError, ContractViolation, ParseError, check_int,
                      check_real, check_size)
 from .numcore import RngStream
@@ -138,8 +138,9 @@ def velocity_energy_gap(x0, x1):
     return mean_sq, sq_mean
 
 
-# CSV lines written per slice: bounds the text the writer formats at once,
-# so its memory does not grow with the file
+# CSV lines formatted per slice: bounds the cell and row strings the writer
+# makes at once, not its memory: the slices go into one text buffer, which
+# is copied out and encoded whole, a peak of about twice the file
 _SLICE_LINES = 8192
 # bytes read at a time from a file: every file is checked and parsed a
 # piece of about this size at a time, so reading it holds neither the whole
@@ -364,7 +365,7 @@ def save_csv_windows(windows, path) -> None:
         if start:
             buf.write("\n")
         buf.write(_format_windows(windows[start:start + per_slice]))
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
 
 
 def normalize(ds: Dataset) -> Dataset:

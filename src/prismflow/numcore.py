@@ -49,13 +49,9 @@ class RngStream:
                 raise ConfigError(f"{key} must be in [-2**63, 2**63), "
                                   f"got {shown(value)}")
 
-    def generator(self, bits: np.random.Philox | None = None):
-        """On `bits` re-keyed if given, sparing a new Philox's entropy draw."""
+    def generator(self):
         key = np.array([self.seed, self.stream], np.int64).view(np.uint64)
-        if bits is not None:
-            bits.state = dict(bits.state, buffer_pos=4, has_uint32=0, state={
-                "counter": np.zeros(4, np.uint64), "key": key})
-        return np.random.Generator(bits or np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, stream: int) -> "RngStream":
         return RngStream(self.seed, stream)
@@ -147,12 +143,12 @@ class Params(dict):
 class Workspace(dict):
     """What each training objective evaluation overwrites, so a steady-state
     `fit` step allocates almost nothing: arrays `ws[key, shape]`, made on
-    first use (one set per batch size), the gradient store `grads`, `grad`,
-    the model whose nets and experts are views of it, and a Philox `bits`."""
+    first use (one set per batch size), the gradient store `grads` and
+    `grad`, the model whose nets and experts are views of it."""
 
     def __init__(self, model):
         super().__init__()
-        self.grads, self.bits = model.params().zeros_like(), np.random.Philox(0)
+        self.grads = model.params().zeros_like()
         self.grad = type(model)(model.cfg, self.grads)
 
     def __missing__(self, key_shape) -> np.ndarray:

@@ -168,9 +168,9 @@ def generate_conditional(model, cond: ConditionMask, cfg: SamplerConfig,
     n = mask.shape[0]
     m2 = 2.0 * mask.astype(np.float64)
     y = np.where(mask, cond.values.reshape(-1, s * d), 0.0)
-    x, bits = np.empty((n, s * d)), np.random.Philox(0)
-    for i in range(n):  # one Philox, re-keyed per window
-        x[i] = rng.child(rng.stream + i).generator(bits).standard_normal(s * d)
+    x = np.empty((n, s * d))
+    for i in range(n):
+        x[i] = rng.child(rng.stream + i).generator().standard_normal(s * d)
     dt = 1.0 / cfg.steps
     bank = expert_bank(model.operators()) if cfg.gamma else None
     for rows in row_blocks(n, BLOCK_ROWS):

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import configparser
-import json
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import atomic_write_text
 from .errors import (ConfigError, ContractViolation, NumericError,
                      check_int, check_real)
 from .flowpath import cfm_core, trunk_forward
@@ -101,7 +100,7 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
 def train_step(model, opt: AdamState, x1_batch, rng: RngStream,
                cfg: TrainConfig, ws: Workspace = None):
     """One optimizer step: draw (x0, t), evaluate the objective, update."""
-    gen = rng.generator(None if ws is None else ws.bits)
+    gen = rng.generator()
     b = x1_batch.shape[0]
     x0 = gen.standard_normal(x1_batch.shape)
     t = gen.uniform(0.0, 1.0, size=b)
@@ -119,24 +118,12 @@ def train_step(model, opt: AdamState, x1_batch, rng: RngStream,
     return metrics
 
 
-@dataclass
-class TrainReport:
-    """Per-epoch training records, serializable as JSON lines."""
-
-    epochs: list
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(row) for row in self.epochs) + "\n"
-
-    def save(self, path: str) -> None:
-        atomic_write_text(path, self.to_jsonl())
-
-
 def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
         norm_shift=None, norm_scale=None, log=None):
     """Train a model from scratch on an array of windows (n, S, D).
 
-    Returns (model, TrainReport). Deterministic given (configs, seed).
+    Returns (model, rows), one dict per epoch. Deterministic given
+    (configs, seed).
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[0] == 0:
@@ -151,6 +138,13 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
     if not 0 < cfg.prob_floor < 1 / model.n_experts:
         raise ConfigError(f"prob_floor must be > 0 and < 1/n_experts = "
                           f"{1 / model.n_experts:g}, got {cfg.prob_floor}")
+    # the confidence term's gradient scales by beta * w / (p_win + wta_eps)
+    # with each row's weight w <= alpha_w; past float range it overflows
+    if model.n_experts > 1 and not math.isfinite(
+            float(cfg.beta) * float(cfg.alpha_w) / float(cfg.wta_eps)):
+        raise ConfigError(f"beta * alpha_w / wta_eps must be a finite float "
+                          f"with n_experts >= 2, got {cfg.beta} * "
+                          f"{cfg.alpha_w} / {cfg.wta_eps}")
     if norm_shift is not None:
         model.norm_shift = np.asarray(norm_shift, dtype=np.float64)
         model.norm_scale = np.asarray(norm_scale, dtype=np.float64)
@@ -158,7 +152,7 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
     ws = Workspace(model)
 
     n = windows.shape[0]
-    report = TrainReport(epochs=[])
+    rows = []
     step_id = 0
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
@@ -180,13 +174,13 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
                "bal": sums["bal"] / nb,
                "usage": usage.tolist(),
                "wall_time": time.perf_counter() - tic}
-        report.epochs.append(row)
+        rows.append(row)
         if log is not None:
             frac = usage / max(usage.sum(), 1)
             log(f"epoch {epoch}: cfm={row['cfm']:.4f} wta={row['wta']:.4f} "
                 f"bal={row['bal']:.4f} usage=" +
                 "/".join(f"{f:.2f}" for f in frac))
-    return model, report
+    return model, rows
 
 
 def load_config_file(path: str) -> dict:

@@ -84,16 +84,32 @@ def sampled(state, cfg, rng):
 
 
 @pytest.fixture(scope="session")
-def bimodal_runs():
-    """Per seed: the normalized dataset, a trained default model (K=4),
-    and a single-expert control trained identically."""
+def acceptance_fits():
+    """Every acceptance fit in one pool: the sines fit, the longest, goes
+    first, and the ten bimodal fits (K=4, then K=1, per seed) run on the
+    other workers beside it. Returns the sines dataset and `fitted`
+    state, the bimodal datasets by seed and their states in that order."""
+    sines = gen_sines(1000, 24, 1, rng=RngStream(7, 50))
     sets = {seed: normalize(gen_bimodal_frequency(2000, 64, 1, 2, 8,
                                                   RngStream(seed, 50)))
             for seed in BIMODAL_SEEDS}
-    states = pooled([(fitted, sets[seed].windows,
-                      ModelConfig(n_experts=k, **BIMODAL_MODEL),
-                      TrainConfig(seed=seed, **BIMODAL_TRAIN))
-                     for seed in BIMODAL_SEEDS for k in (4, 1)])
+    states = pooled([
+        (fitted, sines.windows, ModelConfig(seq_len=24, channels=1,
+                                            hidden_dim=128, head_hidden=128),
+         TrainConfig(seed=7, epochs=800, batch_size=128), np.zeros(1),
+         np.ones(1)),
+        *((fitted, sets[seed].windows,
+           ModelConfig(n_experts=k, **BIMODAL_MODEL),
+           TrainConfig(seed=seed, **BIMODAL_TRAIN))
+          for seed in BIMODAL_SEEDS for k in (4, 1))])
+    return sines, states[0], sets, states[1:]
+
+
+@pytest.fixture(scope="session")
+def bimodal_runs(acceptance_fits):
+    """Per seed: the normalized dataset, a trained default model (K=4),
+    and a single-expert control trained identically."""
+    _, _, sets, states = acceptance_fits
     return {seed: (sets[seed], rebuilt(*states[2 * i]),
                    rebuilt(*states[2 * i + 1]))
             for i, seed in enumerate(BIMODAL_SEEDS)}
@@ -116,13 +132,8 @@ def bimodal_samples(bimodal_runs):
 
 
 @pytest.fixture(scope="session")
-def sines_model():
-    ds = gen_sines(1000, 24, 1, rng=RngStream(7, 50))
-    cfg = TrainConfig(seed=7, epochs=800, batch_size=128)
-    [state] = pooled([(fitted, ds.windows,
-                       ModelConfig(seq_len=24, channels=1, hidden_dim=128,
-                                   head_hidden=128), cfg,
-                       np.zeros(1), np.ones(1))])
+def sines_model(acceptance_fits):
+    ds, state, _, _ = acceptance_fits
     return ds, rebuilt(*state)
 
 

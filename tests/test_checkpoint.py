@@ -1,10 +1,12 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from prismflow.checkpoint import (FORMAT_VERSION, MAGIC, atomic_write_bytes,
-                                  load_checkpoint, save_checkpoint)
+                                  atomic_write_lines, load_checkpoint,
+                                  save_checkpoint)
 from prismflow.errors import ContractViolation, ParseError
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream
@@ -91,6 +93,36 @@ class TestAtomicWrite:
         atomic_write_bytes(str(path), b"one")
         atomic_write_bytes(str(path), b"two")
         assert path.read_bytes() == b"two"
+
+
+class TestAtomicWriteLines:
+    """The one line-file rule: each item, then a newline, as UTF-8."""
+
+    def test_str_and_int_items(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_lines(str(path), ["a,b", 0, "\u00e9", -12])
+        assert path.read_bytes() == b"a,b\n0\n\xc3\xa9\n-12\n"
+
+    def test_indented_json_item(self, tmp_path):
+        path = tmp_path / "out.json"
+        item = json.dumps({"k": [1, 2]}, indent=2)
+        atomic_write_lines(str(path), [item])
+        assert path.read_bytes() == \
+            b'{\n  "k": [\n    1,\n    2\n  ]\n}\n'
+
+    def test_no_items_give_an_empty_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_lines(str(path), iter(()))
+        assert path.read_bytes() == b""
+
+    def test_items_that_raise_leave_no_file(self, tmp_path):
+        def items():
+            yield "first"
+            raise ValueError("bad item")
+
+        with pytest.raises(ValueError, match="bad item"):
+            atomic_write_lines(str(tmp_path / "out.txt"), items())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestModelCheckpoint:

@@ -373,6 +373,52 @@ class TestTrainSampleEval:
                    "--out", str(out)) == 0
         assert PrismFlowModel.load(str(out)).n_experts == 4
 
+    def test_overflowing_confidence_weight_fails_before_training(
+            self, tmp_path, capsys):
+        """beta * alpha_w / wta_eps past float range at K = 2 is one
+        `error:` line naming the three settings, with no numpy warning
+        from a step that ran."""
+        data, out = str(tmp_path / "bimodal.csv"), tmp_path / "m.ckpt"
+        assert run("gen-data", "--kind", "bimodal", "--n", "200",
+                   "--seq-len", "32", "--channels", "1", "--seed", "0",
+                   "--out", data) == 0
+        capsys.readouterr()
+        assert run("train", "--data", data, "--seed", "0", "--epochs", "2",
+                   "--k", "2", "--beta", "1e308", "--alpha-w", "1e3",
+                   "--quiet", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: beta * alpha_w / wta_eps must be a finite "
+                       "float with n_experts >= 2, got 1e+308 * 1000.0 / "
+                       "1e-08"]
+        assert not out.exists()
+
+    def test_train_report_holds_one_json_line_per_row(self, tmp_path,
+                                                      data_csv, monkeypatch):
+        """The raw `--report` file: the `resolved_config` row, then each
+        row `fit` returned, one per epoch with its `wall_time`, each one
+        `json.dumps` line."""
+        returned, original = [], cli_module.fit
+
+        def recorded(*args, **kwargs):
+            model, rows = original(*args, **kwargs)
+            returned.extend(rows)
+            return model, rows
+
+        monkeypatch.setattr(cli_module, "fit", recorded)
+        report = tmp_path / "train.jsonl"
+        assert run("train", "--data", data_csv, "--seed", "0", "--epochs",
+                   "3", "--batch-size", "32", "--hidden-dim", "16",
+                   "--latent-dim", "4", "--quiet", "--out",
+                   str(tmp_path / "m.ckpt"), "--report", str(report)) == 0
+        *lines, last = report.read_bytes().decode("utf-8").split("\n")
+        assert last == ""
+        config, *epochs = map(json.loads, lines)
+        assert list(config) == ["resolved_config"]
+        assert config["resolved_config"]["report"] == str(report)
+        assert [row["epoch"] for row in epochs] == [0, 1, 2]
+        assert all(row["wall_time"] > 0 for row in epochs)
+        assert lines == [json.dumps(row) for row in [config, *returned]]
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         assert run("sample", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--n", "2", "--steps", "2", "--seed", "0",

@@ -470,13 +470,13 @@ class TestRngStream:
     @pytest.mark.parametrize("seed,stream", [
         (-2**63, 0), (-1, 5), (0, -3), (7, 1_000_000), (2**63 - 1, 2**63 - 1)])
     def test_rekeyed_bits_draw_as_a_new_generator(self, seed, stream):
-        """A Philox re-keyed for a stream, after drawing for another one,
-        draws what a new generator of that stream draws, bit for bit."""
-        bits = np.random.Philox(0)
-        RngStream(3, 9).generator(bits).standard_normal(5)
-        rng = RngStream(seed, stream)
-        got = rng.generator(bits)
-        want = rng.generator()
+        """A stream draws, bit for bit, what a Philox keyed by its seed and
+        stream as two 64-bit words draws (two's complement for negative
+        values; the words go in as uint64, as a list of such ints would
+        cast through float)."""
+        got = RngStream(seed, stream).generator()
+        want = np.random.Generator(np.random.Philox(key=np.array(
+            [seed % 2**64, stream % 2**64], np.uint64)))
         for draw in ("standard_normal", "uniform", "random"):
             np.testing.assert_array_equal(getattr(got, draw)(size=7),
                                           getattr(want, draw)(size=7))

@@ -210,10 +210,9 @@ class TestGenerateConditional:
     def test_starting_noise_is_each_windows_fresh_stream(self, tiny_model,
                                                          stream,
                                                          monkeypatch):
-        """The windows' starting noise, drawn on one re-keyed Philox, is
-        bit for bit what a new generator of each window's stream draws:
-        with no steps to take, the call returns it where nothing is
-        observed."""
+        """The windows' starting noise is bit for bit what a new generator
+        of each window's stream draws: with no steps to take, the call
+        returns it where nothing is observed."""
         monkeypatch.setattr(sampler_module, "step_time_features",
                             lambda model, steps, n: np.empty((0, n, 8)))
         mask = np.zeros((4, 8, 2), dtype=bool)

@@ -5,7 +5,8 @@ the model and the numerics core spell a parameter block's name, only
 `errors.py` spells the integer and finite-real rules, only `experts.py`
 spells the operator bank's layout, the sampling and `diagnose` flags
 take their defaults from the configs, every config is checked once,
-when it is made, and no module calls `np.unique`."""
+when it is made, no module calls `np.unique`, and only `checkpoint.py`
+spells the line-file rule."""
 
 import ast
 import dataclasses
@@ -418,3 +419,33 @@ def test_no_module_calls_np_unique():
     gives the same list."""
     for path in sorted(SRC.glob("*.py")):
         assert unique_calls(path.read_text()) == [], path.name
+
+
+def line_file_joins(source: str) -> list:
+    """Every `"\\n".join(...) + "\\n"`: the line-file rule spelled out."""
+    def newline(node):
+        return isinstance(node, ast.Constant) and node.value == "\n"
+
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Attribute)
+            and node.left.func.attr == "join"
+            and newline(node.left.func.value) and newline(node.right)]
+
+
+def test_line_file_joins_are_found():
+    source = ("def f(rows, a):\n"
+              "    x = '\\n'.join(rows) + '\\n'\n"
+              "    y = '\\n\\n'.join(rows) + '\\n'\n"
+              "    z = ','.join(rows) + '\\n'\n"
+              "    return \"\\n\".join(map(str, a)) + \"\\n\"\n")
+    assert line_file_joins(source) == ["line 2", "line 5"]
+
+
+def test_only_checkpoint_spells_the_line_file_rule():
+    """Every report, sidecar and CSV of lines goes through
+    `checkpoint.atomic_write_lines`."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "checkpoint.py":
+            assert line_file_joins(path.read_text()) == [], path.name

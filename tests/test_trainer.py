@@ -11,6 +11,7 @@ import prismflow.flowpath as flowpath_module
 import prismflow.model as model_module
 import prismflow.router as router_module
 import prismflow.trainer as trainer_module
+from prismflow.checkpoint import atomic_write_lines
 from prismflow.errors import (ConfigError, ContractViolation, NumericError,
                               ShapeError)
 from prismflow.flowpath import cfm_loss, encode
@@ -373,24 +374,24 @@ class TestFit:
         m2, r2 = fit(w, mc, tc)
         for n, p in m1.params().items():
             np.testing.assert_array_equal(p, m2.params()[n])
-        assert r1.epochs[0]["cfm"] == r2.epochs[0]["cfm"]
+        assert r1[0]["cfm"] == r2[0]["cfm"]
 
     def test_loss_decreases(self):
         mc = ModelConfig(seq_len=8, channels=2, n_experts=2, latent_dim=4,
                          hidden_dim=16, dec_hidden=8, router_hidden=8)
         tc = TrainConfig(epochs=15, batch_size=16, seed=0)
-        _, report = fit(self.windows(64), mc, tc)
-        first = report.epochs[0]["cfm"]
-        last = report.epochs[-1]["cfm"]
+        _, rows = fit(self.windows(64), mc, tc)
+        first = rows[0]["cfm"]
+        last = rows[-1]["cfm"]
         assert last < first
 
     def test_report_serializes_to_jsonl(self, tmp_path):
         mc = ModelConfig(seq_len=8, channels=2, n_experts=2, latent_dim=4,
                          hidden_dim=8, dec_hidden=8, router_hidden=8)
         tc = TrainConfig(epochs=2, batch_size=16)
-        _, report = fit(self.windows(), mc, tc)
+        _, rows = fit(self.windows(), mc, tc)
         path = tmp_path / "report.jsonl"
-        report.save(str(path))
+        atomic_write_lines(str(path), map(json.dumps, rows))
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 2
         assert {"epoch", "cfm", "wta", "bal", "usage"} <= rows[0].keys()
@@ -420,6 +421,32 @@ class TestFit:
                        TrainConfig(epochs=2, batch_size=8, beta=1e308,
                                    alpha_w=1e3))
         assert np.isfinite(model.params().flat).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta,alpha_w,wta_eps", [
+        (1e308, 1e3, 1e-8), (1e300, 1.0, 1e-9), (1.0, 1.0, 5e-324)],
+        ids=["beta", "wta_eps", "subnormal-eps"])
+    def test_overflowing_confidence_weight_is_refused_before_a_step(
+            self, monkeypatch, beta, alpha_w, wta_eps):
+        """At K >= 2 the confidence term's gradient scales by beta * w /
+        (p_win + wta_eps), w <= alpha_w. Past float range it overflowed
+        mid-run, with numpy warnings; `fit` refuses it before any step."""
+        monkeypatch.setattr(trainer_module, "train_step",
+                            lambda *args: pytest.fail("a step ran"))
+        windows = RngStream(9).generator().standard_normal((40, 16, 1))
+        with pytest.raises(ConfigError, match=r"beta \* alpha_w / wta_eps "
+                           r"must be a finite float with n_experts >= 2"):
+            fit(windows, ModelConfig(n_experts=2),
+                TrainConfig(epochs=2, batch_size=8, beta=beta,
+                            alpha_w=alpha_w, wta_eps=wta_eps))
+
+    def test_a_confidence_weight_in_float_range_is_not_refused(self):
+        """Just inside float range the weight is not refused: such a run
+        stops on the divergence guard, as before."""
+        windows = RngStream(9).generator().standard_normal((40, 16, 1))
+        with pytest.raises(NumericError, match="training diverged"):
+            fit(windows, ModelConfig(n_experts=2),
+                TrainConfig(epochs=1, batch_size=8, beta=1e299))
 
 
 class TestWindowWidth:
