@@ -33,8 +33,11 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     """Write via temp file + rename so failures leave no partial file."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    umask = os.umask(0o022)  # the only way to read it is to set it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # `open`'s mode, not 0o600
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:

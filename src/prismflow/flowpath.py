@@ -91,10 +91,10 @@ def trunk_forward(model, x0, x1, t, ws: Workspace) -> Trunk:
     return Trunk(x0, x1, t, tf, xt, h, tape)
 
 
-def cfm_core(model, trunk: Trunk, ws: Workspace):
-    """Flow-matching term on a trunk pass: adds the head gradient to
-    `ws.grad` and returns (loss, dh, v) with dh the trunk-feature
-    gradient and v the (B, S*D) global velocity."""
+def cfm_loss(model, trunk: Trunk, ws: Workspace):
+    """Flow-matching term on a trunk pass, the element-mean squared velocity
+    error: adds the head gradient to `ws.grad` and returns (loss, dh, v)
+    with dh the trunk-feature gradient and v the (B, S*D) global velocity."""
     u = target_velocity(trunk.x0, trunk.x1)
     v, head_tape = mlp_layers(model.head, trunk.h, True, ws)
     resid = v - u
@@ -102,18 +102,3 @@ def cfm_core(model, trunk: Trunk, ws: Workspace):
     dv = 2.0 * resid / resid.size
     dh = mlp_gradients(model.head, head_tape, dv, ws.grad.head)
     return loss, dh, v
-
-
-def cfm_loss(model, x0, x1, t):
-    """Flow-matching regression loss and its gradients w.r.t. the global
-    estimator (encoder trunk + velocity head).
-
-    Loss is the mean over batch and elements of the squared velocity
-    error, so its scale is independent of sequence length and channels.
-    Returns (loss, grads) with grads keyed like model.params().
-    """
-    ws = Workspace(model)
-    trunk = trunk_forward(model, x0, x1, t, ws)
-    loss, dh, _ = cfm_core(model, trunk, ws)
-    mlp_gradients(model.encoder, trunk.tape, dh, ws.grad.encoder, False)
-    return loss, ws.grads

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ContractViolation, NumericError, ShapeError
 from .experts import decode, expert_bank, operator_grads
-from .flowpath import trunk_forward
 from .numcore import Workspace, mlp_gradients, mlp_layers, tape_rows
 
 
@@ -78,45 +77,18 @@ class WtaBatchInfo:
     endpoint_mses: np.ndarray  # (B, K)
 
 
-def wta_loss(model, x0, x1, t, cfg, lam=None):
-    """Masked winner-take-all loss over a batch, with exact gradients.
-
-    Gradient routing: the winning expert's (S, R), the shared projector
-    and decoder, and the router (through the confidence term only)
-    receive gradients; non-winning expert blocks get exactly zero. The
-    global velocity inside the endpoint estimate is computed from the
-    current head and treated as a constant, so the global head gets no
-    WTA gradient.
-
-    Returns (loss, grads, WtaBatchInfo). `cfg` is the training config.
-    """
-    ws = Workspace(model)
-    trunk = trunk_forward(model, x0, x1, t, ws)
-    lam = np.ones(len(trunk.t)) if lam is None else np.asarray(lam, float)
-    if lam.shape != trunk.t.shape:
-        raise ShapeError(f"lambda weights of shape {lam.shape} for a batch "
-                         f"of shape {trunk.t.shape}")
-    if (lam < 0).any():
-        raise ContractViolation("lambda weights must be >= 0")
-    v_global, _ = mlp_layers(model.head, trunk.h)  # value only
-    probs, router_tape = route(model, trunk.tf, trunk.h, ws)
-    loss, dh, info = wta_core(model, trunk, probs, router_tape, v_global,
-                              cfg, ws, lam=lam)
-    mlp_gradients(model.encoder, trunk.tape, dh, ws.grad.encoder, False)
-    return loss, ws.grads, info
-
-
-def wta_core(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
+def wta_loss(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
              lam, scale: float = 1.0):
-    """Winner-take-all term on a trunk pass and its routing, each row's
-    score weighted by its entry of `lam` (B,), which is >= 0.
+    """Masked winner-take-all term on a trunk pass and its routing, each
+    row's score weighted by its entry of `lam` (B,), which is >= 0.
 
-    The decoder runs forward once on K blocks of the B rows, block k by
-    expert k, and backward once on the B winner rows of that tape. `scale`
-    weights every gradient this term adds to `ws.grad` and the returned
-    trunk-feature gradient dh. A `router_tape` of None marks a constant
-    gate, which takes no confidence-term backward. Returns (loss, dh,
-    WtaBatchInfo).
+    Non-winning expert blocks get exactly zero gradient, and the global
+    velocity `v_global` is a constant, so the head gets none. The decoder
+    runs forward once on K blocks of the B rows, block k by expert k, and
+    backward once on the B winner rows of that tape. `scale` weights every
+    gradient this term adds to `ws.grad` and the returned trunk-feature
+    gradient dh. A `router_tape` of None marks a constant gate, which
+    takes no confidence-term backward. Returns (loss, dh, WtaBatchInfo).
     """
     b, sd = trunk.xt.shape
     z, proj_tape = mlp_layers(model.projector, trunk.h, True, ws)
@@ -193,25 +165,13 @@ def balance_loss(probs, prob_floor: float = 1e-8) -> float:
     return float(np.add.reduce(u * (np.log(u) - np.log(pibar))))
 
 
-def balance_loss_and_grads(model, x0, x1, t, cfg):
-    """Balance regularizer with gradients to the router body only.
-
-    The trunk features feeding the router are treated as constants here;
-    the balance term regularizes routing, not the representation.
-    """
-    ws = Workspace(model)
-    trunk = trunk_forward(model, x0, x1, t, ws)
-    probs, tape = route(model, trunk.tf, trunk.h, ws)
-    loss = balance_core(model, probs, tape, cfg, ws)
-    return loss, ws.grads, probs
-
-
-def balance_core(model, probs, router_tape, cfg, ws: Workspace,
-                 scale: float = 1.0) -> float:
+def balance_loss_and_grads(model, probs, router_tape, cfg, ws: Workspace,
+                           scale: float = 1.0) -> float:
     """Balance term of one routing pass, clamped at the training config's
     `prob_floor`: adds `scale` times its router gradient to `ws.grad`
     and returns the loss; with a `router_tape` of None (a constant gate)
-    it adds nothing. Nothing flows back to the router input."""
+    it adds nothing. It regularizes routing, not the representation, so
+    nothing flows back to the router input."""
     loss = balance_loss(probs, cfg.prob_floor)
     if router_tape is None:
         return loss

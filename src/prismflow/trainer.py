@@ -11,11 +11,11 @@ import numpy as np
 
 from .errors import (ConfigError, ContractViolation, NumericError,
                      check_int, check_real)
-from .flowpath import cfm_core, trunk_forward
+from .flowpath import cfm_loss, trunk_forward
 from .model import ModelConfig, PrismFlowModel
 from .numcore import (AdamState, RngStream, Workspace, adam_update,
                       mlp_gradients)
-from .router import balance_core, route, wta_core
+from .router import balance_loss_and_grads, route, wta_loss
 
 LAMBDA_KINDS = ("constant", "linear-ramp", "late-gate")
 
@@ -80,15 +80,15 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
     lam = lambda_schedule(cfg.lambda_kind, trunk.t)
     ws.grads.flat.fill(0.0)
 
-    c_val, dh, v_global = cfm_core(model, trunk, ws)
+    c_val, dh, v_global = cfm_loss(model, trunk, ws)
     if model.n_experts == 1:  # the softmax of one logit is exactly 1
         probs, router_tape = np.ones((len(trunk.t), 1)), None
     else:
         probs, router_tape = route(model, trunk.tf, trunk.h, ws)
-    w_val, w_dh, info = wta_core(model, trunk, probs, router_tape, v_global,
-                                 cfg, ws, lam=lam, scale=cfg.alpha_w)
-    b_val = balance_core(model, probs, router_tape, cfg, ws,
-                         scale=cfg.alpha_b)
+    w_val, w_dh, info = wta_loss(model, trunk, probs, router_tape, v_global,
+                                 cfg, ws, lam, cfg.alpha_w)
+    b_val = balance_loss_and_grads(model, probs, router_tape, cfg, ws,
+                                   cfg.alpha_b)
     mlp_gradients(model.encoder, trunk.tape, dh + w_dh, ws.grad.encoder,
                   False)
 
@@ -145,6 +145,14 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
         raise ConfigError(f"beta * alpha_w / wta_eps must be a finite float "
                           f"with n_experts >= 2, got {cfg.beta} * "
                           f"{cfg.alpha_w} / {cfg.wta_eps}")
+    # a row's confidence score -beta * log(p + wta_eps), p in [0, 1], is at
+    # most beta * max(-log(wta_eps), log1p(wta_eps)) in size; B are summed
+    b, eps = min(cfg.batch_size, len(windows)), float(cfg.wta_eps)
+    conf = b * float(cfg.beta) * max(-math.log(eps), math.log1p(eps))
+    if model.n_experts > 1 and not math.isfinite(conf):
+        raise ConfigError(f"batch_size * beta * max(-log(wta_eps), log1p("
+                          f"wta_eps)) must be a finite float with n_experts "
+                          f">= 2, got {b}, {cfg.beta} and {cfg.wta_eps}")
     if norm_shift is not None:
         model.norm_shift = np.asarray(norm_shift, dtype=np.float64)
         model.norm_scale = np.asarray(norm_scale, dtype=np.float64)

@@ -14,18 +14,17 @@ import pytest
 
 from prismflow.datasets import Dataset
 from prismflow.errors import ConfigError, ContractViolation, ParseError
-from prismflow.flowpath import cfm_loss, encode, time_features
+from prismflow.flowpath import encode, time_features
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream, mlp_apply
-from prismflow.router import balance_loss_and_grads, wta_loss
 from prismflow.trainer import lambda_schedule
 
 # test-only oracles, importable from here like the reference code below
-from oracles import (FrozenObjective,  # noqa: F401
-                     finite_difference_check, frozen_total_loss_fn,
+from oracles import (FrozenObjective, balance_alone,  # noqa: F401
+                     cfm_alone, finite_difference_check, frozen_total_loss_fn,
                      frozen_wta_loss_fn, global_velocity, power_spectrum,
                      reference_exact_dmd, reference_operators,
-                     reference_velocity)
+                     reference_velocity, wta_alone)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -102,12 +101,12 @@ def vanilla_euler_generate(model, n: int, steps: int,
 
 
 def reference_total_loss(model, x0, x1, t, cfg):
-    """Reference objective: the three public per-objective losses, each
-    with its own trunk pass, summed with their weights."""
+    """Reference objective: the three terms, each on its own trunk pass,
+    summed with their weights."""
     lam = lambda_schedule(cfg.lambda_kind, t)
-    c_val, grads = cfm_loss(model, x0, x1, t)
-    w_val, w_grads, info = wta_loss(model, x0, x1, t, cfg, lam=lam)
-    b_val, b_grads, _ = balance_loss_and_grads(model, x0, x1, t, cfg)
+    c_val, grads = cfm_alone(model, x0, x1, t)
+    w_val, w_grads, info = wta_alone(model, x0, x1, t, cfg, lam=lam)
+    b_val, b_grads, _ = balance_alone(model, x0, x1, t, cfg)
     for name in grads:
         grads[name] += cfg.alpha_w * w_grads[name] + cfg.alpha_b * b_grads[name]
     value = c_val + cfg.alpha_w * w_val + cfg.alpha_b * b_val

@@ -1,10 +1,10 @@
-"""Test-only oracles: a central-difference gradient check (two-point
-or five-point), the operator bank built one expert at a time, the frozen
-training objective whose value it differences, the global velocity
-field evaluated on its own, the sampler's velocity as computed
-before its per-call time-feature table, exact DMD from the SVD of
-the wide snapshot matrix, and batch power spectra. `conftest` re-exports
-them."""
+"""Test-only oracles: a central-difference gradient check (two-point or
+five-point), the operator bank built one expert at a time, each
+objective term on its own trunk pass, the frozen training objective
+whose value it differences, the global velocity field evaluated on its
+own, the sampler's velocity as computed before its per-call time-feature
+table, exact DMD from the SVD of the wide snapshot matrix, and batch
+power spectra. `conftest` re-exports them."""
 
 import warnings
 from dataclasses import dataclass
@@ -13,10 +13,11 @@ import numpy as np
 
 from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.experts import assemble_operator, decode_experts, expert_bank
-from prismflow.flowpath import encode, interpolate_state, time_features
-from prismflow.numcore import mlp_apply
-from prismflow.router import (balance_loss, endpoint, route, select_winner,
-                              wta_loss, wta_scores)
+from prismflow.flowpath import (cfm_loss, encode, interpolate_state,
+                                time_features, trunk_forward)
+from prismflow.numcore import Workspace, mlp_apply, mlp_gradients, mlp_layers
+from prismflow.router import (balance_loss, balance_loss_and_grads, endpoint,
+                              route, select_winner, wta_loss, wta_scores)
 from prismflow.spectra import DmdSpectrum, _snapshots, check_dmd
 from prismflow.trainer import TrainConfig, lambda_schedule, total_loss
 
@@ -70,6 +71,40 @@ def reference_operators(model) -> np.ndarray:
     the whole stack in one `assemble_operator` call."""
     return np.stack([assemble_operator(s, r, model.cfg.delta)
                      for s, r in model.expert_pairs])
+
+
+def cfm_alone(model, x0, x1, t):
+    """The flow-matching term on its own trunk pass: (loss, grads), the
+    gradients of the encoder and the head, keyed like model.params()."""
+    ws = Workspace(model)
+    trunk = trunk_forward(model, x0, x1, t, ws)
+    loss, dh, _ = cfm_loss(model, trunk, ws)
+    mlp_gradients(model.encoder, trunk.tape, dh, ws.grad.encoder, False)
+    return loss, ws.grads
+
+
+def wta_alone(model, x0, x1, t, cfg: TrainConfig, lam=None):
+    """The WTA term on its own trunk pass, the router run at any K, each
+    row weighted by `lam` (all 1 if None): (loss, grads, WtaBatchInfo)."""
+    ws = Workspace(model)
+    trunk = trunk_forward(model, x0, x1, t, ws)
+    lam = np.ones(len(trunk.t)) if lam is None else np.asarray(lam, float)
+    v_global, _ = mlp_layers(model.head, trunk.h)  # value only
+    probs, router_tape = route(model, trunk.tf, trunk.h, ws)
+    loss, dh, info = wta_loss(model, trunk, probs, router_tape, v_global,
+                              cfg, ws, lam)
+    mlp_gradients(model.encoder, trunk.tape, dh, ws.grad.encoder, False)
+    return loss, ws.grads, info
+
+
+def balance_alone(model, x0, x1, t, cfg: TrainConfig):
+    """The balance term on its own trunk pass, the router run at any K:
+    (loss, grads, probs), the gradients on the router body only."""
+    ws = Workspace(model)
+    trunk = trunk_forward(model, x0, x1, t, ws)
+    probs, tape = route(model, trunk.tf, trunk.h, ws)
+    loss = balance_loss_and_grads(model, probs, tape, cfg, ws)
+    return loss, ws.grads, probs
 
 
 class FrozenObjective:
@@ -139,9 +174,9 @@ def frozen_total_loss_fn(model, x0, x1, t, cfg: TrainConfig):
 
 
 def frozen_wta_loss_fn(model, x0, x1, t, cfg: TrainConfig):
-    """As `frozen_total_loss_fn`, for the WTA term and `wta_loss`."""
+    """As `frozen_total_loss_fn`, for the WTA term and `wta_alone`."""
     frozen = FrozenObjective(model, x0, x1, t, cfg)
-    _, grads, _ = wta_loss(model, x0, x1, t, cfg, lam=frozen.lam)
+    _, grads, _ = wta_alone(model, x0, x1, t, cfg, lam=frozen.lam)
     return lambda _params: (frozen.wta(), grads)
 
 

@@ -9,20 +9,18 @@ import numpy as np
 import pytest
 
 import prismflow.sampler as sampler_module
-from conftest import (finite_difference_check, frozen_total_loss_fn,
-                      frozen_wta_loss_fn, pooled, power_spectrum,
-                      vanilla_euler_generate)
+from conftest import (balance_alone, cfm_alone, finite_difference_check,
+                      frozen_total_loss_fn, frozen_wta_loss_fn, pooled,
+                      power_spectrum, vanilla_euler_generate, wta_alone)
 from prismflow.datasets import (gen_bimodal_frequency, gen_sines,
                                 gen_velocity_mixture_diagnostic, normalize,
                                 DiagnosticSpec, velocity_energy_gap)
 from prismflow.experts import assemble_operator, operator_eigenvalues
-from prismflow.flowpath import (cfm_loss, encode, interpolate_state,
-                                time_features)
+from prismflow.flowpath import encode, interpolate_state, time_features
 from prismflow.metrics import correlational_score, discriminative_score
 from prismflow.model import ModelConfig, PrismFlowModel, param_layout
 from prismflow.numcore import Params, RngStream
-from prismflow.router import (balance_loss, balance_loss_and_grads,
-                              wta_loss)
+from prismflow.router import balance_loss
 from prismflow.sampler import (ConditionMask, SamplerConfig, generate,
                                generate_conditional)
 from prismflow.spectra import exact_dmd, spectral_overlap
@@ -161,7 +159,7 @@ def test_analytic_gradients_match_central_differences():
     # flow-matching term
     model = small_model()
     err = finite_difference_check(
-        lambda p: cfm_loss(model, x0, x1, t), model.params(), 1e-5,
+        lambda p: cfm_alone(model, x0, x1, t), model.params(), 1e-5,
         blocks=[n for n in model.params()
                 if n.startswith(("encoder", "head"))])
     assert err < 1e-4
@@ -181,7 +179,7 @@ def test_analytic_gradients_match_central_differences():
     model.router.biases[-1][:] = [0.9, -0.9]
     model.router.bump_version()
     err = finite_difference_check(
-        lambda p: balance_loss_and_grads(model, x0, x1, t, TrainConfig())[:2],
+        lambda p: balance_alone(model, x0, x1, t, TrainConfig())[:2],
         model.params(), 1e-5,
         blocks=[n for n in model.params() if n.startswith("router")])
     assert err < 1e-4
@@ -206,14 +204,14 @@ def test_non_winning_experts_are_exactly_inert():
         model = small_model(seed)
         x0, x1, t = small_batch(seed + 100)
         cfg = TrainConfig()
-        loss, grads, info = wta_loss(model, x0, x1, t, cfg)
+        loss, grads, info = wta_alone(model, x0, x1, t, cfg)
         losers = [k for k in range(model.n_experts)
                   if k not in info.winners]
         for k in losers:
             assert np.all(grads[f"expert{k}.S"] == 0.0)
             assert np.all(grads[f"expert{k}.R"] == 0.0)
             model.expert_pairs[k] += 1e-3  # its S and its R
-            loss2, _, info2 = wta_loss(model, x0, x1, t, cfg)
+            loss2, _, info2 = wta_alone(model, x0, x1, t, cfg)
             np.testing.assert_array_equal(info2.winners, info.winners)
             assert abs(loss2 - loss) <= 1e-12
             model.expert_pairs[k] -= 1e-3

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from prismflow.checkpoint import (FORMAT_VERSION, MAGIC, atomic_write_bytes,
                                   atomic_write_lines, load_checkpoint,
                                   save_checkpoint)
+from prismflow.datasets import save_csv_windows
 from prismflow.errors import ContractViolation, ParseError
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream
@@ -93,6 +96,31 @@ class TestAtomicWrite:
         atomic_write_bytes(str(path), b"one")
         atomic_write_bytes(str(path), b"two")
         assert path.read_bytes() == b"two"
+
+    def test_files_follow_the_umask(self, tiny_model, tmp_path):
+        """A checkpoint, a CSV and a line file get the mode that `open`
+        gives a new file under the umask, and the same bytes under any."""
+        writers = {"m.ckpt": tiny_model.save,
+                   "w.csv": lambda p: save_csv_windows(np.ones((2, 3, 1)), p),
+                   "r.jsonl": lambda p: atomic_write_lines(p, ["{}", 1])}
+        written = {}
+        for umask in (0o022, 0o077):
+            folder = tmp_path / oct(umask)
+            folder.mkdir()
+            old = os.umask(umask)
+            try:
+                (folder / "opened").open("w").close()
+                for name, write in writers.items():
+                    write(str(folder / name))
+            finally:
+                os.umask(old)
+            mode = stat.S_IMODE((folder / "opened").stat().st_mode)
+            assert mode == 0o666 & ~umask
+            for name in writers:
+                path = folder / name
+                assert stat.S_IMODE(path.stat().st_mode) == mode, name
+                data = path.read_bytes()
+                assert written.setdefault(name, data) == data, name
 
 
 class TestAtomicWriteLines:

@@ -392,6 +392,25 @@ class TestTrainSampleEval:
                        "1e-08"]
         assert not out.exists()
 
+    def test_overflowing_confidence_scores_fail_before_training(
+            self, tmp_path, capsys):
+        """A beta whose confidence scores pass float range at K = 2, with
+        an alpha_w small enough to pass the weight rule, is one `error:`
+        line, with no `warning:` line from a step that overflowed."""
+        data, out = str(tmp_path / "bimodal.csv"), tmp_path / "m.ckpt"
+        assert run("gen-data", "--kind", "bimodal", "--n", "200",
+                   "--seq-len", "32", "--channels", "1", "--seed", "0",
+                   "--out", data) == 0
+        capsys.readouterr()
+        assert run("train", "--data", data, "--seed", "0", "--epochs", "2",
+                   "--k", "2", "--beta", "1.7e308", "--alpha-w", "1e-9",
+                   "--quiet", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: batch_size * beta * max(-log(wta_eps), "
+                       "log1p(wta_eps)) must be a finite float with "
+                       "n_experts >= 2, got 64, 1.7e+308 and 1e-08"]
+        assert not out.exists()
+
     def test_train_report_holds_one_json_line_per_row(self, tmp_path,
                                                       data_csv, monkeypatch):
         """The raw `--report` file: the `resolved_config` row, then each

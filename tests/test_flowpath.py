@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import finite_difference_check, global_velocity
+from conftest import cfm_alone, finite_difference_check, global_velocity
 from prismflow.errors import ContractViolation, ShapeError
-from prismflow.flowpath import cfm_loss, interpolate_state, target_velocity
+from prismflow.flowpath import interpolate_state, target_velocity
 
 
 class TestInterpolate:
@@ -83,7 +83,7 @@ class TestCfmLoss:
             for b in net.biases:
                 b[:] = 0.0
         tiny_model.head.biases[-1][:] = 1.5
-        loss, _ = cfm_loss(tiny_model, x0, x1, t)
+        loss, _ = cfm_alone(tiny_model, x0, x1, t)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_constant_offset(self, tiny_model, tiny_batch):
@@ -95,21 +95,21 @@ class TestCfmLoss:
             for b in net.biases:
                 b[:] = 0.0
         tiny_model.head.biases[-1][:] = 0.7  # prediction offset c
-        loss, _ = cfm_loss(tiny_model, x0, x1, t)
+        loss, _ = cfm_alone(tiny_model, x0, x1, t)
         assert loss == pytest.approx(0.7 ** 2, abs=1e-15)
 
     def test_empty_batch(self, tiny_model):
         with pytest.raises(ContractViolation):
-            cfm_loss(tiny_model, np.zeros((0, 8, 2)), np.zeros((0, 8, 2)),
+            cfm_alone(tiny_model, np.zeros((0, 8, 2)), np.zeros((0, 8, 2)),
                      np.zeros(0))
 
     def test_nonnegative_and_permutation_invariant(self, tiny_model,
                                                    tiny_batch):
         x0, x1, t = tiny_batch
-        loss, _ = cfm_loss(tiny_model, x0, x1, t)
+        loss, _ = cfm_alone(tiny_model, x0, x1, t)
         assert loss >= 0.0
         perm = [2, 0, 3, 1]
-        loss_p, _ = cfm_loss(tiny_model, x0[perm], x1[perm], t[perm])
+        loss_p, _ = cfm_alone(tiny_model, x0[perm], x1[perm], t[perm])
         assert loss_p == pytest.approx(loss, abs=1e-12)
 
     def test_gradients_match_finite_differences(self, tiny_model, tiny_batch):
@@ -117,6 +117,6 @@ class TestCfmLoss:
         params = tiny_model.params()
         blocks = [n for n in params if n.startswith(("encoder", "head"))]
         err = finite_difference_check(
-            lambda p: cfm_loss(tiny_model, x0, x1, t), params, 1e-5,
+            lambda p: cfm_alone(tiny_model, x0, x1, t), params, 1e-5,
             blocks=blocks)
         assert err < 1e-4

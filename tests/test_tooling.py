@@ -1,12 +1,13 @@
 """The benchmark traces prismflow functions by name; a rename must fail
-here rather than inside a benchmark run. The package's modules import
-nothing they do not use, and define nothing that no code uses, only
-the model and the numerics core spell a parameter block's name, only
-`errors.py` spells the integer and finite-real rules, only `experts.py`
-spells the operator bank's layout, the sampling and `diagnose` flags
-take their defaults from the configs, every config is checked once,
-when it is made, no module calls `np.unique`, and only `checkpoint.py`
-spells the line-file rule."""
+here rather than inside a benchmark run, and the training step must
+reach each term through the name it is traced by. The package's modules
+import nothing they do not use, and define nothing that no code of the
+package uses, only the model and the numerics core spell a parameter
+block's name, only `errors.py` spells the integer and finite-real rules,
+only `experts.py` spells the operator bank's layout, the sampling and
+`diagnose` flags take their defaults from the configs, every config is
+checked once, when it is made, no module calls `np.unique`, and only
+`checkpoint.py` spells the line-file rule."""
 
 import ast
 import dataclasses
@@ -16,6 +17,10 @@ import re
 from pathlib import Path
 
 import pytest
+
+import prismflow.trainer as trainer_module
+from prismflow.model import ModelConfig, PrismFlowModel
+from prismflow.numcore import RngStream
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -29,6 +34,41 @@ def test_every_traced_function_resolves(monkeypatch):
         mod = importlib.import_module(f"prismflow.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("n_experts", [4, 1])
+def test_the_spans_time_each_objective_term(monkeypatch, n_experts):
+    """Under `trainer.total_loss` the spans are the trunk pass, the three
+    terms (with the router pass before the WTA term at K >= 2 only) and
+    the encoder backward; the decoder backward inside `router.wta_loss`
+    takes the B winner rows, every one of them live."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    model = PrismFlowModel.init(ModelConfig(
+        seq_len=8, channels=2, n_experts=n_experts, latent_dim=4,
+        hidden_dim=8, dec_hidden=8, router_hidden=8), RngStream(0))
+    gen = RngStream(1).generator()
+    x0, x1 = gen.standard_normal((2, 4, 8, 2))
+    rec = spans.Recorder()
+    patches = spans.install(rec)
+    try:
+        rec.active = True
+        trainer_module.total_loss(model, x0, x1, gen.uniform(size=4),
+                                  trainer_module.TrainConfig())
+    finally:
+        rec.active = False
+        spans.uninstall(patches)
+    names = [s.name for s in rec.spans]
+    assert names.count("trainer.total_loss") == 1
+    top = names.index("trainer.total_loss")
+    routed = ["router.route"] if n_experts > 1 else []
+    assert [s.name for s in rec.spans if s.parent == top] == [
+        "flowpath.encode", "flowpath.cfm_loss", *routed, "router.wta_loss",
+        "router.balance_loss_and_grads", "numcore.mlp_gradients"]
+    wta = names.index("router.wta_loss")
+    assert [s.attrs for s in rec.spans if s.parent == wta
+            and "decoder_rows" in (s.attrs or {})] == [
+        {"rows": 4, "decoder_rows": 4, "useful_rows": 4}]
 
 
 # (module, function, position, name) of every argument that a `BEFORE` or
@@ -152,25 +192,33 @@ def names_in_code(source: str) -> set:
     return used
 
 
+def unused_names(sources: dict) -> dict:
+    """Per module of `sources` (file name to text), its top-level names
+    that no code of `sources` reads or calls."""
+    used = set().union(*map(names_in_code, sources.values()))
+    return {name: [n for n in top_level_names(text) if n not in used]
+            for name, text in sources.items()}
+
+
 def test_unused_top_level_names_are_found():
+    """`helper` has a caller only in a test, which the rule does not
+    read: it is flagged with the name no code uses."""
     source = ("from .errors import ShapeError\nLIMIT = 3\nclass Old:\n"
               "    pass\ndef f(x):\n    return x.g\ndef g():\n    pass\n"
-              "f(LIMIT)\n")
-    names = top_level_names(source)
-    assert names == ["LIMIT", "Old", "f", "g"]
-    used = names_in_code(source)
-    assert [n for n in names if n not in used] == ["Old"]
+              "def helper():\n    pass\nf(LIMIT)\n")
+    test = "from m import helper\ndef test_helper():\n    helper()\n"
+    assert top_level_names(source) == ["LIMIT", "Old", "f", "g", "helper"]
+    assert "helper" in names_in_code(test)
+    assert unused_names({"m.py": source}) == {"m.py": ["Old", "helper"]}
 
 
 def test_every_top_level_name_is_used_somewhere():
-    used = set()
-    for folder in (SRC, ROOT / "tests", BENCH):
-        for path in sorted(folder.glob("*.py")):
-            used |= names_in_code(path.read_text())
-    for path in sorted(SRC.glob("*.py")):
-        unused = [n for n in top_level_names(path.read_text())
-                  if n not in used]
-        assert unused == [], path.name
+    """Every name a module of the package defines has a use in the
+    package itself, with no list of exemptions: a function that only
+    tests or the bench call is a test-only oracle and lives in `tests/`."""
+    unused = unused_names({path.name: path.read_text()
+                           for path in sorted(SRC.glob("*.py"))})
+    assert {name: n for name, n in unused.items() if n} == {}
 
 
 # a parameter block's name in a string, `{}` standing for each f-string

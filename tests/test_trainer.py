@@ -1,11 +1,13 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
-from conftest import (FrozenObjective, ReferenceAdam,
-                      finite_difference_check, frozen_total_loss_fn,
-                      reference_total_loss, traced_peak)
+from conftest import (FrozenObjective, ReferenceAdam, balance_alone,
+                      cfm_alone, finite_difference_check,
+                      frozen_total_loss_fn, reference_total_loss,
+                      traced_peak, wta_alone)
 
 import prismflow.flowpath as flowpath_module
 import prismflow.model as model_module
@@ -14,10 +16,10 @@ import prismflow.trainer as trainer_module
 from prismflow.checkpoint import atomic_write_lines
 from prismflow.errors import (ConfigError, ContractViolation, NumericError,
                               ShapeError)
-from prismflow.flowpath import cfm_loss, encode
+from prismflow.flowpath import encode, trunk_forward
 from prismflow.model import ModelConfig, PrismFlowModel
-from prismflow.numcore import AdamState, Params, RngStream, adam_update
-from prismflow.router import balance_loss_and_grads, wta_loss
+from prismflow.numcore import (AdamState, Params, RngStream, Workspace,
+                               adam_update)
 from prismflow.trainer import (LAMBDA_KINDS, TrainConfig, fit,
                                lambda_schedule, load_config_file, total_loss,
                                train_step)
@@ -139,15 +141,15 @@ class TestFrozenObjective:
                            lambda_kind=kind)
         frozen = FrozenObjective(model, x0, x1, t, tcfg)
         value, _, _, _ = total_loss(model, x0, x1, t, tcfg)
-        wta, _, _ = wta_loss(model, x0, x1, t, tcfg,
-                             lam=lambda_schedule(kind, t))
+        wta, _, _ = wta_alone(model, x0, x1, t, tcfg,
+                              lam=lambda_schedule(kind, t))
         assert frozen.total() == pytest.approx(value, rel=1e-12)
         assert frozen.wta() == pytest.approx(wta, rel=1e-12)
 
 
 class TestFusedTotalLoss:
-    """The one-pass objective against the sum of the public per-objective
-    losses, each of which runs its own trunk."""
+    """The one-pass objective against the sum of the three terms, each run
+    on its own trunk pass."""
 
     # "live": the winners, the global velocity and the balance features
     # all come from the current parameters; the reference runs the router
@@ -440,6 +442,25 @@ class TestFit:
                 TrainConfig(epochs=2, batch_size=8, beta=beta,
                             alpha_w=alpha_w, wta_eps=wta_eps))
 
+    def test_overflowing_confidence_scores_are_refused_before_a_step(
+            self, monkeypatch):
+        """At K >= 2 each score's confidence part, -beta * log(p +
+        wta_eps), and a batch's sum of them must stay in float range even
+        when alpha_w is small enough to pass the rule above; past it the
+        first step overflowed in `wta_scores` with a numpy warning."""
+        monkeypatch.setattr(trainer_module, "train_step",
+                            lambda *args: pytest.fail("a step ran"))
+        windows = RngStream(9).generator().standard_normal((40, 16, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^batch_size \* beta \* "
+                               r"max\(-log\(wta_eps\), log1p\(wta_eps\)\) "
+                               r"must be a finite float with n_experts >= 2, "
+                               r"got 8, 1.7e\+308 and 1e-08$"):
+                fit(windows, ModelConfig(n_experts=2),
+                    TrainConfig(epochs=2, batch_size=8, beta=1.7e308,
+                                alpha_w=1e-9))
+
     def test_a_confidence_weight_in_float_range_is_not_refused(self):
         """Just inside float range the weight is not refused: such a run
         stops on the divergence guard, as before."""
@@ -450,16 +471,19 @@ class TestFit:
 
 
 class TestWindowWidth:
-    """Every training objective refuses windows whose S*D differs from the
-    model's with a ShapeError, before any net runs."""
+    """The trunk pass refuses windows whose S*D differs from the model's
+    with a ShapeError, before any net runs: in `total_loss`, and in each
+    term run on its own, all of which take it through `trunk_forward`."""
 
     @pytest.mark.parametrize("shape", [(4, 9, 2), (4, 8, 3)],
                              ids=["longer", "wider"])
     @pytest.mark.parametrize("objective", [
-        total_loss, wta_loss, balance_loss_and_grads,
-        lambda model, x0, x1, t, cfg: cfm_loss(model, x0, x1, t)],
+        total_loss, wta_alone, balance_alone,
+        lambda model, x0, x1, t, cfg: cfm_alone(model, x0, x1, t),
+        lambda model, x0, x1, t, cfg: trunk_forward(model, x0, x1, t,
+                                                    Workspace(model))],
         ids=["total_loss", "wta_loss", "balance_loss_and_grads",
-             "cfm_loss"])
+             "cfm_loss", "trunk_forward"])
     def test_other_window_widths_are_refused(self, tiny_model, objective,
                                              shape):
         gen = RngStream(3).generator()
