@@ -16,7 +16,7 @@ from .numcore import RngStream, mlp_gradients, mlp_layers, row_blocks
 from .router import endpoint, router_logits
 
 MODES = ("unconditional", "imputation", "forecasting")
-BLOCK_ROWS = 1024  # rows per block of a sampling call: bounds what it holds
+BLOCK_ROWS = 256  # rows per sampling block: bounds memory, stays in L2
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,13 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
         raise ConfigError(f"batch_size * beta * max(-log(wta_eps), log1p("
                           f"wta_eps)) must be a finite float with n_experts "
                           f">= 2, got {b}, {cfg.beta} and {cfg.wta_eps}")
+    # at K = 1, p is 1 and each row's score is exactly -beta * log1p(wta_eps)
+    # (b multiplies last: b * beta alone can overflow where the bound does not)
+    if model.n_experts == 1 and not math.isfinite(
+            b * (float(cfg.beta) * math.log1p(eps))):
+        raise ConfigError(f"batch_size * beta * log1p(wta_eps) must be a "
+                          f"finite float with n_experts = 1, got {b}, "
+                          f"{cfg.beta} and {cfg.wta_eps}")
     if norm_shift is not None:
         model.norm_shift = np.asarray(norm_shift, dtype=np.float64)
         model.norm_scale = np.asarray(norm_scale, dtype=np.float64)

@@ -22,9 +22,9 @@ from prismflow.trainer import lambda_schedule
 # test-only oracles, importable from here like the reference code below
 from oracles import (FrozenObjective, balance_alone,  # noqa: F401
                      cfm_alone, finite_difference_check, frozen_total_loss_fn,
-                     frozen_wta_loss_fn, global_velocity, power_spectrum,
-                     reference_exact_dmd, reference_operators,
-                     reference_velocity, wta_alone)
+                     frozen_wta_loss_fn, global_velocity, per_step_experts,
+                     power_spectrum, reference_exact_dmd,
+                     reference_operators, reference_velocity, wta_alone)
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -218,6 +218,17 @@ def reference_velocity(model, x, t, cfg, ops):
     return total.reshape(x.shape), (enc_tape, head_tape)
 
 
+def per_step_experts(records, steps: int) -> np.ndarray:
+    """Each step's argmax experts over all the rows of one sampling call,
+    (steps, n), from the experts its decodes were given, in call order:
+    one record per row block and step, blocks in row order, so step s
+    joins records s, s + steps, ... No records (gamma 0) give none."""
+    if not records:
+        return np.array(records)
+    return np.array([np.concatenate(records[s::steps])
+                     for s in range(steps)])
+
+
 def reference_exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
     """Exact DMD over all snapshot pairs of a batch of sequences, as
     `spectra.exact_dmd` computed it from the SVD of the wide (state,

@@ -10,8 +10,9 @@ import pytest
 
 import prismflow.sampler as sampler_module
 from conftest import (balance_alone, cfm_alone, finite_difference_check,
-                      frozen_total_loss_fn, frozen_wta_loss_fn, pooled,
-                      power_spectrum, vanilla_euler_generate, wta_alone)
+                      frozen_total_loss_fn, frozen_wta_loss_fn,
+                      per_step_experts, pooled, power_spectrum,
+                      vanilla_euler_generate, wta_alone)
 from prismflow.datasets import (gen_bimodal_frequency, gen_sines,
                                 gen_velocity_mixture_diagnostic, normalize,
                                 DiagnosticSpec, velocity_energy_gap)
@@ -66,7 +67,8 @@ def rebuilt(cfg, flat, norm_shift=None, norm_scale=None):
 
 def sampled(state, cfg, rng):
     """A worker's `generate` of 512 windows from the `fitted` state, and
-    each step's argmax expert per window, (steps, 512), recorded the way
+    each step's argmax expert per window, (steps, 512), rebuilt by
+    `per_step_experts` from the experts of each decode, recorded the way
     `test_sampler.record_decodes` records decodes (empty at gamma 0)."""
     experts, original = [], sampler_module.decode_experts
 
@@ -76,7 +78,8 @@ def sampled(state, cfg, rng):
 
     sampler_module.decode_experts = recorded
     try:
-        return generate(rebuilt(*state), 512, cfg, rng), np.array(experts)
+        return (generate(rebuilt(*state), 512, cfg, rng),
+                per_step_experts(experts, cfg.steps))
     finally:
         sampler_module.decode_experts = original
 

@@ -411,6 +411,27 @@ class TestTrainSampleEval:
                        "n_experts >= 2, got 64, 1.7e+308 and 1e-08"]
         assert not out.exists()
 
+    def test_overflowing_one_expert_scores_fail_before_training(
+            self, tmp_path, capsys):
+        """At K = 1 a beta and wta_eps whose batch of confidence scores
+        passes float range is one `error:` line, with no `warning:` line
+        from a step that overflowed."""
+        data, out = str(tmp_path / "bimodal.csv"), tmp_path / "m.ckpt"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\nwta_eps = 1.0\n")
+        assert run("gen-data", "--kind", "bimodal", "--n", "200",
+                   "--seq-len", "32", "--channels", "1", "--seed", "0",
+                   "--out", data) == 0
+        capsys.readouterr()
+        assert run("train", "--data", data, "--config", str(cfg), "--seed",
+                   "0", "--epochs", "2", "--k", "1", "--beta", "1e308",
+                   "--alpha-w", "1e-9", "--quiet", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: batch_size * beta * log1p(wta_eps) must be a "
+                       "finite float with n_experts = 1, got 64, 1e+308 and "
+                       "1.0"]
+        assert not out.exists()
+
     def test_train_report_holds_one_json_line_per_row(self, tmp_path,
                                                       data_csv, monkeypatch):
         """The raw `--report` file: the `resolved_config` row, then each

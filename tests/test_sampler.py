@@ -753,13 +753,61 @@ class TestRowBlocks:
         # gamma 1 and the four guided calls decode, each block per step
         assert rows == [b for b in blocks for _ in range(5)] * 5
 
+    def test_bench_shape_blocks_match_one_block_bitwise(self, monkeypatch):
+        """At the bench's shape (S=64, D=1, K=4, default widths) every
+        layer's output width is a multiple of 4: `generate` of 512 windows
+        and guided imputation of 300 run in blocks of 256 rows and give
+        the bytes of one block."""
+        model = PrismFlowModel.init(ModelConfig(seq_len=64, channels=1),
+                                    RngStream(0))
+        mask = RngStream(5).generator().uniform(size=(300, 64, 1)) < 0.5
+        cond = ConditionMask(mask, np.where(mask, 0.5, 0.0))
+        calls = [lambda gamma=gamma: generate(
+            model, 512, SamplerConfig(steps=5, gamma=gamma), RngStream(1))
+            for gamma in (1.0, 0.0)]
+        calls += [lambda exact=exact: generate_conditional(
+            model, cond, SamplerConfig(steps=5, mode="imputation",
+                                       exact_guidance=exact), RngStream(2))
+            for exact in (False, True)]
+        rows = record_decodes(monkeypatch)
+        blocks = [call().tobytes() for call in calls]
+        # gamma 1 and both guided calls decode each block at each step
+        assert rows == [256] * 10 + ([256] * 5 + [44] * 5) * 2
+        monkeypatch.setattr(sampler_module, "BLOCK_ROWS", 4096)
+        assert [call().tobytes() for call in calls] == blocks
+
+    def test_per_step_experts_do_not_depend_on_the_block_size(
+            self, four_expert_model, monkeypatch):
+        """`oracles.per_step_experts` rebuilds each step's experts over a
+        call's rows from one decode record per block and step, so what
+        the acceptance suite's `sampled` measures does not change with
+        BLOCK_ROWS."""
+        records, original = [], sampler_module.decode_experts
+
+        def recorded(model, bank, z, chosen):
+            records.append(chosen)
+            return original(model, bank, z, chosen)
+
+        monkeypatch.setattr(sampler_module, "decode_experts", recorded)
+        experts = {}
+        for size, blocks in ((4, 2), (4096, 1)):
+            monkeypatch.setattr(sampler_module, "BLOCK_ROWS", size)
+            records.clear()
+            generate(four_expert_model, 9, SamplerConfig(steps=5),
+                     RngStream(61))
+            assert len(records) == 5 * blocks
+            experts[size] = oracles.per_step_experts(records, 5)
+        assert experts[4].shape == (5, 9)
+        assert len(np.unique(experts[4])) > 1
+        assert experts[4].tobytes() == experts[4096].tobytes()
+
     def test_blocks_at_odd_widths_match_one_block_within_rounding(
             self, monkeypatch):
         """At output widths that are not multiples of 4, OpenBLAS 0.3.31
         rounded rows of a 1,030-row product differently from the same rows
-        of a smaller one (here up to 4.4e-16), so blocks of a call, and a
-        call on its first rows alone, agree with one block only to
-        rounding."""
+        of a smaller one (here up to 1.6e-15 for the blocks and 4.4e-16
+        for the first 7 rows), so blocks of a call, and a call on its
+        first rows alone, agree with one block only to rounding."""
         cfg = ModelConfig(seq_len=16, channels=1, latent_dim=17,
                           hidden_dim=33, dec_hidden=17, router_hidden=17,
                           n_experts=3)
@@ -768,7 +816,7 @@ class TestRowBlocks:
         def sample(n):
             return generate(model, n, SamplerConfig(steps=5), RngStream(1))
 
-        blocks = sample(1030)  # 1,024 rows and 6
+        blocks = sample(1030)  # four blocks of 256 rows and one of 6
         monkeypatch.setattr(sampler_module, "BLOCK_ROWS", 4096)
         whole = sample(1030)
         np.testing.assert_allclose(blocks, whole, rtol=0, atol=1e-12)

@@ -461,6 +461,38 @@ class TestFit:
                     TrainConfig(epochs=2, batch_size=8, beta=1.7e308,
                                 alpha_w=1e-9))
 
+    @pytest.mark.parametrize("wta_eps", [1.0, 0.5])
+    def test_overflowing_one_expert_scores_are_refused_before_a_step(
+            self, monkeypatch, wta_eps):
+        """At K = 1 neither rule above applies, and each row's confidence
+        score is exactly -beta * log1p(wta_eps); past float range a
+        batch's sum of them overflowed in the first step with a numpy
+        warning."""
+        monkeypatch.setattr(trainer_module, "train_step",
+                            lambda *args: pytest.fail("a step ran"))
+        windows = RngStream(9).generator().standard_normal((40, 16, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=(
+                    r"^batch_size \* beta \* log1p\(wta_eps\) must be a "
+                    r"finite float with n_experts = 1, got 8, 1e\+308 and "
+                    rf"{wta_eps}$")):
+                fit(windows, ModelConfig(n_experts=1),
+                    TrainConfig(epochs=1, batch_size=8, beta=1e308,
+                                alpha_w=1e-9, wta_eps=wta_eps))
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_expert_scores_in_float_range_train(self):
+        """With the default wta_eps the same beta keeps a batch's scores
+        in float range (8 * 1e308 * log1p(1e-8) is about 8e300), and the
+        K = 1 run trains."""
+        windows = RngStream(9).generator().standard_normal((40, 16, 1))
+        model, rows = fit(windows, ModelConfig(n_experts=1),
+                          TrainConfig(epochs=1, batch_size=8, beta=1e308,
+                                      alpha_w=1e-9, wta_eps=1e-8))
+        assert len(rows) == 1
+        assert np.isfinite(model.params().flat).all()
+
     def test_a_confidence_weight_in_float_range_is_not_refused(self):
         """Just inside float range the weight is not refused: such a run
         stops on the divergence guard, as before."""
