@@ -13,7 +13,7 @@ from .errors import (ConfigError, ContractViolation, NumericError,
                      check_int, check_real)
 from .flowpath import cfm_loss, trunk_forward
 from .model import ModelConfig, PrismFlowModel
-from .numcore import (AdamState, RngStream, Workspace, adam_update,
+from .numcore import (AdamState, Params, RngStream, Workspace, adam_update,
                       mlp_gradients)
 from .router import balance_loss_and_grads, route, wta_loss
 
@@ -97,6 +97,8 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
     return value, ws.grads, parts, info
 
 
+# as in sampling, an overflow the data decides ends in a NumericError
+@np.errstate(over="ignore", invalid="ignore")
 def train_step(model, opt: AdamState, x1_batch, rng: RngStream,
                cfg: TrainConfig, ws: Workspace = None):
     """One optimizer step: draw (x0, t), evaluate the objective, update."""
@@ -118,6 +120,36 @@ def train_step(model, opt: AdamState, x1_batch, rng: RngStream,
     return metrics
 
 
+def check_settings(cfg: TrainConfig, k: int, b: int) -> None:
+    """Refuse, before the first step, settings with which the objective
+    leaves float range on any data, at K experts and batches of b rows."""
+    aw, beta, eps = map(float, (cfg.alpha_w, cfg.beta, cfg.wta_eps))
+    # c_K = max |log(p + wta_eps)| over a row's p: 1 at K = 1, [0, 1] else
+    c = math.log1p(eps) if k == 1 else max(-math.log(eps), math.log1p(eps))
+    c_k = "log1p(wta_eps)" if k == 1 else "max(-log(wta_eps), log1p(wta_eps))"
+    # prob_floor clamps the balance term's batch means; at 1/K or above it
+    # holds the least-used one's, and outside (0, 1/K) NaN fails its rows
+    floor = cfg.prob_floor if 0 < cfg.prob_floor < 1 / k else math.nan
+    kind = f"a finite float with n_experts {'= 1' if k == 1 else '>= 2'}"
+    table = (  # (applies, value, expression, what it must be, settings)
+        (True, floor, "prob_floor", f"> 0 and < 1/n_experts = {1 / k:g}",
+         cfg.prob_floor),
+        # the confidence gradient's factor, as each row's weight <= alpha_w
+        (k > 1, beta * aw / eps, "beta * alpha_w / wta_eps", kind,
+         f"{cfg.beta} * {cfg.alpha_w} / {cfg.wta_eps}"),
+        # b multiplies last, as b * beta can overflow where the sum does not
+        (True, b * (beta * c), f"batch_size * beta * {c_k}", kind,
+         f"{b}, {cfg.beta} and {cfg.wta_eps}"),
+        (True, aw * (beta * c), f"alpha_w * beta * {c_k}", kind,
+         f"{cfg.alpha_w}, {cfg.beta} and {cfg.wta_eps}"),
+        (k > 1, float(cfg.alpha_b) * (math.log(k) - math.log(floor)),
+         "alpha_b * (log(n_experts) - log(prob_floor))", kind,
+         f"{cfg.alpha_b}, {k} and {cfg.prob_floor}"))
+    for applies, value, expression, rule, settings in table:
+        if applies and not math.isfinite(value):  # NaN fails, as inf does
+            raise ConfigError(f"{expression} must be {rule}, got {settings}")
+
+
 def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
         norm_shift=None, norm_scale=None, log=None):
     """Train a model from scratch on an array of windows (n, S, D).
@@ -130,36 +162,9 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
         raise ContractViolation("fit expects a nonempty (n, S, D) window array")
     model_cfg = replace(model_cfg, seq_len=windows.shape[1],
                         channels=windows.shape[2])
+    check_settings(cfg, model_cfg.n_experts, min(cfg.batch_size, len(windows)))
     root = RngStream(cfg.seed)
     model = PrismFlowModel.init(model_cfg, root)
-    # the balance term clamps each batch-mean probability at prob_floor; at
-    # 1/K or above the clamp holds the least-used expert's, which is the one
-    # the term exists to lift, and at 0 or below log(0) can be taken
-    if not 0 < cfg.prob_floor < 1 / model.n_experts:
-        raise ConfigError(f"prob_floor must be > 0 and < 1/n_experts = "
-                          f"{1 / model.n_experts:g}, got {cfg.prob_floor}")
-    # the confidence term's gradient scales by beta * w / (p_win + wta_eps)
-    # with each row's weight w <= alpha_w; past float range it overflows
-    if model.n_experts > 1 and not math.isfinite(
-            float(cfg.beta) * float(cfg.alpha_w) / float(cfg.wta_eps)):
-        raise ConfigError(f"beta * alpha_w / wta_eps must be a finite float "
-                          f"with n_experts >= 2, got {cfg.beta} * "
-                          f"{cfg.alpha_w} / {cfg.wta_eps}")
-    # a row's confidence score -beta * log(p + wta_eps), p in [0, 1], is at
-    # most beta * max(-log(wta_eps), log1p(wta_eps)) in size; B are summed
-    b, eps = min(cfg.batch_size, len(windows)), float(cfg.wta_eps)
-    conf = b * float(cfg.beta) * max(-math.log(eps), math.log1p(eps))
-    if model.n_experts > 1 and not math.isfinite(conf):
-        raise ConfigError(f"batch_size * beta * max(-log(wta_eps), log1p("
-                          f"wta_eps)) must be a finite float with n_experts "
-                          f">= 2, got {b}, {cfg.beta} and {cfg.wta_eps}")
-    # at K = 1, p is 1 and each row's score is exactly -beta * log1p(wta_eps)
-    # (b multiplies last: b * beta alone can overflow where the bound does not)
-    if model.n_experts == 1 and not math.isfinite(
-            b * (float(cfg.beta) * math.log1p(eps))):
-        raise ConfigError(f"batch_size * beta * log1p(wta_eps) must be a "
-                          f"finite float with n_experts = 1, got {b}, "
-                          f"{cfg.beta} and {cfg.wta_eps}")
     if norm_shift is not None:
         model.norm_shift = np.asarray(norm_shift, dtype=np.float64)
         model.norm_scale = np.asarray(norm_scale, dtype=np.float64)
@@ -195,6 +200,13 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
             log(f"epoch {epoch}: cfm={row['cfm']:.4f} wta={row['wta']:.4f} "
                 f"bal={row['bal']:.4f} usage=" +
                 "/".join(f"{f:.2f}" for f in frac))
+    # an update past float range leaves a parameter or its Adam v non-finite
+    params = model.params()
+    moment = Params({name: p.shape for name, p in params.items()}, opt.v)
+    for what, store in (("block", params), ("Adam's v of block", moment)):
+        if store.first_nonfinite() is not None:
+            raise NumericError(f"training left {what} "
+                               f"{store.first_nonfinite()!r} non-finite")
     return model, rows
 
 

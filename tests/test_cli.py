@@ -432,6 +432,43 @@ class TestTrainSampleEval:
                        "1.0"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["lr", "guard", "router"])
+    def test_an_overflow_the_data_decides_is_one_error_line(
+            self, tmp_path, data_csv, capsys, case):
+        """Settings that pass the range rule but overflow on the data: a
+        huge `lr`; a guard near float max, under which Adam's second
+        moment overflowed and froze the parameters; and a run whose last
+        update left `router.W0` non-finite, which wrote a checkpoint that
+        `load` refuses. Each is one `error:` line, with no `warning:` line
+        and no checkpoint."""
+        cfg, out = tmp_path / "run.ini", tmp_path / "m.ckpt"
+        flags = ["--data", data_csv, "--seed", "0", "--epochs", "1"]
+        if case == "lr":
+            cfg.write_text("")
+            flags += ["--k", "2", "--lr", "1e100"]
+        elif case == "guard":
+            cfg.write_text("[train]\ndivergence_guard = 1e308\n")
+            flags += ["--k", "2", "--alpha-w", "1e300"]
+        else:
+            data = str(tmp_path / "sines.csv")
+            assert run("gen-data", "--kind", "sines", "--n", "24",
+                       "--seq-len", "8", "--channels", "1", "--seed", "0",
+                       "--out", data) == 0
+            cfg.write_text("[train]\nalpha_w = 1e-8\nalpha_b = 1e150\n"
+                           "beta = 1e8\nwta_eps = 1e150\n"
+                           "prob_floor = 5e-324\ndivergence_guard = 1.7e308\n"
+                           "batch_size = 64\n[model]\ndec_hidden = 8\n"
+                           "router_hidden = 8\n")
+            flags = ["--data", data, "--seed", "0", "--epochs", "1", "--k",
+                     "3", "--lr", "1e300", "--hidden-dim", "8",
+                     "--latent-dim", "2"]
+        capsys.readouterr()
+        assert run("train", *flags, "--config", str(cfg), "--quiet",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
+
     def test_train_report_holds_one_json_line_per_row(self, tmp_path,
                                                       data_csv, monkeypatch):
         """The raw `--report` file: the `resolved_config` row, then each

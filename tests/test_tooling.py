@@ -6,8 +6,9 @@ package uses, only the model and the numerics core spell a parameter
 block's name, only `errors.py` spells the integer and finite-real rules,
 only `experts.py` spells the operator bank's layout, the sampling and
 `diagnose` flags take their defaults from the configs, every config is
-checked once, when it is made, no module calls `np.unique`, and only
-`checkpoint.py` spells the line-file rule."""
+checked once, when it is made, `trainer.fit` refuses no setting itself,
+no module calls `np.unique`, and only `checkpoint.py` spells the
+line-file rule."""
 
 import ast
 import dataclasses
@@ -353,6 +354,41 @@ def test_configs_are_checked_once_when_they_are_made():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: c for name, c in calls.items() if c} == {
         "sampler.py": ["cond"]}
+
+
+def config_error_raises(source: str, name: str) -> list:
+    """Every `raise` of a `ConfigError` in the body of the module's
+    function `name`, nested code included."""
+    def config_error(exc):
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return getattr(exc, "id", getattr(exc, "attr", None)) == "ConfigError"
+
+    return [f"line {n}" for n in sorted(
+        node.lineno for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef) and fn.name == name
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and config_error(node.exc))]
+
+
+def test_config_error_raises_are_found():
+    source = ("def fit(cfg):\n    if cfg.a:\n        raise ConfigError('a')\n"
+              "    check(cfg)\n    raise errors.ConfigError\n"
+              "def check(cfg):\n    raise ConfigError('b')\n"
+              "def fit_all(cfg):\n    raise ConfigError('c')\n"
+              "def other(cfg):\n    raise ValueError('d')\n")
+    assert config_error_raises(source, "fit") == ["line 3", "line 5"]
+    assert config_error_raises(source, "other") == []
+
+
+def test_fit_refuses_no_setting_itself():
+    """Every refusal of training settings is a row of the one table in
+    `trainer.check_settings`, checked by its one `raise`, which `fit`
+    calls before the first step; a new bound is a new row, not another
+    `if` block in `fit`."""
+    source = (SRC / "trainer.py").read_text()
+    assert config_error_raises(source, "fit") == []
+    assert len(config_error_raises(source, "check_settings")) == 1
 
 
 def is_bank(node) -> bool:

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from conftest import (FrozenObjective, ReferenceAdam, balance_alone,
                       cfm_alone, finite_difference_check,
                       frozen_total_loss_fn, reference_total_loss,
                       traced_peak, wta_alone)
+from hypothesis import example, given, settings, strategies as st
+from strategies import train_settings
 
 import prismflow.flowpath as flowpath_module
 import prismflow.model as model_module
@@ -493,6 +497,40 @@ class TestFit:
         assert len(rows) == 1
         assert np.isfinite(model.params().flat).all()
 
+    @pytest.mark.parametrize("k,kwargs,message", [
+        (2, {"alpha_w": 1e300, "beta": 1e8, "wta_eps": 1e10},
+         "alpha_w * beta * max(-log(wta_eps), log1p(wta_eps)) must be a "
+         "finite float with n_experts >= 2, got 1e+300, 100000000.0 and "
+         "10000000000.0"),
+        (1, {"alpha_w": 1e307, "beta": 100.0, "wta_eps": 1.0},
+         "alpha_w * beta * log1p(wta_eps) must be a finite float with "
+         "n_experts = 1, got 1e+307, 100.0 and 1.0"),
+        (2, {"alpha_b": 1e307},
+         "alpha_b * (log(n_experts) - log(prob_floor)) must be a finite "
+         "float with n_experts >= 2, got 1e+307, 2 and 1e-08")],
+        ids=["wta-k2", "wta-k1", "balance"])
+    def test_overflowing_weighted_terms_are_refused_before_a_step(
+            self, monkeypatch, k, kwargs, message):
+        """The weighted WTA value alpha_w * beta * c_K, c_K the largest
+        |log(p + wta_eps)| a row can take, and the weighted balance value
+        alpha_b * (log K - log prob_floor) must be finite floats; each is
+        refused by name when the gradient and score-sum bounds pass."""
+        monkeypatch.setattr(trainer_module, "train_step",
+                            lambda *args: pytest.fail("a step ran"))
+        windows = RngStream(9).generator().standard_normal((40, 16, 1))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            fit(windows, ModelConfig(n_experts=k),
+                TrainConfig(epochs=1, batch_size=8, **kwargs))
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_expert_takes_no_balance_bound(self):
+        """At K = 1 the balance term is exactly 0 whatever alpha_b, so the
+        balance row does not apply and the run trains."""
+        windows = RngStream(9).generator().standard_normal((40, 16, 1))
+        model, _ = fit(windows, ModelConfig(n_experts=1),
+                       TrainConfig(epochs=1, batch_size=8, alpha_b=1e307))
+        assert np.isfinite(model.params().flat).all()
+
     def test_a_confidence_weight_in_float_range_is_not_refused(self):
         """Just inside float range the weight is not refused: such a run
         stops on the divergence guard, as before."""
@@ -500,6 +538,43 @@ class TestFit:
         with pytest.raises(NumericError, match="training diverged"):
             fit(windows, ModelConfig(n_experts=2),
                 TrainConfig(epochs=1, batch_size=8, beta=1e299))
+
+
+# every case of a run that overflowed or left a non-finite checkpoint
+# before the one range rule, by K and the settings that differ from the
+# defaults; the first three were seen through the CLI (the first with a
+# batch of 8, so that 24 windows take more than the one step)
+@example(k=2, kwargs={"lr": 1e100, "batch_size": 8})
+@example(k=2, kwargs={"divergence_guard": 1e308, "alpha_w": 1e300})
+@example(k=3, kwargs={"lr": 1e300, "alpha_w": 1e-8, "alpha_b": 1e150,
+                      "beta": 1e8, "wta_eps": 1e150, "prob_floor": 5e-324,
+                      "divergence_guard": 1.7e308, "batch_size": 64})
+@example(k=2, kwargs={"beta": 1e308, "alpha_w": 1e3, "batch_size": 8})
+@example(k=2, kwargs={"beta": 1.7e308, "alpha_w": 1e-9})
+@example(k=1, kwargs={"beta": 1e308, "alpha_w": 1e-9, "wta_eps": 1.0,
+                      "batch_size": 8})
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from((1, 2, 3)), kwargs=train_settings(24))
+def test_no_config_fit_accepts_overflows(k, kwargs):
+    """Under warnings as errors, a 1-epoch `fit` on 24 windows either
+    refuses its settings before any step, stops on a NumericError, or
+    returns a model whose parameters are all finite: no numpy warning,
+    and no model that `load` would refuse."""
+    windows = RngStream(9).generator().standard_normal((24, 8, 1))
+    mc = ModelConfig(n_experts=k, latent_dim=2, hidden_dim=8, head_hidden=8,
+                     dec_hidden=8, router_hidden=8)
+    step = mock.Mock(wraps=trainer_module.train_step)
+    with warnings.catch_warnings(), \
+            mock.patch.object(trainer_module, "train_step", step):
+        warnings.simplefilter("error")
+        try:
+            model, _ = fit(windows, mc, TrainConfig(epochs=1, **kwargs))
+        except ConfigError:
+            assert not step.called
+            return
+        except NumericError:
+            return
+    assert np.isfinite(model.params().flat).all()
 
 
 class TestWindowWidth:
