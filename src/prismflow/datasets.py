@@ -374,8 +374,8 @@ def normalize(ds: Dataset) -> Dataset:
     w = ds.windows
     lo = w.min(axis=(0, 1))
     hi = w.max(axis=(0, 1))
-    shift = (hi + lo) / 2.0
-    scale = (hi - lo) / 2.0
+    shift = hi / 2.0 + lo / 2.0  # halved first: finite up to float max
+    scale = hi / 2.0 - lo / 2.0
     const = scale == 0.0
     shift = np.where(const, 0.0, shift)
     scale = np.where(const, 1.0, scale)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericError
 from .numcore import (AdamState, Mlp, Params, RngStream, adam_update,
                       mlp_apply, mlp_gradients, mlp_shapes, row_blocks)
 
@@ -93,7 +93,6 @@ def _train_net(dims, x, y, rng: RngStream, kind: str):
         grads.flat.fill(0.0)
         mlp_gradients(net, tape, upstream, grad, False)
         adam_update(opt, params, grads)
-        net.bump_version()
     return net
 
 
@@ -132,7 +131,11 @@ def _corr_matrix(w):
     """Lag-0 cross-channel correlations pooled over all timesteps; pairs
     touching a zero-variance channel are defined as 0."""
     flat = w.reshape(-1, w.shape[2])
-    std = flat.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = flat.std(axis=0)
+    if not np.isfinite(std).all():
+        raise NumericError(f"channel {np.argmax(~np.isfinite(std))} has a "
+                           f"variance past float range")
     dead = std == 0.0
     if np.any(dead):
         warnings.warn("zero-variance channel: correlations set to 0",

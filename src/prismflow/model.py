@@ -158,10 +158,6 @@ class PrismFlowModel:
         """Every parameter block by name, in layout order, over `.flat`."""
         return self._params
 
-    def bump_versions(self) -> None:
-        for name in _MLP_STREAMS:
-            getattr(self, name).bump_version()
-
     # -- checkpointing ---------------------------------------------------
 
     def save(self, path: str, extra_header: dict | None = None) -> None:

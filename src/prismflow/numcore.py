@@ -8,7 +8,7 @@ gradients are derived by hand per loss, not by a generic autodiff graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,19 +72,20 @@ class Tape:
     inputs: list  # per-layer input activations, inputs[0] is the net input
     preacts: list  # pre-activation values per layer
     net_id: int
-    net_version: int
+    version: int  # the update count of the net's store when recorded
 
 
 @dataclass
 class Mlp:
-    """Fully connected network: hidden activation on all hidden layers,
-    identity at the output. Weights are (fan_in, fan_out)."""
+    """Fully connected network over blocks of the parameter store `store`:
+    hidden activation on all hidden layers, identity at the output.
+    Weights are (fan_in, fan_out)."""
 
     layer_dims: list
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
-    activation: str = "tanh"
-    version: int = 0
+    weights: list
+    biases: list
+    activation: str
+    store: "Params"
 
     @classmethod
     def view(cls, params: "Params", prefix: str, layer_dims,
@@ -96,7 +97,7 @@ class Mlp:
         blocks = [params[name] for name in mlp_shapes(prefix, layer_dims)]
         return cls(list(layer_dims), blocks[::2],
                    [np.tile(b, (rows, 1)) if rows > 1 else b.reshape(1, -1)
-                    for b in blocks[1::2]], activation)
+                    for b in blocks[1::2]], activation, params)
 
     def draw(self, rng: RngStream) -> None:
         """Xavier-uniform weights in place (a fresh store's biases are 0)."""
@@ -104,9 +105,6 @@ class Mlp:
         for w in self.weights:
             limit = np.sqrt(6.0 / sum(w.shape))
             w[...] = gen.uniform(-limit, limit, size=w.shape)
-
-    def bump_version(self) -> None:
-        self.version += 1
 
 
 def mlp_shapes(prefix: str, layer_dims) -> dict:
@@ -120,11 +118,13 @@ def mlp_shapes(prefix: str, layer_dims) -> dict:
 
 class Params(dict):
     """Named parameter blocks, each a view of one flat float64 vector
-    `flat` (zeros unless given), laid out in the order of `shapes`."""
+    `flat` (zeros unless given), laid out in the order of `shapes`;
+    `version` counts the `adam_update` steps on it."""
 
     def __init__(self, shapes: dict, flat: np.ndarray | None = None):
         sizes = [math.prod(shape) for shape in shapes.values()]
         self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self.version = 0
         start = 0
         for (name, shape), size in zip(shapes.items(), sizes):
             self[name] = self.flat[start:start + size].reshape(shape)
@@ -159,7 +159,7 @@ def mlp_layers(net: Mlp, a: np.ndarray, taped: bool = False, ws=None):
     """Every forward pass's layer loop, unchecked: (output, tape or None).
     Untaped, activations overwrite pre-activations and no layer is kept."""
     act = _activation(net.activation)[0]
-    tape = Tape([], [], id(net), net.version) if taped else None
+    tape = Tape([], [], id(net), net.store.version) if taped else None
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         if ws is None:
@@ -207,7 +207,7 @@ def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray,
     layer's parameter gradient, summed over the batch, into `grad` (the
     net's layout over a gradient store) if given, and returns the input
     gradient, or None unless `with_input`."""
-    if tape.net_id != id(net) or tape.net_version != net.version:
+    if tape.net_id != id(net) or tape.version != net.store.version:
         raise ContractViolation("tape is stale: network mutated since forward pass")
     delta = np.asarray(upstream, dtype=np.float64)
     if delta.shape != tape.preacts[-1].shape:
@@ -226,13 +226,6 @@ def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray,
         if i or with_input:
             delta = np.dot(delta, net.weights[i].T)
     return delta if with_input else None
-
-
-def tape_rows(tape: Tape, rows) -> Tape:
-    """The tape of the same forward pass restricted to some batch rows;
-    mlp_gradients on it back-propagates those rows only."""
-    return Tape([a[rows] for a in tape.inputs], [p[rows] for p in tape.preacts],
-                tape.net_id, tape.net_version)
 
 
 @dataclass
@@ -256,12 +249,14 @@ class AdamState:
 
 
 def adam_update(state: AdamState, params: Params, grads: Params) -> None:
-    """One Adam step, in place on `params.flat`, from `grads.flat`."""
+    """One Adam step, in place on `params.flat`, from `grads.flat`, counted
+    in `params.version`."""
     g = grads.flat
     if not np.isfinite(g).all():
         raise NumericError(f"non-finite gradient in block "
                            f"{grads.first_nonfinite()!r}")
     state.step += 1
+    params.version += 1
     t = state.step
     bc1 = 1.0 - state.BETA1 ** t
     bc2 = 1.0 - state.BETA2 ** t

@@ -4,13 +4,13 @@ loss, and the load-balancing regularizer."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractViolation, NumericError, ShapeError
 from .experts import decode, expert_bank, operator_grads
-from .numcore import Workspace, mlp_gradients, mlp_layers, tape_rows
+from .numcore import Workspace, mlp_gradients, mlp_layers
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -119,7 +119,8 @@ def wta_loss(model, trunk, probs, router_tape, v_global, cfg, ws: Workspace,
     w = scale * lam / b
     derr = (2.0 / sd) * w[:, None] * errs.reshape(-1, sd).take(win, axis=0)
     dresid = (1.0 - trunk.t)[:, None] * derr
-    win_tape = tape_rows(dec_tape, win)
+    win_tape = replace(dec_tape, inputs=[a[win] for a in dec_tape.inputs],
+                       preacts=[p[win] for p in dec_tape.preacts])
     din = mlp_gradients(model.decoder, win_tape, dresid, ws.grad.decoder)
     dzs, d_ops = din[:, :dz].copy(), np.zeros_like(ops)
     # the experts that won a row; np.unique's first call takes about 10 ms

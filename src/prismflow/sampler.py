@@ -198,5 +198,10 @@ def export_samples(batch: np.ndarray, path: str, norm_shift=None,
     lines), denormalizing iff normalization stats are supplied."""
     batch = np.asarray(batch, dtype=np.float64)
     if norm_shift is not None:
-        batch = batch * np.asarray(norm_scale) + np.asarray(norm_shift)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = batch * np.asarray(norm_scale) + np.asarray(norm_shift)
+        bad = ~np.isfinite(batch).all(axis=(1, 2))
+        if bad.any():
+            raise NumericError(f"denormalized window {np.argmax(bad)} leaves "
+                               f"float range")
     save_csv_windows(batch, path)

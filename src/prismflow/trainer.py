@@ -114,7 +114,6 @@ def train_step(model, opt: AdamState, x1_batch, rng: RngStream,
         raise NumericError(f"training diverged: loss {value:.3e} exceeds guard")
     if cfg.lr != 0.0:
         adam_update(opt, model.params(), grads)
-        model.bump_versions()
     metrics = {"total": value, **parts,
                "usage": np.bincount(info.winners, minlength=model.n_experts)}
     return metrics
@@ -182,8 +181,12 @@ def fit(windows, model_cfg: ModelConfig, cfg: TrainConfig,
         nb = 0
         for start in range(0, n, cfg.batch_size):
             batch = windows[order[start:start + cfg.batch_size]]
-            m = train_step(model, opt, batch,
-                           root.child(1_000_000 + step_id), cfg, ws)
+            try:
+                m = train_step(model, opt, batch,
+                               root.child(1_000_000 + step_id), cfg, ws)
+            except NumericError as exc:  # Adam's count is the store's
+                raise NumericError(f"epoch {epoch}, after {opt.step} update"
+                                   f"{'s' * (opt.step != 1)}: {exc}") from exc
             step_id += 1
             nb += 1
             for key in sums:

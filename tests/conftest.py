@@ -22,8 +22,8 @@ from prismflow.trainer import lambda_schedule
 # test-only oracles, importable from here like the reference code below
 from oracles import (FrozenObjective, balance_alone,  # noqa: F401
                      cfm_alone, finite_difference_check, frozen_total_loss_fn,
-                     frozen_wta_loss_fn, global_velocity, per_step_experts,
-                     power_spectrum, reference_exact_dmd,
+                     frozen_wta_loss_fn, gather_rows, global_velocity,
+                     per_step_experts, power_spectrum, reference_exact_dmd,
                      reference_operators, reference_velocity, wta_alone)
 
 

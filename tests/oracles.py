@@ -3,11 +3,11 @@ five-point), the operator bank built one expert at a time, each
 objective term on its own trunk pass, the frozen training objective
 whose value it differences, the global velocity field evaluated on its
 own, the sampler's velocity as computed before its per-call time-feature
-table, exact DMD from the SVD of the wide snapshot matrix, and batch
-power spectra. `conftest` re-exports them."""
+table, exact DMD from the SVD of the wide snapshot matrix, batch power
+spectra, and a tape's gather of some rows. `conftest` re-exports them."""
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,6 +63,14 @@ def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,
             rel = abs(gflat[i] - central) / (abs(central) + 1e-12)
             worst = max(worst, rel)
     return worst
+
+
+def gather_rows(tape, rows):
+    """The tape of the same forward pass restricted to some batch rows, by
+    the gathers `router.wta_loss` makes of the decoder tape's winner rows:
+    mlp_gradients on it back-propagates those rows only."""
+    return replace(tape, inputs=[a[rows] for a in tape.inputs],
+                   preacts=[p[rows] for p in tape.preacts])
 
 
 def reference_operators(model) -> np.ndarray:

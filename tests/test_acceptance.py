@@ -180,7 +180,6 @@ def test_analytic_gradients_match_central_differences():
     # perturbed here cannot move the trunk features
     model = small_model()
     model.router.biases[-1][:] = [0.9, -0.9]
-    model.router.bump_version()
     err = finite_difference_check(
         lambda p: balance_alone(model, x0, x1, t, TrainConfig())[:2],
         model.params(), 1e-5,
@@ -251,7 +250,6 @@ def test_constant_field_integrates_exactly_for_any_step_count():
         for b in net.biases:
             b[:] = 0.0
     model.head.biases[-1][:] = -0.815
-    model.bump_versions()
     x_ref = RngStream(21).generator().standard_normal((3, 8, 2))
     for steps in (1, 7, 64, 100):
         out = generate(model, 3, SamplerConfig(steps=steps), RngStream(21))

@@ -467,6 +467,8 @@ class TestTrainSampleEval:
                    "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        if case == "lr":  # the step after the first update fails
+            assert err[0].startswith("error: epoch 0, after 1 update: "), err
         assert not out.exists()
 
     def test_train_report_holds_one_json_line_per_row(self, tmp_path,
@@ -1100,6 +1102,62 @@ class TestHugeSamplerSettings:
         assert captured.err.startswith("error: non-finite state")
         assert captured.err.count("\n") == 1
         assert not out.exists()
+
+
+class TestValuesNearFloatMax:
+    """Finite data near the ends of float range: `train` writes a
+    checkpoint that loads; a sample whose denormalized values leave float
+    range, and `corr` on a channel whose variance does, are each one
+    `error:` line, with no `warning:` line and nothing written."""
+
+    @pytest.fixture
+    def trained(self, tmp_path, capsys):
+        """The checkpoint `train` writes from 40 windows (S=8, D=1) within
+        +-1.5e308, and what `train` printed to stderr."""
+        data, out = str(tmp_path / "big.csv"), str(tmp_path / "big.ckpt")
+        gen = RngStream(0).generator()
+        save_csv_windows(1.5e308 * gen.uniform(-1.0, 1.0, (40, 8, 1)), data)
+        capsys.readouterr()
+        assert run("train", "--data", data, "--seed", "0", "--epochs", "1",
+                   "--batch-size", "16", "--hidden-dim", "8",
+                   "--latent-dim", "4", "--quiet", "--out", out) == 0
+        return out, capsys.readouterr().err
+
+    def test_training_writes_a_checkpoint_that_loads(self, trained):
+        checkpoint, err = trained
+        assert err == ""
+        model = PrismFlowModel.load(checkpoint)
+        assert np.all(np.abs(model.norm_scale) > 1e307)
+
+    def test_sample_past_float_range_is_one_error_line(self, tmp_path,
+                                                        trained, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sample", "--checkpoint", trained[0], "--n", "2",
+                   "--seed", "0", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: denormalized window "), err
+        assert err[0].endswith(" leaves float range")
+        assert not out.exists()
+
+    def test_corr_past_float_range_is_one_error_line(self, tmp_path,
+                                                      data_csv, capsys):
+        """Correlation does not depend on scale, so windows scaled by 1e160
+        have no score of their own against the same windows unscaled: their
+        variance is past float range."""
+        big, report = str(tmp_path / "big.csv"), tmp_path / "eval.jsonl"
+        windows = load_csv_windows(data_csv, mode="blocks").windows
+        save_csv_windows(1e160 * windows, big)
+        capsys.readouterr()
+        assert run("eval", "--real", data_csv, "--gen", big, "--metrics",
+                   "corr", "--out", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: channel 0 has a variance past float "
+                                "range\n")
+        assert not report.exists()
 
 
 class TestConditionalVerbs:

@@ -549,6 +549,22 @@ class TestNormalization:
         np.testing.assert_array_equal(nd.windows, w)
         assert nd.norm_scale[0] == 1.0
 
+    def test_stats_are_the_plain_expressions_bitwise(self):
+        """Halving before the sum and the difference gives (hi +- lo) / 2
+        to the bit, across exponents of normal floats; near float max,
+        where hi + lo overflows, the stats stay finite."""
+        gen = RngStream(9).generator()
+        w = (gen.standard_normal((2, 1, 4096))
+             * 10.0 ** gen.integers(-300, 301, (2, 1, 4096)))
+        nd = normalize(Dataset(w))
+        lo, hi = w.min(axis=(0, 1)), w.max(axis=(0, 1))
+        assert nd.norm_shift.tobytes() == ((hi + lo) / 2.0).tobytes()
+        assert nd.norm_scale.tobytes() == ((hi - lo) / 2.0).tobytes()
+        big = normalize(Dataset(np.array([[[1.7e308]], [[-1.7e308]]])))
+        assert big.norm_shift.tolist() == [0.0]
+        assert big.norm_scale.tolist() == [1.7e308]
+        assert np.array_equal(big.windows.ravel(), [1.0, -1.0])
+
     def test_round_trip(self, tmp_path):
         w = RngStream(8).generator().standard_normal((5, 8, 2))
         nd = normalize(Dataset(w))

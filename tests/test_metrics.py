@@ -108,7 +108,6 @@ def per_step_train_net(dims, x, y, rng, kind):
         grads.flat.fill(0.0)
         mlp_gradients(net, tape, upstream, grad, False)
         adam_update(opt, params, grads)
-        net.bump_version()
     return net
 
 

@@ -1,20 +1,37 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check
+from conftest import finite_difference_check, gather_rows
 from prismflow.errors import (ConfigError, ContractViolation, NumericError,
                               ShapeError)
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import (AdamState, Mlp, Params, RngStream, Tape,
                                Workspace, adam_update, mlp_apply,
                                mlp_gradients, mlp_layers, mlp_shapes,
-                               row_blocks, tape_rows)
+                               row_blocks)
 
 
 def make_net(dims, seed=0, activation="tanh"):
     net = Mlp.view(Params(mlp_shapes("", dims)), "", dims, activation)
     net.draw(RngStream(seed))
     return net
+
+
+def literal_net(dims, **blocks):
+    """The tanh net over a zeroed store whose named blocks are filled with
+    the given values."""
+    params = Params(mlp_shapes("", dims))
+    for name, value in blocks.items():
+        params[name][...] = value
+    return Mlp.view(params, "", dims)
+
+
+def adam_step(store):
+    """One adam_update of a parameter store, from a gradient of ones: a
+    tape recorded before it is stale for every net that views the store."""
+    grads = store.zeros_like()
+    grads.flat.fill(1.0)
+    adam_update(AdamState.create(store), store, grads)
 
 
 class TestMlpApply:
@@ -26,15 +43,14 @@ class TestMlpApply:
         assert np.all(out == 0.0)
 
     def test_identity_linear_layer(self):
-        net = Mlp([2, 2], [np.eye(2)], [np.zeros(2)])
+        net = literal_net([2, 2], W0=np.eye(2))
         out, _ = mlp_apply(net, np.array([[1.0, 2.0]]))
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_hand_evaluated_two_layer(self):
         # 1-2-1 tanh net with hand-set weights
-        net = Mlp([1, 2, 1],
-                  [np.array([[0.5, -1.0]]), np.array([[2.0], [0.3]])],
-                  [np.array([0.1, 0.2]), np.array([-0.4])])
+        net = literal_net([1, 2, 1], W0=[[0.5, -1.0]], b0=[0.1, 0.2],
+                          W1=[[2.0], [0.3]], b1=[-0.4])
         x = 0.7
         hidden = np.tanh([0.5 * x + 0.1, -1.0 * x + 0.2])
         expected = 2.0 * hidden[0] + 0.3 * hidden[1] - 0.4
@@ -163,7 +179,7 @@ def gradients(net, tape, upstream, with_input=True):
 class TestMlpGradients:
     def test_linear_layer_adjoint(self):
         w = RngStream(2).generator().standard_normal((3, 2))
-        net = Mlp([3, 2], [w], [np.zeros(2)])
+        net = literal_net([3, 2], W0=w)
         x = np.array([[1.0, -0.5, 2.0]])
         g = np.array([[0.3, -1.1]])
         _, tape = mlp_apply(net, x)
@@ -220,7 +236,7 @@ class TestMlpGradients:
         _, tape = mlp_apply(net, gen.standard_normal((6, 3)))
         rows = np.array([4, 1, 1])
         upstream = gen.standard_normal((3, 2))
-        store, dx = gradients(net, tape_rows(tape, rows), upstream)
+        store, dx = gradients(net, gather_rows(tape, rows), upstream)
         _, sub_tape = mlp_apply(net, tape.inputs[0][rows])
         ref_store, ref_dx = gradients(net, sub_tape, upstream)
         np.testing.assert_array_equal(store.flat, ref_store.flat)
@@ -257,7 +273,7 @@ class TestMlpGradients:
     def test_stale_tape_rejected(self):
         net = make_net([2, 2])
         _, tape = mlp_apply(net, np.zeros((1, 2)))
-        net.bump_version()
+        adam_step(net.store)
         with pytest.raises(ContractViolation):
             gradients(net, tape, np.zeros((1, 2)))
 
@@ -273,7 +289,7 @@ class TestMlpInputGradient:
         gen = RngStream(10).generator()
         _, tape = mlp_apply(net, 3.0 * gen.standard_normal((6, 3)))
         if rows is not None:
-            tape = tape_rows(tape, np.array(rows))
+            tape = gather_rows(tape, np.array(rows))
         upstream = gen.standard_normal((tape.inputs[0].shape[0], 2))
         _, want = gradients(net, tape, upstream)
         assert mlp_gradients(net, tape, upstream).tobytes() == want.tobytes()
@@ -281,7 +297,7 @@ class TestMlpInputGradient:
     def test_stale_tape_rejected(self):
         net = make_net([2, 3, 2])
         _, tape = mlp_apply(net, np.zeros((1, 2)))
-        net.bump_version()
+        adam_step(net.store)
         with pytest.raises(ContractViolation):
             mlp_gradients(net, tape, np.zeros((1, 2)))
 
@@ -312,7 +328,7 @@ class TestMlpParamGradients:
     def test_stale_tape_rejected(self):
         net = make_net([2, 3, 2])
         _, tape = mlp_apply(net, np.zeros((1, 2)))
-        net.bump_version()
+        adam_step(net.store)
         store = Params(mlp_shapes("", net.layer_dims))
         with pytest.raises(ContractViolation):
             mlp_gradients(net, tape, np.ones((1, 2)),
@@ -327,6 +343,24 @@ class TestMlpParamGradients:
             mlp_gradients(net, tape, np.ones((1, 2)),
                           Mlp.view(store, "", net.layer_dims), False)
         assert not store.flat.any()
+
+
+class TestStaleTapeOfEveryView:
+    """Every net over a model's store, the model's own, a batch view's and
+    another model's over the same store, refuses a tape it recorded before
+    one adam_update of that store."""
+
+    @pytest.mark.parametrize("view", ["own", "batch_view", "twin"])
+    def test_refused_after_one_adam_update(self, tiny_model, view):
+        model = tiny_model
+        head = {"own": model.head, "batch_view": model.batch_view(3).head,
+                "twin": PrismFlowModel(model.cfg, model.params()).head}[view]
+        _, tape = mlp_apply(head, np.ones((3, head.layer_dims[0])))
+        upstream = np.ones((3, head.layer_dims[-1]))
+        mlp_gradients(head, tape, upstream)  # fresh: accepted
+        adam_step(model.params())
+        with pytest.raises(ContractViolation, match="tape is stale"):
+            mlp_gradients(head, tape, upstream)
 
 
 class TestGradientStore:

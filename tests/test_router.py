@@ -228,7 +228,6 @@ class TestBalanceLoss:
         # skew the routing away from uniform so the KL gradient is not
         # vanishingly small relative to finite-difference roundoff
         tiny_model.router.biases[-1][:] = [0.8, -0.8]
-        tiny_model.router.bump_version()
 
         # the router blocks perturbed here cannot move the trunk features
         def loss_fn(params):

@@ -32,7 +32,6 @@ def constant_field(model, c):
         for b in net.biases:
             b[:] = 0.0
     model.head.biases[-1][:] = c
-    model.bump_versions()
 
 
 class TestSamplerConfig:
@@ -183,7 +182,6 @@ class TestGenerateConditional:
         constant_field(tiny_model, 0.0)
         for w in tiny_model.projector.weights:
             w[:] = 0.0
-        tiny_model.bump_versions()
         cond = self.cond(tiny_model, fill=2.0)
         cfg = SamplerConfig(steps=50, mode="imputation", eta_g=1.0)
         x0 = RngStream(4).generator().standard_normal((1, 8, 2))
@@ -279,7 +277,6 @@ def route_everything_to(model, k):
     model.router.weights[-1][:] = 0.0
     model.router.biases[-1][:] = 0.0
     model.router.biases[-1][..., k] = 5.0
-    model.bump_versions()
 
 
 def reference_generate(model, n, cfg, rng):
@@ -438,7 +435,6 @@ class TestLeanStep:
     def test_nan_router_logit_raises(self, four_expert_model, case):
         model = self.model_for(four_expert_model, case)
         model.router.biases[-1][..., 1] = np.nan
-        model.bump_versions()
         with pytest.raises(NumericError, match="router"):
             generate(model, STEP_CASES[case][0], SamplerConfig(steps=3),
                      RngStream(24))
@@ -449,7 +445,6 @@ class TestLeanStep:
                                                     case, exact):
         model = self.model_for(four_expert_model, case)
         model.router.biases[-1][..., 1] = np.nan
-        model.bump_versions()
         mask = np.zeros((STEP_CASES[case][0], 8, 2), dtype=bool)
         mask[:, ::2] = True
         cfg = SamplerConfig(steps=3, mode="imputation", exact_guidance=exact)
@@ -598,7 +593,6 @@ class TestStepPlan:
     def test_state_check_names_the_guidance_step(self, tiny_model):
         cond = ConditionMask(np.ones((8, 2), bool), np.zeros((8, 2)))
         tiny_model.head.biases[-1][..., 3] = 1e308
-        tiny_model.bump_versions()
         cfg = SamplerConfig(steps=5, mode="imputation", gamma=0.0)
         with pytest.raises(NumericError, match="guidance step 0"):
             generate_conditional(tiny_model, cond, cfg, RngStream(34))

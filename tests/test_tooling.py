@@ -7,8 +7,8 @@ block's name, only `errors.py` spells the integer and finite-real rules,
 only `experts.py` spells the operator bank's layout, the sampling and
 `diagnose` flags take their defaults from the configs, every config is
 checked once, when it is made, `trainer.fit` refuses no setting itself,
-no module calls `np.unique`, and only `checkpoint.py` spells the
-line-file rule."""
+no module calls `np.unique`, only `checkpoint.py` spells the line-file
+rule, and only `numcore.py` touches a `.version` attribute."""
 
 import ast
 import dataclasses
@@ -533,3 +533,30 @@ def test_only_checkpoint_spells_the_line_file_rule():
     for path in sorted(SRC.glob("*.py")):
         if path.name != "checkpoint.py":
             assert line_file_joins(path.read_text()) == [], path.name
+
+
+def version_attributes(source: str) -> list:
+    """Every read or write of a `.version` attribute in a module."""
+    return [f"{ast.unparse(node)} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "version"]
+
+
+def test_version_attributes_are_found():
+    """Attributes only: `__version__` and a local `version` are names."""
+    source = ("from . import __version__\nversion = 1\n"
+              "def f(net, tape, header):\n    net.store.version += 1\n"
+              "    header['version'] = version\n"
+              "    return tape.version == net.version, __version__\n")
+    assert version_attributes(source) == [
+        "net.store.version (line 4)", "tape.version (line 6)",
+        "net.version (line 6)"]
+
+
+def test_only_the_core_dates_tapes():
+    """`numcore.adam_update` counts each step in its store's `version`,
+    and `numcore.mlp_gradients` refuses a tape of an older count: no other
+    module bumps a count or reads one."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "numcore.py":
+            assert version_attributes(path.read_text()) == [], path.name
