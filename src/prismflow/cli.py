@@ -9,6 +9,7 @@ resolved configuration.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -25,14 +26,14 @@ from .datasets import (LOAD_MODES, DiagnosticSpec, gen_bimodal_frequency,
                        velocity_energy_gap)
 from .errors import ConfigError, ContractViolation, PrismFlowError
 from .experts import operator_eigenvalues
-from .metrics import (MetricReport, correlational_score, discriminative_score,
+from .metrics import (correlational_score, discriminative_score,
                       predictive_score, window_pair)
 from .model import ModelConfig, PrismFlowModel
 from .numcore import RngStream
 from .sampler import (ConditionMask, SamplerConfig, export_samples, generate,
                       generate_conditional)
 from .spectra import check_dmd, exact_dmd, spectral_overlap
-from .trainer import LAMBDA_KINDS, TrainConfig, fit, load_config_file
+from .trainer import LAMBDAS, TrainConfig, fit, load_config_file
 
 CONFIG_ENV = "PRISMFLOW_CONFIG"
 
@@ -203,10 +204,11 @@ def cmd_eval(args):
     rows = [{"resolved_config": _resolved(args)}]
     # the hash names the settings, not where the files are
     config = _resolved(args, omit=("real", "gen", "out"))
+    digest = hashlib.sha256(repr(sorted(config.items())).encode()).hexdigest()
     for name in wanted:
         value = scores[name]()
-        report = MetricReport.build(name, value, args.seed, config)
-        rows.append(report.__dict__)
+        rows.append({"name": name, "value": float(value), "seed": args.seed,
+                     "config_hash": digest[:12], "auxiliary": {}})
         print(f"{name}: {value:.6f}")
     if args.out:
         atomic_write_lines(args.out, (json.dumps(r, default=str)
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in filter(flags.get, flags):
             kind = type(getattr(_owner(key), key))
             t.add_argument(flags[key], dest=key, default=None,
-                           **({"choices": LAMBDA_KINDS} if kind is str
+                           **({"choices": tuple(LAMBDAS)} if kind is str
                               else {"type": kind}))
     t.add_argument("--normalize", action=argparse.BooleanOptionalAction,
                    default=True)

@@ -1,5 +1,5 @@
-"""Conditional flow-matching primitives: linear path, target velocity,
-the global velocity estimator, and the CFM regression loss."""
+"""Conditional flow-matching primitives: time features, the trunk pass on
+the path x_t = (1-t) x0 + t x1, and the CFM loss on its velocity x1 - x0."""
 
 from __future__ import annotations
 
@@ -19,33 +19,6 @@ def time_features(t, freqs) -> np.ndarray:
     ang = 2.0 * np.pi * np.multiply.outer(np.asarray(t, dtype=np.float64),
                                           np.asarray(freqs))
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
-
-
-def sample_pair(x0, x1):
-    """A source and data sample as float64 arrays of one shape."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise ShapeError(f"shape mismatch {x0.shape} vs {x1.shape}")
-    return x0, x1
-
-
-def interpolate_state(x0: np.ndarray, x1: np.ndarray, t) -> np.ndarray:
-    """Linear path point (1-t)*x0 + t*x1.
-
-    t may be a scalar or a per-sample vector broadcast over leading axis.
-    """
-    x0, x1 = sample_pair(x0, x1)
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim == 1:
-        t = t.reshape((-1,) + (1,) * (x0.ndim - 1))
-    return (1.0 - t) * x0 + t * x1
-
-
-def target_velocity(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """Constant path velocity x1 - x0 (independent of t)."""
-    x0, x1 = sample_pair(x0, x1)
-    return x1 - x0
 
 
 def encode(model, x, tf, taped=True, ws=None):
@@ -76,7 +49,10 @@ class Trunk:
 
 
 def trunk_forward(model, x0, x1, t, ws: Workspace) -> Trunk:
-    x0, x1 = sample_pair(x0, x1)
+    x0 = np.asarray(x0, dtype=np.float64)
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x0.shape != x1.shape:
+        raise ShapeError(f"shape mismatch {x0.shape} vs {x1.shape}")
     b = x0.shape[0]
     if b == 0:
         raise ContractViolation("empty batch")
@@ -85,7 +61,7 @@ def trunk_forward(model, x0, x1, t, ws: Workspace) -> Trunk:
         raise ShapeError(f"windows of {x0.shape[1]} values, the model's "
                          f"have {model.cfg.seq_len * model.cfg.channels}")
     t = np.asarray(t, dtype=np.float64).reshape(b)
-    xt = interpolate_state(x0, x1, t)
+    xt = (1.0 - t[:, None]) * x0 + t[:, None] * x1
     tf = time_features(t, model.cfg.time_freqs)
     h, tape = encode(model, xt, tf, True, ws)
     return Trunk(x0, x1, t, tf, xt, h, tape)
@@ -95,7 +71,7 @@ def cfm_loss(model, trunk: Trunk, ws: Workspace):
     """Flow-matching term on a trunk pass, the element-mean squared velocity
     error: adds the head gradient to `ws.grad` and returns (loss, dh, v)
     with dh the trunk-feature gradient and v the (B, S*D) global velocity."""
-    u = target_velocity(trunk.x0, trunk.x1)
+    u = trunk.x1 - trunk.x0
     v, head_tape = mlp_layers(model.head, trunk.h, True, ws)
     resid = v - u
     loss = float(np.add.reduce(resid * resid, axis=None) / resid.size)

@@ -3,9 +3,7 @@ scores for comparing a generated window set against real data."""
 
 from __future__ import annotations
 
-import hashlib
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,20 +17,6 @@ BATCH = 64
 # rows per forward slice of a trained net: bounds the activations held at
 # once, so scoring memory does not grow with the number of rows
 FORWARD_ROWS = 4096
-
-
-@dataclass
-class MetricReport:
-    name: str
-    value: float
-    seed: int
-    config_hash: str = ""
-    auxiliary: dict = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, name, value, seed, config: dict):
-        digest = hashlib.sha256(repr(sorted(config.items())).encode()).hexdigest()
-        return cls(name, float(value), seed, digest[:12])
 
 
 def _as_windows(ds):

@@ -57,14 +57,6 @@ class RngStream:
         return RngStream(self.seed, stream)
 
 
-def _activation(name):
-    """The (activation, derivative) pair of ACTIVATIONS named `name`."""
-    try:
-        return ACTIVATIONS[name]
-    except KeyError:
-        raise ConfigError(f"unknown activation {name!r}") from None
-
-
 @dataclass(slots=True)
 class Tape:
     """Activation record from a forward pass, consumed by mlp_gradients."""
@@ -158,7 +150,7 @@ class Workspace(dict):
 def mlp_layers(net: Mlp, a: np.ndarray, taped: bool = False, ws=None):
     """Every forward pass's layer loop, unchecked: (output, tape or None).
     Untaped, activations overwrite pre-activations and no layer is kept."""
-    act = _activation(net.activation)[0]
+    act = ACTIVATIONS[net.activation][0]
     tape = Tape([], [], id(net), net.store.version) if taped else None
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -214,7 +206,7 @@ def mlp_gradients(net: Mlp, tape: Tape, upstream: np.ndarray,
         raise ShapeError(
             f"upstream shape {delta.shape} != output shape {tape.preacts[-1].shape}"
         )
-    act_grad = _activation(net.activation)[1]
+    act_grad = ACTIVATIONS[net.activation][1]
     last = len(net.weights) - 1
     for i in range(last, -1, -1):
         if i != last:

@@ -60,6 +60,9 @@ def exact_dmd(batch, rank: int = 10, delay: int = 1) -> DmdSpectrum:
         v, sig, ut = np.linalg.svd(xt, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed: {exc}") from exc
+    if not np.isfinite(sig).all():
+        raise NumericError("snapshots leave float range: their singular "
+                           "values are not finite")
     tol = 1e-10 * max(sig[0], 1.0) if sig.size else 0.0
     effective = int(np.sum(sig > tol))
     r_cap = min(rank, sig.size)

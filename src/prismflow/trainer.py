@@ -17,7 +17,14 @@ from .numcore import (AdamState, Params, RngStream, Workspace, adam_update,
                       mlp_gradients)
 from .router import balance_loss_and_grads, route, wta_loss
 
-LAMBDA_KINDS = ("constant", "linear-ramp", "late-gate")
+# time weighting of the WTA term, by kind: constant 1, a linear ramp in
+# the flow time t, or a hard gate that trains competition only on the
+# late half of the path, where the interpolant already resembles the data
+LAMBDAS = {
+    "constant": lambda t: np.ones(t.shape),
+    "linear-ramp": lambda t: t.copy(),
+    "late-gate": lambda t: (t > 0.5).astype(np.float64),
+}
 
 
 @dataclass(frozen=True)
@@ -43,22 +50,8 @@ class TrainConfig:
         check_real("divergence_guard", self.divergence_guard, above=0)
         check_int("epochs", self.epochs, 0)
         check_int("batch_size", self.batch_size, 1)
-        if self.lambda_kind not in LAMBDA_KINDS:
+        if self.lambda_kind not in LAMBDAS:
             raise ConfigError(f"unknown lambda schedule {self.lambda_kind!r}")
-
-
-def lambda_schedule(kind: str, t):
-    """Time weighting for the WTA term: constant 1, a linear ramp in t,
-    or a hard gate that trains competition only on the late half of the
-    path, where the interpolant already resembles the data."""
-    t = np.asarray(t, dtype=np.float64)
-    if kind == "constant":
-        return np.ones(t.shape)
-    if kind == "linear-ramp":
-        return t.copy()
-    if kind == "late-gate":
-        return (t > 0.5).astype(np.float64)
-    raise ConfigError(f"unknown lambda schedule {kind!r}")
 
 
 def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
@@ -77,7 +70,7 @@ def total_loss(model, x0, x1, t, cfg: TrainConfig, ws: Workspace = None):
     if ws is None:
         ws = Workspace(model)
     trunk = trunk_forward(model, x0, x1, t, ws)
-    lam = lambda_schedule(cfg.lambda_kind, trunk.t)
+    lam = LAMBDAS[cfg.lambda_kind](trunk.t)
     ws.grads.flat.fill(0.0)
 
     c_val, dh, v_global = cfm_loss(model, trunk, ws)

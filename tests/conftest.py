@@ -17,14 +17,15 @@ from prismflow.errors import ConfigError, ContractViolation, ParseError
 from prismflow.flowpath import encode, time_features
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import RngStream, mlp_apply
-from prismflow.trainer import lambda_schedule
+from prismflow.trainer import LAMBDAS
 
 # test-only oracles, importable from here like the reference code below
 from oracles import (FrozenObjective, balance_alone,  # noqa: F401
                      cfm_alone, finite_difference_check, frozen_total_loss_fn,
                      frozen_wta_loss_fn, gather_rows, global_velocity,
-                     per_step_experts, power_spectrum, reference_exact_dmd,
-                     reference_operators, reference_velocity, wta_alone)
+                     interpolate_state, per_step_experts, power_spectrum,
+                     reference_exact_dmd, reference_operators,
+                     reference_velocity, target_velocity, wta_alone)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -103,7 +104,7 @@ def vanilla_euler_generate(model, n: int, steps: int,
 def reference_total_loss(model, x0, x1, t, cfg):
     """Reference objective: the three terms, each on its own trunk pass,
     summed with their weights."""
-    lam = lambda_schedule(cfg.lambda_kind, t)
+    lam = LAMBDAS[cfg.lambda_kind](t)
     c_val, grads = cfm_alone(model, x0, x1, t)
     w_val, w_grads, info = wta_alone(model, x0, x1, t, cfg, lam=lam)
     b_val, b_grads, _ = balance_alone(model, x0, x1, t, cfg)

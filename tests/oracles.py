@@ -1,5 +1,6 @@
 """Test-only oracles: a central-difference gradient check (two-point or
-five-point), the operator bank built one expert at a time, each
+five-point), the linear path point and its target velocity on their
+own, the operator bank built one expert at a time, each
 objective term on its own trunk pass, the frozen training objective
 whose value it differences, the global velocity field evaluated on its
 own, the sampler's velocity as computed before its per-call time-feature
@@ -13,13 +14,12 @@ import numpy as np
 
 from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.experts import assemble_operator, decode_experts, expert_bank
-from prismflow.flowpath import (cfm_loss, encode, interpolate_state,
-                                time_features, trunk_forward)
+from prismflow.flowpath import cfm_loss, encode, time_features, trunk_forward
 from prismflow.numcore import Workspace, mlp_apply, mlp_gradients, mlp_layers
 from prismflow.router import (balance_loss, balance_loss_and_grads, endpoint,
                               route, select_winner, wta_loss, wta_scores)
 from prismflow.spectra import DmdSpectrum, _snapshots, check_dmd
-from prismflow.trainer import TrainConfig, lambda_schedule, total_loss
+from prismflow.trainer import LAMBDAS, TrainConfig, total_loss
 
 
 def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,
@@ -63,6 +63,24 @@ def finite_difference_check(loss_and_grad_fn, params: dict, step: float = 1e-5,
             rel = abs(gflat[i] - central) / (abs(central) + 1e-12)
             worst = max(worst, rel)
     return worst
+
+
+def interpolate_state(x0, x1, t) -> np.ndarray:
+    """The linear path point (1-t)*x0 + t*x1, which `trunk_forward` forms
+    on its flattened batch; t may be a scalar or a per-sample vector
+    broadcast over the trailing axes."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    x1 = np.asarray(x1, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim == 1:
+        t = t.reshape((-1,) + (1,) * (x0.ndim - 1))
+    return (1.0 - t) * x0 + t * x1
+
+
+def target_velocity(x0, x1) -> np.ndarray:
+    """The constant path velocity x1 - x0 (independent of t), the target
+    that `cfm_loss` regresses the head on."""
+    return np.asarray(x1, dtype=np.float64) - np.asarray(x0, dtype=np.float64)
 
 
 def gather_rows(tape, rows):
@@ -134,7 +152,7 @@ class FrozenObjective:
         self.t = np.asarray(t, dtype=np.float64).reshape(b)
         self.xt = interpolate_state(self.x0, self.x1, self.t)
         self.tf = time_features(self.t, model.cfg.time_freqs)
-        self.lam = lambda_schedule(cfg.lambda_kind, self.t)
+        self.lam = LAMBDAS[cfg.lambda_kind](self.t)
         self.h0, _ = encode(model, self.xt, self.tf)
         self.v0, _ = mlp_apply(model.head, self.h0)
         self.winners = select_winner(self._scores(self.h0))

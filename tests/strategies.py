@@ -5,7 +5,7 @@ import sys
 
 from hypothesis import strategies as st
 
-from prismflow.trainer import LAMBDA_KINDS, TrainConfig
+from prismflow.trainer import LAMBDAS, TrainConfig
 
 # 0, the least subnormal, the largest finite float's neighbourhood and a
 # few magnitudes between them
@@ -33,5 +33,5 @@ def train_settings(windows: int):
         "wta_eps": setting(defaults.wta_eps, least=5e-324),
         "divergence_guard": setting(defaults.divergence_guard, least=5e-324),
         "prob_floor": setting(defaults.prob_floor, most=0.3),
-        "lambda_kind": st.sampled_from(LAMBDA_KINDS),
+        "lambda_kind": st.sampled_from(tuple(LAMBDAS)),
         "batch_size": st.sampled_from((1, 8, windows + 1, 4 * windows))})

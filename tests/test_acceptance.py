@@ -11,13 +11,13 @@ import pytest
 import prismflow.sampler as sampler_module
 from conftest import (balance_alone, cfm_alone, finite_difference_check,
                       frozen_total_loss_fn, frozen_wta_loss_fn,
-                      per_step_experts, pooled, power_spectrum,
-                      vanilla_euler_generate, wta_alone)
+                      interpolate_state, per_step_experts, pooled,
+                      power_spectrum, vanilla_euler_generate, wta_alone)
 from prismflow.datasets import (gen_bimodal_frequency, gen_sines,
                                 gen_velocity_mixture_diagnostic, normalize,
                                 DiagnosticSpec, velocity_energy_gap)
 from prismflow.experts import assemble_operator, operator_eigenvalues
-from prismflow.flowpath import encode, interpolate_state, time_features
+from prismflow.flowpath import encode, time_features
 from prismflow.metrics import correlational_score, discriminative_score
 from prismflow.model import ModelConfig, PrismFlowModel, param_layout
 from prismflow.numcore import Params, RngStream

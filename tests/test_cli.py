@@ -11,10 +11,11 @@ import prismflow.cli as cli_module
 from conftest import traced_peak
 from prismflow.checkpoint import load_checkpoint, save_checkpoint
 from prismflow.cli import run_command
-from prismflow.datasets import LOAD_MODES, load_csv_windows, save_csv_windows
+from prismflow.datasets import (LOAD_MODES, gen_sines, load_csv_windows,
+                                save_csv_windows)
 from prismflow.model import ModelConfig, PrismFlowModel, param_layout
 from prismflow.numcore import RngStream
-from prismflow.trainer import LAMBDA_KINDS, TrainConfig
+from prismflow.trainer import LAMBDAS, TrainConfig
 from prismflow.sampler import (ConditionMask, SamplerConfig,
                                generate_conditional)
 
@@ -85,7 +86,7 @@ class TestGenData:
 
 @pytest.mark.parametrize("argv,choices", [
     (["train", "--data", "d.csv", "--seed", "0", "--out", "m",
-      "--lambda-kind", "cosine"], LAMBDA_KINDS),
+      "--lambda-kind", "cosine"], tuple(LAMBDAS)),
     (["train", "--data", "d.csv", "--seed", "0", "--out", "m",
       "--load-mode", "rows"], LOAD_MODES),
     (["eval", "--real", "r.csv", "--gen", "g.csv", "--load-mode", "rows"],
@@ -256,7 +257,8 @@ class TestTrainSampleEval:
 
     def test_eval_hash_names_settings_not_paths(self, tmp_path, data_csv):
         """Byte-identical files in two directories give one config_hash; the
-        first row still records the paths, and another seed another hash."""
+        first row still records the paths, the same flags in another order
+        give the same hash, and another seed another hash."""
         def hashes(where, *flags):
             where.mkdir(exist_ok=True)
             real, out = where / "real.csv", where / f"eval{len(flags)}.jsonl"
@@ -270,6 +272,8 @@ class TestTrainSampleEval:
         first = hashes(tmp_path / "a")
         assert hashes(tmp_path / "b") == first
         assert hashes(tmp_path / "b", "--seed", "1") != first
+        assert (hashes(tmp_path / "c", "--seed", "1", "--rank", "3")
+                == hashes(tmp_path / "c", "--rank", "3", "--seed", "1"))
 
     def test_non_finite_lr_is_runtime_error(self, tmp_path, data_csv):
         out = tmp_path / "nan.ckpt"
@@ -1107,8 +1111,9 @@ class TestHugeSamplerSettings:
 class TestValuesNearFloatMax:
     """Finite data near the ends of float range: `train` writes a
     checkpoint that loads; a sample whose denormalized values leave float
-    range, and `corr` on a channel whose variance does, are each one
-    `error:` line, with no `warning:` line and nothing written."""
+    range, `corr` on a channel whose variance does, and DMD on snapshots
+    whose singular values do, are each one `error:` line, with no
+    `warning:` line and nothing written."""
 
     @pytest.fixture
     def trained(self, tmp_path, capsys):
@@ -1158,6 +1163,23 @@ class TestValuesNearFloatMax:
         assert captured.err == ("error: channel 0 has a variance past float "
                                 "range\n")
         assert not report.exists()
+
+    @pytest.mark.parametrize("verb", ["eval", "dmd"])
+    def test_dmd_past_float_range_is_one_error_line(self, tmp_path, capsys,
+                                                    verb):
+        """Finite windows near float max whose snapshot SVD overflows are
+        refused as such, not as a zero matrix after a rank warning."""
+        big, out = str(tmp_path / "big.csv"), tmp_path / "out"
+        save_csv_windows(1e307 * gen_sines(80, 16, 2).windows, big)
+        capsys.readouterr()
+        flags = ["--metrics", "spectral"] if verb == "eval" else []
+        assert run(verb, "--real", big, "--gen", big, *flags, "--out",
+                   str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: snapshots leave float range: their "
+                                "singular values are not finite\n")
+        assert not out.exists()
 
 
 class TestConditionalVerbs:

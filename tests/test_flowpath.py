@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cfm_alone, finite_difference_check, global_velocity
+from conftest import (cfm_alone, finite_difference_check, global_velocity,
+                      interpolate_state, target_velocity)
 from prismflow.errors import ContractViolation, ShapeError
-from prismflow.flowpath import interpolate_state, target_velocity
+from prismflow.flowpath import cfm_loss, trunk_forward
+from prismflow.model import ModelConfig, PrismFlowModel
+from prismflow.numcore import RngStream, Workspace
 
 
 class TestInterpolate:
@@ -20,9 +23,13 @@ class TestInterpolate:
         np.testing.assert_array_equal(interpolate_state(x0, x1, 0.5),
                                       np.ones((2, 2)))
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            interpolate_state(np.zeros((2, 2)), np.zeros((3, 2)), 0.5)
+    def test_shape_mismatch(self, tiny_model):
+        """The trunk pass refuses a pair of two shapes, naming both."""
+        with pytest.raises(ShapeError, match=r"shape mismatch \(4, 8, 2\) "
+                                             r"vs \(3, 8, 2\)"):
+            trunk_forward(tiny_model, np.zeros((4, 8, 2)),
+                          np.zeros((3, 8, 2)), np.zeros(4),
+                          Workspace(tiny_model))
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=30, deadline=None)
@@ -50,6 +57,26 @@ class TestTargetVelocity:
         a, b = gen.standard_normal((2, 4, 2))
         np.testing.assert_array_equal(target_velocity(a, b),
                                       -target_velocity(b, a))
+
+
+@pytest.mark.parametrize("s,d,b", [(64, 1, 128), (7, 3, 5)],
+                         ids=["acceptance", "odd"])
+def test_trunk_pass_is_the_path_oracles_bit_for_bit(s, d, b):
+    """The trunk pass forms x_t, and the CFM term its target x1 - x0, as
+    the path oracles do, to the last bit."""
+    model = PrismFlowModel.init(ModelConfig(seq_len=s, channels=d),
+                                RngStream(0))
+    gen = RngStream(2).generator()
+    x0, x1 = gen.standard_normal((2, b, s, d))
+    t = gen.uniform(size=b)
+    ws = Workspace(model)
+    trunk = trunk_forward(model, x0, x1, t, ws)
+    np.testing.assert_array_equal(
+        trunk.xt, interpolate_state(x0, x1, t).reshape(b, -1))
+    _, _, v = cfm_loss(model, trunk, ws)
+    resid = v - target_velocity(x0, x1).reshape(b, -1)
+    loss = float(np.add.reduce(resid * resid, axis=None) / resid.size)
+    assert cfm_alone(model, x0, x1, t)[0] == loss
 
 
 class TestGlobalVelocity:

@@ -4,8 +4,8 @@ import pytest
 from conftest import traced_peak
 from prismflow import metrics
 from prismflow.errors import ContractViolation
-from prismflow.metrics import (MetricReport, correlational_score,
-                               discriminative_score, predictive_score)
+from prismflow.metrics import (correlational_score, discriminative_score,
+                               predictive_score)
 from prismflow.numcore import (AdamState, Mlp, Params, RngStream,
                                adam_update, mlp_apply, mlp_gradients,
                                mlp_shapes)
@@ -154,15 +154,3 @@ class TestCorrelationalScore:
             score = correlational_score(w, dead)
         assert np.isfinite(score)
 
-
-class TestMetricReport:
-    def test_hash_depends_on_config(self):
-        a = MetricReport.build("disc", 0.1, 0, {"k": 1})
-        b = MetricReport.build("disc", 0.1, 0, {"k": 2})
-        assert a.config_hash != b.config_hash
-        assert a.value == pytest.approx(0.1)
-
-    def test_hash_stable_under_key_order(self):
-        a = MetricReport.build("disc", 0.1, 0, {"a": 1, "b": 2})
-        b = MetricReport.build("disc", 0.1, 0, {"b": 2, "a": 1})
-        assert a.config_hash == b.config_hash

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_check, gather_rows
-from prismflow.errors import (ConfigError, ContractViolation, NumericError,
-                              ShapeError)
+from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import (AdamState, Mlp, Params, RngStream, Tape,
                                Workspace, adam_update, mlp_apply,
@@ -260,15 +259,6 @@ class TestMlpGradients:
             np.testing.assert_array_equal(store[f"b{i}"], delta.sum(axis=0))
             delta = delta @ net.weights[i].T
         np.testing.assert_array_equal(dx, delta)
-
-    def test_unknown_activation_is_config_error(self):
-        net = make_net([3, 4, 2])
-        _, tape = mlp_apply(net, np.zeros((1, 3)))
-        net.activation = "relu"
-        with pytest.raises(ConfigError, match="relu"):
-            mlp_apply(net, np.zeros((1, 3)))
-        with pytest.raises(ConfigError, match="relu"):
-            mlp_gradients(net, tape, np.zeros((1, 2)))
 
     def test_stale_tape_rejected(self):
         net = make_net([2, 2])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import power_spectrum, reference_exact_dmd, traced_peak
-from prismflow.errors import ContractViolation, ShapeError
+from prismflow.datasets import gen_sines
+from prismflow.errors import ContractViolation, NumericError, ShapeError
 from prismflow.numcore import RngStream
 from prismflow.spectra import (DmdSpectrum, _snapshots, exact_dmd,
                                spectral_overlap)
@@ -63,6 +64,15 @@ class TestExactDmd:
         expected = np.sort_complex(np.array([np.exp(1j * phase),
                                              np.exp(-1j * phase)]))
         np.testing.assert_allclose(got, expected, atol=1e-6)
+
+    def test_overflowing_snapshots_are_a_numeric_error(self):
+        """Finite windows whose singular values pass float range are
+        refused as such, before any rank warning."""
+        batch = 1e307 * gen_sines(80, 16, 2).windows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="leave float range"):
+                exact_dmd(batch)
 
     def test_warns_when_rank_deficient(self):
         batch = np.ones((1, 10, 3))  # rank-1 snapshots

@@ -7,8 +7,9 @@ block's name, only `errors.py` spells the integer and finite-real rules,
 only `experts.py` spells the operator bank's layout, the sampling and
 `diagnose` flags take their defaults from the configs, every config is
 checked once, when it is made, `trainer.fit` refuses no setting itself,
-no module calls `np.unique`, only `checkpoint.py` spells the line-file
-rule, and only `numcore.py` touches a `.version` attribute."""
+each `unknown ...` refusal is raised from one place, no module calls
+`np.unique`, only `checkpoint.py` spells the line-file rule, and only
+`numcore.py` touches a `.version` attribute."""
 
 import ast
 import dataclasses
@@ -389,6 +390,50 @@ def test_fit_refuses_no_setting_itself():
     source = (SRC / "trainer.py").read_text()
     assert config_error_raises(source, "fit") == []
     assert len(config_error_raises(source, "check_settings")) == 1
+
+
+def unknown_refusals(source: str) -> list:
+    """Every `ConfigError` or `PrismFlowError` a module raises whose
+    message starts with `unknown `, by its text up to the first
+    placeholder, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and node.exc.args):
+            continue
+        fn, msg = node.exc.func, node.exc.args[0]
+        head = msg.values[0] if isinstance(msg, ast.JoinedStr) else msg
+        if (getattr(fn, "id", getattr(fn, "attr", None)) in (
+                "ConfigError", "PrismFlowError")
+                and isinstance(head, ast.Constant)
+                and str(head.value).startswith("unknown ")):
+            found.append((node.lineno, head.value.strip()))
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+def test_unknown_refusals_are_found():
+    source = ("def f(a, k):\n    if a:\n"
+              "        raise ConfigError(f'unknown activation {a!r}')\n"
+              "    raise errors.PrismFlowError(f'unknown metric {k!r} x')\n"
+              "def g(m):\n    raise ConfigError('unknown mode')\n"
+              "    raise ValueError(f'unknown kind {m}')\n"
+              "    raise ConfigError(f'{m} is unknown')\n")
+    assert unknown_refusals(source) == ["unknown activation (line 3)",
+                                        "unknown metric (line 4)",
+                                        "unknown mode (line 6)"]
+
+
+def test_each_unknown_name_is_refused_in_one_place():
+    """A name that a table or config decides (an activation, a lambda
+    schedule, a load mode, ...) is refused where it enters, once; code
+    that reads it later indexes the table without checking it again."""
+    where = {}
+    for path in sorted(SRC.glob("*.py")):
+        for found in unknown_refusals(path.read_text()):
+            prefix, line = found.rsplit(" (", 1)
+            where.setdefault(prefix, []).append(f"{path.name} ({line}")
+    assert {p: w for p, w in where.items() if len(w) > 1} == {}
+    assert {"unknown activation", "unknown lambda schedule"} <= set(where)
 
 
 def is_bank(node) -> bool:

@@ -24,9 +24,8 @@ from prismflow.flowpath import encode, trunk_forward
 from prismflow.model import ModelConfig, PrismFlowModel
 from prismflow.numcore import (AdamState, Params, RngStream, Workspace,
                                adam_update)
-from prismflow.trainer import (LAMBDA_KINDS, TrainConfig, fit,
-                               lambda_schedule, load_config_file, total_loss,
-                               train_step)
+from prismflow.trainer import (LAMBDAS, TrainConfig, fit, load_config_file,
+                               total_loss, train_step)
 
 
 def tiny(n_experts):
@@ -39,15 +38,15 @@ def tiny(n_experts):
 class TestLambdaSchedule:
     def test_constant_is_one(self):
         np.testing.assert_array_equal(
-            lambda_schedule("constant", np.array([0.0, 0.3, 1.0])), 1.0)
+            LAMBDAS["constant"](np.array([0.0, 0.3, 1.0])), 1.0)
 
     def test_linear_ramp_is_identity(self):
         t = np.array([0.0, 0.25, 1.0])
-        np.testing.assert_array_equal(lambda_schedule("linear-ramp", t), t)
+        np.testing.assert_array_equal(LAMBDAS["linear-ramp"](t), t)
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            lambda_schedule("cosine", np.zeros(2))
+        with pytest.raises(ConfigError, match="unknown lambda schedule"):
+            TrainConfig(lambda_kind="cosine")
 
 
 class TestTotalLoss:
@@ -132,7 +131,7 @@ class TestFrozenObjective:
     """The finite-difference oracle differences the objective it checks:
     at the current parameters its frozen values are the objective's."""
 
-    @pytest.mark.parametrize("kind", LAMBDA_KINDS)
+    @pytest.mark.parametrize("kind", tuple(LAMBDAS))
     @pytest.mark.parametrize("n_experts", [1, 4])
     def test_frozen_values_equal_the_objective(self, tiny_batch, kind,
                                                n_experts):
@@ -146,7 +145,7 @@ class TestFrozenObjective:
         frozen = FrozenObjective(model, x0, x1, t, tcfg)
         value, _, _, _ = total_loss(model, x0, x1, t, tcfg)
         wta, _, _ = wta_alone(model, x0, x1, t, tcfg,
-                              lam=lambda_schedule(kind, t))
+                              lam=LAMBDAS[kind](t))
         assert frozen.total() == pytest.approx(value, rel=1e-12)
         assert frozen.wta() == pytest.approx(wta, rel=1e-12)
 
@@ -159,8 +158,8 @@ class TestFusedTotalLoss:
     # all come from the current parameters; the reference runs the router
     # at K = 1 too, where `total_loss` does not
     @pytest.mark.parametrize("kind,n_experts", [
-        *((kind, 4) for kind in LAMBDA_KINDS), ("constant", 1)],
-        ids=[*(f"live-{kind}" for kind in LAMBDA_KINDS), "one-expert"])
+        *((kind, 4) for kind in LAMBDAS), ("constant", 1)],
+        ids=[*(f"live-{kind}" for kind in LAMBDAS), "one-expert"])
     def test_matches_sum_of_public_objectives(self, tiny_batch, kind,
                                               n_experts):
         model = tiny(n_experts)
